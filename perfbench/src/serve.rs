@@ -1,18 +1,18 @@
 //! `serve-replay`: a `dhmm-serve` server on loopback (k = 16, lag 8, default
-//! configuration) driven by two closed-loop client threads. Every session
-//! uses a fresh connection: connect, create, 32 pushes of 32 tokens, flush,
-//! close, disconnect. At k = 16 the tick is cheap, so the front end (framing,
-//! engine queue, reply) dominates.
+//! configuration but a serial engine) driven by one closed-loop client. Every
+//! session uses a fresh connection: a seeded pause, then connect, create, 32
+//! pushes of 32 tokens, flush, close, disconnect. At k = 16 the tick is
+//! cheap, so the front end (framing, engine queue, reply) dominates.
 //!
 //! The end-to-end timings start at the `create` reply. Connect plus the
 //! first reply waits for the acceptor's 5 ms poll and for a new connection
 //! thread, and on a shared machine that wait swings by a factor of two from
 //! run to run; it is reported per layer (`serve.connect_*`, `serve.create_us`).
 //!
-//! The engine ticks on `Parallelism::Serial`. Under `Auto`, a tick of one or
-//! two sessions waits for a runtime pool helper to wake, and with the two
-//! client threads sharing a 2-core machine that wait moved the session time
-//! by 39% (quartile spread over median, ten seeds); serial, by 14–25%.
+//! One client and a serial engine keep a single thread runnable at a time.
+//! With two clients, or with an `Auto` engine whose one- or two-session ticks
+//! wait for a pool helper to wake, the median session time on a shared 2-core
+//! machine moved by up to a factor of two between runs of the same code.
 
 use crate::report::{hist_mean, median, parse_exposition, quantile, Round, RuntimeCounters};
 use crate::stream::random_model;
@@ -22,17 +22,16 @@ use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::generate::generate_sequence;
 use dhmm_hmm::Hmm;
 use dhmm_runtime::Parallelism;
-use dhmm_serve::{Client, Request, Response, ServeConfig, Server};
+use dhmm_serve::{Client, Request, Response, ServeConfig, Server, SessionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-const CLIENTS: usize = 2;
 /// Tokens per push request.
 const CHUNK: usize = 32;
 const LAG: usize = 8;
-/// Longest pause a client takes before it connects: one period of the
+/// Longest pause the client takes before it connects: one period of the
 /// acceptor's 5 ms poll. Without it a closed-loop client reconnects at the
 /// same phase of the poll every time, and the wait it sees locks onto the
 /// session length modulo 5 ms instead of sampling the poll.
@@ -49,46 +48,42 @@ struct Session {
 pub struct ServeReplay {
     model: Hmm<DiscreteEmission>,
     vocab: usize,
-    /// Sessions of each client thread, replayed in order.
-    clients: Vec<Vec<Session>>,
+    /// The sessions of a round, replayed in order.
+    sessions: Vec<Session>,
 }
 
 impl ServeReplay {
     pub fn new(seed: u64, scale: Scale) -> Self {
         let (states, vocab, sessions, pushes) = match scale {
-            Scale::Full => (16, 64, 32, 32),
-            Scale::Smoke => (4, 8, 2, 4),
+            Scale::Full => (16, 64, 64, 32),
+            Scale::Smoke => (4, 8, 4, 4),
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let model = random_model(states, vocab, &mut rng);
-        let clients = (0..CLIENTS)
+        let sessions = (0..sessions)
             .map(|_| {
-                (0..sessions)
-                    .map(|_| {
-                        let seq = generate_sequence(&model, pushes * CHUNK, &mut rng)
-                            .expect("valid model generates");
-                        Session {
-                            pause: Duration::from_micros(rng.gen_range(0..PAUSE_US)),
-                            pushes: seq
-                                .observations
-                                .chunks(CHUNK)
-                                .map(|c| c.iter().map(usize::to_string).collect())
-                                .collect(),
-                            states: seq.states,
-                        }
-                    })
-                    .collect()
+                let seq = generate_sequence(&model, pushes * CHUNK, &mut rng)
+                    .expect("valid model generates");
+                Session {
+                    pause: Duration::from_micros(rng.gen_range(0..PAUSE_US)),
+                    pushes: seq
+                        .observations
+                        .chunks(CHUNK)
+                        .map(|c| c.iter().map(usize::to_string).collect())
+                        .collect(),
+                    states: seq.states,
+                }
             })
             .collect();
         Self {
             model,
             vocab,
-            clients,
+            sessions,
         }
     }
 }
 
-/// What one client thread saw.
+/// What the client saw in one round.
 #[derive(Default)]
 struct ClientLog {
     attempted: u64,
@@ -130,22 +125,35 @@ impl ClientLog {
         }
     }
 
-    /// pause, then connect, create, pushes, flush, close, disconnect.
-    fn session(&mut self, addr: SocketAddr, s: &Session) {
+    /// Pause, connect and create.
+    fn open(&mut self, addr: SocketAddr, s: &Session) -> Option<(Client, SessionId)> {
         std::thread::sleep(s.pause);
         let started = Instant::now();
         self.attempted += 1;
         let mut client = match Client::connect(addr) {
             Ok(c) => c,
-            Err(e) => return self.fail(format!("connect: {e}")),
+            Err(e) => {
+                self.fail(format!("connect: {e}"));
+                return None;
+            }
         };
-        let id = match self.call(&mut client, &Request::Create) {
+        match self.call(&mut client, &Request::Create) {
             Some((Response::Created { id }, us)) => {
                 self.create_us.push(us);
                 self.connect_us.push(started.elapsed().as_secs_f64() * 1e6);
-                id
+                Some((client, id))
             }
-            other => return self.fail(format!("create answered {:?}", other.map(|r| r.0))),
+            other => {
+                self.fail(format!("create answered {:?}", other.map(|r| r.0)));
+                None
+            }
+        }
+    }
+
+    /// Opens a session, then pushes, flush, close, disconnect.
+    fn session(&mut self, addr: SocketAddr, s: &Session) {
+        let Some((mut client, id)) = self.open(addr, s) else {
+            return;
         };
         let opened = Instant::now();
         let mut labels = Vec::with_capacity(s.states.len());
@@ -209,15 +217,16 @@ impl ClientLog {
 
 impl Workload for ServeReplay {
     fn params(&self) -> Vec<(&'static str, String)> {
-        let sessions = self.clients.iter().map(Vec::len).sum::<usize>();
-        let pushes = self.clients[0][0].pushes.len();
         vec![
             ("states", self.model.num_states().to_string()),
             ("vocab", self.vocab.to_string()),
             ("lag", LAG.to_string()),
-            ("clients", CLIENTS.to_string()),
-            ("sessions_per_round", sessions.to_string()),
-            ("pushes_per_session", pushes.to_string()),
+            ("clients", "1".into()),
+            ("sessions_per_round", self.sessions.len().to_string()),
+            (
+                "pushes_per_session",
+                self.sessions[0].pushes.len().to_string(),
+            ),
             ("tokens_per_push", CHUNK.to_string()),
             ("parallelism", "\"serial\"".into()),
         ]
@@ -231,7 +240,8 @@ impl Workload for ServeReplay {
             .with_parallelism(Parallelism::Serial)
             .with_telemetry(sink);
 
-        // Set-up: the server, up to its first reply.
+        // Set-up: until `Server::start` returns, listening. The first reply
+        // waits for the acceptor's poll, which `serve.connect_*` reports.
         let t = Instant::now();
         let handle = match Server::start(
             LoadedModel::Discrete(self.model.clone()),
@@ -244,80 +254,48 @@ impl Workload for ServeReplay {
                 return round;
             }
         };
+        round.setup_s = t.elapsed().as_secs_f64();
         let addr = handle.local_addr();
         let first = Client::connect(addr)
             .map_err(|e| e.to_string())
             .and_then(|mut c| c.call(&Request::Stats).map_err(|e| e.to_string()));
-        round.setup_s = t.elapsed().as_secs_f64();
         round.check(matches!(first, Ok(Response::Stats { .. })), || {
             format!("first reply: {first:?}")
         });
 
         let before = RuntimeCounters::read();
         let t = Instant::now();
-        let logs: Vec<ClientLog> = std::thread::scope(|scope| {
-            let threads: Vec<_> = self
-                .clients
-                .iter()
-                .map(|sessions| {
-                    scope.spawn(move || {
-                        let mut log = ClientLog::default();
-                        for s in sessions {
-                            log.session(addr, s);
-                        }
-                        log
-                    })
-                })
-                .collect();
-            threads
-                .into_iter()
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
+        let mut log = ClientLog::default();
+        for s in &self.sessions {
+            log.session(addr, s);
+        }
         let wall_ns = t.elapsed().as_secs_f64() * 1e9;
 
-        // Throughput counts each client's time inside its sessions: the sum
-        // over clients of tokens per session second.
-        let rate: f64 = logs
-            .iter()
-            .map(|log| log.tokens as f64 / log.sessions_s.iter().sum::<f64>())
-            .sum();
-        let mut all = ClientLog::default();
-        for log in logs {
-            all.attempted += log.attempted;
-            all.failures.extend(log.failures);
-            all.connect_us.extend(log.connect_us);
-            all.create_us.extend(log.create_us);
-            all.push_us.extend(log.push_us);
-            all.flush_us.extend(log.flush_us);
-            all.close_us.extend(log.close_us);
-            all.sessions_s.extend(log.sessions_s);
-            all.tokens += log.tokens;
-            all.correct += log.correct;
-        }
-        round.attempted += all.attempted;
-        for f in all.failures.drain(..) {
+        round.attempted += log.attempted;
+        for f in log.failures.drain(..) {
             round.fail(f);
         }
-        round.tokens = all.tokens;
-        round.work_s = all.tokens as f64 / rate;
-        round.accuracy = all.correct as f64 / all.tokens.max(1) as f64;
-        round.latencies_us = [&all.push_us, &all.flush_us, &all.close_us]
+        // Throughput: one session's tokens per median session time.
+        let session_tokens = log.tokens as f64 / log.sessions_s.len().max(1) as f64;
+        round.tokens = log.tokens;
+        round.work_s = log.tokens as f64 / session_tokens * median(&log.sessions_s);
+        round.accuracy = log.correct as f64 / log.tokens.max(1) as f64;
+        round.latencies_us = [&log.push_us, &log.flush_us, &log.close_us]
             .into_iter()
             .flatten()
             .copied()
             .collect();
-        round.jobs_s = std::mem::take(&mut all.sessions_s);
+        round.jobs_s = std::mem::take(&mut log.sessions_s);
 
         if traced {
             before.record_since(&mut round, wall_ns);
             round.layer("serve.request_p90_us", quantile(&round.latencies_us, 0.9));
-            round.layer("serve.connect_p50_us", quantile(&all.connect_us, 0.5));
-            round.layer("serve.connect_p99_us", quantile(&all.connect_us, 0.99));
-            round.layer("serve.create_us", median(&all.create_us));
-            round.layer("serve.push_us", median(&all.push_us));
-            round.layer("serve.flush_us", median(&all.flush_us));
-            round.layer("serve.close_us", median(&all.close_us));
+            round.layer("serve.connect_p50_us", quantile(&log.connect_us, 0.5));
+            round.layer("serve.connect_p99_us", quantile(&log.connect_us, 0.99));
+            round.layer("serve.create_us", median(&log.create_us));
+            round.layer("serve.push_us", median(&log.push_us));
+            round.layer("serve.flush_us", median(&log.flush_us));
+            round.layer("serve.close_us", median(&log.close_us));
             scrape(addr, &mut round);
         }
 
