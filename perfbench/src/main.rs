@@ -1,6 +1,7 @@
 //! The dhmm benchmark: four workloads driven through the public API, with
 //! end-to-end metrics from an untraced run and per-layer metrics from a
-//! traced one.
+//! traced one. `BENCHMARK.json` lists `train-wide` and `serve-replay`; the
+//! other two are kept for per-layer attribution.
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
@@ -144,8 +145,8 @@ fn main() -> ExitCode {
     let (traced, plain): (Vec<&Round>, Vec<&Round>) = rounds.iter().partition(|r| r.traced);
     let metrics = if args.trace {
         let primary = workload.primary();
-        let untraced = report::end_to_end(&plain).value(primary);
-        let with_tracing = report::end_to_end(&traced).value(primary);
+        let untraced = report::end_to_end(&plain, true).value(primary);
+        let with_tracing = report::end_to_end(&traced, true).value(primary);
         let slowdown = if primary == "job_s" {
             with_tracing / untraced
         } else {
@@ -153,9 +154,27 @@ fn main() -> ExitCode {
         };
         report::per_layer(&traced, (slowdown - 1.0) * 100.0)
     } else {
-        report::end_to_end(&plain)
+        report::end_to_end(&plain, true)
     };
-    let meta = report::metadata(&args, &workload.params(), &rounds, &summary);
+    let mut params = workload.params();
+    if plain.iter().any(|r| r.slowdown.is_some()) {
+        // The timings as the clock read them, before scaling to a nominal
+        // host, and the median slowdown the scaling divided out.
+        let raw = report::end_to_end(&plain, false);
+        for (name, key) in [
+            ("setup_s", "unscaled_setup_s"),
+            ("job_s", "unscaled_job_s"),
+            ("tokens_per_s", "unscaled_tokens_per_s"),
+        ] {
+            params.push((key, report::number(raw.value(name))));
+        }
+        let slowdowns: Vec<f64> = plain
+            .iter()
+            .filter_map(|r| r.slowdown.as_ref().map(|s| s.work))
+            .collect();
+        params.push(("host_slowdown", report::number(report::median(&slowdowns))));
+    }
+    let meta = report::metadata(&args, &params, &rounds, &summary);
     for failure in &summary.failures {
         eprintln!("perfbench: check failed: {failure}");
     }

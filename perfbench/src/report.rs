@@ -5,22 +5,24 @@ use dhmm_telemetry::{Registry, TelemetrySink};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::Command;
+use std::time::Instant;
 
 /// End-to-end metrics, reported by every workload from untraced rounds. The
 /// meaning per workload is in `perfbench/README.md`.
-pub const END_TO_END: [(&str, &str); 5] = [
+pub const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
     ("job_s", "s"),
     ("tokens_per_s", "1/s"),
-    ("latency_p50_us", "us"),
     ("accuracy", "share"),
 ];
 
 /// Per-layer metrics, reported by every workload from traced rounds. A layer
-/// a workload does not run reads 0. The latency tails (`*_p90_us`) are here
-/// rather than end to end: on a shared 2-core machine they moved by a third
-/// between runs of the same code.
-pub const PER_LAYER: [(&str, &str); 35] = [
+/// a workload does not run reads 0. The operation latencies (`*_p50_us`,
+/// `*_p90_us`) are here rather than end to end: on a shared 2-vCPU machine
+/// the median sentence latency of `train-wide` spread by a fifth over five
+/// seeds of the same code, more than `tokens_per_s` over the same decode.
+pub const PER_LAYER: [(&str, &str); 38] = [
+    ("hmm.decode_p50_us", "us"),
     ("hmm.decode_p90_us", "us"),
     ("hmm.estep_ms", "ms"),
     ("hmm.estep_share", "share"),
@@ -43,7 +45,9 @@ pub const PER_LAYER: [(&str, &str); 35] = [
     ("stream.smoothing_scalar_rows", "count"),
     ("stream.group_size_mean", "sessions"),
     ("stream.push_us", "us"),
+    ("stream.tick_p50_us", "us"),
     ("stream.tick_p90_us", "us"),
+    ("serve.request_p50_us", "us"),
     ("serve.request_p90_us", "us"),
     ("serve.connect_p50_us", "us"),
     ("serve.connect_p99_us", "us"),
@@ -84,6 +88,20 @@ pub struct Round {
     pub failures: Vec<String>,
     /// Per-layer values (traced rounds only), keyed by [`PER_LAYER`] names.
     pub layers: BTreeMap<&'static str, f64>,
+    /// How much slower than nominal the host ran floating-point code at each
+    /// timing, for workloads whose end-to-end timings are scaled to a
+    /// nominal host (see [`host_timed`]).
+    pub slowdown: Option<Slowdown>,
+}
+
+/// The host slowdown at each end-to-end timing of a round: 1 is nominal,
+/// 1.5 means the reference pass took half as long again.
+#[derive(Debug, Default)]
+pub struct Slowdown {
+    pub setup: f64,
+    /// One per entry of [`Round::jobs_s`].
+    pub jobs: Vec<f64>,
+    pub work: f64,
 }
 
 impl Round {
@@ -114,6 +132,75 @@ impl Round {
         debug_assert!(PER_LAYER.iter().any(|(n, _)| *n == name), "{name}");
         self.layers.insert(name, value);
     }
+}
+
+/// Milliseconds a [`reference_pass`] takes on the unloaded 2.1 GHz Xeon
+/// 2-vCPU VM the benchmark was built on.
+const NOMINAL_REFERENCE_MS: f64 = 5.0;
+
+/// Runs `work` between two [`reference_pass`]es and returns its result, its
+/// wall time in seconds and the host slowdown: the mean reference time over
+/// [`NOMINAL_REFERENCE_MS`].
+///
+/// A shared host slows floating-point code that streams through cache by up
+/// to 1.8x for tens of seconds at a time (a 32 KB dot-product loop ran at
+/// 1.2 ms and at 2.2 ms per pass within one minute, while integer and scalar
+/// `exp`/`ln` loops held within 4%). Ten runs of `train-wide` therefore
+/// spread by a third in decode throughput (quartile distance over median).
+/// Dividing a timing by the slowdown measured just before it cancels most of
+/// that: in a trial over six seeds the spread fell from 0.24 to 0.03 for
+/// decode throughput, 0.19 to 0.09 for the fit and 0.24 to 0.07 for set-up.
+/// The host also changes speed within a second, so the slowdown is the mean
+/// of a pass before and a pass after the work.
+pub fn host_timed<T>(work: impl FnOnce() -> T) -> (T, f64, f64) {
+    let before = reference_pass();
+    let t = Instant::now();
+    let out = work();
+    let elapsed = t.elapsed().as_secs_f64();
+    let after = reference_pass();
+    let slowdown = (before + after) / 2.0 / NOMINAL_REFERENCE_MS;
+    (out, elapsed, slowdown)
+}
+
+/// A fixed floating-point loop owned by the benchmark, never by the program
+/// under test, so that no change to the program can move it: 1000 steps of
+/// a dense 64-state max-product and sum-product sweep (a 32 KB matrix), each
+/// scaled by a row of a 512 KB emission-like table — the inner loops and
+/// working set of Viterbi and the forward pass at k = 64. Returns
+/// milliseconds.
+pub fn reference_pass() -> f64 {
+    const K: usize = 64;
+    const ROWS: usize = 1000;
+    let a: Vec<f64> = (0..K * K)
+        .map(|i| ((i * 7919) % 1000) as f64 / 1000.0 + 0.01)
+        .collect();
+    let e: Vec<f64> = (0..K * ROWS)
+        .map(|i| ((i * 104_729) % 997) as f64 / 997.0 + 0.01)
+        .collect();
+    let mut x = [1.0f64; K];
+    let mut y = [0.0f64; K];
+    let t = Instant::now();
+    for step in 0..1000 {
+        let row = &e[(step * 7919) % ROWS * K..][..K];
+        for j in 0..K {
+            let (mut best, mut arg, mut sum) = (0.0f64, 0usize, 0.0f64);
+            for i in 0..K {
+                let v = x[i] * a[i * K + j];
+                sum += v;
+                if v > best {
+                    best = v;
+                    arg = i;
+                }
+            }
+            y[j] = (best + sum * 1e-3 + arg as f64 * 1e-300) * row[j];
+        }
+        let max = y.iter().copied().fold(0.0, f64::max);
+        for j in 0..K {
+            x[j] = y[j] / max;
+        }
+        std::hint::black_box(&mut x);
+    }
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// Totals over every round of a run.
@@ -200,7 +287,7 @@ impl Metrics {
 
 /// A JSON number with every digit of the measurement (`null` if the
 /// measurement is not finite, which also fails the run).
-fn number(v: f64) -> String {
+pub fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -223,22 +310,34 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The end-to-end metrics of a set of rounds.
-pub fn end_to_end(rounds: &[&Round]) -> Metrics {
-    let setups: Vec<f64> = rounds.iter().map(|r| r.setup_s).collect();
+/// The end-to-end metrics of a set of rounds. With `nominal`, the timings
+/// of rounds that carry a [`Slowdown`] are divided by it.
+pub fn end_to_end(rounds: &[&Round], nominal: bool) -> Metrics {
+    let scale = |r: &Round, of: &dyn Fn(&Slowdown) -> f64| match &r.slowdown {
+        Some(s) if nominal => of(s),
+        _ => 1.0,
+    };
+    let setups: Vec<f64> = rounds
+        .iter()
+        .map(|r| r.setup_s / scale(r, &|s| s.setup))
+        .collect();
     let jobs: Vec<f64> = rounds
         .iter()
-        .flat_map(|r| r.jobs_s.iter().copied())
+        .flat_map(|r| {
+            r.jobs_s
+                .iter()
+                .enumerate()
+                .map(move |(i, j)| j / scale(r, &|s| s.jobs[i]))
+        })
         .collect();
-    let rates: Vec<f64> = rounds.iter().map(|r| r.tokens as f64 / r.work_s).collect();
-    // The latency median is taken per round and then over rounds, so a
-    // burst of machine noise moves one round, not the result.
-    let p50s: Vec<f64> = rounds.iter().map(|r| median(&r.latencies_us)).collect();
+    let rates: Vec<f64> = rounds
+        .iter()
+        .map(|r| r.tokens as f64 / (r.work_s / scale(r, &|s| s.work)))
+        .collect();
     let values = [
         median(&setups),
         median(&jobs),
         median(&rates),
-        median(&p50s),
         rounds[0].accuracy,
     ];
     Metrics(

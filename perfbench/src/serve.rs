@@ -289,6 +289,7 @@ impl Workload for ServeReplay {
 
         if traced {
             before.record_since(&mut round, wall_ns);
+            round.layer("serve.request_p50_us", median(&round.latencies_us));
             round.layer("serve.request_p90_us", quantile(&round.latencies_us, 0.9));
             round.layer("serve.connect_p50_us", quantile(&log.connect_us, 0.5));
             round.layer("serve.connect_p99_us", quantile(&log.connect_us, 0.99));

@@ -12,8 +12,16 @@
 //! core the host slows: on a shared 2-vCPU VM, alternating runs of four seeds
 //! gave median fit times of 0.65–0.90 s under `Auto` and 0.94–1.06 s on one
 //! thread. `train-wide` keeps `Auto` and measures the runtime pool.
+//!
+//! Of the two, `BENCHMARK.json` lists `train-wide`. Before training timings
+//! were scaled to a nominal host ([`crate::report::host_timed`]), the decode
+//! throughput and sentence latency of `train-pos` spread by up to 30% over
+//! ten runs of the same code on a shared 2-vCPU VM. It has not been
+//! re-measured with the scaling, and a third listed workload would cut every
+//! run to about 35 s within the benchmark's total time limit. It stays here
+//! for per-layer attribution runs.
 
-use crate::report::{quantile, Round, RuntimeCounters};
+use crate::report::{host_timed, median, quantile, Round, RuntimeCounters, Slowdown};
 use crate::{Scale, Workload};
 use dhmm_core::{AscentConfig, DiversifiedConfig, DiversifiedHmm};
 use dhmm_data::pos::{generate, PosConfig};
@@ -33,8 +41,8 @@ const OBJECTIVE_SLACK: f64 = 1e-4;
 pub struct Train {
     config: DiversifiedConfig,
     states: usize,
-    /// Random restarts per round, each a job; the best final objective is
-    /// kept.
+    /// Random restarts per round; fitting all of them is the round's job,
+    /// and the best final objective is kept.
     restarts: usize,
     /// EM iterations per restart.
     iterations: usize,
@@ -92,9 +100,11 @@ impl Train {
         Self {
             config: config_for(iterations, Parallelism::Auto),
             states: 64,
-            // The DPP ascent's work depends on where EM starts; the median
-            // over four restarts keeps one start from setting the fit time.
-            restarts: 4,
+            // The DPP ascent's work depends on where EM starts: over ten
+            // seeds a round of four restarts made 1610–1895 ascent steps, and
+            // the fit time followed. A job of eight restarts averages that
+            // out of `job_s`.
+            restarts: 8,
             iterations,
             vocab: data.vocab_size,
             init_seed: seed.wrapping_add(1),
@@ -154,32 +164,39 @@ impl Workload for Train {
         // Set-up: the trainer and one initial model per restart, each built
         // exactly as `DiversifiedHmm::fit_discrete` builds it (Dirichlet(3) π
         // and A, symmetric Dirichlet(1) emission rows).
-        let t = Instant::now();
-        let trainer = DiversifiedHmm::new(self.config).with_telemetry(sink);
-        let mut rng = StdRng::seed_from_u64(self.init_seed);
-        let mut models: Vec<Hmm<DiscreteEmission>> = (0..self.restarts)
-            .map(|_| {
-                let (pi, a) = random_parameters(
-                    self.states,
-                    InitStrategy::Dirichlet { concentration: 3.0 },
-                    &mut rng,
-                )?;
-                let b = random_stochastic_matrix(self.states, self.vocab, 1.0, &mut rng)?;
-                Hmm::new(pi, a, DiscreteEmission::new(b)?)
-            })
-            .collect::<Result<_, _>>()
-            .expect("initial parameters are valid");
-        round.setup_s = t.elapsed().as_secs_f64();
+        let mut slowdown = Slowdown::default();
+        let ((trainer, mut models), setup_s, setup_slowdown) = host_timed(|| {
+            let trainer = DiversifiedHmm::new(self.config).with_telemetry(sink);
+            let mut rng = StdRng::seed_from_u64(self.init_seed);
+            let models: Vec<Hmm<DiscreteEmission>> = (0..self.restarts)
+                .map(|_| {
+                    let (pi, a) = random_parameters(
+                        self.states,
+                        InitStrategy::Dirichlet { concentration: 3.0 },
+                        &mut rng,
+                    )?;
+                    let b = random_stochastic_matrix(self.states, self.vocab, 1.0, &mut rng)?;
+                    Hmm::new(pi, a, DiscreteEmission::new(b)?)
+                })
+                .collect::<Result<_, _>>()
+                .expect("initial parameters are valid");
+            (trainer, models)
+        });
+        round.setup_s = setup_s;
+        slowdown.setup = setup_slowdown;
 
         // The job: fit every restart, keep the model with the best objective.
+        // Each fit is scaled by the reference passes around it; the job's
+        // slowdown is the one that turns the summed fit times into the sum of
+        // the scaled ones.
         let before = RuntimeCounters::read();
-        let t = Instant::now();
+        let (mut fit_s, mut nominal_fit_s) = (0.0, 0.0);
         let mut best: Option<(usize, f64)> = None;
         for (r, model) in models.iter_mut().enumerate() {
             round.attempted += 1;
-            let one = Instant::now();
-            let fitted = trainer.fit(model, &self.train_obs);
-            round.jobs_s.push(one.elapsed().as_secs_f64());
+            let (fitted, s, slow) = host_timed(|| trainer.fit(model, &self.train_obs));
+            fit_s += s;
+            nominal_fit_s += s / slow;
             let report = match fitted {
                 Ok(report) => report,
                 Err(e) => {
@@ -210,7 +227,8 @@ impl Workload for Train {
                 best = Some((r, objective));
             }
         }
-        let fit_s = t.elapsed().as_secs_f64();
+        round.jobs_s.push(fit_s);
+        slowdown.jobs.push(fit_s / nominal_fit_s);
         let model = &models[best.map_or(0, |(r, _)| r)];
 
         if traced {
@@ -240,9 +258,11 @@ impl Workload for Train {
         // Offline labeling: one `decode_all` call over the corpus gives the
         // throughput.
         round.attempted += 1;
-        let t = Instant::now();
-        let decoded = trainer.decode_all(model, &self.eval_obs);
-        round.work_s = t.elapsed().as_secs_f64();
+        let (decoded, work_s, work_slowdown) =
+            host_timed(|| trainer.decode_all(model, &self.eval_obs));
+        round.work_s = work_s;
+        slowdown.work = work_slowdown;
+        round.slowdown = Some(slowdown);
         let predicted = match decoded {
             Ok(labels) => labels,
             Err(e) => {
@@ -269,6 +289,7 @@ impl Workload for Train {
             });
         }
         if traced {
+            round.layer("hmm.decode_p50_us", median(&round.latencies_us));
             round.layer("hmm.decode_p90_us", quantile(&round.latencies_us, 0.9));
         }
         // Many-to-1 rather than the paper's 1-to-1: after a fixed ten EM
