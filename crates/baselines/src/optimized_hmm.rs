@@ -267,20 +267,10 @@ mod tests {
             OptimizedHmmConfig::default(),
         )
         .unwrap();
-        let reference = OptimizedHmm::fit(
-            &data.corpus.sequences,
-            26,
-            128,
-            OptimizedHmmConfig {
-                backend: InferenceBackend::LogReference,
-                ..Default::default()
-            },
-        )
-        .unwrap();
         for (_, images) in data.corpus.sequences.iter().take(30) {
             assert_eq!(
                 scaled.decode(images).unwrap(),
-                reference.decode(images).unwrap()
+                dhmm_hmm::reference::viterbi(&scaled.decoder, images).unwrap()
             );
         }
     }

@@ -3,16 +3,15 @@
 //! projection and the Hungarian alignment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dhmm_core::transition_update::{DppTransitionUpdater, TransitionObjective};
-use dhmm_core::{AscentConfig, MStepBackend};
-use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, MStepWorkspace, ProductKernel};
+use dhmm_core::transition_update::DppTransitionUpdater;
+use dhmm_core::AscentConfig;
+use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_eval::hungarian_max;
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::emission::{DiscreteEmission, GaussianEmission};
-use dhmm_hmm::forward_backward::forward_backward;
 use dhmm_hmm::init::{random_parameters, random_stochastic_matrix, InitStrategy};
 use dhmm_hmm::model::Hmm;
-use dhmm_hmm::viterbi::viterbi;
+use dhmm_hmm::reference::{forward_backward, viterbi};
 use dhmm_hmm::{forward_backward_scaled, viterbi_scaled, InferenceWorkspace};
 use dhmm_linalg::{project_to_simplex, Matrix};
 use rand::rngs::StdRng;
@@ -174,67 +173,52 @@ fn bench_dpp_prior(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head on the diversified M-step: the fused zero-allocation engine
-/// vs the scalar reference paths it is oracle-pinned against, at the
-/// objective-value, gradient and full-`update` granularities.
+/// Head-to-head on the diversified M-step's prior: the fused zero-allocation
+/// engine vs the scalar oracle functions it is pinned against, for the
+/// log-determinant value and its gradient, plus a whole fused `update`.
 fn bench_dpp_mstep(c: &mut Criterion) {
     let mut group = c.benchmark_group("dpp_mstep");
     group.sample_size(10);
     let kernel = ProductKernel::bhattacharyya();
+    let engine = DppObjective::new(kernel);
     for &k in &[4usize, 8, 16, 32, 64] {
         let a = random_stochastic(k, 21);
         let counts = {
             let mut rng = StdRng::seed_from_u64(22);
             Matrix::from_fn(k, k, |_, _| rng.gen_range(5.0..50.0))
         };
-        let fused = TransitionObjective::unsupervised(&counts, 10.0, kernel);
-        let reference = fused.clone().with_backend(MStepBackend::ScalarReference);
         let mut ws = MStepWorkspace::new();
         let mut grad = Matrix::zeros(k, k);
-        fused.value_with(&a, &mut ws).expect("warm-up");
+        engine.log_det_with(&a, &mut ws).expect("warm-up");
 
         group.bench_with_input(BenchmarkId::new("value_fused", k), &a, |b, a| {
-            b.iter(|| fused.value_with(black_box(a), &mut ws).expect("value"))
+            b.iter(|| engine.log_det_with(black_box(a), &mut ws).expect("value"))
         });
         group.bench_with_input(BenchmarkId::new("value_reference", k), &a, |b, a| {
-            b.iter(|| reference.value(black_box(a)).expect("value"))
+            b.iter(|| log_det_kernel(black_box(a), &kernel).expect("value"))
         });
         group.bench_with_input(BenchmarkId::new("gradient_fused", k), &a, |b, a| {
             b.iter(|| {
-                fused
-                    .gradient_with(black_box(a), &mut ws, &mut grad)
+                engine
+                    .grad_with(black_box(a), &mut ws, &mut grad)
                     .expect("gradient")
             })
         });
         group.bench_with_input(BenchmarkId::new("gradient_reference", k), &a, |b, a| {
-            b.iter(|| {
-                reference
-                    .reference_gradient(black_box(a))
-                    .expect("gradient")
-            })
+            b.iter(|| grad_log_det_kernel(black_box(a), &kernel).expect("gradient"))
         });
 
         // Full update: a complete Algorithm-1 M-step (warm-start evaluation,
-        // projected-gradient ascent with backtracking) per engine. Bounded
-        // ascent iterations keep the reference side affordable at k = 64.
+        // projected-gradient ascent with backtracking).
         let ascent = AscentConfig {
             max_iterations: 15,
             ..AscentConfig::default()
         };
-        let fused_updater = DppTransitionUpdater::new(10.0, kernel, ascent);
-        let reference_updater = DppTransitionUpdater::new(10.0, kernel, ascent)
-            .with_backend(MStepBackend::ScalarReference);
+        let updater = DppTransitionUpdater::new(10.0, kernel, ascent);
         let uniform = Matrix::filled(k, k, 1.0 / k as f64);
         group.bench_with_input(BenchmarkId::new("update_fused", k), &counts, |b, xi| {
             b.iter(|| {
-                fused_updater
-                    .update(black_box(xi), black_box(&uniform))
-                    .expect("update")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("update_reference", k), &counts, |b, xi| {
-            b.iter(|| {
-                reference_updater
+                updater
                     .update(black_box(xi), black_box(&uniform))
                     .expect("update")
             })

@@ -3,9 +3,10 @@
 //! Two artifacts, so the repository's perf trajectory is recorded in
 //! diffable files rather than scattered bench logs:
 //!
-//! * `BENCH_mstep.json` — the fused engine against the scalar reference at
-//!   the value / gradient / full-`update` granularities (the PR-3 artifact,
-//!   unchanged format);
+//! * `BENCH_mstep.json` — the fused DPP prior engine (`DppObjective`)
+//!   against the scalar oracle functions `dhmm_dpp::{log_det_kernel,
+//!   grad_log_det_kernel}` for the value and the gradient, plus the fused
+//!   `DppTransitionUpdater::update` (a whole M-step) on its own;
 //! * `BENCH_parallel.json` — the worker-pool thread sweep: the same fused
 //!   `DppTransitionUpdater::update` (and the gradient alone) at each
 //!   requested thread count, with the serial fused engine as the baseline,
@@ -22,8 +23,8 @@
 //! historical k = 4..64 ladder and the sweep uses k = {16, 64}.)
 
 use dhmm_core::transition_update::{DppTransitionUpdater, TransitionObjective};
-use dhmm_core::{AscentConfig, MStepBackend, Parallelism};
-use dhmm_dpp::{MStepWorkspace, ProductKernel};
+use dhmm_core::{AscentConfig, Parallelism};
+use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::init::random_stochastic_matrix;
 use dhmm_linalg::Matrix;
@@ -56,12 +57,15 @@ struct Row {
     op: &'static str,
     k: usize,
     fused_ns: f64,
-    reference_ns: f64,
+    /// The scalar oracle's time; `None` for the `update` row, which has no
+    /// scalar counterpart.
+    reference_ns: Option<f64>,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.reference_ns / self.fused_ns
+    /// `(reference_ns, speedup)` when the row has a scalar counterpart.
+    fn reference(&self) -> Option<(f64, f64)> {
+        self.reference_ns.map(|r| (r, r / self.fused_ns))
     }
 }
 
@@ -159,14 +163,14 @@ fn problem_alt(k: usize) -> Matrix {
     random_stochastic_matrix(k, k, 1.0, &mut rng).expect("valid matrix")
 }
 
-/// The PR-3 artifact: fused engine vs scalar reference, serial.
+/// Serial table: the fused prior engine vs the scalar oracle functions, and
+/// the fused whole M-step.
 fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], output: &str) {
+    let engine = DppObjective::new(kernel);
     let mut rows = Vec::new();
     for &k in sizes {
         let (a, counts) = problem(k);
         let a_alt = problem_alt(k);
-        let fused = TransitionObjective::unsupervised(&counts, ALPHA, kernel);
-        let reference = fused.clone().with_backend(MStepBackend::ScalarReference);
         let mut ws = MStepWorkspace::new();
         let mut grad = Matrix::zeros(k, k);
 
@@ -174,27 +178,27 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         let value_fused = time_ns(|| {
             flip = !flip;
             let m = if flip { &a } else { &a_alt };
-            black_box(fused.value_with(black_box(m), &mut ws).expect("value"));
+            black_box(engine.log_det_with(black_box(m), &mut ws).expect("value"));
         });
         let mut flip = false;
         let value_reference = time_ns(|| {
             flip = !flip;
             let m = if flip { &a } else { &a_alt };
-            black_box(reference.value(black_box(m)).expect("value"));
+            black_box(log_det_kernel(black_box(m), &kernel).expect("value"));
         });
         rows.push(Row {
             op: "value",
             k,
             fused_ns: value_fused,
-            reference_ns: value_reference,
+            reference_ns: Some(value_reference),
         });
 
         let mut flip = false;
         let gradient_fused = time_ns(|| {
             flip = !flip;
             let m = if flip { &a } else { &a_alt };
-            fused
-                .gradient_with(black_box(m), &mut ws, &mut grad)
+            engine
+                .grad_with(black_box(m), &mut ws, &mut grad)
                 .expect("gradient");
             black_box(&grad);
         });
@@ -202,24 +206,17 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         let gradient_reference = time_ns(|| {
             flip = !flip;
             let m = if flip { &a } else { &a_alt };
-            black_box(
-                reference
-                    .reference_gradient(black_box(m))
-                    .expect("gradient"),
-            );
+            black_box(grad_log_det_kernel(black_box(m), &kernel).expect("gradient"));
         });
         rows.push(Row {
             op: "gradient",
             k,
             fused_ns: gradient_fused,
-            reference_ns: gradient_reference,
+            reference_ns: Some(gradient_reference),
         });
 
         let fused_updater =
             DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(Parallelism::Serial);
-        let reference_updater = DppTransitionUpdater::new(ALPHA, kernel, ascent)
-            .with_backend(MStepBackend::ScalarReference)
-            .with_parallelism(Parallelism::Serial);
         let uniform = Matrix::filled(k, k, 1.0 / k as f64);
         let update_fused = time_ns(|| {
             black_box(
@@ -228,23 +225,16 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
                     .expect("update"),
             );
         });
-        let update_reference = time_ns(|| {
-            black_box(
-                reference_updater
-                    .update(black_box(&counts), black_box(&uniform))
-                    .expect("update"),
-            );
-        });
         rows.push(Row {
             op: "update",
             k,
             fused_ns: update_fused,
-            reference_ns: update_reference,
+            reference_ns: None,
         });
     }
 
     println!(
-        "dpp_mstep: fused engine vs scalar reference (alpha = {ALPHA}, rho = {})\n",
+        "dpp_mstep: fused engine vs scalar oracle (alpha = {ALPHA}, rho = {})\n",
         kernel.rho()
     );
     println!(
@@ -252,20 +242,24 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         "op", "k", "fused", "reference", "speedup"
     );
     for r in &rows {
+        let (reference, speedup) = match r.reference() {
+            Some((ns, x)) => (format!("{:.1}us", ns / 1e3), format!("{x:.1}x")),
+            None => ("-".to_string(), "-".to_string()),
+        };
         println!(
-            "{:<10} {:>4} {:>12.1}us {:>12.1}us {:>8.1}x",
+            "{:<10} {:>4} {:>12.1}us {:>14} {:>9}",
             r.op,
             r.k,
             r.fused_ns / 1e3,
-            r.reference_ns / 1e3,
-            r.speedup()
+            reference,
+            speedup
         );
     }
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"dpp_mstep\",\n");
-    json.push_str("  \"description\": \"Fused zero-allocation DPP M-step engine vs scalar reference; mean ns per call\",\n");
+    json.push_str("  \"description\": \"Fused DPP prior engine vs the scalar oracle functions (log-det value, gradient), and the fused whole M-step (update); mean ns per call\",\n");
     let _ = writeln!(json, "  \"alpha\": {ALPHA},");
     let _ = writeln!(json, "  \"rho\": {},", kernel.rho());
     let _ = writeln!(
@@ -277,13 +271,13 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"op\": \"{}\", \"k\": {}, \"fused_ns\": {:.0}, \"reference_ns\": {:.0}, \"speedup\": {:.2}}}",
-            r.op,
-            r.k,
-            r.fused_ns,
-            r.reference_ns,
-            r.speedup()
+            "    {{\"op\": \"{}\", \"k\": {}, \"fused_ns\": {:.0}",
+            r.op, r.k, r.fused_ns
         );
+        if let Some((ns, x)) = r.reference() {
+            let _ = write!(json, ", \"reference_ns\": {ns:.0}, \"speedup\": {x:.2}");
+        }
+        json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");

@@ -5,21 +5,6 @@ use dhmm_dpp::ProductKernel;
 pub use dhmm_hmm::InferenceBackend;
 pub use dhmm_runtime::Parallelism;
 
-/// Which engine evaluates the DPP prior term and its gradient inside the
-/// transition M-step (the sibling of [`InferenceBackend`] for Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MStepBackend {
-    /// The fused zero-allocation engine: one elementwise power matrix per
-    /// iterate, GEMM-formulated kernel and gradient, and a single Cholesky
-    /// factorization serving both the log-determinant and the inverse.
-    #[default]
-    Fused,
-    /// The original scalar paths (`kernel.rs` / `gradient.rs`), kept
-    /// verbatim as the oracle the fused engine is equivalence-tested
-    /// against. Slow; for debugging and parity testing.
-    ScalarReference,
-}
-
 /// Configuration of the projected-gradient ascent used to maximize the
 /// penalized transition objective (the paper's Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,13 +76,9 @@ pub struct DiversifiedConfig {
     pub ascent: AscentConfig,
     /// Inference engine for the E-step and for trainer-level decoding via
     /// [`crate::unsupervised::DiversifiedHmm::decode_all`] (scaled workspace
-    /// engine by default; `LogReference` forces the log-domain oracle).
-    /// Note `Hmm::decode`/`decode_all` on the model itself always use the
-    /// scaled default.
+    /// engine by default). Note `Hmm::decode`/`decode_all` on the model
+    /// itself always use the scaled default.
     pub backend: InferenceBackend,
-    /// Engine for the transition M-step's prior evaluation (fused workspace
-    /// engine by default; `ScalarReference` forces the scalar oracle).
-    pub mstep: MStepBackend,
     /// Worker policy governing E-step, M-step and GEMM parallelism end to
     /// end (`Auto` by default; `Serial` is the single-threaded oracle).
     /// Results are bit-identical under every policy.
@@ -113,7 +94,6 @@ impl Default for DiversifiedConfig {
             em_tolerance: 1e-6,
             ascent: AscentConfig::default(),
             backend: InferenceBackend::default(),
-            mstep: MStepBackend::default(),
             parallelism: Parallelism::default(),
         }
     }
@@ -155,12 +135,6 @@ impl DiversifiedConfig {
         self
     }
 
-    /// Returns a copy with the given M-step engine for the DPP prior.
-    pub fn with_mstep_backend(mut self, mstep: MStepBackend) -> Self {
-        self.mstep = mstep;
-        self
-    }
-
     /// Returns a copy with the given worker policy (results are
     /// bit-identical under every policy; only wall-clock changes).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
@@ -194,9 +168,6 @@ pub struct SupervisedConfig {
     /// Inference engine used when decoding unlabeled sequences (scaled
     /// workspace engine by default).
     pub backend: InferenceBackend,
-    /// Engine for the transition refinement's prior evaluation (fused
-    /// workspace engine by default).
-    pub mstep: MStepBackend,
     /// Worker policy for the transition refinement's prior evaluations
     /// (`Auto` by default; bit-identical results under every policy).
     pub parallelism: Parallelism,
@@ -211,7 +182,6 @@ impl Default for SupervisedConfig {
             pseudo_count: 0.1,
             ascent: AscentConfig::default(),
             backend: InferenceBackend::default(),
-            mstep: MStepBackend::default(),
             parallelism: Parallelism::default(),
         }
     }
@@ -249,12 +219,6 @@ impl SupervisedConfig {
     /// unlabeled sequences.
     pub fn with_backend(mut self, backend: InferenceBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Returns a copy with the given M-step engine for the DPP prior.
-    pub fn with_mstep_backend(mut self, mstep: MStepBackend) -> Self {
-        self.mstep = mstep;
         self
     }
 
@@ -390,30 +354,27 @@ mod tests {
         // One builder spelling across both trainer configs (and mirrored by
         // `BaumWelchConfig` / `StreamConfig` in their crates): chainable,
         // consuming, field-for-field.
+        let sparse = InferenceBackend::Sparse(dhmm_hmm::SparseParams::exact());
         let c = DiversifiedConfig::default()
             .with_alpha(2.0)
-            .with_backend(InferenceBackend::LogReference)
-            .with_mstep_backend(MStepBackend::ScalarReference)
+            .with_backend(sparse)
             .with_parallelism(Parallelism::Threads(3))
             .with_ascent(AscentConfig {
                 max_iterations: 7,
                 ..Default::default()
             });
-        assert_eq!(c.backend, InferenceBackend::LogReference);
-        assert_eq!(c.mstep, MStepBackend::ScalarReference);
+        assert_eq!(c.backend, sparse);
         assert_eq!(c.parallelism, Parallelism::Threads(3));
         assert_eq!(c.ascent.max_iterations, 7);
 
         let s = SupervisedConfig::default()
-            .with_backend(InferenceBackend::LogReference)
-            .with_mstep_backend(MStepBackend::ScalarReference)
+            .with_backend(sparse)
             .with_parallelism(Parallelism::Serial)
             .with_ascent(AscentConfig {
                 tolerance: 1e-3,
                 ..Default::default()
             });
-        assert_eq!(s.backend, InferenceBackend::LogReference);
-        assert_eq!(s.mstep, MStepBackend::ScalarReference);
+        assert_eq!(s.backend, sparse);
         assert_eq!(s.parallelism, Parallelism::Serial);
         assert_eq!(s.ascent.tolerance, 1e-3);
     }

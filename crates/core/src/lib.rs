@@ -47,7 +47,7 @@ pub mod transition_update;
 pub mod unsupervised;
 
 pub use config::{
-    AscentConfig, DiversifiedConfig, InferenceBackend, MStepBackend, Parallelism, SupervisedConfig,
+    AscentConfig, DiversifiedConfig, InferenceBackend, Parallelism, SupervisedConfig,
 };
 pub use error::DhmmError;
 pub use supervised::{SupervisedDiversifiedHmm, SupervisedFitReport};

@@ -105,7 +105,6 @@ impl SupervisedDiversifiedHmm {
                 &anchor,
                 self.config.alpha_anchor,
             )
-            .with_backend(self.config.mstep)
             .with_parallelism(self.config.parallelism);
             let (a, stats) = maximize_transition_objective_counted(
                 &objective,
@@ -176,10 +175,8 @@ impl SupervisedDiversifiedHmm {
     }
 
     /// Builds a single-session [`StreamingDecoder`] over a trained model,
-    /// honoring the trainer's `backend` knob (streaming requires the scaled
-    /// engine; a `LogReference` config is rejected here rather than
-    /// silently switched). With `lag ≥ T` the stream reproduces
-    /// [`SupervisedDiversifiedHmm::decode_all`] exactly.
+    /// honoring the trainer's `backend` knob. With `lag ≥ T` the stream
+    /// reproduces [`SupervisedDiversifiedHmm::decode_all`] exactly.
     pub fn streaming_decoder<'m, E: Emission>(
         &self,
         model: &'m Hmm<E>,
@@ -302,10 +299,10 @@ mod tests {
             &mut rng,
         );
         let scaled_trainer = SupervisedDiversifiedHmm::new(SupervisedConfig::default());
-        let reference_trainer = SupervisedDiversifiedHmm::new(SupervisedConfig {
-            backend: InferenceBackend::LogReference,
-            ..SupervisedConfig::default()
-        });
+        let sparse_trainer = SupervisedDiversifiedHmm::new(
+            SupervisedConfig::default()
+                .with_backend(InferenceBackend::Sparse(dhmm_hmm::SparseParams::exact())),
+        );
         let emission = BernoulliEmission::uniform(26, 128).unwrap();
         let (model, _) = scaled_trainer
             .fit(&data.corpus.sequences, emission)
@@ -318,8 +315,13 @@ mod tests {
             .map(|(_, obs)| obs.clone())
             .collect();
         let scaled_paths = scaled_trainer.decode_all(&model, &images).unwrap();
-        let reference_paths = reference_trainer.decode_all(&model, &images).unwrap();
-        assert_eq!(scaled_paths, reference_paths);
+        let sparse_paths = sparse_trainer.decode_all(&model, &images).unwrap();
+        let oracle_paths: Vec<Vec<usize>> = images
+            .iter()
+            .map(|s| dhmm_hmm::reference::viterbi(&model, s).unwrap())
+            .collect();
+        assert_eq!(scaled_paths, oracle_paths);
+        assert_eq!(sparse_paths, oracle_paths);
     }
 
     #[test]

@@ -17,19 +17,18 @@
 //! records this choice and the ablation bench compares it against a fixed
 //! step.
 //!
-//! Two engines evaluate the prior term, selected by
-//! [`MStepBackend`](crate::config::MStepBackend): the default **fused**
-//! engine (`dhmm_dpp`'s [`DppObjective`]) restructures `log det K̃_A` and its
-//! gradient around one power matrix, GEMMs, and a single shared Cholesky
+//! The prior term is evaluated by the fused engine (`dhmm_dpp`'s
+//! [`DppObjective`]), which restructures `log det K̃_A` and its gradient
+//! around one power matrix, GEMMs, and a single shared Cholesky
 //! factorization, evaluating into a reusable [`AscentWorkspace`] so the
 //! whole ascent — candidates, gradients, projections, across backtracks and
-//! EM iterations — performs no allocation in steady state. The **scalar
-//! reference** engine keeps the original `kernel.rs`/`gradient.rs` paths
-//! verbatim as the oracle the fused engine is equivalence-tested against.
+//! EM iterations — performs no allocation in steady state. The scalar
+//! `dhmm_dpp::{log_det_kernel, grad_log_det_kernel}` paths are the oracle
+//! the tests pin the fused engine against.
 
-use crate::config::{AscentConfig, MStepBackend};
+use crate::config::AscentConfig;
 use crate::error::DhmmError;
-use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
+use dhmm_dpp::{log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::HmmError;
 use dhmm_linalg::{project_row_stochastic_with, Matrix};
@@ -54,8 +53,6 @@ pub struct TransitionObjective<'a> {
     pub kernel: ProductKernel,
     /// Optional anchor `(A0, α_A)` for the supervised objective.
     pub anchor: Option<(&'a Matrix, f64)>,
-    /// Engine evaluating the prior term and its gradient.
-    pub backend: MStepBackend,
     /// Worker policy for the fused engine's parallel sections (`Serial` by
     /// default at this level; the trainers pass their configured policy
     /// down). Bit-identical results under every policy.
@@ -70,7 +67,6 @@ impl<'a> TransitionObjective<'a> {
             alpha,
             kernel,
             anchor: None,
-            backend: MStepBackend::default(),
             parallelism: Parallelism::Serial,
         }
     }
@@ -89,15 +85,8 @@ impl<'a> TransitionObjective<'a> {
             alpha,
             kernel,
             anchor: Some((anchor, alpha_anchor)),
-            backend: MStepBackend::default(),
             parallelism: Parallelism::Serial,
         }
-    }
-
-    /// Returns the objective with a different prior-evaluation engine.
-    pub fn with_backend(mut self, backend: MStepBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Returns the objective with a different worker policy.
@@ -111,8 +100,7 @@ impl<'a> TransitionObjective<'a> {
         DppObjective::new(self.kernel).with_parallelism(self.parallelism)
     }
 
-    /// The data term `Σ_ij ξ_ij · log A_ij` (floored), shared by both
-    /// engines.
+    /// The data term `Σ_ij ξ_ij · log A_ij` (floored).
     fn data_value(&self, a: &Matrix) -> f64 {
         let mut obj = 0.0;
         for i in 0..a.rows() {
@@ -136,11 +124,7 @@ impl<'a> TransitionObjective<'a> {
     pub fn value_with(&self, a: &Matrix, ws: &mut MStepWorkspace) -> Result<f64, DhmmError> {
         let mut obj = self.data_value(a);
         if self.alpha > 0.0 {
-            let log_det = match self.backend {
-                MStepBackend::Fused => self.engine().log_det_with(a, ws)?,
-                MStepBackend::ScalarReference => log_det_kernel(a, &self.kernel)?,
-            };
-            obj += self.alpha * log_det;
+            obj += self.alpha * self.engine().log_det_with(a, ws)?;
         }
         if let Some((a0, w)) = self.anchor {
             obj -= w * a.squared_distance(a0)?;
@@ -163,51 +147,32 @@ impl<'a> TransitionObjective<'a> {
         ws: &mut MStepWorkspace,
         out: &mut Matrix,
     ) -> Result<(), DhmmError> {
-        match self.backend {
-            MStepBackend::Fused => {
-                if self.alpha > 0.0 {
-                    self.engine().grad_with(a, ws, out)?;
-                }
-                self.finish_gradient(a, out);
-                Ok(())
-            }
-            MStepBackend::ScalarReference => {
-                let reference = self.reference_gradient(a)?;
-                out.copy_from(&reference)?;
-                Ok(())
-            }
+        if self.alpha > 0.0 {
+            self.engine().grad_with(a, ws, out)?;
         }
+        self.finish_gradient(a, out);
+        Ok(())
     }
 
-    /// Fused value + gradient at the same iterate: with the fused engine the
-    /// prior's log-determinant and gradient come from one power matrix and
-    /// one Cholesky factorization. Returns `L_A(a)` and writes `∇L_A` into
-    /// `out`.
+    /// Value + gradient at the same iterate: the prior's log-determinant and
+    /// gradient come from one power matrix and one Cholesky factorization.
+    /// Returns `L_A(a)` and writes `∇L_A` into `out`.
     pub fn value_and_gradient_with(
         &self,
         a: &Matrix,
         ws: &mut MStepWorkspace,
         out: &mut Matrix,
     ) -> Result<f64, DhmmError> {
-        match self.backend {
-            MStepBackend::Fused => {
-                let mut obj = self.data_value(a);
-                if self.alpha > 0.0 {
-                    let log_det = self.engine().log_det_and_grad_with(a, ws, out)?;
-                    obj += self.alpha * log_det;
-                }
-                if let Some((a0, w)) = self.anchor {
-                    obj -= w * a.squared_distance(a0)?;
-                }
-                self.finish_gradient(a, out);
-                Ok(obj)
-            }
-            MStepBackend::ScalarReference => {
-                let value = self.value_with(a, ws)?;
-                self.gradient_with(a, ws, out)?;
-                Ok(value)
-            }
+        let mut obj = self.data_value(a);
+        if self.alpha > 0.0 {
+            let log_det = self.engine().log_det_and_grad_with(a, ws, out)?;
+            obj += self.alpha * log_det;
         }
+        if let Some((a0, w)) = self.anchor {
+            obj -= w * a.squared_distance(a0)?;
+        }
+        self.finish_gradient(a, out);
+        Ok(obj)
     }
 
     /// Turns the prior gradient already in `out` (or garbage when
@@ -229,23 +194,6 @@ impl<'a> TransitionObjective<'a> {
                 out[(i, j)] = g;
             }
         }
-    }
-
-    /// The scalar-reference evaluation of `∇_A L_A(a)` (the retained
-    /// oracle), allocating its result like the original implementation.
-    pub fn reference_gradient(&self, a: &Matrix) -> Result<Matrix, DhmmError> {
-        let mut grad = Matrix::from_fn(a.rows(), a.cols(), |i, j| {
-            self.counts[(i, j)] / a[(i, j)].max(PROB_FLOOR)
-        });
-        if self.alpha > 0.0 {
-            let prior_grad = grad_log_det_kernel(a, &self.kernel)?;
-            grad = &grad + &prior_grad.scale(self.alpha);
-        }
-        if let Some((a0, w)) = self.anchor {
-            let anchor_grad = &(a - a0) * (-2.0 * w);
-            grad = &grad + &anchor_grad;
-        }
-        Ok(grad)
     }
 
     /// Just the prior part `α·log det K̃_A` of the objective (used to monitor
@@ -435,8 +383,6 @@ pub struct DppTransitionUpdater {
     pub kernel: ProductKernel,
     /// Ascent configuration.
     pub ascent: AscentConfig,
-    /// Engine evaluating the prior term (fused by default).
-    pub backend: MStepBackend,
     /// Worker policy for the prior engine's parallel sections (`Auto` by
     /// default; the trainers overwrite it with their configured policy).
     pub parallelism: Parallelism,
@@ -454,7 +400,6 @@ impl Clone for DppTransitionUpdater {
             alpha: self.alpha,
             kernel: self.kernel,
             ascent: self.ascent,
-            backend: self.backend,
             parallelism: self.parallelism,
             workspace: Mutex::new(
                 self.workspace
@@ -470,25 +415,17 @@ impl Clone for DppTransitionUpdater {
 
 impl DppTransitionUpdater {
     /// Creates an updater with the given prior weight, kernel and ascent
-    /// settings, using the default (fused) M-step engine under the `Auto`
-    /// worker policy.
+    /// settings under the `Auto` worker policy.
     pub fn new(alpha: f64, kernel: ProductKernel, ascent: AscentConfig) -> Self {
         Self {
             alpha,
             kernel,
             ascent,
-            backend: MStepBackend::default(),
             parallelism: Parallelism::default(),
             workspace: Mutex::new(AscentWorkspace::new()),
             accepted: Counter::noop(),
             rejected: Counter::noop(),
         }
-    }
-
-    /// Returns the updater with a different M-step engine.
-    pub fn with_backend(mut self, backend: MStepBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Returns the updater with a different worker policy.
@@ -528,7 +465,6 @@ impl TransitionUpdater for DppTransitionUpdater {
             return Ok(a);
         }
         let objective = TransitionObjective::unsupervised(xi_sum, self.alpha, self.kernel)
-            .with_backend(self.backend)
             .with_parallelism(self.parallelism);
         let mut ws = self.workspace.lock().expect("ascent workspace poisoned");
 
@@ -574,18 +510,13 @@ impl TransitionUpdater for DppTransitionUpdater {
         if self.alpha == 0.0 {
             return Ok(0.0);
         }
-        let log_det = match self.backend {
-            MStepBackend::Fused => {
-                let mut ws = self.workspace.lock().expect("ascent workspace poisoned");
-                DppObjective::new(self.kernel)
-                    .with_parallelism(self.parallelism)
-                    .log_det_with(a, &mut ws.dpp)
-            }
-            MStepBackend::ScalarReference => log_det_kernel(a, &self.kernel),
-        }
-        .map_err(|e| HmmError::InvalidParameters {
-            reason: format!("diversity prior evaluation failed: {e}"),
-        })?;
+        let mut ws = self.workspace.lock().expect("ascent workspace poisoned");
+        let log_det = DppObjective::new(self.kernel)
+            .with_parallelism(self.parallelism)
+            .log_det_with(a, &mut ws.dpp)
+            .map_err(|e| HmmError::InvalidParameters {
+                reason: format!("diversity prior evaluation failed: {e}"),
+            })?;
         Ok(self.alpha * log_det)
     }
 }
@@ -593,6 +524,7 @@ impl TransitionUpdater for DppTransitionUpdater {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhmm_dpp::grad_log_det_kernel;
     use dhmm_prob::mean_pairwise_bhattacharyya;
 
     fn counts() -> Matrix {
@@ -646,13 +578,22 @@ mod tests {
             vec![0.3, 0.25, 0.45],
         ])
         .unwrap();
-        let fused = TransitionObjective::supervised(&c, 1.5, kernel, &a0, 3.0);
-        let reference = fused.clone().with_backend(MStepBackend::ScalarReference);
+        let (alpha, w) = (1.5, 3.0);
+        let fused = TransitionObjective::supervised(&c, alpha, kernel, &a0, w);
+        // The same objective assembled from the scalar oracle functions.
+        let data_value: f64 = (0..3)
+            .flat_map(|i| (0..3).map(move |j| (i, j)))
+            .map(|(i, j)| c[(i, j)] * a[(i, j)].ln())
+            .sum();
+        let vr = data_value + alpha * log_det_kernel(&a, &kernel).unwrap()
+            - w * a.squared_distance(&a0).unwrap();
+        let prior_grad = grad_log_det_kernel(&a, &kernel).unwrap();
+        let gr = Matrix::from_fn(3, 3, |i, j| {
+            c[(i, j)] / a[(i, j)] + alpha * prior_grad[(i, j)] - 2.0 * w * (a[(i, j)] - a0[(i, j)])
+        });
         let vf = fused.value(&a).unwrap();
-        let vr = reference.value(&a).unwrap();
         assert!((vf - vr).abs() / vr.abs().max(1.0) < 1e-12, "{vf} vs {vr}");
         let gf = fused.gradient(&a).unwrap();
-        let gr = reference.gradient(&a).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 let rel = (gf[(i, j)] - gr[(i, j)]).abs() / gr[(i, j)].abs().max(1.0);
@@ -720,37 +661,14 @@ mod tests {
     fn ascent_never_decreases_the_objective() {
         let kernel = ProductKernel::bhattacharyya();
         let c = counts();
-        for backend in [MStepBackend::Fused, MStepBackend::ScalarReference] {
-            let obj = TransitionObjective::unsupervised(&c, 5.0, kernel).with_backend(backend);
-            let mut start = c.clone();
-            start.normalize_rows();
-            let before = obj.value(&start).unwrap();
-            let result =
-                maximize_transition_objective(&obj, &start, &AscentConfig::default()).unwrap();
-            let after = obj.value(&result).unwrap();
-            assert!(after >= before - 1e-9, "{backend:?}: {after} < {before}");
-            assert!(result.is_row_stochastic(1e-8));
-        }
-    }
-
-    #[test]
-    fn engines_produce_matching_ascent_results() {
-        let kernel = ProductKernel::bhattacharyya();
-        let c = counts();
+        let obj = TransitionObjective::unsupervised(&c, 5.0, kernel);
         let mut start = c.clone();
         start.normalize_rows();
-        let fused_obj = TransitionObjective::unsupervised(&c, 5.0, kernel);
-        let ref_obj = fused_obj
-            .clone()
-            .with_backend(MStepBackend::ScalarReference);
-        let fused =
-            maximize_transition_objective(&fused_obj, &start, &AscentConfig::default()).unwrap();
-        let reference =
-            maximize_transition_objective(&ref_obj, &start, &AscentConfig::default()).unwrap();
-        assert!(
-            fused.approx_eq(&reference, 1e-6),
-            "fused {fused} vs reference {reference}"
-        );
+        let before = obj.value(&start).unwrap();
+        let result = maximize_transition_objective(&obj, &start, &AscentConfig::default()).unwrap();
+        let after = obj.value(&result).unwrap();
+        assert!(after >= before - 1e-9, "{after} < {before}");
+        assert!(result.is_row_stochastic(1e-8));
     }
 
     #[test]
@@ -828,7 +746,7 @@ mod tests {
     #[test]
     fn positive_alpha_increases_transition_diversity() {
         // Counts whose MLE rows are identical: the diversity prior must pull
-        // the rows apart — under either engine.
+        // the rows apart.
         let kernel = ProductKernel::bhattacharyya();
         let xi = Matrix::filled(3, 3, 10.0);
         let uniform_start = Matrix::filled(3, 3, 1.0 / 3.0);
@@ -836,17 +754,15 @@ mod tests {
             .update(&xi, &uniform_start)
             .unwrap();
         let d_mle = mean_pairwise_bhattacharyya(&mle);
-        for backend in [MStepBackend::Fused, MStepBackend::ScalarReference] {
-            let dpp_updater = DppTransitionUpdater::new(50.0, kernel, AscentConfig::default())
-                .with_backend(backend);
-            let diversified = dpp_updater.update(&xi, &uniform_start).unwrap();
-            let d_dpp = mean_pairwise_bhattacharyya(&diversified);
-            assert!(
-                d_dpp > d_mle + 1e-3,
-                "{backend:?}: diversified {d_dpp} not more diverse than MLE {d_mle}"
-            );
-            assert!(diversified.is_row_stochastic(1e-8));
-        }
+        let diversified = DppTransitionUpdater::new(50.0, kernel, AscentConfig::default())
+            .update(&xi, &uniform_start)
+            .unwrap();
+        let d_dpp = mean_pairwise_bhattacharyya(&diversified);
+        assert!(
+            d_dpp > d_mle + 1e-3,
+            "diversified {d_dpp} not more diverse than MLE {d_mle}"
+        );
+        assert!(diversified.is_row_stochastic(1e-8));
     }
 
     #[test]

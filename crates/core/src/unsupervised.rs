@@ -82,13 +82,11 @@ impl DiversifiedHmm {
     {
         let kernel = self.config.validate()?;
         let updater = DppTransitionUpdater::new(self.config.alpha, kernel, self.config.ascent)
-            .with_backend(self.config.mstep)
             .with_parallelism(self.config.parallelism)
             .with_telemetry(&self.telemetry);
         let bw = BaumWelch::new(BaumWelchConfig {
             max_iterations: self.config.max_em_iterations,
             tolerance: self.config.em_tolerance,
-            verbose: false,
             backend: self.config.backend,
             parallelism: self.config.parallelism,
             telemetry: self.telemetry.clone(),
@@ -197,10 +195,8 @@ impl DiversifiedHmm {
     }
 
     /// Builds a single-session [`StreamingDecoder`] over a trained model,
-    /// honoring the trainer's `backend` knob (streaming requires the scaled
-    /// engine; a `LogReference` config is rejected here rather than
-    /// silently switched). With `lag ≥ T` the stream reproduces
-    /// [`DiversifiedHmm::decode_all`] exactly.
+    /// honoring the trainer's `backend` knob. With `lag ≥ T` the stream
+    /// reproduces [`DiversifiedHmm::decode_all`] exactly.
     pub fn streaming_decoder<'m, E: Emission>(
         &self,
         model: &'m Hmm<E>,

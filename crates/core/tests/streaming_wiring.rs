@@ -3,10 +3,7 @@
 //! knobs, and a full-lag stream over a *trained* diversified model
 //! reproduces the trainer's offline decode exactly.
 
-use dhmm_core::{
-    DhmmError, DiversifiedConfig, DiversifiedHmm, InferenceBackend, SupervisedConfig,
-    SupervisedDiversifiedHmm,
-};
+use dhmm_core::{DiversifiedConfig, DiversifiedHmm, SupervisedConfig, SupervisedDiversifiedHmm};
 use dhmm_data::toy::{generate, ToyConfig};
 use dhmm_hmm::emission::DiscreteEmission;
 use rand::rngs::StdRng;
@@ -64,30 +61,6 @@ fn trained_model_streams_like_the_offline_decoder() {
         pool.take_committed(*id, &mut path).unwrap();
         assert_eq!(&path, offline_path);
     }
-}
-
-#[test]
-fn log_reference_configs_cannot_stream() {
-    let trainer = DiversifiedHmm::new(DiversifiedConfig {
-        backend: InferenceBackend::LogReference,
-        ..DiversifiedConfig::default()
-    });
-    let obs = toy_observations(3, 10);
-    let mut rng = StdRng::seed_from_u64(4);
-    let (model, _) = DiversifiedHmm::new(DiversifiedConfig {
-        max_em_iterations: 3,
-        ..DiversifiedConfig::default()
-    })
-    .fit_gaussian(&obs, 3, &mut rng)
-    .unwrap();
-    assert!(matches!(
-        trainer.streaming_decoder(&model, 8),
-        Err(DhmmError::Stream(_))
-    ));
-    assert!(matches!(
-        trainer.streaming_pool(Arc::new(model), 8),
-        Err(DhmmError::Stream(_))
-    ));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use dhmm_linalg::LinalgError;
 use std::fmt;
 
-/// Errors produced by DPP kernels, log-determinants and samplers.
+/// Errors produced by DPP kernels, log-determinants and gradients.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DppError {
     /// A kernel parameter was invalid (e.g. non-positive `ρ`).

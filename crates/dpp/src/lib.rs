@@ -21,27 +21,19 @@
 //!   ([`objective::DppObjective`] + [`objective::MStepWorkspace`]) that
 //!   evaluates the prior and its gradient through one power matrix, GEMMs
 //!   and a single shared Cholesky factorization, oracle-pinned against the
-//!   scalar [`kernel`]/[`gradient`] paths,
-//! * [`elementary`] — elementary symmetric polynomials of a spectrum, the
-//!   k-DPP normalizer `e_k(λ)` of Eq. 1,
-//! * [`sample`] — exact sampling from discrete DPPs and k-DPPs via the
-//!   spectral algorithm (used for diagnostics and for the DPP examples).
+//!   scalar [`kernel`]/[`gradient`] paths.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod elementary;
 pub mod error;
 pub mod gradient;
 pub mod kernel;
 pub mod logdet;
 pub mod objective;
-pub mod sample;
 
-pub use elementary::elementary_symmetric;
 pub use error::DppError;
 pub use gradient::grad_log_det_kernel;
 pub use kernel::ProductKernel;
 pub use logdet::{log_det_kernel, log_det_psd};
 pub use objective::{DppObjective, MStepWorkspace};
-pub use sample::{sample_dpp, sample_k_dpp};

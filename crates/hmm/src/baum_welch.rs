@@ -79,10 +79,8 @@ pub struct BaumWelchConfig {
     pub max_iterations: usize,
     /// Relative log-likelihood improvement below which EM stops.
     pub tolerance: f64,
-    /// Print nothing; kept for future verbosity hooks.
-    pub verbose: bool,
     /// Which inference engine runs the E-step (scaled workspace engine by
-    /// default; the log-domain reference is the debugging oracle).
+    /// default).
     pub backend: InferenceBackend,
     /// Worker policy for the parallel E-step (`Auto` by default). Results
     /// are bit-identical for every setting; only wall-clock time changes.
@@ -98,7 +96,6 @@ impl Default for BaumWelchConfig {
         Self {
             max_iterations: 100,
             tolerance: 1e-6,
-            verbose: false,
             backend: InferenceBackend::default(),
             parallelism: Parallelism::default(),
             telemetry: TelemetrySink::default(),
@@ -716,43 +713,5 @@ mod tests {
         assert!(text.contains("dhmm_train_mstep_ns_count 5"), "{text}");
         assert!(text.contains("dhmm_train_log_likelihood"), "{text}");
         assert!(text.contains("dhmm_train_objective_delta"), "{text}");
-    }
-
-    #[test]
-    fn log_reference_backend_runs_the_oracle_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let data: Vec<Vec<usize>> = generate_sequences(&ground_truth(), 30, 10, &mut rng)
-            .unwrap()
-            .into_iter()
-            .map(|s| s.observations)
-            .collect();
-        let mut scaled_model = random_model(9);
-        let mut reference_model = scaled_model.clone();
-        let scaled_fit = BaumWelch::new(BaumWelchConfig {
-            max_iterations: 10,
-            tolerance: 0.0,
-            backend: InferenceBackend::Scaled,
-            ..BaumWelchConfig::default()
-        })
-        .fit(&mut scaled_model, &data)
-        .unwrap();
-        let reference_fit = BaumWelch::new(BaumWelchConfig {
-            max_iterations: 10,
-            tolerance: 0.0,
-            backend: InferenceBackend::LogReference,
-            ..BaumWelchConfig::default()
-        })
-        .fit(&mut reference_model, &data)
-        .unwrap();
-        for (a, b) in scaled_fit
-            .log_likelihood_history
-            .iter()
-            .zip(&reference_fit.log_likelihood_history)
-        {
-            assert!((a - b).abs() < 1e-6, "EM traces diverged: {a} vs {b}");
-        }
-        assert!(scaled_model
-            .transition()
-            .approx_eq(reference_model.transition(), 1e-6));
     }
 }

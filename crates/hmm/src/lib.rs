@@ -17,8 +17,8 @@
 //!   transitions with beam-pruned recursions and a queryable error report,
 //! * [`workspace`] — preallocated inference buffers, reused across sequences
 //!   and EM iterations (one per thread in the parallel E-step),
-//! * [`reference`] — the original log-domain engine, kept as the numerical
-//!   oracle the scaled engine is equivalence-tested against,
+//! * [`mod@reference`] — the original log-domain engine, kept as the numerical
+//!   oracle the tests pin the scaled engine against (no backend selects it),
 //! * [`forward_backward`] / [`viterbi`] — the reference implementations
 //!   themselves (E-step recursions and log-space decoding),
 //! * [`baum_welch`] — the EM (Baum–Welch) trainer with a pluggable
@@ -53,18 +53,17 @@ pub use baum_welch::{
 pub use dhmm_runtime::Parallelism;
 pub use emission::{BernoulliEmission, DiscreteEmission, Emission, GaussianEmission};
 pub use error::HmmError;
-pub use forward_backward::{forward_backward, ForwardBackward, SequenceStats};
+pub use forward_backward::SequenceStats;
 pub use generate::generate_sequences;
 pub use init::{random_parameters, InitStrategy};
 pub use model::Hmm;
 pub use scaled::{
     emission_likelihood_row, forward_backward_scaled, log_likelihood_scaled, scale_row,
-    viterbi_scaled, viterbi_scaled_with_score, InferenceBackend,
+    viterbi_scale_row, viterbi_scaled, viterbi_scaled_with_score, InferenceBackend,
 };
 pub use sparse::{
     beam_prune, forward_backward_sparse, log_likelihood_sparse, viterbi_sparse,
     viterbi_sparse_with_score, CsrTransition, PruneRule, SparseParams, SparseReport,
 };
 pub use supervised::{supervised_estimate, SupervisedCounts};
-pub use viterbi::viterbi;
 pub use workspace::{InferenceWorkspace, WorkspacePool};

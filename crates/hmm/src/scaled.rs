@@ -17,8 +17,17 @@
 //! domain ([`Emission::prob_all`]); if an entire row underflows to zero (or
 //! overflows), that step is recomputed through shifted log-probabilities
 //! using the shared [`crate::util::finite_shift`] guard, exactly like the
-//! reference engine. The log-domain reference is kept as the oracle behind
-//! [`crate::reference`], and the two engines are equivalence-tested to 1e-9.
+//! reference engine. The log-domain reference is kept as the test oracle
+//! behind [`crate::reference`], and the two engines are equivalence-tested
+//! to 1e-9.
+//!
+//! Zero probability: a step at which every candidate has probability zero
+//! (an observation impossible under every reachable state) is floored to a
+//! uniform row that contributes `ln(f64::MIN_POSITIVE)` to the log scale —
+//! [`scale_row`] for the forward pass, [`viterbi_scale_row`] for Viterbi.
+//! The offline engines here, the sparse engine and the streaming decoder in
+//! `dhmm_stream` all apply this one rule, so they decode such a sequence to
+//! the same path with the same finite score.
 
 use crate::emission::Emission;
 use crate::error::HmmError;
@@ -30,8 +39,7 @@ use dhmm_linalg::{CsrMatrix, Matrix};
 
 /// Which inference engine to run.
 ///
-/// The scaled engine is the default everywhere; the log-domain reference is
-/// retained as a numerical oracle and a debugging fallback. Training configs
+/// The scaled engine is the default everywhere. Training configs
 /// (`BaumWelchConfig`, and the diversified configs in `dhmm-core`) carry one
 /// of these so the engine choice is explicit end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -40,9 +48,6 @@ pub enum InferenceBackend {
     /// into a reusable workspace (fast path).
     #[default]
     Scaled,
-    /// The original log-domain implementation behind [`crate::reference`]
-    /// (oracle path; ignores the workspace).
-    LogReference,
     /// CSR-compiled pruned transitions with beam-pruned scaled recursions
     /// (see [`crate::sparse`]): approximate, with the pruning error tracked
     /// in a queryable [`crate::sparse::SparseReport`]. Bit-equal to `Scaled`
@@ -60,7 +65,6 @@ impl InferenceBackend {
     ) -> Result<SequenceStats, HmmError> {
         match self {
             Self::Scaled => forward_backward_scaled(model, observations, ws),
-            Self::LogReference => crate::reference::forward_backward(model, observations),
             Self::Sparse(params) => {
                 crate::sparse::forward_backward_sparse(model, observations, ws, params)
             }
@@ -77,9 +81,6 @@ impl InferenceBackend {
     ) -> Result<f64, HmmError> {
         match self {
             Self::Scaled => log_likelihood_scaled(model, observations, ws),
-            Self::LogReference => {
-                Ok(crate::reference::forward_backward(model, observations)?.log_likelihood)
-            }
             Self::Sparse(params) => {
                 crate::sparse::log_likelihood_sparse(model, observations, ws, params)
             }
@@ -106,7 +107,6 @@ impl InferenceBackend {
     ) -> Result<(Vec<usize>, f64), HmmError> {
         match self {
             Self::Scaled => viterbi_scaled_with_score(model, observations, ws),
-            Self::LogReference => crate::reference::viterbi_with_score(model, observations),
             Self::Sparse(params) => {
                 crate::sparse::viterbi_sparse_with_score(model, observations, ws, params)
             }
@@ -177,6 +177,32 @@ pub fn scale_row(row: &mut [f64], shift: f64) -> (f64, f64) {
             *v = u;
         }
         (0.0, f64::MIN_POSITIVE.ln() + shift)
+    }
+}
+
+/// Max-normalizes one Viterbi score row in place and returns the step's log
+/// scaling term: the one zero-probability rule of every Viterbi recursion.
+/// The offline dense and sparse engines, the streaming decoder's per-token
+/// step and its lockstep finish all call it.
+///
+/// * When the row's maximum `m` is positive and finite, the row is divided
+///   by `m` and the term is `ln m + shift`.
+/// * Otherwise every candidate path has probability zero at this step (or
+///   the row is not finite): the row is set to uniform and the term is
+///   `ln(f64::MIN_POSITIVE) + shift`, the same floor [`scale_row`] applies
+///   to the forward row. The recursion goes on from the uniform row, so the
+///   score stays finite and the states on either side of the step are still
+///   ranked.
+pub fn viterbi_scale_row(row: &mut [f64], shift: f64) -> f64 {
+    let m = row.iter().cloned().fold(0.0_f64, f64::max);
+    if m.is_finite() && m > 0.0 {
+        for v in row.iter_mut() {
+            *v /= m;
+        }
+        m.ln() + shift
+    } else {
+        row.fill(1.0 / row.len() as f64);
+        f64::MIN_POSITIVE.ln() + shift
     }
 }
 
@@ -486,21 +512,12 @@ pub fn viterbi_scaled<E: Emission>(
 
 /// Scaled-space Viterbi returning the path and `max_X log P(X, Y | λ)`.
 ///
-/// If every candidate path hits probability exactly zero at some step (the
-/// max-normalizer vanishes), the call transparently falls back to the
-/// log-domain reference, whose probability floor can still rank such paths.
-///
-/// Known semantic boundary vs the reference: the reference floors zero
-/// `π`/`A` entries at 1e-300 before taking logs, so it can *rank among*
-/// zero-probability paths (and, for models combining exact-zero transitions
-/// with per-step emission log-spreads beyond ~690 nats, may even prefer a
-/// floored path over a positive one). The linear domain cannot emulate that
-/// floor — repeated floored steps underflow any `f64` — so this engine
-/// treats probability-zero paths as strictly impossible while at least one
-/// positive-probability path survives. The two engines agree whenever the
-/// model's optimum has positive probability, which the equivalence suite
-/// pins on random models; the floored regime is reachable only with
-/// hand-built degenerate parameters.
+/// Each step is normalized by [`viterbi_scale_row`]: if every candidate path
+/// hits probability exactly zero at some step, that row is floored to
+/// uniform and the decode goes on, so the score stays finite. It then
+/// equals the streaming decoder's score at `lag ≥ T` bit for bit. The
+/// log-domain oracle agrees whenever the model's optimum has positive
+/// probability, which the equivalence suite pins on random models.
 pub fn viterbi_scaled_with_score<E: Emission>(
     model: &Hmm<E>,
     observations: &[E::Obs],
@@ -523,14 +540,7 @@ pub fn viterbi_scaled_with_score<E: Emission>(
         for (j, p) in prev.iter_mut().enumerate() {
             *p = model.initial()[j] * ws.emis[j];
         }
-        let m = prev.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in prev.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[0];
+        log_score += viterbi_scale_row(prev, ws.shifts[0]);
     }
     for t in 1..t_len {
         let (first, rest) = ws.delta.split_at_mut(k);
@@ -556,14 +566,7 @@ pub fn viterbi_scaled_with_score<E: Emission>(
             cur[j] = best * e_row[j];
             psi_row[j] = best_i;
         }
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in cur.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[t];
+        log_score += viterbi_scale_row(cur, ws.shifts[t]);
     }
 
     // Backtrack from the best final state (first occurrence on ties, like

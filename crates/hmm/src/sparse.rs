@@ -43,7 +43,7 @@ use crate::emission::Emission;
 use crate::error::HmmError;
 use crate::forward_backward::SequenceStats;
 use crate::model::Hmm;
-use crate::scaled::{fill_emissions, scale_row};
+use crate::scaled::{fill_emissions, scale_row, viterbi_scale_row};
 use crate::workspace::InferenceWorkspace;
 use dhmm_linalg::{CsrMatrix, Matrix};
 
@@ -687,9 +687,9 @@ pub fn viterbi_sparse<E: Emission>(
 /// (`Ãᵀ` row) — contiguous in the transposed layout — and beam-zeroes the
 /// normalized score row each step. The returned score is exact for the
 /// returned path: beam pruning discards competing paths but never rescales a
-/// surviving one. Like the dense engine, if every candidate path hits
-/// probability zero the call falls back to the log-domain reference (which
-/// runs on the *original* dense matrix).
+/// surviving one. A step at which every candidate path hits probability
+/// zero is floored to uniform by [`viterbi_scale_row`], the rule the dense
+/// engine and the streaming decoder share.
 pub fn viterbi_sparse_with_score<E: Emission>(
     model: &Hmm<E>,
     observations: &[E::Obs],
@@ -716,15 +716,7 @@ pub fn viterbi_sparse_with_score<E: Emission>(
         for (j, p) in prev.iter_mut().enumerate() {
             *p = model.initial()[j] * ws.emis[j];
         }
-        let m = prev.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            ws.sparse = Some(cache);
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in prev.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[0];
+        log_score += viterbi_scale_row(prev, ws.shifts[0]);
         stats.record(beam_prune(prev, params.beam));
     }
     for t in 1..t_len {
@@ -742,15 +734,7 @@ pub fn viterbi_sparse_with_score<E: Emission>(
             cur[j] = best * e_row[j];
             psi_row[j] = best_i;
         }
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if !m.is_finite() || m <= 0.0 {
-            ws.sparse = Some(cache);
-            return crate::reference::viterbi_with_score(model, observations);
-        }
-        for p in cur.iter_mut() {
-            *p /= m;
-        }
-        log_score += m.ln() + ws.shifts[t];
+        log_score += viterbi_scale_row(cur, ws.shifts[t]);
         stats.record(beam_prune(cur, params.beam));
     }
 

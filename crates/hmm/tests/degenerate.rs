@@ -4,13 +4,15 @@
 //! the ones that push probabilities to exact zeros or deep underflow:
 //! length-1 sequences, near-zero emission probabilities, symbols unseen at
 //! train time (and even out-of-vocabulary symbols), and ultra-peaked
-//! Gaussian densities. None of these may produce NaN scales, panics, or
-//! divergence from the log-domain reference.
+//! Gaussian densities. None of these may produce NaN scales or panics. The
+//! forward–backward statistics never diverge from the log-domain reference;
+//! Viterbi matches it too, except at a step impossible under every state,
+//! where the engines apply their own floor rule.
 
 use dhmm_hmm::emission::{DiscreteEmission, GaussianEmission};
 use dhmm_hmm::{
     forward_backward_scaled, log_likelihood_scaled, reference, viterbi_scaled_with_score,
-    BaumWelch, BaumWelchConfig, Hmm, InferenceWorkspace,
+    viterbi_sparse_with_score, BaumWelch, BaumWelchConfig, Hmm, InferenceWorkspace, SparseParams,
 };
 use dhmm_linalg::Matrix;
 
@@ -132,15 +134,20 @@ fn out_of_vocabulary_symbol_does_not_panic() {
         "floored step should be heavily penalized"
     );
     assert!(ws.log_scales().iter().all(|s| s.is_finite()));
-    // Every path's joint probability is exactly zero, so Viterbi reports a
-    // -inf score (never NaN) in both engines; the scaled engine detects the
-    // vanished normalizer and defers to the reference.
+    // Every path's joint probability is exactly zero, so Viterbi floors the
+    // impossible step to a uniform row worth ln(f64::MIN_POSITIVE) and keeps
+    // ranking: δ₀ = (0.45, 0.1) puts state 0 first, the floored step leaves
+    // both states tied, and symbol 1 then picks state 1, whose best
+    // predecessor is state 1 (0.7 > 0.3).
     let (path, score) = viterbi_scaled_with_score(&m, &seq, &mut ws).unwrap();
-    let (oracle_path, oracle_score) = reference::viterbi_with_score(&m, &seq).unwrap();
-    assert_eq!(path, oracle_path);
-    assert_eq!(path.len(), 3);
-    assert!(!score.is_nan());
-    assert_eq!(score, oracle_score);
+    assert_eq!(path, vec![0, 1, 1]);
+    let expected = 0.45_f64.ln() + f64::MIN_POSITIVE.ln() + 0.28_f64.ln();
+    assert!((score - expected).abs() < 1e-9, "{score} vs {expected}");
+    // The sparse engine applies the same rule bit for bit.
+    let (sparse_path, sparse_score) =
+        viterbi_sparse_with_score(&m, &seq, &mut ws, SparseParams::exact()).unwrap();
+    assert_eq!(sparse_path, path);
+    assert_eq!(sparse_score.to_bits(), score.to_bits());
 }
 
 #[test]

@@ -15,8 +15,6 @@
 //!   linear solves, log-determinant with sign),
 //! * [`cholesky`] — Cholesky factorization (and a jittered variant used for
 //!   nearly-singular DPP kernels),
-//! * [`eigen`] — symmetric eigenvalue decomposition via the cyclic Jacobi
-//!   method (used for k-DPP normalizers and spectral diagnostics),
 //! * [`simplex`] — Euclidean projection onto the probability simplex
 //!   (Wang & Carreira-Perpiñán, Algorithm 1), the projection step of the
 //!   paper's Algorithm 1,
@@ -31,7 +29,6 @@
 
 pub mod cholesky;
 pub mod csr;
-pub mod eigen;
 pub mod error;
 pub mod lu;
 pub mod matrix;
@@ -44,7 +41,6 @@ pub use cholesky::{
     Cholesky,
 };
 pub use csr::CsrMatrix;
-pub use eigen::{jacobi_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;

@@ -4,7 +4,7 @@ use dhmm_linalg::lu;
 use dhmm_linalg::simplex::{distance_to_simplex, project_to_simplex};
 use dhmm_linalg::stats::log_sum_exp;
 use dhmm_linalg::vector;
-use dhmm_linalg::{jacobi_eigen, Cholesky, Matrix};
+use dhmm_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
 
 /// Strategy producing small square matrices with entries in [-5, 5].
@@ -98,18 +98,6 @@ proptest! {
         let (sign, logdet) = lu::sign_log_determinant(&a).unwrap();
         prop_assert_eq!(sign, 1.0);
         prop_assert!((ch.log_determinant() - logdet).abs() < 1e-6);
-    }
-
-    #[test]
-    fn jacobi_eigen_trace_and_reconstruction(m in square_matrix(5)) {
-        let n = m.rows();
-        // Symmetrize.
-        let a = Matrix::from_fn(n, n, |i, j| 0.5 * (m[(i, j)] + m[(j, i)]));
-        let e = jacobi_eigen(&a).unwrap();
-        let trace = a.trace().unwrap();
-        let sum: f64 = e.eigenvalues.iter().sum();
-        prop_assert!((trace - sum).abs() < 1e-6);
-        prop_assert!(e.reconstruct().approx_eq(&a, 1e-6));
     }
 
     #[test]

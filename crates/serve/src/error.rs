@@ -139,9 +139,6 @@ impl From<StreamError> for ServeError {
                 ServeError::StaleSession { slot }
             }
             StreamError::SessionFinished { slot } => ServeError::SessionFinished { slot },
-            StreamError::UnsupportedBackend { backend } => ServeError::Backend {
-                reason: format!("{backend:?} cannot stream"),
-            },
             StreamError::InvalidConfig { reason } => ServeError::Backend { reason },
         }
     }

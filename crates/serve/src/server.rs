@@ -52,8 +52,8 @@ pub struct ServeConfig {
     /// Fixed lag `L` of every session (see [`StreamConfig::lag`]).
     pub lag: usize,
     /// Inference backend of every session (see [`StreamConfig::backend`]):
-    /// scaled (default) or sparse; the log-domain reference cannot stream
-    /// and fails startup with wire code `backend`.
+    /// scaled (default) or sparse; out-of-range sparse parameters fail
+    /// startup with wire code `backend`.
     pub backend: InferenceBackend,
     /// Worker policy for batch ticks (results are bit-identical under
     /// every policy).

@@ -38,24 +38,22 @@
 //!   the committed prefix, so the emitted sequence is always a connected
 //!   state path (the constrained optimum given the committed prefix).
 //!
-//! # Boundary semantics
+//! # Zero probability
 //!
-//! When every candidate path hits probability exactly zero at a step (the
-//! Viterbi max-normalizer vanishes), the offline scaled engine falls back to
-//! the log-domain reference, which can rank among floored zero-probability
-//! paths. A streaming decoder has no such fallback — re-decoding the past is
-//! exactly what it must not do — so it floors the row to uniform (mirroring
-//! [`dhmm_hmm::scale_row`]'s floor) and continues; path-probability
-//! semantics for such steps are as documented on
-//! [`dhmm_hmm::viterbi_scaled_with_score`]. The parity suite pins agreement
-//! on every input whose optimum has positive probability.
+//! When every candidate path hits probability exactly zero at a step (an
+//! observation impossible under every reachable state), the Viterbi row is
+//! floored to uniform by [`dhmm_hmm::viterbi_scale_row`] and the step adds
+//! `ln(f64::MIN_POSITIVE)` to the score, as [`dhmm_hmm::scale_row`] does for
+//! the filter. The offline dense and sparse engines apply the same function,
+//! so a stream at `lag ≥ T` decodes such a sequence to the offline path with
+//! the offline score, bit for bit.
 
 use crate::error::StreamError;
 use crate::workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace, LANES};
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::scaled::{
-    beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, scale_row,
+    beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, scale_row, viterbi_scale_row,
 };
 use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
@@ -154,12 +152,11 @@ pub struct StreamConfig {
     /// `lag ≥ T` makes the stream exactly equivalent to offline decoding;
     /// `lag = 0` degenerates to committed-as-you-go greedy filtering.
     pub lag: usize,
-    /// Inference engine. Streaming supports [`InferenceBackend::Scaled`]
-    /// (the default) and [`InferenceBackend::Sparse`] — both have a
-    /// constant-per-token linear-domain recursion; the log-domain reference
-    /// is offline-only and is rejected at construction. Under the sparse
-    /// backend the per-session log-likelihood is a certified lower bound on
-    /// the exact value under the pruned matrix, with the gap tracked by
+    /// Inference engine: [`InferenceBackend::Scaled`] (the default) or
+    /// [`InferenceBackend::Sparse`], whose parameters are validated at
+    /// construction. Under the sparse backend the per-session
+    /// log-likelihood is a certified lower bound on the exact value under
+    /// the pruned matrix, with the gap tracked by
     /// [`StreamWorkspace::sparse_error_bound`]; pool ticks batch in
     /// lockstep under both backends (the sparse groups walk the shared
     /// CSR-compiled matrix once per step).
@@ -216,8 +213,7 @@ impl StreamConfig {
     }
 
     /// Returns a copy with the given inference backend (validated at
-    /// decoder/pool construction; the scaled and sparse engines can stream,
-    /// the log-domain reference cannot).
+    /// decoder/pool construction).
     pub fn with_backend(mut self, backend: InferenceBackend) -> Self {
         self.backend = backend;
         self
@@ -261,8 +257,7 @@ impl StreamConfig {
         ring_window(self.lag)
     }
 
-    /// Rejects backends that cannot stream and out-of-range backend
-    /// parameters.
+    /// Rejects out-of-range backend parameters.
     pub fn validate(&self) -> Result<(), StreamError> {
         match self.backend {
             InferenceBackend::Scaled => Ok(()),
@@ -271,7 +266,6 @@ impl StreamConfig {
                     reason: e.to_string(),
                 })
             }
-            other => Err(StreamError::UnsupportedBackend { backend: other }),
         }
     }
 }
@@ -373,7 +367,7 @@ pub(crate) fn push_token<E: Emission>(
             scratch.trans.prepare_sparse(a, epoch, params);
             Some(params)
         }
-        _ => {
+        InferenceBackend::Scaled => {
             scratch.trans.prepare_dense(a, epoch);
             None
         }
@@ -483,28 +477,13 @@ pub(crate) fn push_token<E: Emission>(
             }
             cur
         };
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if m.is_finite() && m > 0.0 {
-            for p in cur.iter_mut() {
-                *p /= m;
-            }
-            ws.viterbi_log += m.ln() + shift;
-            if let Some(params) = sparse {
-                // Beam the normalized score row (offline sparse order). The
-                // discarded states are competing paths only; the surviving
-                // path's score is never altered. ε here is deliberately not
-                // folded into the filter's error bound.
-                beam_prune(cur, params.beam);
-            }
-        } else {
-            // Every surviving path hit probability zero: floor to uniform
-            // (the streaming analogue of the offline engine's reference
-            // fallback — see the module docs' boundary-semantics note).
-            let u = 1.0 / k as f64;
-            for p in cur.iter_mut() {
-                *p = u;
-            }
-            ws.viterbi_log += f64::MIN_POSITIVE.ln() + shift;
+        ws.viterbi_log += viterbi_scale_row(cur, shift);
+        if let Some(params) = sparse {
+            // Beam the normalized score row (offline sparse order). The
+            // discarded states are competing paths only; the surviving
+            // path's score is never altered. ε here is deliberately not
+            // folded into the filter's error bound.
+            beam_prune(cur, params.beam);
         }
     }
 
@@ -889,7 +868,7 @@ pub(crate) fn lockstep_finish<E: Emission>(
     scratch.ensure(k, ws.window);
     let sparse: Option<SparseParams> = match backend {
         InferenceBackend::Sparse(params) => Some(params),
-        _ => None,
+        InferenceBackend::Scaled => None,
     };
 
     // --- Filter finish: gather this session's transition-sum column into
@@ -936,24 +915,12 @@ pub(crate) fn lockstep_finish<E: Emission>(
                 psi_row[j] = panel.psi_t[tb + j * LANES];
             }
         }
-        let m = cur.iter().cloned().fold(0.0_f64, f64::max);
-        if m.is_finite() && m > 0.0 {
-            for p in cur.iter_mut() {
-                *p /= m;
-            }
-            ws.viterbi_log += m.ln() + shift;
-            if let Some(params) = sparse {
-                // Beam the normalized score row (offline sparse order); the
-                // ε is deliberately not folded into the filter bound — see
-                // the scalar step.
-                beam_prune(cur, params.beam);
-            }
-        } else {
-            let u = 1.0 / k as f64;
-            for p in cur.iter_mut() {
-                *p = u;
-            }
-            ws.viterbi_log += f64::MIN_POSITIVE.ln() + shift;
+        ws.viterbi_log += viterbi_scale_row(cur, shift);
+        if let Some(params) = sparse {
+            // Beam the normalized score row (offline sparse order); the ε is
+            // deliberately not folded into the filter bound — see the scalar
+            // step.
+            beam_prune(cur, params.beam);
         }
     }
 
@@ -1511,8 +1478,8 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
         }
     }
 
-    /// Creates a decoder from a full [`StreamConfig`], rejecting backends
-    /// that cannot stream (and out-of-range sparse parameters).
+    /// Creates a decoder from a full [`StreamConfig`], rejecting out-of-range
+    /// sparse parameters.
     pub fn with_config(model: &'m Hmm<E>, config: StreamConfig) -> Result<Self, StreamError> {
         config.validate()?;
         let mut decoder = Self::new(model, config.lag);

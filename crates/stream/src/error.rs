@@ -1,6 +1,5 @@
 //! Error type for the streaming subsystem.
 
-use dhmm_hmm::InferenceBackend;
 use std::fmt;
 
 /// Errors produced by streaming configuration and session management.
@@ -8,21 +7,14 @@ use std::fmt;
 /// Token *decoding* is infallible by design: every degenerate input
 /// (out-of-vocabulary symbol, underflowing density, non-finite observation)
 /// takes the engines' established floored-row path, exactly like the offline
-/// scaled engine. What can fail is *plumbing* — an unsupported backend at
-/// construction, a stale/unknown session handle, or (when the pool is
+/// scaled engine. What can fail is *plumbing* — an out-of-range backend
+/// parameter at construction, a stale/unknown session handle, or (when the pool is
 /// configured with queue caps) a producer outrunning the consumer. The
 /// capacity variants are the backpressure story: a full pending queue or a
 /// lagging committed queue is surfaced as a typed error at `push` time
 /// instead of growing without bound.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
-    /// The selected inference backend cannot stream. The scaled and sparse
-    /// (linear-domain, scaling-coefficient) engines have a constant-per-token
-    /// recursion; the log-domain reference is inherently offline.
-    UnsupportedBackend {
-        /// The backend that was requested.
-        backend: InferenceBackend,
-    },
     /// The backend's parameters are out of range (e.g. a sparse beam width
     /// outside `[0, 1)`), rejected at construction before any session runs.
     InvalidConfig {
@@ -72,10 +64,6 @@ pub enum StreamError {
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StreamError::UnsupportedBackend { backend } => write!(
-                f,
-                "streaming inference requires the scaled or sparse engine; {backend:?} is offline-only"
-            ),
             StreamError::InvalidConfig { reason } => {
                 write!(f, "invalid stream configuration: {reason}")
             }
@@ -108,10 +96,6 @@ mod tests {
 
     #[test]
     fn display_names_the_problem() {
-        let e = StreamError::UnsupportedBackend {
-            backend: InferenceBackend::LogReference,
-        };
-        assert!(e.to_string().contains("scaled"));
         assert!(StreamError::InvalidConfig {
             reason: "beam out of range".into()
         }

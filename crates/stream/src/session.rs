@@ -460,8 +460,8 @@ impl<E: Emission> std::fmt::Debug for SessionPool<E> {
 }
 
 impl<E: Emission> SessionPool<E> {
-    /// Creates a pool from a full [`StreamConfig`], rejecting backends that
-    /// cannot stream.
+    /// Creates a pool from a full [`StreamConfig`], rejecting out-of-range
+    /// sparse parameters.
     pub fn with_config(model: Arc<Hmm<E>>, config: StreamConfig) -> Result<Self, StreamError> {
         config.validate()?;
         Ok(Self {

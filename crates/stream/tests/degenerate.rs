@@ -3,11 +3,11 @@
 //! mid-stream, close/reopen workspace reuse, and stale-handle hygiene.
 
 use dhmm_hmm::emission::{DiscreteEmission, GaussianEmission};
-use dhmm_hmm::{viterbi_scaled_with_score, Hmm, InferenceWorkspace};
-use dhmm_linalg::Matrix;
-use dhmm_stream::{
-    InferenceBackend, Parallelism, SessionPool, StreamConfig, StreamError, StreamingDecoder,
+use dhmm_hmm::{
+    viterbi_scaled_with_score, viterbi_sparse_with_score, Hmm, InferenceWorkspace, SparseParams,
 };
+use dhmm_linalg::Matrix;
+use dhmm_stream::{Parallelism, SessionPool, StreamError, StreamingDecoder};
 use std::sync::Arc;
 
 fn weather_model() -> Hmm<DiscreteEmission> {
@@ -87,6 +87,13 @@ fn exact_zero_emission_mid_stream_stays_finite() {
         assert!(path.iter().all(|&s| s < 2), "lag={lag}");
         assert!(ll.is_finite(), "lag={lag}");
     }
+    // Offline decoding floors the impossible step by the same rule, so the
+    // full-lag stream matches it here too.
+    let mut ws = InferenceWorkspace::new();
+    let (offline, _) = viterbi_scaled_with_score(&m, &seq, &mut ws).unwrap();
+    let (path, ll) = stream_all(&m, seq.len(), &seq);
+    assert_eq!(path, offline);
+    assert_eq!(ll.to_bits(), m.log_likelihood(&seq).unwrap().to_bits());
 
     // Gaussian outlier so extreme the density underflows to exact zero in
     // the linear domain — the shifted-log rescue path must absorb it.
@@ -107,20 +114,38 @@ fn exact_zero_emission_mid_stream_stays_finite() {
 }
 
 #[test]
-fn log_reference_backend_is_rejected_at_construction() {
-    let m = Arc::new(weather_model());
-    let config = StreamConfig::default()
-        .with_lag(4)
-        .with_backend(InferenceBackend::LogReference);
-    match StreamingDecoder::with_config(&m, config.clone()) {
-        Err(StreamError::UnsupportedBackend { .. }) => {}
-        other => panic!("expected UnsupportedBackend, got {other:?}"),
+fn out_of_vocabulary_steps_decode_alike_offline_and_streaming() {
+    // Symbol 7 is impossible under every state. The dense and sparse offline
+    // engines and the full-lag stream all floor that step to a uniform row,
+    // so they return the same labels and the same score, bit for bit.
+    let m = weather_model();
+    let mut ws = InferenceWorkspace::new();
+    for (seq, want) in [
+        (vec![1usize, 1, 7, 1, 1], vec![1usize, 1, 1, 1, 1]),
+        (vec![0, 1, 7, 0, 1, 1], vec![0, 1, 0, 0, 1, 1]),
+    ] {
+        let (dense, dense_score) = viterbi_scaled_with_score(&m, &seq, &mut ws).unwrap();
+        let (sparse, sparse_score) =
+            viterbi_sparse_with_score(&m, &seq, &mut ws, SparseParams::exact()).unwrap();
+        let mut dec = StreamingDecoder::new(&m, seq.len());
+        let mut streamed = Vec::new();
+        for obs in &seq {
+            streamed.extend_from_slice(dec.push(obs).committed);
+        }
+        let flush = dec.flush();
+        streamed.extend_from_slice(flush.committed);
+
+        assert_eq!(dense, want, "{seq:?}");
+        assert_eq!(sparse, want, "{seq:?}");
+        assert_eq!(streamed, want, "{seq:?}");
+        assert!(dense_score.is_finite(), "{seq:?}: {dense_score}");
+        assert_eq!(sparse_score.to_bits(), dense_score.to_bits(), "{seq:?}");
+        assert_eq!(
+            flush.viterbi_log_score.to_bits(),
+            dense_score.to_bits(),
+            "{seq:?}"
+        );
     }
-    assert!(SessionPool::with_config(Arc::clone(&m), config).is_err());
-    // The scaled default is accepted by both.
-    let scaled = StreamConfig::default().with_lag(4);
-    assert!(StreamingDecoder::with_config(&m, scaled.clone()).is_ok());
-    assert!(SessionPool::with_config(Arc::clone(&m), scaled).is_ok());
 }
 
 #[test]

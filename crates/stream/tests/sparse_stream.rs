@@ -227,12 +227,6 @@ fn invalid_sparse_params_are_rejected_at_construction() {
             Err(StreamError::InvalidConfig { .. })
         ));
     }
-    // The offline-only reference backend still gets its own error.
-    let config = StreamConfig::default().with_backend(InferenceBackend::LogReference);
-    assert!(matches!(
-        StreamingDecoder::with_config(&model, config),
-        Err(StreamError::UnsupportedBackend { .. })
-    ));
 }
 
 #[test]

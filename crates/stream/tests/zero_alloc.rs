@@ -3,9 +3,10 @@
 //! a full second stream — pushes, commits, smoothing blocks and flush —
 //! performs zero heap allocations.
 //!
-//! The counter is gated on a thread-local flag so only the measured test
-//! thread is counted — the libtest harness allocates on its own threads
-//! (timers, output capture) and would otherwise race the window.
+//! The counter is per thread and gated on a thread-local flag, so a test
+//! sees only the allocations of its own measured section: the libtest
+//! harness allocates on its own threads (timers, output capture), and the
+//! tests in this file run in parallel, each tracking its own thread.
 
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::Hmm;
@@ -15,30 +16,34 @@ use dhmm_stream::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Count allocations only while the measured section runs on this
     /// thread. `const` initialization: reading the flag never allocates.
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations made on this thread while `TRACKING` was set.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tracking() -> bool {
+fn record_allocation() {
     // `try_with`: TLS may already be torn down when late allocations happen
     // during thread exit; those are never ours.
-    TRACKING.try_with(|t| t.get()).unwrap_or(false)
+    if TRACKING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// The calling thread's tracked allocation count.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if tracking() {
-            ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        }
+        record_allocation();
         System.alloc(layout)
     }
 
@@ -47,9 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if tracking() {
-            ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        }
+        record_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -103,7 +106,7 @@ fn push_performs_zero_heap_allocation_after_warm_up() {
             assert_eq!(sink, seq.len(), "lag={lag}");
             dec.reset();
 
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = allocations();
             TRACKING.with(|t| t.set(true));
             let mut sink = 0usize;
             let mut ll = 0.0;
@@ -115,7 +118,7 @@ fn push_performs_zero_heap_allocation_after_warm_up() {
             let flush = dec.flush();
             sink += flush.committed.len();
             TRACKING.with(|t| t.set(false));
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let after = allocations();
             assert_eq!(
                 after - before,
                 0,
@@ -167,7 +170,7 @@ fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
             }
         }
 
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         TRACKING.with(|t| t.set(true));
         for chunk in seq.chunks(8) {
             for &id in &ids {
@@ -181,7 +184,7 @@ fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
             }
         }
         TRACKING.with(|t| t.set(false));
-        allocs[run] = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        allocs[run] = allocations() - before;
         assert!(!out.is_empty());
     }
     assert_eq!(

@@ -3,8 +3,7 @@
 //! This example works directly with the DPP substrate (no HMM training):
 //! it takes a nearly collapsed transition matrix, runs the paper's
 //! projected-gradient M-step objective for several values of α, and reports
-//! the resulting diversity, log-determinant prior and row entropies. It also
-//! demonstrates DPP and k-DPP sampling from the induced kernel.
+//! the resulting diversity, log-determinant prior and row entropies.
 //!
 //! Run with:
 //! ```text
@@ -13,11 +12,9 @@
 
 use dhmm::core::transition_update::maximize_transition_objective;
 use dhmm::core::{AscentConfig, TransitionObjective};
-use dhmm::dpp::{log_det_kernel, sample_k_dpp, ProductKernel};
+use dhmm::dpp::{log_det_kernel, ProductKernel};
 use dhmm::linalg::Matrix;
 use dhmm::prob::{entropy, mean_pairwise_bhattacharyya};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     // Expected transition counts whose MLE has nearly identical rows — the
@@ -55,29 +52,4 @@ fn main() {
             mean_entropy
         );
     }
-
-    // DPP sampling from the kernel induced by a diverse transition matrix:
-    // similar rows repel each other, so a 2-DPP rarely picks both of the two
-    // near-duplicate rows (0 and 1) below.
-    let rows = Matrix::from_rows(&[
-        vec![0.55, 0.25, 0.20],
-        vec![0.50, 0.30, 0.20],
-        vec![0.05, 0.05, 0.90],
-    ])
-    .expect("well-formed matrix");
-    let l = kernel.kernel_matrix(&rows).expect("kernel matrix");
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut both = 0usize;
-    let trials = 500;
-    for _ in 0..trials {
-        let subset = sample_k_dpp(&l, 2, &mut rng).expect("sampling succeeds");
-        if subset.contains(&0) && subset.contains(&1) {
-            both += 1;
-        }
-    }
-    println!(
-        "\nk-DPP sampling over the rows: the two near-duplicate rows were selected \
-         together in {both}/{trials} draws (an independent choice would give ~{:.0})",
-        trials as f64 / 3.0
-    );
 }

@@ -9,8 +9,8 @@
 //!   supervised training with the DPP diversity prior),
 //! * [`hmm`] — the classical first-order HMM substrate (forward–backward,
 //!   Baum–Welch, Viterbi, supervised counting),
-//! * [`dpp`] — determinantal point process kernels, log-determinants,
-//!   gradients and samplers,
+//! * [`dpp`] — determinantal point process kernels, log-determinants and
+//!   gradients,
 //! * [`stream`] — bounded-memory online decoding (filtering, fixed-lag
 //!   smoothing, online Viterbi) and multiplexed streaming sessions,
 //! * [`serve`] — a TCP serving front-end over the streaming sessions:

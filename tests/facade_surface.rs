@@ -20,13 +20,11 @@ use std::sync::Arc;
 fn config_builders_are_consistent_across_the_workspace() {
     let d = DiversifiedConfig::default()
         .with_backend(InferenceBackend::Scaled)
-        .with_mstep_backend(Default::default())
         .with_parallelism(Parallelism::Threads(2));
     assert_eq!(d.parallelism, Parallelism::Threads(2));
 
     let s = SupervisedConfig::default()
         .with_backend(InferenceBackend::Scaled)
-        .with_mstep_backend(Default::default())
         .with_parallelism(Parallelism::Serial);
     assert_eq!(s.parallelism, Parallelism::Serial);
 
