@@ -130,10 +130,11 @@ fn bench_scaled_vs_log_toy_gaussian(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scaled vs log Viterbi decoding at the same operating points.
+/// Scaled vs log Viterbi decoding at the same operating points, plus the
+/// paper's PoS size (k = 15) and the `train-wide` benchmark model (k = 64).
 fn bench_scaled_vs_log_viterbi(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaled_vs_log/viterbi");
-    for &(k, t) in &[(16usize, 512usize), (32, 512)] {
+    for &(k, t) in &[(15usize, 512usize), (16, 512), (32, 512), (64, 512)] {
         let model = random_hmm(k, 40, 14);
         let mut rng = StdRng::seed_from_u64(15);
         let seq: Vec<usize> = (0..t).map(|_| rng.gen_range(0..40)).collect();

@@ -9,11 +9,18 @@
 //! * **forward** — `log_likelihood` (the scaled forward filter) per
 //!   sequence, dense vs sparse, with the speedup;
 //! * **viterbi** — full decode per sequence, dense vs sparse, with the
-//!   speedup and a cross-check that the sparse path is achievable;
+//!   speedup and a cross-check that the sparse path is achievable: its
+//!   joint log-likelihood under the *unpruned* model must be finite and no
+//!   better than the dense Viterbi score (+1e-9). A row that fails the
+//!   check makes the binary exit non-zero after writing the artifact;
 //! * **accuracy** — the effective post-prune density, the per-sequence
 //!   accumulated pruned-mass estimate (`ll_error_bound`), and the realized
 //!   log-likelihood gap against the dense run, so a speedup can never be
 //!   quoted without its error.
+//!
+//! Every timing is the median of `--repeats` runs with its min and max
+//! next to it (`*_range_us`); the header records the core count and
+//! whether the host has AVX2.
 //!
 //! Run with:
 //! ```text
@@ -163,9 +170,26 @@ fn stream(tokens: usize, seed: u64) -> Vec<usize> {
     (0..tokens).map(|_| rng.gen_range(0..VOCAB)).collect()
 }
 
-/// Median wall-clock microseconds of `repeats` runs of `f` (after one
-/// unrecorded warm-up that sizes buffers and compiles the CSR cache).
-fn time_us<F: FnMut() -> f64>(repeats: usize, mut f: F) -> f64 {
+/// Wall-clock microseconds of `repeats` runs: median, min and max.
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Timing {
+    /// `"<name>_us": median, "<name>_range_us": [min, max]`.
+    fn json(&self, name: &str) -> String {
+        format!(
+            "\"{name}_us\": {:.1}, \"{name}_range_us\": [{:.1}, {:.1}]",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Times `repeats` runs of `f` (after one unrecorded warm-up that sizes
+/// buffers and compiles the CSR cache).
+fn time_us<F: FnMut() -> f64>(repeats: usize, mut f: F) -> Timing {
     black_box(f());
     let mut samples: Vec<f64> = (0..repeats)
         .map(|_| {
@@ -175,7 +199,11 @@ fn time_us<F: FnMut() -> f64>(repeats: usize, mut f: F) -> f64 {
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+    Timing {
+        median: samples[samples.len() / 2],
+        min: samples[0],
+        max: samples[samples.len() - 1],
+    }
 }
 
 struct Row {
@@ -184,21 +212,26 @@ struct Row {
     effective_density: f64,
     nnz: usize,
     fallback_rows: usize,
-    fwd_dense_us: f64,
-    fwd_sparse_us: f64,
-    vit_dense_us: f64,
-    vit_sparse_us: f64,
+    fwd_dense: Timing,
+    fwd_sparse: Timing,
+    vit_dense: Timing,
+    vit_sparse: Timing,
     ll_error_bound: f64,
     ll_gap: f64,
     within_tolerance: bool,
+    /// Dense Viterbi score minus the sparse path's joint log-likelihood
+    /// under the unpruned model (≥ 0 up to rounding when both are right).
+    vit_path_gap: f64,
+    /// The sparse path is achievable and no better than the dense optimum.
+    vit_path_ok: bool,
 }
 
 impl Row {
     fn fwd_speedup(&self) -> f64 {
-        self.fwd_dense_us / self.fwd_sparse_us
+        self.fwd_dense.median / self.fwd_sparse.median
     }
     fn vit_speedup(&self) -> f64 {
-        self.vit_dense_us / self.vit_sparse_us
+        self.vit_dense.median / self.vit_sparse.median
     }
 }
 
@@ -209,26 +242,35 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> Row {
     let mut ws_d = InferenceWorkspace::new();
     let mut ws_s = InferenceWorkspace::new();
 
-    let fwd_dense_us = time_us(args.repeats, || {
+    let fwd_dense = time_us(args.repeats, || {
         log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward")
     });
-    let fwd_sparse_us = time_us(args.repeats, || {
+    let fwd_sparse = time_us(args.repeats, || {
         log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward")
     });
     let ll_dense = log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward");
     let ll_sparse = log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward");
     let report = *ws_s.sparse_report().expect("sparse run leaves a report");
 
-    let vit_dense_us = time_us(args.repeats, || {
+    let vit_dense = time_us(args.repeats, || {
         viterbi_scaled_with_score(&model, &seq, &mut ws_d)
             .expect("dense viterbi")
             .1
     });
-    let vit_sparse_us = time_us(args.repeats, || {
+    let vit_sparse = time_us(args.repeats, || {
         viterbi_sparse_with_score(&model, &seq, &mut ws_s, params)
             .expect("sparse viterbi")
             .1
     });
+    // The sparse path must be a real path of the unpruned model, and it
+    // cannot beat the dense optimum.
+    let (_, dense_score) =
+        viterbi_scaled_with_score(&model, &seq, &mut ws_d).expect("dense viterbi");
+    let (sparse_path, _) =
+        viterbi_sparse_with_score(&model, &seq, &mut ws_s, params).expect("sparse viterbi");
+    let sparse_path_ll = model
+        .joint_log_likelihood(&sparse_path, &seq)
+        .expect("path and sequence lengths match");
 
     Row {
         k,
@@ -236,15 +278,17 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> Row {
         effective_density: report.density,
         nnz: report.nnz,
         fallback_rows: report.fallback_rows,
-        fwd_dense_us,
-        fwd_sparse_us,
-        vit_dense_us,
-        vit_sparse_us,
+        fwd_dense,
+        fwd_sparse,
+        vit_dense,
+        vit_sparse,
         ll_error_bound: report.ll_error_bound,
         // Realized gap vs *dense on the original A*: static pruning error +
         // beam error together, the end-to-end number a user cares about.
         ll_gap: ll_dense - ll_sparse,
         within_tolerance: report.within(args.tolerance * args.tokens as f64),
+        vit_path_gap: dense_score - sparse_path_ll,
+        vit_path_ok: sparse_path_ll.is_finite() && sparse_path_ll <= dense_score + 1e-9,
     }
 }
 
@@ -285,21 +329,31 @@ fn main() {
             r.target_density_pct,
             r.effective_density,
             r.nnz,
-            r.fwd_dense_us,
-            r.fwd_sparse_us,
+            r.fwd_dense.median,
+            r.fwd_sparse.median,
             r.fwd_speedup(),
-            r.vit_dense_us,
-            r.vit_sparse_us,
+            r.vit_dense.median,
+            r.vit_sparse.median,
             r.vit_speedup(),
             r.ll_error_bound,
             r.ll_gap
         );
     }
 
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"sparse\",\n");
     json.push_str("  \"description\": \"Sparse (CSR + beam) vs dense scaled inference on concentrated transition matrices: forward and Viterbi wall-clock per sequence with the tracked pruning-error report\",\n");
+    let _ = writeln!(json, "  \"cores\": {cores},");
+    let _ = writeln!(json, "  \"avx2\": {avx2},");
     let _ = writeln!(json, "  \"vocab\": {VOCAB},");
     let _ = writeln!(json, "  \"tokens\": {},", args.tokens);
     let _ = writeln!(json, "  \"repeats\": {},", args.repeats);
@@ -310,18 +364,20 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"k\": {}, \"target_density_pct\": {}, \"effective_density\": {:.4}, \"nnz\": {}, \"fallback_rows\": {}, \"forward_dense_us\": {:.1}, \"forward_sparse_us\": {:.1}, \"forward_speedup\": {:.2}, \"viterbi_dense_us\": {:.1}, \"viterbi_sparse_us\": {:.1}, \"viterbi_speedup\": {:.2}, \"ll_error_bound\": {:.6}, \"ll_gap_vs_dense\": {:.6}, \"within_tolerance\": {}}}",
+            "    {{\"k\": {}, \"target_density_pct\": {}, \"effective_density\": {:.4}, \"nnz\": {}, \"fallback_rows\": {}, {}, {}, \"forward_speedup\": {:.2}, {}, {}, \"viterbi_speedup\": {:.2}, \"viterbi_sparse_path_gap\": {:.3e}, \"viterbi_sparse_path_ok\": {}, \"ll_error_bound\": {:.6}, \"ll_gap_vs_dense\": {:.6}, \"within_tolerance\": {}}}",
             r.k,
             r.target_density_pct,
             r.effective_density,
             r.nnz,
             r.fallback_rows,
-            r.fwd_dense_us,
-            r.fwd_sparse_us,
+            r.fwd_dense.json("forward_dense"),
+            r.fwd_sparse.json("forward_sparse"),
             r.fwd_speedup(),
-            r.vit_dense_us,
-            r.vit_sparse_us,
+            r.vit_dense.json("viterbi_dense"),
+            r.vit_sparse.json("viterbi_sparse"),
             r.vit_speedup(),
+            r.vit_path_gap,
+            r.vit_path_ok,
             r.ll_error_bound,
             r.ll_gap,
             r.within_tolerance
@@ -331,4 +387,15 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&args.output, &json).expect("write benchmark JSON");
     println!("\nwrote {}", args.output);
+
+    let failed: Vec<&Row> = rows.iter().filter(|r| !r.vit_path_ok).collect();
+    for r in &failed {
+        eprintln!(
+            "viterbi cross-check failed at k={} density={}%: the sparse path scores {:.3e} nats above the dense optimum (or is impossible)",
+            r.k, r.target_density_pct, -r.vit_path_gap
+        );
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
 }

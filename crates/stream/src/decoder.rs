@@ -54,6 +54,7 @@ use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::scaled::{
     beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, scale_row, viterbi_scale_row,
+    viterbi_step,
 };
 use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
@@ -322,15 +323,15 @@ pub struct FlushOutput<'a> {
 /// decoder and the session pool share one implementation (the pool calls it
 /// with leased per-worker scratch).
 ///
-/// `epoch` keys the scratch's transition-layout cache (see
+/// `epoch` keys the scratch's CSR transition cache (see
 /// [`crate::workspace::StreamScratch`]): the pool passes its publish epoch,
 /// a standalone decoder always passes 0. Under
 /// [`InferenceBackend::Sparse`] the filter and Viterbi recursions run over
 /// the CSR-compiled pruned matrix with the per-step beam applied after each
 /// normalization, accumulating `Σ −ln(1−ε_t)` into the workspace's
 /// log-likelihood error bound; under [`InferenceBackend::Scaled`] the dense
-/// recursions are bit-identical to before, with the Viterbi inner loop
-/// reading the cached transposed transition (contiguous predecessor rows).
+/// recursions are the offline engine's, and the Viterbi step is
+/// [`viterbi_step`] itself.
 ///
 /// Returns the number of smoothed posterior rows emitted into
 /// `scratch.smoothed` by this push (the pool's smoothing-path counters).
@@ -361,16 +362,13 @@ pub(crate) fn push_token<E: Emission>(
     let slot = ws.slot(t);
     let a = model.transition();
 
-    // --- Transition layouts (epoch-keyed; no-ops once warm).
+    // --- CSR transition layout (epoch-keyed; a no-op once warm).
     let sparse: Option<SparseParams> = match backend {
         InferenceBackend::Sparse(params) => {
             scratch.trans.prepare_sparse(a, epoch, params);
             Some(params)
         }
-        InferenceBackend::Scaled => {
-            scratch.trans.prepare_dense(a, epoch);
-            None
-        }
+        InferenceBackend::Scaled => None,
     };
 
     // --- Emission row (shared per-step numerics with the offline engine).
@@ -457,23 +455,8 @@ pub(crate) fn push_token<E: Emission>(
                     psi_row[j] = best_i;
                 }
             } else {
-                // Dense gather over the cached transpose: predecessors of
-                // state `j` are one contiguous row, same IEEE op sequence
-                // (and strict-`>` first-occurrence argmax) as reading
-                // `a[(i, j)]` column-wise.
-                for j in 0..k {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_i = 0;
-                    for (i, (&dp, &aij)) in prev.iter().zip(trans.at.row(j)).enumerate() {
-                        let s = dp * aij;
-                        if s > best {
-                            best = s;
-                            best_i = i;
-                        }
-                    }
-                    cur[j] = best * e_row[j];
-                    psi_row[j] = best_i;
-                }
+                // The offline engine's dense max-product step.
+                viterbi_step(a, prev, e_row, cur, psi_row);
             }
             cur
         };
@@ -1715,6 +1698,52 @@ mod tests {
         );
         // Everything already emitted (flush right after a lag-0 copy).
         assert_eq!(flush_smoothing_action(1, 4, 5), None);
+    }
+
+    /// The dispatched lockstep kernels and their generic bodies agree bit
+    /// for bit (AVX2 hosts never run the generic bodies otherwise). Panel
+    /// and transition values sit on a coarse grid, so candidate ties are
+    /// common.
+    #[test]
+    fn lockstep_kernel_generic_bodies_match_the_dispatch() {
+        use dhmm_hmm::CsrTransition;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn assert_same(got: &BatchPanel, want: &BatchPanel, what: &str) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.sum_t), bits(&want.sum_t), "{what} sum");
+            assert_eq!(bits(&got.cur_t), bits(&want.cur_t), "{what} cur");
+            assert_eq!(got.psi_t, want.psi_t, "{what} psi");
+        }
+
+        let mut rng = StdRng::seed_from_u64(23);
+        for (sessions, k) in [(3usize, 3usize), (11, 16), (9, 17)] {
+            let a = Matrix::from_fn(k, k, |_, _| f64::from(rng.gen_range(1..6u8)) * 0.2);
+            let mut panel = BatchPanel::new();
+            panel.ensure(sessions, k);
+            panel.load_transition(&a);
+            for v in panel
+                .alpha_t
+                .iter_mut()
+                .chain(panel.prev_t.iter_mut())
+                .chain(panel.emis_t.iter_mut())
+            {
+                *v = f64::from(rng.gen_range(0..5u8)) * 0.25;
+            }
+
+            let (mut got, mut want) = (panel.clone(), panel.clone());
+            lockstep_kernel(&mut got);
+            lockstep_kernel_impl(&mut want);
+            assert_same(&got, &want, &format!("dense k={k}"));
+
+            let mut csr = CsrTransition::default();
+            csr.compile_into(&a, SparseParams::threshold(0.5)).unwrap();
+            let (mut got, mut want) = (panel.clone(), panel);
+            lockstep_kernel_sparse(&mut got, csr.transposed());
+            lockstep_kernel_sparse_impl(&mut want, csr.transposed());
+            assert_same(&got, &want, &format!("sparse k={k}"));
+        }
     }
 
     /// Drives three sessions through the lockstep stage/kernel/finish loop

@@ -367,52 +367,25 @@ impl SmoothPanel {
     }
 }
 
-/// Per-scratch cache of the transition matrix in the layouts the scalar
-/// streaming step consumes: the dense transpose `Aᵀ` (predecessors of each
-/// state as one contiguous row, which is what the scalar Viterbi inner loop
-/// walks) and, under the sparse backend, the CSR-compiled pruned matrix.
+/// Per-scratch cache of the CSR-compiled pruned transition matrix the
+/// scalar streaming step runs on under the sparse backend. The dense
+/// backend needs no cache: its Viterbi step walks the model's row-major
+/// transition matrix directly.
 ///
-/// Entries are keyed by the *publishing epoch* (plus shape / compile
-/// parameters): a [`crate::SessionPool`] hot-swap bumps the epoch, so stale
-/// layouts are rebuilt on the next push without any bitwise comparison of
-/// the matrix itself. A standalone [`crate::StreamingDecoder`] always uses
-/// epoch 0 — its borrowed model cannot change underneath it.
-#[derive(Debug, Clone)]
+/// The entry is keyed by the *publishing epoch* (plus shape and compile
+/// parameters): a [`crate::SessionPool`] hot-swap bumps the epoch, so a
+/// stale compile is rebuilt on the next push without any bitwise comparison
+/// of the matrix itself. A standalone [`crate::StreamingDecoder`] always
+/// uses epoch 0 — its borrowed model cannot change underneath it.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TransCache {
-    /// Dense `Aᵀ`; valid while `at_key` matches.
-    pub(crate) at: Matrix,
-    /// `(epoch, k)` the dense transpose was built for.
-    at_key: Option<(u64, usize)>,
     /// CSR-compiled pruned transitions; valid while `csr_key` matches.
     pub(crate) csr: CsrTransition,
     /// `(epoch, k, params)` the CSR form was compiled for.
     csr_key: Option<(u64, usize, SparseParams)>,
 }
 
-impl Default for TransCache {
-    fn default() -> Self {
-        Self {
-            at: Matrix::zeros(0, 0),
-            at_key: None,
-            csr: CsrTransition::default(),
-            csr_key: None,
-        }
-    }
-}
-
 impl TransCache {
-    /// Ensures `at` holds `aᵀ` for this epoch (rebuilds on mismatch;
-    /// in-place, grow-only capacity).
-    pub(crate) fn prepare_dense(&mut self, a: &Matrix, epoch: u64) {
-        let key = Some((epoch, a.rows()));
-        if self.at_key != key {
-            reshape(&mut self.at, a.cols(), a.rows());
-            a.transpose_into(&mut self.at)
-                .expect("at reshaped to the transpose shape");
-            self.at_key = key;
-        }
-    }
-
     /// Ensures `csr` holds `a` compiled under `params` for this epoch.
     /// Parameters were validated at stream construction, and the model's
     /// transition matrix is square by construction, so compilation cannot
@@ -435,7 +408,7 @@ impl TransCache {
 /// shape and are then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct StreamScratch {
-    /// Cached transition layouts (dense transpose + CSR), epoch-keyed.
+    /// The sparse backend's CSR-compiled transitions, epoch-keyed.
     pub(crate) trans: TransCache,
     /// Length-`k` work row (new α row before it enters the ring; backward
     /// weights during smoothing).

@@ -1,8 +1,8 @@
 //! Streaming ↔ offline equivalence.
 //!
 //! The acceptance contract of the streaming subsystem: with `lag ≥ T` the
-//! online decode is *exactly* the offline decode (same Viterbi path up to
-//! co-optimal ties, posteriors within 1e-9), and at any smaller lag every
+//! online decode is *exactly* the offline decode (the same Viterbi path and
+//! score bits, posteriors within 1e-9), and at any smaller lag every
 //! filtered/smoothed row matches the offline forward–backward marginal of
 //! the prefix it conditions on.
 
@@ -16,10 +16,17 @@ use std::sync::Arc;
 
 /// Builds a random discrete HMM with `k` states and `v` symbols from a seed.
 fn random_hmm(k: usize, v: usize, seed: u64) -> Hmm<DiscreteEmission> {
+    dirichlet_hmm(k, v, 2.0, seed)
+}
+
+/// A discrete HMM whose initial distribution and transition rows are drawn
+/// from a symmetric Dirichlet(`concentration`): 3 gives smooth rows, 0.05
+/// gives rows with a few heavy entries and many (near-)zeros.
+fn dirichlet_hmm(k: usize, v: usize, concentration: f64, seed: u64) -> Hmm<DiscreteEmission> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (pi, a) = dhmm_hmm::init::random_parameters(
         k,
-        dhmm_hmm::init::InitStrategy::Dirichlet { concentration: 2.0 },
+        dhmm_hmm::init::InitStrategy::Dirichlet { concentration },
         &mut rng,
     )
     .unwrap();
@@ -37,6 +44,46 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .zip(b)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max)
+}
+
+/// The documented contract at real sizes: with `lag ≥ T` the stream returns
+/// `viterbi_scaled_with_score`'s path and score, bit for bit. The sizes are
+/// the paper's PoS model (k = 15), either side of the dense Viterbi step's
+/// 8-state tiles (16, 17) and the `train-wide` benchmark model (64); the
+/// transitions are smooth Dirichlet(3) rows and sparse Dirichlet(0.05)
+/// rows, whose near-zeros and exact zeros exercise the first-occurrence
+/// tie rule.
+#[test]
+fn full_lag_stream_reproduces_offline_bits_at_real_sizes() {
+    const VOCAB: usize = 24;
+    let mut ws = InferenceWorkspace::new();
+    for k in [15usize, 16, 17, 64] {
+        for concentration in [3.0, 0.05] {
+            for seed in 0..4u64 {
+                let model = dirichlet_hmm(k, VOCAB, concentration, seed);
+                let len = 1 + 61 * seed as usize;
+                let seq = random_seq(VOCAB, len, seed.wrapping_add(500));
+                let (want, want_score) = viterbi_scaled_with_score(&model, &seq, &mut ws).unwrap();
+
+                let mut dec = StreamingDecoder::new(&model, len);
+                let mut got = Vec::new();
+                for obs in &seq {
+                    got.extend_from_slice(dec.push(obs).committed);
+                }
+                let flush = dec.flush();
+                got.extend_from_slice(flush.committed);
+                let case = format!("k={k} concentration={concentration} seed={seed} T={len}");
+                assert_eq!(got, want, "path, {case}");
+                assert_eq!(
+                    flush.viterbi_log_score.to_bits(),
+                    want_score.to_bits(),
+                    "score {} vs {}, {case}",
+                    flush.viterbi_log_score,
+                    want_score
+                );
+            }
+        }
+    }
 }
 
 proptest! {
