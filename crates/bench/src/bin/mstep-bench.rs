@@ -21,7 +21,13 @@
 //! (A bare positional argument is accepted as the legacy `--output` form.
 //! `--k` applies to both artifacts; without it the serial table keeps the
 //! historical k = 4..64 ladder and the sweep uses k = {16, 64}.)
+//!
+//! Every timing is the median over five batches (`BATCHES`) of the mean
+//! ns per call within a batch, with the fastest and slowest batch next to
+//! it (`*_range_ns`). Both headers record the core count, whether the host
+//! has AVX2, and the rustc version.
 
+use dhmm_bench::{machine_header, time_batches, Timing};
 use dhmm_core::transition_update::{DppTransitionUpdater, TransitionObjective};
 use dhmm_core::{AscentConfig, Parallelism};
 use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
@@ -32,40 +38,34 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 const SIZES: [usize; 5] = [4, 8, 16, 32, 64];
 const ALPHA: f64 = 10.0;
 
-/// Times `f` adaptively: enough iterations to cover ~200 ms of wall clock
-/// (at least 5), returning mean nanoseconds per call.
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    // Warm-up: sizes workspaces and warms caches outside the measurement.
-    f();
-    let probe = Instant::now();
-    f();
-    let per_call = probe.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((0.2 / per_call) as usize).clamp(5, 1_000_000);
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+/// Timed batches per row.
+const BATCHES: usize = 5;
+/// Wall clock each batch aims to cover.
+const BATCH_SECONDS: f64 = 0.04;
+
+/// Nanoseconds per call of `f`: the median of `BATCHES` batches.
+fn time_ns(f: impl FnMut()) -> Timing {
+    time_batches(BATCHES, BATCH_SECONDS, f)
 }
 
 struct Row {
     op: &'static str,
     k: usize,
-    fused_ns: f64,
+    fused: Timing,
     /// The scalar oracle's time; `None` for the `update` row, which has no
     /// scalar counterpart.
-    reference_ns: Option<f64>,
+    reference: Option<Timing>,
 }
 
 impl Row {
-    /// `(reference_ns, speedup)` when the row has a scalar counterpart.
-    fn reference(&self) -> Option<(f64, f64)> {
-        self.reference_ns.map(|r| (r, r / self.fused_ns))
+    /// `(reference, speedup)` of the medians when the row has a scalar
+    /// counterpart.
+    fn reference(&self) -> Option<(Timing, f64)> {
+        self.reference.map(|r| (r, r.median / self.fused.median))
     }
 }
 
@@ -73,13 +73,13 @@ struct ParallelRow {
     op: &'static str,
     k: usize,
     threads: usize,
-    ns: f64,
-    serial_ns: f64,
+    time: Timing,
+    serial: Timing,
 }
 
 impl ParallelRow {
     fn speedup(&self) -> f64 {
-        self.serial_ns / self.ns
+        self.serial.median / self.time.median
     }
 }
 
@@ -189,8 +189,8 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         rows.push(Row {
             op: "value",
             k,
-            fused_ns: value_fused,
-            reference_ns: Some(value_reference),
+            fused: value_fused,
+            reference: Some(value_reference),
         });
 
         let mut flip = false;
@@ -211,8 +211,8 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         rows.push(Row {
             op: "gradient",
             k,
-            fused_ns: gradient_fused,
-            reference_ns: Some(gradient_reference),
+            fused: gradient_fused,
+            reference: Some(gradient_reference),
         });
 
         let fused_updater =
@@ -228,8 +228,8 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         rows.push(Row {
             op: "update",
             k,
-            fused_ns: update_fused,
-            reference_ns: None,
+            fused: update_fused,
+            reference: None,
         });
     }
 
@@ -243,14 +243,14 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
     );
     for r in &rows {
         let (reference, speedup) = match r.reference() {
-            Some((ns, x)) => (format!("{:.1}us", ns / 1e3), format!("{x:.1}x")),
+            Some((t, x)) => (format!("{:.1}us", t.median / 1e3), format!("{x:.1}x")),
             None => ("-".to_string(), "-".to_string()),
         };
         println!(
             "{:<10} {:>4} {:>12.1}us {:>14} {:>9}",
             r.op,
             r.k,
-            r.fused_ns / 1e3,
+            r.fused.median / 1e3,
             reference,
             speedup
         );
@@ -259,7 +259,11 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"dpp_mstep\",\n");
-    json.push_str("  \"description\": \"Fused DPP prior engine vs the scalar oracle functions (log-det value, gradient), and the fused whole M-step (update); mean ns per call\",\n");
+    let _ = writeln!(
+        json,
+        "  \"description\": \"Fused DPP prior engine vs the scalar oracle functions (log-det value, gradient), and the fused whole M-step (update); ns per call, the median over {BATCHES} batches with the fastest and slowest batch\","
+    );
+    machine_header(&mut json);
     let _ = writeln!(json, "  \"alpha\": {ALPHA},");
     let _ = writeln!(json, "  \"rho\": {},", kernel.rho());
     let _ = writeln!(
@@ -271,11 +275,17 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"op\": \"{}\", \"k\": {}, \"fused_ns\": {:.0}",
-            r.op, r.k, r.fused_ns
+            "    {{\"op\": \"{}\", \"k\": {}, {}",
+            r.op,
+            r.k,
+            r.fused.json("fused_", "ns", 0)
         );
-        if let Some((ns, x)) = r.reference() {
-            let _ = write!(json, ", \"reference_ns\": {ns:.0}, \"speedup\": {x:.2}");
+        if let Some((t, x)) = r.reference() {
+            let _ = write!(
+                json,
+                ", {}, \"speedup\": {x:.2}",
+                t.json("reference_", "ns", 0)
+            );
         }
         json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
@@ -330,8 +340,8 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
                 op: "gradient",
                 k,
                 threads,
-                ns: gradient_ns,
-                serial_ns: gradient_serial,
+                time: gradient_ns,
+                serial: gradient_serial,
             });
             let updater = DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(policy);
             let update_ns = time_ns(|| {
@@ -345,8 +355,8 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
                 op: "update",
                 k,
                 threads,
-                ns: update_ns,
-                serial_ns: update_serial,
+                time: update_ns,
+                serial: update_serial,
             });
         }
     }
@@ -362,8 +372,8 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
             r.op,
             r.k,
             r.threads,
-            r.ns / 1e3,
-            r.serial_ns / 1e3,
+            r.time.median / 1e3,
+            r.serial.median / 1e3,
             r.speedup()
         );
     }
@@ -371,8 +381,11 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"dpp_mstep_parallel\",\n");
-    json.push_str("  \"description\": \"Fused DPP M-step engine under the shared worker-pool runtime; Threads(n) vs the serial fused engine, mean ns per call\",\n");
-    let _ = writeln!(json, "  \"cores\": {cores},");
+    let _ = writeln!(
+        json,
+        "  \"description\": \"Fused DPP M-step engine under the shared worker-pool runtime; Threads(n) vs the serial fused engine, ns per call, the median over {BATCHES} batches with the fastest and slowest batch\","
+    );
+    machine_header(&mut json);
     let _ = writeln!(json, "  \"alpha\": {ALPHA},");
     let _ = writeln!(json, "  \"rho\": {},", kernel.rho());
     let _ = writeln!(
@@ -393,12 +406,12 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"op\": \"{}\", \"k\": {}, \"threads\": {}, \"ns\": {:.0}, \"serial_ns\": {:.0}, \"speedup_vs_serial\": {:.2}}}",
+            "    {{\"op\": \"{}\", \"k\": {}, \"threads\": {}, {}, {}, \"speedup_vs_serial\": {:.2}}}",
             r.op,
             r.k,
             r.threads,
-            r.ns,
-            r.serial_ns,
+            r.time.json("", "ns", 0),
+            r.serial.json("serial_", "ns", 0),
             r.speedup()
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

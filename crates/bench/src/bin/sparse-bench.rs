@@ -19,8 +19,8 @@
 //!   quoted without its error.
 //!
 //! Every timing is the median of `--repeats` runs with its min and max
-//! next to it (`*_range_us`); the header records the core count and
-//! whether the host has AVX2.
+//! next to it (`*_range_us`); the header records the core count, whether
+//! the host has AVX2, and the rustc version.
 //!
 //! Run with:
 //! ```text
@@ -34,6 +34,7 @@
 //! grows linearly in the sequence length, so a fixed total would silently
 //! tighten as `--tokens` grows.
 
+use dhmm_bench::{machine_header, time_batches, Timing};
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::init::random_stochastic_matrix;
 use dhmm_hmm::{
@@ -45,7 +46,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Vocabulary of the synthetic token stream.
 const VOCAB: usize = 64;
@@ -170,40 +170,12 @@ fn stream(tokens: usize, seed: u64) -> Vec<usize> {
     (0..tokens).map(|_| rng.gen_range(0..VOCAB)).collect()
 }
 
-/// Wall-clock microseconds of `repeats` runs: median, min and max.
-struct Timing {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Timing {
-    /// `"<name>_us": median, "<name>_range_us": [min, max]`.
-    fn json(&self, name: &str) -> String {
-        format!(
-            "\"{name}_us\": {:.1}, \"{name}_range_us\": [{:.1}, {:.1}]",
-            self.median, self.min, self.max
-        )
-    }
-}
-
-/// Times `repeats` runs of `f` (after one unrecorded warm-up that sizes
-/// buffers and compiles the CSR cache).
+/// Microseconds per run of `f` over `repeats` single-run samples.
 fn time_us<F: FnMut() -> f64>(repeats: usize, mut f: F) -> Timing {
-    black_box(f());
-    let mut samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    Timing {
-        median: samples[samples.len() / 2],
-        min: samples[0],
-        max: samples[samples.len() - 1],
-    }
+    time_batches(repeats, 0.0, || {
+        black_box(f());
+    })
+    .scaled(1e-3)
 }
 
 struct Row {
@@ -340,20 +312,11 @@ fn main() {
         );
     }
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"sparse\",\n");
     json.push_str("  \"description\": \"Sparse (CSR + beam) vs dense scaled inference on concentrated transition matrices: forward and Viterbi wall-clock per sequence with the tracked pruning-error report\",\n");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"avx2\": {avx2},");
+    machine_header(&mut json);
     let _ = writeln!(json, "  \"vocab\": {VOCAB},");
     let _ = writeln!(json, "  \"tokens\": {},", args.tokens);
     let _ = writeln!(json, "  \"repeats\": {},", args.repeats);
@@ -370,11 +333,11 @@ fn main() {
             r.effective_density,
             r.nnz,
             r.fallback_rows,
-            r.fwd_dense.json("forward_dense"),
-            r.fwd_sparse.json("forward_sparse"),
+            r.fwd_dense.json("forward_dense_", "us", 1),
+            r.fwd_sparse.json("forward_sparse_", "us", 1),
             r.fwd_speedup(),
-            r.vit_dense.json("viterbi_dense"),
-            r.vit_sparse.json("viterbi_sparse"),
+            r.vit_dense.json("viterbi_dense_", "us", 1),
+            r.vit_sparse.json("viterbi_sparse_", "us", 1),
             r.vit_speedup(),
             r.vit_path_gap,
             r.vit_path_ok,

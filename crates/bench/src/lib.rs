@@ -1,10 +1,13 @@
 //! # dhmm-bench
 //!
-//! Criterion benchmarks for the dHMM reproduction, plus the `mstep-bench`
-//! binary (`src/bin/mstep-bench.rs`) that times the fused M-step engine
-//! against the scalar reference and records the numbers in
-//! `BENCH_mstep.json` — the repository's machine-readable perf trajectory.
-//! The crate has no library code of its own; see the `benches/` directory:
+//! Criterion benchmarks for the dHMM reproduction, plus the JSON bench
+//! binaries under `src/bin/` that record the repository's machine-readable
+//! perf trajectory (`mstep-bench` writes `BENCH_mstep.json` and
+//! `BENCH_parallel.json`, `sparse-bench` writes `BENCH_sparse.json`, and so
+//! on). The library holds only what those binaries share: the [`Timing`]
+//! of one row, the median-of-batches timer [`time_batches`] and the
+//! [`machine_header`] of an artifact. The criterion benches live in the
+//! `benches/` directory:
 //!
 //! * `substrate` — microbenchmarks of forward–backward, Viterbi, the DPP
 //!   log-determinant/gradient, the simplex projection and the Hungarian
@@ -18,3 +21,133 @@
 //! timing it, so `cargo bench` output doubles as a reproduction log
 //! (quick-scale; run the `exp-*` binaries with `--paper` for the full-size
 //! numbers recorded in EXPERIMENTS.md).
+
+use std::fmt::Write as _;
+use std::time::Instant;
+
+/// The timing of one benchmark row: the median sample, with the fastest
+/// and the slowest next to it.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Median sample (the upper one for an even count).
+    pub median: f64,
+    /// Fastest sample.
+    pub min: f64,
+    /// Slowest sample.
+    pub max: f64,
+}
+
+impl Timing {
+    /// The same timing in another unit: every sample times `factor`.
+    pub fn scaled(self, factor: f64) -> Timing {
+        Timing {
+            median: self.median * factor,
+            min: self.min * factor,
+            max: self.max * factor,
+        }
+    }
+
+    /// `"<prefix><unit>": median, "<prefix>range_<unit>": [min, max]`, each
+    /// number printed with `decimals` digits after the point.
+    pub fn json(&self, prefix: &str, unit: &str, decimals: usize) -> String {
+        format!(
+            "\"{prefix}{unit}\": {:.*}, \"{prefix}range_{unit}\": [{:.*}, {:.*}]",
+            decimals, self.median, decimals, self.min, decimals, self.max
+        )
+    }
+}
+
+/// Times `f` as `batches` batches of enough calls to cover about
+/// `batch_seconds` each (at least one call), after one unrecorded warm-up
+/// call that sizes workspaces and warms caches and one unrecorded probe
+/// call that sizes the batches. Each sample is the mean wall time per call
+/// of one batch, in nanoseconds.
+///
+/// # Panics
+/// Panics if `batches` is zero.
+pub fn time_batches(batches: usize, batch_seconds: f64, mut f: impl FnMut()) -> Timing {
+    assert!(batches > 0, "at least one batch");
+    f();
+    let probe = Instant::now();
+    f();
+    let per_call = probe.elapsed().as_secs_f64().max(1e-9);
+    let calls = ((batch_seconds / per_call) as usize).clamp(1, 1_000_000);
+    let mut samples: Vec<f64> = (0..batches)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / calls as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    Timing {
+        median: samples[batches / 2],
+        min: samples[0],
+        max: samples[batches - 1],
+    }
+}
+
+/// Appends the `"cores"`, `"avx2"` and `"rustc"` lines of a JSON artifact
+/// header to `json`, each indented by two spaces and ending in a comma.
+pub fn machine_header(json: &mut String) {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let _ = writeln!(json, "  \"cores\": {cores},");
+    let _ = writeln!(json, "  \"avx2\": {avx2},");
+    let _ = writeln!(json, "  \"rustc\": \"{rustc}\",");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timing_json_names_the_unit_and_the_range() {
+        let t = Timing {
+            median: 2.25,
+            min: 1.5,
+            max: 3.0,
+        };
+        assert_eq!(
+            t.json("fused_", "ns", 0),
+            "\"fused_ns\": 2, \"fused_range_ns\": [2, 3]"
+        );
+        assert_eq!(
+            t.scaled(2.0).json("forward_dense_", "us", 1),
+            "\"forward_dense_us\": 4.5, \"forward_dense_range_us\": [3.0, 6.0]"
+        );
+    }
+
+    #[test]
+    fn time_batches_orders_median_between_min_and_max() {
+        let mut calls = 0;
+        let t = time_batches(5, 0.0, || calls += 1);
+        // Warm-up, probe, then five one-call batches.
+        assert_eq!(calls, 7);
+        assert!(t.min <= t.median && t.median <= t.max);
+    }
+
+    #[test]
+    fn machine_header_has_the_three_lines() {
+        let mut json = String::new();
+        machine_header(&mut json);
+        assert!(json.contains("\"cores\": "), "{json}");
+        assert!(json.contains("\"avx2\": "), "{json}");
+        assert!(json.contains("\"rustc\": \""), "{json}");
+    }
+}

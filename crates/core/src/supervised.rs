@@ -18,7 +18,7 @@ use crate::error::DhmmError;
 use crate::transition_update::{
     maximize_transition_objective_counted, AscentWorkspace, TransitionObjective,
 };
-use dhmm_dpp::log_det_kernel;
+use dhmm_dpp::{DppObjective, MStepWorkspace};
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::supervised::supervised_estimate;
@@ -136,7 +136,9 @@ impl SupervisedDiversifiedHmm {
             anchor_diversity,
             final_diversity: mean_pairwise_bhattacharyya(&final_transition),
             final_log_prior: if self.config.alpha > 0.0 {
-                self.config.alpha * log_det_kernel(&final_transition, &kernel)?
+                let prior = DppObjective::new(kernel);
+                self.config.alpha
+                    * prior.log_det_with(&final_transition, &mut MStepWorkspace::new())?
             } else {
                 0.0
             },
@@ -205,7 +207,7 @@ mod tests {
     use dhmm_data::ocr::{generate, OcrConfig};
     use dhmm_hmm::emission::{BernoulliEmission, DiscreteEmission};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn labeled_toy() -> Vec<(Vec<usize>, Vec<usize>)> {
         vec![
@@ -241,6 +243,45 @@ mod tests {
             .approx_eq(&report.anchor_transition, 1e-12));
         assert_eq!(report.drift_from_anchor, 0.0);
         assert_eq!(report.final_log_prior, 0.0);
+    }
+
+    /// The reported prior comes from the fused engine and stays within
+    /// 1e-12 relative of the scalar oracle on a fitted k = 16 model.
+    #[test]
+    fn final_log_prior_matches_the_scalar_oracle() {
+        let k = 16;
+        let mut rng = StdRng::seed_from_u64(21);
+        let labeled: Vec<(Vec<usize>, Vec<usize>)> = (0..60)
+            .map(|_| {
+                let mut state = rng.gen_range(0..k);
+                let mut states = Vec::new();
+                let mut obs = Vec::new();
+                for _ in 0..20 {
+                    states.push(state);
+                    obs.push((state + rng.gen_range(0..3)) % k);
+                    state = (state + rng.gen_range(1..4)) % k;
+                }
+                (states, obs)
+            })
+            .collect();
+        let alpha = 3.0;
+        let trainer = SupervisedDiversifiedHmm::new(SupervisedConfig {
+            alpha,
+            alpha_anchor: 1.0,
+            pseudo_count: 0.1,
+            ..SupervisedConfig::default()
+        });
+        let (model, report) = trainer
+            .fit(&labeled, DiscreteEmission::uniform(k, k).unwrap())
+            .unwrap();
+        let kernel = trainer.config().validate().unwrap();
+        let oracle = alpha * dhmm_dpp::log_det_kernel(model.transition(), &kernel).unwrap();
+        let rel = (report.final_log_prior - oracle).abs() / oracle.abs().max(1.0);
+        assert!(
+            rel <= 1e-12,
+            "reported {} vs oracle {oracle} (rel {rel:e})",
+            report.final_log_prior
+        );
     }
 
     #[test]

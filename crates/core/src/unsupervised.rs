@@ -9,8 +9,7 @@
 use crate::config::DiversifiedConfig;
 use crate::error::DhmmError;
 use crate::transition_update::DppTransitionUpdater;
-use dhmm_dpp::log_det_kernel;
-use dhmm_hmm::baum_welch::{BaumWelch, BaumWelchConfig, FitResult};
+use dhmm_hmm::baum_welch::{BaumWelch, BaumWelchConfig, FitResult, TransitionUpdater};
 use dhmm_hmm::emission::{DiscreteEmission, Emission, GaussianEmission};
 use dhmm_hmm::init::{random_parameters, random_stochastic_matrix, InitStrategy};
 use dhmm_hmm::model::Hmm;
@@ -92,11 +91,10 @@ impl DiversifiedHmm {
             telemetry: self.telemetry.clone(),
         });
         let fit = bw.fit_with_updater(model, sequences, &updater)?;
-        let final_log_prior = if self.config.alpha > 0.0 {
-            self.config.alpha * log_det_kernel(model.transition(), &kernel)?
-        } else {
-            0.0
-        };
+        // The last EM iteration evaluated this same prior in its convergence
+        // check, so for an interior iterate the updater's workspace answers
+        // it from its cache.
+        let final_log_prior = updater.prior_objective(model.transition())?;
         Ok(DiversifiedFitReport {
             fit,
             final_log_prior,
@@ -279,6 +277,25 @@ mod tests {
         }
         assert!(report.final_diversity > 0.0);
         assert_eq!(report.alpha, 1.0);
+    }
+
+    /// The reported prior comes from the fused engine and stays within
+    /// 1e-12 relative of the scalar oracle on a fitted k = 16 model.
+    #[test]
+    fn final_log_prior_matches_the_scalar_oracle() {
+        let obs = toy_observations(11, 40);
+        let alpha = 2.0;
+        let trainer = DiversifiedHmm::new(fast_config(alpha));
+        let mut rng = StdRng::seed_from_u64(12);
+        let (model, report) = trainer.fit_gaussian(&obs, 16, &mut rng).unwrap();
+        let kernel = trainer.config().validate().unwrap();
+        let oracle = alpha * dhmm_dpp::log_det_kernel(model.transition(), &kernel).unwrap();
+        let rel = (report.final_log_prior - oracle).abs() / oracle.abs().max(1.0);
+        assert!(
+            rel <= 1e-12,
+            "reported {} vs oracle {oracle} (rel {rel:e})",
+            report.final_log_prior
+        );
     }
 
     #[test]

@@ -58,9 +58,9 @@ pub fn log_det_psd(m: &Matrix) -> Result<f64, DppError> {
 /// Cholesky, escalating jitter, LU fallback, large-negative floor) but the
 /// factorization is written into the caller-owned buffer `l` instead of
 /// allocating per attempt (only the rare LU fallback allocates), and the
-/// Cholesky attempts use [`dhmm_linalg::factor_into`], whose arithmetic is
-/// entry-for-entry identical to [`Cholesky::new`] — so the ladder returns
-/// exactly the value [`log_det_psd`] returns for the same input.
+/// Cholesky attempts use [`dhmm_linalg::factor_into`], the kernel
+/// [`Cholesky::new`] itself runs — so the ladder returns exactly the value
+/// [`log_det_psd`] returns for the same input.
 ///
 /// "Continuation" because it serves a caller that has
 /// **already attempted** the plain (jitter-0) `factor_into(m, 0.0, l)` rung

@@ -26,13 +26,18 @@
 //!
 //! Two refinements ride on top of the fused structure:
 //!
-//! * **Parallel per-row evaluation** — the Gram GEMM `S = P·Pᵀ`, the
-//!   inverse's per-column triangular solves, the gradient GEMM `V·P` and the
+//! * **Parallel per-row evaluation** — the Gram matrix `S = P·Pᵀ`, the
+//!   inverse's per-row triangular solves, the gradient GEMM `V·P` and the
 //!   final elementwise pass are all row-independent, so the engine splits
 //!   them across `dhmm_runtime`'s worker pool when an [`Executor`] with more
 //!   than one worker is attached (serial below a size threshold, and by
 //!   default). Every parallel section is bit-deterministic across worker
-//!   counts.
+//!   counts. Under `dhmm_hmm::BaumWelch::fit_with_updater` with more than
+//!   one worker, though, the transition update is itself one job of the
+//!   M-step's pool join (next to the emission update), and a dispatch from
+//!   inside a pool job runs inline. So in EM training these sections run
+//!   serially on that worker, and the speed comes from the register-tiled
+//!   kernels of `dhmm_linalg` alone.
 //! * **Accept→gradient factorization caching** — a successful interior
 //!   value evaluation leaves its power matrix, Gram matrix and Cholesky
 //!   factor resident in the workspace, fingerprinted by the exact iterate
@@ -252,7 +257,7 @@ impl DppObjective {
         }
         ws.cache_valid = false;
         let boundary = fill_power(a, rho, 0.0, &mut ws.p);
-        ws.p.matmul_nt_into_on(&ws.p, &mut ws.s, &self.gemm_exec(k * k * d))?;
+        ws.p.gram_into_on(&mut ws.s, &self.gemm_exec(k * k * d))?;
         normalize_value_kernel(&ws.s, &mut ws.kt);
         // Attempt the plain (jitter-0) factorization here — the same first
         // rung the robust ladder would try — so a success on an interior
@@ -330,7 +335,7 @@ impl DppObjective {
         }
         ws.cache_valid = false;
         let boundary = fill_power(a, rho, 0.0, &mut ws.p);
-        ws.p.matmul_nt_into_on(&ws.p, &mut ws.s, &self.gemm_exec(k * k * d))?;
+        ws.p.gram_into_on(&mut ws.s, &self.gemm_exec(k * k * d))?;
         normalize_value_kernel(&ws.s, &mut ws.kt);
 
         let interior = !boundary && (0..k).all(|i| ws.s[(i, i)] >= ENTRY_FLOOR);
@@ -371,7 +376,7 @@ impl DppObjective {
     ) -> Result<(), DppError> {
         let d = a.cols();
         let k = ws.s.rows();
-        ws.p.matmul_nt_into_on(&ws.p, &mut ws.s, &self.gemm_exec(k * k * d))?;
+        ws.p.gram_into_on(&mut ws.s, &self.gemm_exec(k * k * d))?;
         for i in 0..k {
             ws.selfsim[i] = ws.s[(i, i)].max(ENTRY_FLOOR);
         }
@@ -399,7 +404,7 @@ impl DppObjective {
     ///                    − A_ij^{2ρ−1}·c_i/S_ii]`
     /// with `c_i = Σ_{n≠i} V_in·S_in`; the `(V·P)` term is a GEMM and the
     /// elementwise powers reuse `P` (`A^{ρ−1} = P/A`, `A^{2ρ−1} = P²/A`).
-    /// The inverse (per-column solves), the GEMM (per output row) and the
+    /// The inverse (per-row solves), the GEMM (per output row) and the
     /// final elementwise pass (per gradient row) are all row-independent and
     /// dispatch through the engine's executor when large enough.
     ///

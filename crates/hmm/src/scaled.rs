@@ -366,7 +366,7 @@ fn viterbi_tile<const W: usize>(
 /// (the layout of `dhmm_stream`'s lockstep panels).
 ///
 /// This is a transposed GEMM (`W · Aᵀ`), but deliberately *not* routed
-/// through `matmul_nt_into`: bit-identity with the scalar backward dot
+/// through a row-dot GEMM kernel: bit-identity with the scalar backward dot
 /// forbids reassociating any session's `Σ_j` chain, and a row-major GEMM's
 /// per-entry single-accumulator dot carries the exact same loop-borne
 /// dependency as the scalar pass — no speedup to be had. Broadcasting each

@@ -10,6 +10,7 @@
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use dhmm_runtime::Executor;
+use std::ops::Range;
 
 /// Lower-triangular Cholesky factor `L` such that `A = L·Lᵀ`.
 #[derive(Debug, Clone)]
@@ -57,30 +58,8 @@ impl Cholesky {
     }
 
     fn factor(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                if i == j {
-                    s += jitter;
-                }
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { index: i });
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
+        let mut l = Matrix::zeros(a.rows(), a.cols());
+        factor_into(a, jitter, &mut l)?;
         Ok(Self { l, jitter })
     }
 
@@ -162,9 +141,17 @@ impl Cholesky {
 ///
 /// `l` must already have the same (square) shape as `a`; only its lower
 /// triangle is written (the strict upper triangle is left untouched, so
-/// callers must not read it). The arithmetic is identical to
-/// [`Cholesky::new`], entry for entry, which makes the two paths
-/// interchangeable in equivalence tests.
+/// callers must not read it). [`Cholesky::new`] and
+/// [`Cholesky::new_with_jitter`] run this same kernel.
+///
+/// Entry `(i, j)` starts at `a[(i, j)]` (plus `jitter` on the diagonal),
+/// subtracts `l[(i, t)]·l[(j, t)]` for ascending `t < j`, and is then
+/// square-rooted (diagonal) or divided by `l[(j, j)]`. The kernel works
+/// column by column: the diagonal entry first, then four rows of the
+/// column below it in lockstep, so four independent subtraction chains
+/// advance together while each keeps that op order. A pivot that is not
+/// positive and finite stops the factorization with
+/// [`LinalgError::NotPositiveDefinite`] naming the first such row.
 pub fn factor_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<(), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -177,26 +164,65 @@ pub fn factor_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<(), Linalg
         });
     }
     let n = a.rows();
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = a[(i, j)];
-            if i == j {
-                s += jitter;
-            }
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if s <= 0.0 || !s.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite { index: i });
-                }
-                l[(i, j)] = s.sqrt();
-            } else {
-                l[(i, j)] = s / l[(j, j)];
-            }
+    let data = l.as_mut_slice();
+    for j in 0..n {
+        // Row `j` holds columns `< j` of the factor; the rows below it are
+        // written one column at a time.
+        let (above, below) = data.split_at_mut((j + 1) * n);
+        let lj = &mut above[j * n..(j + 1) * n];
+        let mut s = a[(j, j)] + jitter;
+        for &x in &lj[..j] {
+            s -= x * x;
+        }
+        if s <= 0.0 || !s.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { index: j });
+        }
+        lj[j] = s.sqrt();
+        let (lj, pivot) = (&lj[..j], lj[j]);
+        let mut blocks = below.chunks_exact_mut(LOCKSTEP * n);
+        let mut i = j + 1;
+        for block in &mut blocks {
+            factor_column_rows::<LOCKSTEP>(a, lj, pivot, i, block);
+            i += LOCKSTEP;
+        }
+        for row in blocks.into_remainder().chunks_exact_mut(n) {
+            factor_column_rows::<1>(a, lj, pivot, i, row);
+            i += 1;
         }
     }
     Ok(())
+}
+
+/// Rows of a column, or right-hand sides, advanced together by the
+/// factorization and the inverse. Four scalar chains already keep both
+/// floating-point ports busy, and an AVX2 instantiation of either kernel
+/// measured no faster: their operands sit a row apart, so nothing
+/// vectorizes.
+const LOCKSTEP: usize = 4;
+
+/// Column `j = lj.len()` of factor rows `i0..i0 + R`, held in `rows`
+/// (`R × n`, columns `< j` already final).
+#[inline(always)]
+fn factor_column_rows<const R: usize>(
+    a: &Matrix,
+    lj: &[f64],
+    pivot: f64,
+    i0: usize,
+    rows: &mut [f64],
+) {
+    let (j, n) = (lj.len(), a.cols());
+    let mut s: [f64; R] = std::array::from_fn(|r| a[(i0 + r, j)]);
+    {
+        let li: [&[f64]; R] = std::array::from_fn(|r| &rows[r * n..r * n + j]);
+        for (t, &y) in lj.iter().enumerate() {
+            for r in 0..R {
+                s[r] -= li[r][t] * y;
+            }
+        }
+    }
+    for (r, &v) in s.iter().enumerate() {
+        rows[r * n + j] = v / pivot;
+    }
 }
 
 /// Log-determinant `2·Σ log L_ii` read off a factor produced by
@@ -205,71 +231,28 @@ pub fn log_det_from_factor(l: &Matrix) -> f64 {
     (0..l.rows()).map(|i| l[(i, i)].ln()).sum::<f64>() * 2.0
 }
 
-/// Inverse of the factored SPD matrix, written into `inv` via one pair of
-/// triangular solves per column. No allocation: `scratch` provides the
-/// intermediate solve vector and must hold at least `n` entries.
+/// Inverse of the factored SPD matrix, written into `inv` **row by row**
+/// with the rows split across the executor's workers.
+///
+/// Row `r` of the output is the solution of `A·x = e_r`: a column of the
+/// inverse stored as a row, which is the same matrix because the inverse
+/// of an SPD matrix is symmetric. Each row's pair of triangular solves
+/// runs in place inside that output row (the back-substitution overwrites
+/// the forward solution it has already consumed), so the routine needs no
+/// scratch and every row is computed independently: bit-identical for
+/// every worker count, including the serial executor.
+///
+/// Within a band, four right-hand sides are solved in lockstep. Their
+/// forward solves start at the first of the four rows, so a later row
+/// also subtracts products with its own leading exact zeros first. Those
+/// products are exact ±0 (the factor is finite), which leave a sum that
+/// starts at `+0.0` or `1.0` unchanged, so every row keeps the bits of its
+/// own solve.
 ///
 /// `l` is a factor produced by [`factor_into`]; only its lower triangle is
 /// read. This is the "one factorization, two uses" read-out of the fused
 /// DPP M-step engine: the same factor yields both the log-determinant and
 /// the inverse without a second `O(k³)` decomposition.
-pub fn spd_inverse_from_factor(
-    l: &Matrix,
-    scratch: &mut [f64],
-    inv: &mut Matrix,
-) -> Result<(), LinalgError> {
-    let n = l.rows();
-    if inv.shape() != l.shape() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "cholesky::spd_inverse_from_factor",
-            left: l.shape(),
-            right: inv.shape(),
-        });
-    }
-    if scratch.len() < n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "cholesky::spd_inverse_from_factor (scratch)",
-            left: (n, 1),
-            right: (scratch.len(), 1),
-        });
-    }
-    let y = &mut scratch[..n];
-    for col in 0..n {
-        // Forward: L·y = e_col. Rows above `col` solve to exactly zero.
-        y[..col].fill(0.0);
-        for i in col..n {
-            let mut v = if i == col { 1.0 } else { 0.0 };
-            for (j, &yj) in y[..i].iter().enumerate().skip(col) {
-                v -= l[(i, j)] * yj;
-            }
-            y[i] = v / l[(i, i)];
-        }
-        // Backward: Lᵀ·x = y, written straight into column `col` of `inv`.
-        for i in (0..n).rev() {
-            let mut v = y[i];
-            for j in (i + 1)..n {
-                v -= l[(j, i)] * inv[(j, col)];
-            }
-            inv[(i, col)] = v / l[(i, i)];
-        }
-    }
-    Ok(())
-}
-
-/// Inverse of the factored SPD matrix, written into `inv` **row by row**
-/// with the rows split across the executor's workers.
-///
-/// Row `r` of the output is the solution of `A·x = e_r` — a column of the
-/// inverse stored as a row, which is the same matrix because the inverse of
-/// an SPD matrix is symmetric. Each row's pair of triangular solves runs
-/// entirely in place inside that output row (the back-substitution
-/// overwrites the forward solution it has already consumed), so the routine
-/// needs no scratch at all and every row is computed independently —
-/// bit-identical for every worker count, including the serial executor.
-///
-/// `l` is a factor produced by [`factor_into`]; only its lower triangle is
-/// read. This is the parallel sibling of [`spd_inverse_from_factor`]; the
-/// two agree up to the transpose storage order (exactly, entry for entry).
 pub fn spd_inverse_rows_from_factor(
     l: &Matrix,
     inv: &mut Matrix,
@@ -283,38 +266,83 @@ pub fn spd_inverse_rows_from_factor(
             right: inv.shape(),
         });
     }
-    if n == 0 {
-        return Ok(());
-    }
     exec.for_each_band(inv.as_mut_slice(), n, |rows, band| {
-        for (local, r) in rows.enumerate() {
-            let x = &mut band[local * n..(local + 1) * n];
-            // Forward: L·y = e_r. Rows above `r` solve to exactly zero.
-            x[..r].fill(0.0);
-            for i in r..n {
-                let mut v = if i == r { 1.0 } else { 0.0 };
-                for j in r..i {
-                    v -= l[(i, j)] * x[j];
-                }
-                x[i] = v / l[(i, i)];
-            }
-            // Backward: Lᵀ·x = y, in place — x[j] for j > i already holds
-            // the final solution while x[i] still holds the forward value.
-            for i in (0..n).rev() {
-                let mut v = x[i];
-                for j in (i + 1)..n {
-                    v -= l[(j, i)] * x[j];
-                }
-                x[i] = v / l[(i, i)];
-            }
-        }
+        inverse_band(l, rows, band);
     });
     Ok(())
+}
+
+/// Rows `rows` of the inverse, written into `band`: blocks of four
+/// right-hand sides, then single ones.
+fn inverse_band(l: &Matrix, rows: Range<usize>, band: &mut [f64]) {
+    let n = l.rows();
+    let mut blocks = band.chunks_exact_mut(LOCKSTEP * n);
+    let mut r0 = rows.start;
+    for block in &mut blocks {
+        solve_unit_rows::<LOCKSTEP>(l, r0, block);
+        r0 += LOCKSTEP;
+    }
+    for row in blocks.into_remainder().chunks_exact_mut(n) {
+        solve_unit_rows::<1>(l, r0, row);
+        r0 += 1;
+    }
+}
+
+/// Solves `L·Lᵀ·x = e_{r0 + q}` for `q < R` in lockstep, each solution in
+/// row `q` of `x` (`R × n`).
+#[inline(always)]
+fn solve_unit_rows<const R: usize>(l: &Matrix, r0: usize, x: &mut [f64]) {
+    let n = l.rows();
+    let ld = l.as_slice();
+    let mut xs: [&mut [f64]; R] = {
+        let mut it = x.chunks_exact_mut(n);
+        std::array::from_fn(|_| it.next().expect("R rows of n"))
+    };
+    // Forward: L·y = e_r. Rows above `r0` solve to exactly zero.
+    for xq in xs.iter_mut() {
+        xq[..r0].fill(0.0);
+    }
+    for i in r0..n {
+        let mut v: [f64; R] = std::array::from_fn(|q| if i == r0 + q { 1.0 } else { 0.0 });
+        {
+            let xr: [&[f64]; R] = std::array::from_fn(|q| &xs[q][r0..i]);
+            for (t, &lij) in ld[i * n + r0..i * n + i].iter().enumerate() {
+                for q in 0..R {
+                    v[q] -= lij * xr[q][t];
+                }
+            }
+        }
+        let lii = ld[i * n + i];
+        for q in 0..R {
+            xs[q][i] = v[q] / lii;
+        }
+    }
+    // Backward: Lᵀ·x = y, in place — x[j] for j > i already holds the
+    // final solution while x[i] still holds the forward value.
+    for i in (0..n).rev() {
+        let mut v: [f64; R] = std::array::from_fn(|q| xs[q][i]);
+        {
+            let xr: [&[f64]; R] = std::array::from_fn(|q| &xs[q][i + 1..n]);
+            for t in 0..n - i - 1 {
+                // Column `i` of the factor below the diagonal.
+                let lji = ld[(i + 1 + t) * n + i];
+                for q in 0..R {
+                    v[q] -= lji * xr[q][t];
+                }
+            }
+        }
+        let lii = ld[i * n + i];
+        for q in 0..R {
+            xs[q][i] = v[q] / lii;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn spd() -> Matrix {
         // A = M·Mᵀ + I is symmetric positive definite.
@@ -431,6 +459,83 @@ mod tests {
         assert!(factor_into(&Matrix::filled(3, 3, 1.0), 1e-6, &mut Matrix::zeros(3, 3)).is_ok());
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The row-by-row Cholesky loop the column kernel reproduces.
+    fn rowwise_factor(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<(), LinalgError> {
+        let n = a.rows();
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a[(i, j)];
+                if i == j {
+                    s += jitter;
+                }
+                for k in 0..j {
+                    s -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if s <= 0.0 || !s.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite { index: i });
+                    }
+                    l[(i, j)] = s.sqrt();
+                } else {
+                    l[(i, j)] = s / l[(j, j)];
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The inverse by one pair of triangular solves per column: the loop
+    /// the lockstep row solves reproduce, up to the transposed storage.
+    fn spd_inverse_from_factor(l: &Matrix) -> Matrix {
+        let n = l.rows();
+        let mut inv = Matrix::zeros(n, n);
+        let mut y = vec![0.0; n];
+        for col in 0..n {
+            // Forward: L·y = e_col. Rows above `col` solve to exactly zero.
+            y[..col].fill(0.0);
+            for i in col..n {
+                let mut v = if i == col { 1.0 } else { 0.0 };
+                for (j, &yj) in y[..i].iter().enumerate().skip(col) {
+                    v -= l[(i, j)] * yj;
+                }
+                y[i] = v / l[(i, i)];
+            }
+            // Backward: Lᵀ·x = y, written straight into column `col`.
+            for i in (0..n).rev() {
+                let mut v = y[i];
+                for j in (i + 1)..n {
+                    v -= l[(j, i)] * inv[(j, col)];
+                }
+                inv[(i, col)] = v / l[(i, i)];
+            }
+        }
+        inv
+    }
+
+    /// A diagonally dominant (so positive-definite) symmetric matrix whose
+    /// off-diagonal entries are negative, positive and exact zeros of both
+    /// signs.
+    fn dominant_spd(k: usize, rng: &mut StdRng) -> Matrix {
+        let mut a = Matrix::zeros(k, k);
+        for i in 0..k {
+            for j in 0..i {
+                let v = match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                };
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+            a[(i, i)] = k as f64 + rng.gen_range(0.0..1.0);
+        }
+        a
+    }
+
     #[test]
     fn spd_inverse_from_factor_matches_cholesky_inverse() {
         let a = spd();
@@ -439,16 +544,18 @@ mod tests {
         let mut l = Matrix::zeros(3, 3);
         factor_into(&a, 0.0, &mut l).unwrap();
         let mut inv = Matrix::filled(3, 3, f64::NAN);
-        let mut scratch = vec![0.0; 3];
-        spd_inverse_from_factor(&l, &mut scratch, &mut inv).unwrap();
+        spd_inverse_rows_from_factor(&l, &mut inv, &Executor::serial()).unwrap();
         assert!(inv.approx_eq(&expected, 1e-12));
+        assert_eq!(bits(&inv), bits(&spd_inverse_from_factor(&l).transpose()));
         assert!(a
             .matmul(&inv)
             .unwrap()
             .approx_eq(&Matrix::identity(3), 1e-9));
-        // Shape and scratch validation.
-        assert!(spd_inverse_from_factor(&l, &mut scratch, &mut Matrix::zeros(2, 2)).is_err());
-        assert!(spd_inverse_from_factor(&l, &mut [0.0; 2], &mut inv).is_err());
+        // Shape validation.
+        assert!(
+            spd_inverse_rows_from_factor(&l, &mut Matrix::zeros(2, 2), &Executor::serial())
+                .is_err()
+        );
     }
 
     #[test]
@@ -456,15 +563,15 @@ mod tests {
         let a = spd();
         let mut l = Matrix::zeros(3, 3);
         factor_into(&a, 0.0, &mut l).unwrap();
-        let mut by_cols = Matrix::zeros(3, 3);
-        spd_inverse_from_factor(&l, &mut [0.0; 3], &mut by_cols).unwrap();
+        let by_cols = spd_inverse_from_factor(&l);
         for workers in [1usize, 2, 8] {
             let mut by_rows = Matrix::filled(3, 3, f64::NAN);
             spd_inverse_rows_from_factor(&l, &mut by_rows, &Executor::from_workers(workers))
                 .unwrap();
             // Same arithmetic per solve, transposed storage: exact equality.
-            assert!(
-                by_rows.approx_eq(&by_cols.transpose(), 0.0),
+            assert_eq!(
+                bits(&by_rows),
+                bits(&by_cols.transpose()),
                 "workers={workers}"
             );
             assert!(a
@@ -472,9 +579,71 @@ mod tests {
                 .unwrap()
                 .approx_eq(&Matrix::identity(3), 1e-9));
         }
-        assert!(
-            spd_inverse_rows_from_factor(&l, &mut Matrix::zeros(2, 2), &Executor::serial())
-                .is_err()
-        );
+    }
+
+    /// The column-lockstep factorization reproduces the row-by-row loop bit
+    /// for bit on every lockstep split up to k = 70 and at k = 128, with and
+    /// without jitter. The strict upper triangle is left as it was.
+    #[test]
+    fn factor_into_matches_the_rowwise_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xc401);
+        for k in (1..=70).chain([128]) {
+            let a = dominant_spd(k, &mut rng);
+            let jitter = if k % 2 == 0 { 0.0 } else { 1e-3 };
+            let mut want = Matrix::filled(k, k, f64::NAN);
+            rowwise_factor(&a, jitter, &mut want).unwrap();
+            let mut got = Matrix::filled(k, k, f64::NAN);
+            factor_into(&a, jitter, &mut got).unwrap();
+            assert_eq!(bits(&got), bits(&want), "k={k}");
+        }
+    }
+
+    /// On indefinite input the column kernel stops at the same pivot as the
+    /// row-by-row loop: a negative diagonal entry, and a positive diagonal
+    /// entry whose pivot only turns negative after its subtractions.
+    #[test]
+    fn factor_into_reports_the_rowwise_loops_failing_pivot() {
+        let mut rng = StdRng::seed_from_u64(0xbad);
+        for k in (2..=70).chain([128]) {
+            let m = k / 2;
+            let mut negative = dominant_spd(k, &mut rng);
+            negative[(m, m)] = -1.0;
+            // A = L0·L0ᵀ has pivots L0_ii² = 0.25; taking 0.5 off A_mm
+            // leaves it positive but makes pivot m negative.
+            let l0 = Matrix::from_fn(k, k, |i, j| match i.cmp(&j) {
+                std::cmp::Ordering::Less => 0.0,
+                std::cmp::Ordering::Equal => 0.5,
+                std::cmp::Ordering::Greater => rng.gen_range(-1.0..1.0),
+            });
+            let mut worn = l0.matmul(&l0.transpose()).unwrap();
+            worn[(m, m)] -= 0.5;
+            for a in [negative, worn] {
+                let want = rowwise_factor(&a, 0.0, &mut Matrix::zeros(k, k)).unwrap_err();
+                assert!(matches!(want, LinalgError::NotPositiveDefinite { .. }));
+                let got = factor_into(&a, 0.0, &mut Matrix::zeros(k, k)).unwrap_err();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "k={k}");
+            }
+        }
+    }
+
+    /// The lockstep row solves reproduce the column-wise solves bit for
+    /// bit at every worker count, on every lockstep split up to k = 70 and
+    /// at k = 128. The factor's strict upper triangle holds NaN, so reading
+    /// it would show.
+    #[test]
+    fn lockstep_inverse_matches_the_columnwise_solves_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        for k in (1..=70).chain([128]) {
+            let a = dominant_spd(k, &mut rng);
+            let mut l = Matrix::filled(k, k, f64::NAN);
+            factor_into(&a, 0.0, &mut l).unwrap();
+            let want = bits(&spd_inverse_from_factor(&l).transpose());
+            for workers in [1usize, 2, 4, 16] {
+                let mut inv = Matrix::filled(k, k, f64::NAN);
+                spd_inverse_rows_from_factor(&l, &mut inv, &Executor::from_workers(workers))
+                    .unwrap();
+                assert_eq!(bits(&inv), want, "k={k} workers={workers}");
+            }
+        }
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Dense linear-algebra substrate for the diversified-HMM (dHMM) reproduction.
 //!
-//! The dHMM paper (Qiao et al.) only ever manipulates small dense matrices:
-//! `k × k` transition matrices and DPP kernel matrices with `k ≤ 26`, plus
-//! `k × V` emission tables. This crate therefore provides a compact,
-//! dependency-free implementation of exactly the primitives the rest of the
-//! workspace needs:
+//! The dHMM paper (Qiao et al.) manipulates small dense matrices: `k × k`
+//! transition matrices and DPP kernel matrices (`k ≤ 26` in the paper's
+//! experiments, `k = 64` in the repository benchmark, up to a few hundred in
+//! the sparse-backend sweeps), plus `k × V` emission tables. This crate
+//! provides a compact, dependency-free implementation of exactly the
+//! primitives the rest of the workspace needs:
 //!
 //! * [`Matrix`] / [`vector`] — row-major dense matrices and vector helpers,
 //! * [`csr`] — compressed-sparse-row storage and the scatter/gather/argmax
@@ -20,9 +21,15 @@
 //!   paper's Algorithm 1,
 //! * [`stats`] — small numeric helpers (log-sum-exp, normalization, argmax).
 //!
-//! All routines are written for clarity and numerical robustness at the
-//! matrix sizes that occur in the paper; they are not intended to compete
-//! with BLAS at large sizes.
+//! The kernels of the diversified M-step (the Gram matrix
+//! [`Matrix::gram_into_on`], the GEMM [`Matrix::matmul_into_on`], the
+//! Cholesky factorization [`factor_into`] and the inverse
+//! [`spd_inverse_rows_from_factor`]) advance several independent output
+//! entries together in registers. Every entry keeps the op order of the
+//! plain scalar loop, and multiply and add are never fused, so each kernel
+//! is bit-identical to that loop on every host; the unit tests pin it.
+//! There is no cache blocking: at these sizes every operand fits in L1 or
+//! L2.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -36,10 +43,7 @@ pub mod simplex;
 pub mod stats;
 pub mod vector;
 
-pub use cholesky::{
-    factor_into, log_det_from_factor, spd_inverse_from_factor, spd_inverse_rows_from_factor,
-    Cholesky,
-};
+pub use cholesky::{factor_into, log_det_from_factor, spd_inverse_rows_from_factor, Cholesky};
 pub use csr::CsrMatrix;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;

@@ -11,15 +11,15 @@ use dhmm_runtime::Executor;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Range, Sub};
 
-/// Inner-dimension panel height of the blocked GEMM kernels: `KC` rows of
-/// the right operand (≤ `KC·NC·8` bytes) stay cache-resident while they are
-/// reused across every output row of the band.
-const GEMM_KC: usize = 64;
-/// Output-column panel width of the blocked GEMM kernels.
-const GEMM_NC: usize = 256;
-/// Right-operand row-panel height of the blocked `A·Bᵀ` kernel: this many
-/// rows of `B` stay hot while the whole output band dots against them.
-const GEMM_NT_JC: usize = 32;
+/// Output rows per register tile of the GEMM and Gram kernels.
+const TILE_ROWS: usize = 4;
+/// Output columns per register tile of [`Matrix::matmul_into_on`]: a 4 × 8
+/// tile advances 32 independent sums.
+const GEMM_TILE_COLS: usize = 8;
+/// Output columns per register tile of [`Matrix::gram_into_on`]. Its
+/// operands are rows of the same matrix, so a wider tile only adds strided
+/// loads.
+const GRAM_TILE_COLS: usize = 4;
 
 /// A dense, row-major matrix of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,13 +311,8 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self * other` written into `out` without allocating.
-    ///
-    /// Runs the cache-blocked kernel on the calling thread. Per output
-    /// entry, the inner-dimension accumulation order is the same ascending
-    /// `k` (with the same zero-skip) as [`Matrix::matmul`], so the blocked,
-    /// the naive and the parallel ([`Matrix::matmul_into_on`]) paths all
-    /// produce bit-identical results.
+    /// Matrix product `self * other` written into `out` without allocating,
+    /// on the calling thread; see [`Matrix::matmul_into_on`].
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
         self.matmul_into_on(other, out, &Executor::serial())
     }
@@ -326,8 +321,14 @@ impl Matrix {
     /// rows split into bands across the executor's workers.
     ///
     /// `out` must already have shape `(self.rows, other.cols)`; its previous
-    /// contents are overwritten. Every output row is computed entirely by
-    /// one worker, so the result is bit-identical for every worker count.
+    /// contents are overwritten. The kernel advances 4 × 8 tiles of output
+    /// entries together in registers, and each entry accumulates its
+    /// products from `+0.0` in ascending inner index, as the naive i–k–j
+    /// loop of [`Matrix::matmul`] does. `matmul` skips a zero `self` entry
+    /// and this kernel does not, but with finite operands the skipped
+    /// product is an exact ±0, which never changes a sum that starts at
+    /// `+0.0`. So for finite operands the two are bit-identical, for every
+    /// worker count: each output row is computed entirely by one worker.
     pub fn matmul_into_on(
         &self,
         other: &Matrix,
@@ -352,55 +353,41 @@ impl Matrix {
             return Ok(());
         }
         exec.for_each_band(&mut out.data, other.cols, |rows, band| {
-            matmul_block(self, other, rows, band);
+            matmul_band(self, other, rows, band);
         });
         Ok(())
     }
 
-    /// Matrix product `self * otherᵀ` written into `out` without allocating.
+    /// Gram matrix `self · selfᵀ` written into `out`, with the output rows
+    /// split into bands across the executor's workers.
     ///
-    /// Runs the cache-blocked kernel on the calling thread; see
-    /// [`Matrix::matmul_nt_into_on`] for the banded parallel variant, which
-    /// produces bit-identical results.
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        self.matmul_nt_into_on(other, out, &Executor::serial())
-    }
-
-    /// Matrix product `self * otherᵀ` written into `out`, with the output
-    /// rows split into bands across the executor's workers.
-    ///
-    /// Both inputs are traversed row-wise (each output entry is a dot product
-    /// of two rows), which is the cache-friendly orientation for row-major
-    /// storage; the kernel additionally blocks the rows of `other` so a
-    /// panel of them stays hot across the whole band. `out` must already
-    /// have shape `(self.rows, other.rows)`. The Gram matrix `A·Aᵀ` of the
-    /// DPP power matrix is the main caller.
-    pub fn matmul_nt_into_on(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        exec: &Executor,
-    ) -> Result<(), LinalgError> {
-        if self.cols != other.cols {
+    /// Entry `(i, j)` is the dot product of rows `i` and `j`, summed in
+    /// ascending column order from `-0.0` exactly as
+    /// `row_i.iter().zip(row_j).map(|(x, y)| x * y).sum::<f64>()` sums it,
+    /// so the result is bit-identical to that loop for every worker count.
+    /// The kernel advances 4 × 4 tiles of these dot products together in
+    /// registers and computes only the tiles on or below the diagonal. It
+    /// then mirrors the lower triangle into the upper one, which is exact
+    /// because `x·y == y·x` in IEEE arithmetic. `out` must already have
+    /// shape `(self.rows, self.rows)`. The DPP kernel `S = P·Pᵀ` is the
+    /// caller.
+    pub fn gram_into_on(&self, out: &mut Matrix, exec: &Executor) -> Result<(), LinalgError> {
+        let n = self.rows;
+        if out.shape() != (n, n) {
             return Err(LinalgError::ShapeMismatch {
-                op: "matmul_nt_into",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        if out.shape() != (self.rows, other.rows) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul_nt_into (output)",
-                left: (self.rows, other.rows),
+                op: "gram_into (output)",
+                left: (n, n),
                 right: out.shape(),
             });
         }
-        if out.data.is_empty() {
-            return Ok(());
-        }
-        exec.for_each_band(&mut out.data, other.rows, |rows, band| {
-            matmul_nt_block(self, other, rows, band);
+        exec.for_each_band(&mut out.data, n, |rows, band| {
+            gram_band(self, rows, band);
         });
+        for i in 0..n {
+            for j in (i + 1)..n {
+                out.data[i * n + j] = out.data[j * n + i];
+            }
+        }
         Ok(())
     }
 
@@ -650,62 +637,130 @@ impl Matrix {
     }
 }
 
-/// Cache-blocked `out[rows, :] = a[rows, :] · b` into the row band `band`
-/// (`rows.len() × b.cols`, row-major).
-///
-/// Loop order is `k-panel → j-panel → i → k → j`: the `KC × NC` panel of
-/// `b` is reused across every row of the band before the next panel is
-/// touched. Because the `k` panels are visited in ascending order and each
-/// output entry accumulates over ascending `k` within a panel, the per-entry
-/// accumulation order is plain ascending `k` — bit-identical to the naive
-/// i–k–j product, whatever the block sizes.
-fn matmul_block(a: &Matrix, b: &Matrix, rows: Range<usize>, band: &mut [f64]) {
+/// `out[rows, :] = a[rows, :] · b` into the row band `band`
+/// (`rows.len() × b.cols`, row-major): full 4-row blocks, then single rows;
+/// within a block, 8-column tiles, then single columns.
+fn matmul_band(a: &Matrix, b: &Matrix, rows: Range<usize>, band: &mut [f64]) {
     let n = b.cols;
-    let inner = a.cols;
-    band.fill(0.0);
-    let mut k0 = 0;
-    while k0 < inner {
-        let k1 = (k0 + GEMM_KC).min(inner);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + GEMM_NC).min(n);
-            for (local, i) in rows.clone().enumerate() {
-                let a_row = a.row(i);
-                let out_row = &mut band[local * n + j0..local * n + j1];
-                for (&a_ik, k) in a_row[k0..k1].iter().zip(k0..k1) {
-                    if a_ik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b.row(k)[j0..j1];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ik * bv;
-                    }
-                }
-            }
-            j0 = j1;
-        }
-        k0 = k1;
+    let mut blocks = band.chunks_exact_mut(TILE_ROWS * n);
+    let mut i0 = rows.start;
+    for block in &mut blocks {
+        matmul_rows::<TILE_ROWS>(a, b, i0, block);
+        i0 += TILE_ROWS;
+    }
+    for row in blocks.into_remainder().chunks_exact_mut(n) {
+        matmul_rows::<1>(a, b, i0, row);
+        i0 += 1;
     }
 }
 
-/// Cache-blocked `out[rows, :] = a[rows, :] · bᵀ` into the row band `band`
-/// (`rows.len() × b.rows`, row-major). Each entry is one ascending-order dot
-/// product of two rows, so the result is independent of the `b`-row panel
-/// size and of how the output rows are banded across workers.
-fn matmul_nt_block(a: &Matrix, b: &Matrix, rows: Range<usize>, band: &mut [f64]) {
-    let n = b.rows;
+/// Output rows `i0..i0 + R` of `a · b`, written into `out` (`R × b.cols`).
+#[inline(always)]
+fn matmul_rows<const R: usize>(a: &Matrix, b: &Matrix, i0: usize, out: &mut [f64]) {
+    let n = b.cols;
     let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + GEMM_NT_JC).min(n);
-        for (local, i) in rows.clone().enumerate() {
-            let a_row = a.row(i);
-            let out_row = &mut band[local * n..(local + 1) * n];
-            for (o, j) in out_row[j0..j1].iter_mut().zip(j0..j1) {
-                let b_row = b.row(j);
-                *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
+    while j0 + GEMM_TILE_COLS <= n {
+        store_tile(out, n, j0, &matmul_tile::<R, GEMM_TILE_COLS>(a, b, i0, j0));
+        j0 += GEMM_TILE_COLS;
+    }
+    for j in j0..n {
+        store_tile(out, n, j, &matmul_tile::<R, 1>(a, b, i0, j));
+    }
+}
+
+/// One `R × C` tile of `a · b` at `(i0, j0)`: every entry sums its
+/// products from `+0.0` in ascending inner index, the op order of the
+/// naive i–k–j loop, while the tile's `R·C` chains advance together.
+#[inline(always)]
+fn matmul_tile<const R: usize, const C: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    i0: usize,
+    j0: usize,
+) -> [[f64; C]; R] {
+    let inner = a.cols;
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a.row(i0 + r)[..inner]);
+    let mut acc = [[0.0; C]; R];
+    for (t, b_row) in b.data.chunks_exact(b.cols).enumerate() {
+        let y: &[f64; C] = b_row[j0..j0 + C].try_into().expect("C-long slice");
+        for r in 0..R {
+            let x = a_rows[r][t];
+            for c in 0..C {
+                acc[r][c] += x * y[c];
             }
         }
-        j0 = j1;
+    }
+    acc
+}
+
+/// Lower-triangle tiles of the Gram matrix `a · aᵀ` for output rows
+/// `rows`, written into `band` (`rows.len() × a.rows`, row-major): full
+/// 4-row blocks, then single rows. The strict upper triangle of the band is
+/// left for [`Matrix::gram_into_on`] to mirror.
+fn gram_band(a: &Matrix, rows: Range<usize>, band: &mut [f64]) {
+    let n = a.rows;
+    let mut blocks = band.chunks_exact_mut(TILE_ROWS * n);
+    let mut i0 = rows.start;
+    for block in &mut blocks {
+        gram_rows::<TILE_ROWS>(a, i0, block);
+        i0 += TILE_ROWS;
+    }
+    for row in blocks.into_remainder().chunks_exact_mut(n) {
+        gram_rows::<1>(a, i0, row);
+        i0 += 1;
+    }
+}
+
+/// Gram rows `i0..i0 + R`, columns `0..i0 + R` (every entry on or below
+/// the diagonal, plus the upper part of the diagonal tiles), written into
+/// `out` (`R × a.rows`).
+#[inline(always)]
+fn gram_rows<const R: usize>(a: &Matrix, i0: usize, out: &mut [f64]) {
+    let n = a.rows;
+    let end = i0 + R;
+    let mut j0 = 0;
+    while j0 + GRAM_TILE_COLS <= end {
+        store_tile(out, n, j0, &gram_tile::<R, GRAM_TILE_COLS>(a, i0, j0));
+        j0 += GRAM_TILE_COLS;
+    }
+    for j in j0..end {
+        store_tile(out, n, j, &gram_tile::<R, 1>(a, i0, j));
+    }
+}
+
+/// One `R × C` tile of `a · aᵀ` at `(i0, j0)`: every entry is a dot
+/// product of two rows summed from `-0.0` in ascending column order (the
+/// fold `Iterator::sum` performs), while the tile's `R·C` chains advance
+/// together.
+#[inline(always)]
+fn gram_tile<const R: usize, const C: usize>(a: &Matrix, i0: usize, j0: usize) -> [[f64; C]; R] {
+    let d = a.cols;
+    let x_rows: [&[f64]; R] = std::array::from_fn(|r| &a.row(i0 + r)[..d]);
+    let y_rows: [&[f64]; C] = std::array::from_fn(|c| &a.row(j0 + c)[..d]);
+    let mut acc = [[-0.0; C]; R];
+    for t in 0..d {
+        let y: [f64; C] = std::array::from_fn(|c| y_rows[c][t]);
+        for r in 0..R {
+            let x = x_rows[r][t];
+            for c in 0..C {
+                acc[r][c] += x * y[c];
+            }
+        }
+    }
+    acc
+}
+
+/// Writes an `R × C` tile into columns `j0..j0 + C` of the first `R` rows
+/// of the row-major block `out` (row stride `n`).
+#[inline(always)]
+fn store_tile<const R: usize, const C: usize>(
+    out: &mut [f64],
+    n: usize,
+    j0: usize,
+    tile: &[[f64; C]; R],
+) {
+    for (r, row) in tile.iter().enumerate() {
+        out[r * n + j0..r * n + j0 + C].copy_from_slice(row);
     }
 }
 
@@ -795,6 +850,8 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap()
@@ -926,51 +983,95 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_into_matches_matmul_with_transpose() {
+    fn gram_into_matches_matmul_with_transpose() {
         let a = sample(); // 2x3
-        let b = Matrix::from_rows(&[vec![1.0, 2.0, 0.0], vec![0.5, 0.5, 1.0]]).unwrap(); // 2x3
-        let expected = a.matmul(&b.transpose()).unwrap();
-        let mut out = Matrix::filled(2, 2, f64::NAN);
-        a.matmul_nt_into(&b, &mut out).unwrap();
-        assert!(out.approx_eq(&expected, 1e-12));
-        // Gram matrix of a single operand.
-        let mut gram = Matrix::zeros(2, 2);
-        a.matmul_nt_into(&a, &mut gram).unwrap();
+        let mut gram = Matrix::filled(2, 2, f64::NAN);
+        a.gram_into_on(&mut gram, &Executor::serial()).unwrap();
         assert!(gram.approx_eq(&a.matmul(&a.transpose()).unwrap(), 1e-12));
-        assert!(gram.is_symmetric(1e-12));
+        assert!(gram.is_symmetric(0.0));
+        assert_eq!(gram[(0, 1)], 32.0);
         // Shape errors.
-        assert!(a.matmul_nt_into(&Matrix::zeros(2, 2), &mut out).is_err());
-        assert!(a.matmul_nt_into(&b, &mut Matrix::zeros(3, 2)).is_err());
+        assert!(a
+            .gram_into_on(&mut Matrix::zeros(3, 3), &Executor::serial())
+            .is_err());
+        assert!(a
+            .gram_into_on(&mut Matrix::zeros(2, 3), &Executor::serial())
+            .is_err());
     }
 
     #[test]
     fn blocked_and_parallel_gemm_are_bit_identical_to_naive() {
-        // Shapes straddling the KC/NC/JC block boundaries, including an
-        // exact-zero entry to exercise the zero-skip, and worker counts
+        // Shapes with ragged tile tails on every axis, including an
+        // exact-zero entry the naive product skips, and worker counts
         // beyond the row count: every path must agree bit for bit.
-        let mut a = Matrix::from_fn(37, GEMM_KC + 9, |i, j| {
-            ((i * 31 + j * 7) % 23) as f64 / 11.0 - 1.0
-        });
+        let mut a = Matrix::from_fn(37, 73, |i, j| ((i * 31 + j * 7) % 23) as f64 / 11.0 - 1.0);
         a[(5, 5)] = 0.0;
-        let b = Matrix::from_fn(GEMM_KC + 9, GEMM_NC + 13, |i, j| {
-            ((i * 13 + j * 3) % 17) as f64 / 7.0 - 1.2
-        });
+        let b = Matrix::from_fn(73, 269, |i, j| ((i * 13 + j * 3) % 17) as f64 / 7.0 - 1.2);
         let naive = a.matmul(&b).unwrap();
-        let c = Matrix::from_fn(41, GEMM_KC + 9, |i, j| {
-            ((i * 5 + j) % 19) as f64 / 9.0 - 0.8
-        });
-        let nt_naive = a.matmul(&c.transpose()).unwrap();
+        let gram_naive = a.matmul(&a.transpose()).unwrap();
         for workers in [1usize, 2, 3, 64] {
             let exec = Executor::from_workers(workers);
-            let mut out = Matrix::filled(37, GEMM_NC + 13, f64::NAN);
+            let mut out = Matrix::filled(37, 269, f64::NAN);
             a.matmul_into_on(&b, &mut out, &exec).unwrap();
-            assert!(out.approx_eq(&naive, 0.0), "matmul workers={workers}");
-            let mut nt_out = Matrix::filled(37, 41, f64::NAN);
-            a.matmul_nt_into_on(&c, &mut nt_out, &exec).unwrap();
-            assert!(
-                nt_out.approx_eq(&nt_naive, 0.0),
-                "matmul_nt workers={workers}"
-            );
+            assert_eq!(bits(&out), bits(&naive), "matmul workers={workers}");
+            let mut gram = Matrix::filled(37, 37, f64::NAN);
+            a.gram_into_on(&mut gram, &exec).unwrap();
+            assert_eq!(bits(&gram), bits(&gram_naive), "gram workers={workers}");
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Entries in `[-1, 1)` with exact zeros of both signs mixed in.
+    fn signed_input(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        })
+    }
+
+    /// The plain i–j–k product loop, each entry summed from `+0.0`.
+    fn scalar_product(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            let mut s = 0.0;
+            for t in 0..a.cols() {
+                s += a[(i, t)] * b[(t, j)];
+            }
+            s
+        })
+    }
+
+    /// The plain row-dot Gram loop, each entry folded by `Iterator::sum`.
+    fn scalar_gram(a: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), a.rows(), |i, j| {
+            a.row(i).iter().zip(a.row(j)).map(|(x, y)| x * y).sum()
+        })
+    }
+
+    /// The tiled GEMM and Gram kernels reproduce plain scalar loops bit for
+    /// bit at every worker count, on every tile and tail split up to k = 70
+    /// and at k = 128, with negative entries and exact zeros of both signs.
+    #[test]
+    fn tiled_gemm_and_gram_match_scalar_loops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6e44);
+        for k in (1..=70).chain([128]) {
+            let d = if k % 3 == 0 { k / 3 + 1 } else { k + 3 };
+            let v = signed_input(k, k, &mut rng);
+            let p = signed_input(k, d, &mut rng);
+            let want_product = scalar_product(&v, &p);
+            let want_gram = scalar_gram(&p);
+            for workers in [1usize, 2, 4, 16] {
+                let exec = Executor::from_workers(workers);
+                let mut out = Matrix::filled(k, d, f64::NAN);
+                v.matmul_into_on(&p, &mut out, &exec).unwrap();
+                assert_eq!(bits(&out), bits(&want_product), "gemm k={k} w={workers}");
+                let mut s = Matrix::filled(k, k, f64::NAN);
+                p.gram_into_on(&mut s, &exec).unwrap();
+                assert_eq!(bits(&s), bits(&want_gram), "gram k={k} w={workers}");
+            }
         }
     }
 

@@ -53,7 +53,11 @@ pub fn project_to_simplex_into(row: &mut [f64], scratch: &mut Vec<f64>) {
 
     scratch.clear();
     scratch.extend_from_slice(row);
-    scratch.sort_by(|a, b| b.partial_cmp(a).expect("non-finite value after sanitize"));
+    // Unstable is exact here: only `+0.0` and `-0.0` compare equal without
+    // being the same value, and the order in which they are added leaves
+    // the running sum below unchanged (it starts at `+0.0`, so it is never
+    // `-0.0`).
+    scratch.sort_unstable_by(|a, b| b.partial_cmp(a).expect("non-finite value after sanitize"));
 
     let mut cumulative = 0.0;
     let mut rho = 0;

@@ -209,8 +209,8 @@ impl Executor {
 
     /// Splits `data` — a row-major buffer of `data.len() / stride` rows —
     /// into contiguous row bands along the [`split_rows`] partition and runs
-    /// `f(rows, band)` on each, in parallel. The workhorse of the blocked
-    /// GEMMs and the per-row M-step gradient pass.
+    /// `f(rows, band)` on each, in parallel. The workhorse of the banded
+    /// linear-algebra kernels and the per-row M-step gradient pass.
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of `stride` (`stride == 0`

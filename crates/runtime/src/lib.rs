@@ -2,9 +2,9 @@
 //!
 //! The shared execution substrate of the dHMM workspace: one worker-pool
 //! runtime serving the pooled E-step (`dhmm-hmm`), the per-row M-step
-//! gradient (`dhmm-dpp`) and the blocked parallel GEMMs (`dhmm-linalg`),
-//! so every layer parallelizes through the same three primitives instead of
-//! growing its own threading idiom:
+//! gradient (`dhmm-dpp`) and the row-banded GEMM, Gram and inverse kernels
+//! (`dhmm-linalg`), so every layer parallelizes through the same three
+//! primitives instead of growing its own threading idiom:
 //!
 //! * [`Parallelism`] — the one policy knob (`Serial`, `Threads(n)`, `Auto`)
 //!   that higher layers thread through their configs; `Auto` honors the
