@@ -63,10 +63,17 @@ fn bench_viterbi(c: &mut Criterion) {
 
 /// Head-to-head: the scaled-space workspace engine vs the log-domain
 /// reference, across state counts and sequence lengths, on the discrete
-/// substrate both engines share with the PoS workload.
+/// substrate both engines share with the PoS workload, up to the
+/// `train-wide` benchmark model (k = 64).
 fn bench_scaled_vs_log_forward_backward(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaled_vs_log/forward_backward");
-    for &(k, t) in &[(4usize, 128usize), (16, 128), (16, 512), (32, 512)] {
+    for &(k, t) in &[
+        (4usize, 128usize),
+        (16, 128),
+        (16, 512),
+        (32, 512),
+        (64, 512),
+    ] {
         let model = random_hmm(k, 40, 11);
         let mut rng = StdRng::seed_from_u64(12);
         let seq: Vec<usize> = (0..t).map(|_| rng.gen_range(0..40)).collect();

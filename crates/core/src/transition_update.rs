@@ -28,7 +28,7 @@
 
 use crate::config::AscentConfig;
 use crate::error::DhmmError;
-use dhmm_dpp::{log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
+use dhmm_dpp::{DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::HmmError;
 use dhmm_linalg::{project_row_stochastic_with, Matrix};
@@ -194,19 +194,6 @@ impl<'a> TransitionObjective<'a> {
                 out[(i, j)] = g;
             }
         }
-    }
-
-    /// Just the prior part `α·log det K̃_A` of the objective (used to monitor
-    /// the MAP objective across EM iterations).
-    ///
-    /// Propagates evaluation errors instead of collapsing them to
-    /// `NEG_INFINITY`: a caller maximizing a *negated* objective would
-    /// otherwise read a failed evaluation as an infinite reward.
-    pub fn prior_value(&self, a: &Matrix) -> Result<f64, DhmmError> {
-        if self.alpha == 0.0 {
-            return Ok(0.0);
-        }
-        Ok(self.alpha * log_det_kernel(a, &self.kernel)?)
     }
 }
 
@@ -524,7 +511,7 @@ impl TransitionUpdater for DppTransitionUpdater {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhmm_dpp::grad_log_det_kernel;
+    use dhmm_dpp::{grad_log_det_kernel, log_det_kernel};
     use dhmm_prob::mean_pairwise_bhattacharyya;
 
     fn counts() -> Matrix {
@@ -553,13 +540,16 @@ mod tests {
             .map(|(i, j)| c[(i, j)] * a[(i, j)].ln())
             .sum();
         assert!((data_only - expected).abs() < 1e-9);
-        assert_eq!(obj0.prior_value(&a).unwrap(), 0.0);
+        let ascent = AscentConfig::default();
+        let updater0 = DppTransitionUpdater::new(0.0, kernel, ascent);
+        assert_eq!(updater0.prior_objective(&a).unwrap(), 0.0);
 
         let obj1 = TransitionObjective::unsupervised(&c, 2.0, kernel);
         let with_prior = obj1.value(&a).unwrap();
         let prior = 2.0 * log_det_kernel(&a, &kernel).unwrap();
         assert!((with_prior - data_only - prior).abs() < 1e-9);
-        assert!((obj1.prior_value(&a).unwrap() - prior).abs() < 1e-9);
+        let updater2 = DppTransitionUpdater::new(2.0, kernel, ascent);
+        assert!((updater2.prior_objective(&a).unwrap() - prior).abs() < 1e-9);
     }
 
     #[test]
@@ -808,14 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn prior_value_propagates_errors_instead_of_neg_infinity() {
+    fn prior_objective_propagates_errors_instead_of_neg_infinity() {
         let kernel = ProductKernel::bhattacharyya();
-        let c = counts();
-        let obj = TransitionObjective::unsupervised(&c, 1.0, kernel);
         let mut bad = Matrix::filled(3, 3, 1.0 / 3.0);
         bad[(0, 0)] = f64::NAN;
-        assert!(obj.prior_value(&bad).is_err());
-        // And so does the updater's prior objective hook.
         let updater = DppTransitionUpdater::new(1.0, kernel, AscentConfig::default());
         assert!(updater.prior_objective(&bad).is_err());
     }

@@ -25,8 +25,11 @@ use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
 /// `Threads(n)` requests are always honored (the partitioning is
 /// deterministic, so over-partitioning small data is safe, just slower).
 const PAR_MIN_SEQUENCES: usize = 8;
-/// Minimum total observation count for an automatic parallel E-step.
-const PAR_MIN_OBSERVATIONS: usize = 4_000;
+/// Minimum E-step work `Σ T·k²` (the dense passes cost `O(T·k²)` per
+/// sequence) for an automatic parallel E-step. On a 2-vCPU AVX2 Xeon, one
+/// and two workers broke even near 2·10⁴ (E-steps of 40–80 µs); from
+/// 1.5·10⁵ up every measured corpus ran 1.5–2x faster on two.
+const PAR_MIN_ESTEP_WORK: usize = 20_000;
 
 /// Strategy for re-estimating the transition matrix from the expected
 /// transition counts collected in the E-step.
@@ -324,9 +327,11 @@ impl BaumWelch {
             // observes the other's output.
             let mut xi_total = Matrix::zeros(k, k);
             for s in &stats {
-                xi_total = &xi_total + &s.xi_sum;
+                for (x, &v) in xi_total.as_mut_slice().iter_mut().zip(s.xi_sum.as_slice()) {
+                    *x += v;
+                }
             }
-            let gammas: Vec<Matrix> = stats.iter().map(|s| s.gamma.clone()).collect();
+            let gammas: Vec<Matrix> = stats.into_iter().map(|s| s.gamma).collect();
             let (transition_result, emission_result) = {
                 let (current_a, emission) = model.transition_and_emission_mut();
                 mstep_exec.join(
@@ -419,8 +424,9 @@ where
 /// with its own leased workspace, and the per-sequence statistics are
 /// concatenated in range order — so the result is bit-identical for every
 /// worker policy, including `Serial`. Under `Auto` the E-step additionally
-/// drops to serial below a data-size threshold where dispatch overhead
-/// would dominate (which cannot change results, only speed).
+/// drops to serial below 8 sequences or below `Σ T·k² = 2·10⁴`, where
+/// dispatch overhead would dominate (which cannot change results, only
+/// speed).
 pub fn e_step_on<E>(
     model: &Hmm<E>,
     sequences: &[Vec<E::Obs>],
@@ -434,8 +440,9 @@ where
 {
     let mut exec = Executor::new(parallelism);
     if parallelism == Parallelism::Auto {
-        let total_obs: usize = sequences.iter().map(|s| s.len()).sum();
-        if sequences.len() < PAR_MIN_SEQUENCES || total_obs < PAR_MIN_OBSERVATIONS {
+        let k = model.num_states();
+        let work: usize = sequences.iter().map(|s| s.len() * k * k).sum();
+        if sequences.len() < PAR_MIN_SEQUENCES || work < PAR_MIN_ESTEP_WORK {
             exec = Executor::serial();
         }
     }

@@ -58,8 +58,9 @@ pub use generate::generate_sequences;
 pub use init::{random_parameters, InitStrategy};
 pub use model::Hmm;
 pub use scaled::{
-    emission_likelihood_row, forward_backward_scaled, log_likelihood_scaled, scale_row,
-    viterbi_scale_row, viterbi_scaled, viterbi_scaled_with_score, viterbi_step, InferenceBackend,
+    backward_step, emission_likelihood_row, forward_backward_scaled, forward_step,
+    log_likelihood_scaled, scale_row, viterbi_scale_row, viterbi_scaled, viterbi_scaled_with_score,
+    viterbi_step, InferenceBackend,
 };
 pub use sparse::{
     beam_prune, forward_backward_sparse, log_likelihood_sparse, viterbi_sparse,

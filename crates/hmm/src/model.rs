@@ -9,10 +9,17 @@ use dhmm_linalg::Matrix;
 /// * `π` — initial state distribution (`k` entries),
 /// * `A` — `k × k` row-stochastic transition matrix, `A[i][j] = P(X_t = j | X_{t-1} = i)`,
 /// * `B` — emission model implementing [`Emission`].
+///
+/// The model also keeps `Aᵀ` ([`Hmm::transition_t`]) for the backward
+/// recursion and the streaming lockstep kernel, which read the predecessors
+/// of a state as one contiguous row. [`Hmm::new`] and
+/// [`Hmm::set_transition`] are the only code that writes `A`, and both
+/// rebuild `Aᵀ`, so the two never disagree.
 #[derive(Debug, Clone)]
 pub struct Hmm<E: Emission> {
     initial: Vec<f64>,
     transition: Matrix,
+    transition_t: Matrix,
     emission: E,
 }
 
@@ -54,6 +61,7 @@ impl<E: Emission> Hmm<E> {
         }
         Ok(Self {
             initial,
+            transition_t: transition.transpose(),
             transition,
             emission,
         })
@@ -72,6 +80,12 @@ impl<E: Emission> Hmm<E> {
     /// The transition matrix `A`.
     pub fn transition(&self) -> &Matrix {
         &self.transition
+    }
+
+    /// The transposed transition matrix `Aᵀ` (`transition_t()[(j, i)] =
+    /// transition()[(i, j)]`), kept in step with `A`.
+    pub fn transition_t(&self) -> &Matrix {
+        &self.transition_t
     }
 
     /// The emission model `B`.
@@ -114,6 +128,9 @@ impl<E: Emission> Hmm<E> {
                 reason: "invalid transition matrix".into(),
             });
         }
+        transition
+            .transpose_into(&mut self.transition_t)
+            .expect("Aᵀ has the k x k shape of A");
         self.transition = transition;
         Ok(())
     }
@@ -248,6 +265,21 @@ mod tests {
         assert!(m.set_transition(new_a).is_ok());
         assert!(m.set_transition(Matrix::filled(3, 3, 1.0 / 3.0)).is_err());
         let _ = m.emission_mut();
+    }
+
+    /// `Aᵀ` is the exact transpose of `A` after construction and after
+    /// every accepted `set_transition`; a rejected one leaves both alone.
+    #[test]
+    fn transition_t_tracks_the_transition() {
+        let mut m = weather_model();
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(m.transition_t()), bits(&m.transition().transpose()));
+        let new_a = Matrix::from_rows(&[vec![0.1, 0.9], vec![0.35, 0.65]]).unwrap();
+        m.set_transition(new_a.clone()).unwrap();
+        assert_eq!(bits(m.transition_t()), bits(&new_a.transpose()));
+        assert_eq!(m.transition_t()[(0, 1)], 0.35);
+        assert!(m.set_transition(Matrix::filled(2, 2, 0.9)).is_err());
+        assert_eq!(bits(m.transition_t()), bits(&new_a.transpose()));
     }
 
     #[test]

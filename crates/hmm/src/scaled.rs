@@ -39,6 +39,21 @@
 //! would. Only the order *across* states changes, so every score and
 //! backpointer is bit-identical to the column-wise recursion, while every
 //! load of `A` is contiguous and the compare-select runs on whole vectors.
+//!
+//! Dense sum-product: the forward–backward recursions run the same way.
+//! [`forward_step`] walks row-major `A` into 16-state tiles of running sums
+//! (ascending predecessor `i`, zero predecessors skipped), and
+//! [`backward_step`] walks the model's `Aᵀ` ([`Hmm::transition_t`]) the same
+//! way, so each `β(t, i)` keeps its one accumulator over ascending `j`
+//! without a dependent dot-product chain per state. The ξ sums first store
+//! each step's weights `b(y_t) ∘ β(t) / total_t`, then accumulate every
+//! 4 × 8 block of ξ in registers over all steps before storing it once.
+//! Every sum keeps the op order of the row-at-a-time loops these replace,
+//! and multiply and add stay separate roundings, so the results are the
+//! same bits. The offline engine and the streaming filter and smoother all
+//! call these steps, and each has an AVX2 instantiation of the same body,
+//! chosen at run time once per sequence offline and once per token in a
+//! stream.
 
 use crate::emission::Emission;
 use crate::error::HmmError;
@@ -217,6 +232,59 @@ pub fn viterbi_scale_row(row: &mut [f64], shift: f64) -> f64 {
     }
 }
 
+/// Covers the states `0..k` of one recursion step with register tiles.
+///
+/// Each dense step kernel below is written as a [`StateTile`] body. A lane
+/// of a tile belongs to one output state and never mixes with its
+/// neighbours, so a state's result does not depend on which tile computes
+/// it. That is what lets the cover overlap tiles.
+trait StateTile {
+    /// Computes output states `j0..j0 + W`.
+    fn tile<const W: usize>(&mut self, j0: usize);
+}
+
+/// Runs `body` over `0..k`: `W`-wide tiles first. When `k ≥ W` and more
+/// than `W / 2` states are left, one overlapping tile reruns the last `W`
+/// states and rewrites the overlap with the same bits. Below that, two
+/// overlapping 8-wide tiles cover `9 ≤ k < 16`, and 8-, 4-, 2- and 1-wide
+/// instances of the same body cover the rest (so `W` is 8 or 16). Leftover
+/// states never run a separate scalar loop. Each choice was the faster one
+/// when measured at that size.
+#[inline(always)]
+fn cover_states<const W: usize, B: StateTile>(k: usize, body: &mut B) {
+    let full = k - k % W;
+    for j0 in (0..full).step_by(W) {
+        body.tile::<W>(j0);
+    }
+    let rest = k - full;
+    if k >= W && rest > W / 2 {
+        body.tile::<W>(k - W);
+        return;
+    }
+    let mut j0 = full;
+    if rest > 8 {
+        // 9 ≤ k < 16 = W: two overlapping 8-wide tiles.
+        body.tile::<8>(0);
+        body.tile::<8>(k - 8);
+        return;
+    }
+    if rest & 8 != 0 {
+        body.tile::<8>(j0);
+        j0 += 8;
+    }
+    if rest & 4 != 0 {
+        body.tile::<4>(j0);
+        j0 += 4;
+    }
+    if rest & 2 != 0 {
+        body.tile::<2>(j0);
+        j0 += 2;
+    }
+    if rest & 1 != 0 {
+        body.tile::<1>(j0);
+    }
+}
+
 /// One step of the dense max-product recursion: for every state `j`,
 /// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, with the maximizing
 /// predecessor in `psi[j]` (the first one on ties).
@@ -231,12 +299,6 @@ pub fn viterbi_scale_row(row: &mut [f64], shift: f64) -> f64 {
 /// argmax is carried as an `f64` lane (every index below 2⁵³ is exact), so
 /// the compare-select stays in one vector domain, as in `dhmm_stream`'s
 /// lockstep kernel.
-///
-/// Leftover states run the same tile body, never a separate scalar loop.
-/// When `k ≥ 8` and more than 4 states are left, one overlapping tile
-/// reruns the last 8 states and rewrites the overlap with the same bits;
-/// otherwise 4-, 2- and 1-wide instances cover the rest. Each choice was
-/// the faster one when measured at that size.
 ///
 /// The offline dense engine ([`viterbi_scaled_with_score`]) and the
 /// streaming decoder's per-token step both call this function, which is
@@ -291,70 +353,286 @@ unsafe fn viterbi_step_avx2(
 
 #[inline(always)]
 fn viterbi_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
-    const T: usize = VITERBI_TILE;
-    let k = prev.len();
-    let full = k - k % T;
-    for j0 in (0..full).step_by(T) {
-        viterbi_tile::<T>(a, prev, e_row, cur, psi, j0);
-    }
-    // The remainder split below is written for T = 8.
-    let rest = k - full;
-    if k >= T && rest > T / 2 {
-        viterbi_tile::<T>(a, prev, e_row, cur, psi, k - T);
-        return;
-    }
-    let mut j0 = full;
-    if rest & 4 != 0 {
-        viterbi_tile::<4>(a, prev, e_row, cur, psi, j0);
-        j0 += 4;
-    }
-    if rest & 2 != 0 {
-        viterbi_tile::<2>(a, prev, e_row, cur, psi, j0);
-        j0 += 2;
-    }
-    if rest & 1 != 0 {
-        viterbi_tile::<1>(a, prev, e_row, cur, psi, j0);
+    let mut body = ViterbiTile {
+        a: a.as_slice(),
+        prev,
+        e_row,
+        cur,
+        psi,
+    };
+    cover_states::<VITERBI_TILE, _>(prev.len(), &mut body);
+}
+
+/// The tile body of [`viterbi_step`].
+struct ViterbiTile<'a> {
+    a: &'a [f64],
+    prev: &'a [f64],
+    e_row: &'a [f64],
+    cur: &'a mut [f64],
+    psi: &'a mut [usize],
+}
+
+impl StateTile for ViterbiTile<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, j0: usize) {
+        let k = self.prev.len();
+        let mut best = [f64::NEG_INFINITY; W];
+        let mut besti = [0.0f64; W];
+        let mut fi = 0.0f64;
+        // Row offsets by index rather than `chunks_exact(k)`, whose length
+        // is a 64-bit division per tile: at small k that division cost more
+        // than the tile's arithmetic.
+        for (i, &p) in self.prev.iter().enumerate() {
+            let o = i * k + j0;
+            let r: &[f64; W] = self.a[o..o + W].try_into().expect("W-long slice");
+            for l in 0..W {
+                let cand = p * r[l];
+                // `select(cand > best, cand, best)` keeps the old value on
+                // ties (the strict-`>` first-occurrence rule) and lowers to
+                // a vector max; the argmax blend reuses its mask.
+                let better = cand > best[l];
+                best[l] = if better { cand } else { best[l] };
+                besti[l] = if better { fi } else { besti[l] };
+            }
+            fi += 1.0;
+        }
+        let e: &[f64; W] = self.e_row[j0..j0 + W].try_into().expect("W-long slice");
+        let c: &mut [f64; W] = (&mut self.cur[j0..j0 + W])
+            .try_into()
+            .expect("W-long slice");
+        let s: &mut [usize; W] = (&mut self.psi[j0..j0 + W])
+            .try_into()
+            .expect("W-long slice");
+        for l in 0..W {
+            c[l] = best[l] * e[l];
+            s[l] = besti[l] as usize;
+        }
     }
 }
 
-/// The tile body of [`viterbi_step`]: states `j0..j0 + W`.
-#[inline(always)]
-fn viterbi_tile<const W: usize>(
-    a: &Matrix,
-    prev: &[f64],
-    e_row: &[f64],
-    cur: &mut [f64],
-    psi: &mut [usize],
-    j0: usize,
-) {
+/// One step of the dense forward (sum-product) recursion: for every state
+/// `j`, `out[j] = (Σ_i prev[i] · a[(i, j)]) · e_row[j]`. The caller
+/// rescales the row ([`scale_row`]).
+///
+/// Like [`viterbi_step`], it walks row-major `A` one predecessor `i` at a
+/// time into register tiles of output states. Each lane sums
+/// `prev[i] · a[(i, j)]` from `+0.0` in ascending `i` and skips a
+/// predecessor with `prev[i] == 0`, then multiplies by `e_row[j]`: the op
+/// order of a row-at-a-time accumulation into `out`, so the result is the
+/// same bits.
+///
+/// The offline forward pass and the streaming filter's per-token step both
+/// run this step, which keeps a stream at `lag ≥ T` bit-identical to the
+/// offline forward–backward. It allocates nothing.
+///
+/// # Panics
+///
+/// If `a` is not `k × k` for `k = prev.len()`, or `e_row` or `out` is not
+/// `k` long.
+pub fn forward_step(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
     let k = prev.len();
-    let data = a.as_slice();
-    let mut best = [f64::NEG_INFINITY; W];
-    let mut besti = [0.0f64; W];
-    let mut fi = 0.0f64;
-    // Row offsets by index rather than `chunks_exact(k)`, whose length is a
-    // 64-bit division per tile: at small k that division cost more than
-    // the tile's arithmetic.
-    for (i, &p) in prev.iter().enumerate() {
-        let o = i * k + j0;
-        let r: &[f64; W] = data[o..o + W].try_into().expect("W-long slice");
-        for l in 0..W {
-            let cand = p * r[l];
-            // `select(cand > best, cand, best)` keeps the old value on ties
-            // (the strict-`>` first-occurrence rule) and lowers to a vector
-            // max; the argmax blend reuses its mask.
-            let better = cand > best[l];
-            best[l] = if better { cand } else { best[l] };
-            besti[l] = if better { fi } else { besti[l] };
-        }
-        fi += 1.0;
+    assert_eq!(a.shape(), (k, k), "transition must be k x k");
+    assert!(
+        e_row.len() == k && out.len() == k,
+        "forward_step rows must all have k entries"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by runtime detection; the function only requires
+        // the AVX2 feature it declares.
+        return unsafe { forward_step_avx2(a, prev, e_row, out) };
     }
-    let e: &[f64; W] = e_row[j0..j0 + W].try_into().expect("W-long slice");
-    let c: &mut [f64; W] = (&mut cur[j0..j0 + W]).try_into().expect("W-long slice");
-    let s: &mut [usize; W] = (&mut psi[j0..j0 + W]).try_into().expect("W-long slice");
-    for l in 0..W {
-        c[l] = best[l] * e[l];
-        s[l] = besti[l] as usize;
+    forward_step_impl(a, prev, e_row, out);
+}
+
+/// AVX2 instantiation of [`forward_step_impl`] — identical body, wider
+/// autovectorized lanes, bit-identical results (multiply and add stay
+/// separate roundings: Rust never contracts them to FMA).
+///
+/// # Safety
+///
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn forward_step_avx2(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
+    forward_step_impl(a, prev, e_row, out);
+}
+
+/// Output states per register tile of [`forward_step`] and
+/// [`backward_step`]: four 256-bit accumulators, enough independent add
+/// chains to cover the add latency.
+const SUM_TILE: usize = 16;
+
+#[inline(always)]
+fn forward_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
+    let mut body = ForwardTile {
+        a: a.as_slice(),
+        prev,
+        e_row,
+        out,
+    };
+    cover_states::<SUM_TILE, _>(prev.len(), &mut body);
+}
+
+/// The tile body of [`forward_step`].
+struct ForwardTile<'a> {
+    a: &'a [f64],
+    prev: &'a [f64],
+    e_row: &'a [f64],
+    out: &'a mut [f64],
+}
+
+impl StateTile for ForwardTile<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, j0: usize) {
+        let k = self.prev.len();
+        let mut acc = [0.0f64; W];
+        for (i, &p) in self.prev.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let o = i * k + j0;
+            let r: &[f64; W] = self.a[o..o + W].try_into().expect("W-long slice");
+            for l in 0..W {
+                acc[l] += p * r[l];
+            }
+        }
+        let e: &[f64; W] = self.e_row[j0..j0 + W].try_into().expect("W-long slice");
+        let out: &mut [f64; W] = (&mut self.out[j0..j0 + W])
+            .try_into()
+            .expect("W-long slice");
+        for l in 0..W {
+            out[l] = acc[l] * e[l];
+        }
+    }
+}
+
+/// One step of the dense backward recursion: for every state `i`,
+/// `out[i] = Σ_j a[(i, j)] · w[j]`, where `at` is `Aᵀ`
+/// ([`Hmm::transition_t`]) and `w[j]` the caller's `b_j(y_{t+1}) · β(t+1, j)`.
+/// The caller rescales the row.
+///
+/// It walks row-major `Aᵀ` one successor `j` at a time into register tiles
+/// of output states, so each `β[i]` keeps its single accumulator over
+/// ascending `j` — the op order of a dot product of row `i` of `A` with
+/// `w` — while every load is contiguous and the tile's independent lanes
+/// hide the add latency that a lone dot-product chain pays.
+///
+/// The offline backward pass and the streaming smoother's scalar β step
+/// both run this step. It allocates nothing.
+///
+/// # Panics
+///
+/// If `at` is not `k × k` for `k = w.len()`, or `out` is not `k` long.
+pub fn backward_step(at: &Matrix, w: &[f64], out: &mut [f64]) {
+    let k = w.len();
+    assert_eq!(at.shape(), (k, k), "transition must be k x k");
+    assert_eq!(out.len(), k, "backward_step rows must all have k entries");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by runtime detection; the function only requires
+        // the AVX2 feature it declares.
+        return unsafe { backward_step_avx2(at, w, out) };
+    }
+    backward_step_impl(at, w, out);
+}
+
+/// AVX2 instantiation of [`backward_step_impl`] — identical body, wider
+/// autovectorized lanes, bit-identical results.
+///
+/// # Safety
+///
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn backward_step_avx2(at: &Matrix, w: &[f64], out: &mut [f64]) {
+    backward_step_impl(at, w, out);
+}
+
+#[inline(always)]
+fn backward_step_impl(at: &Matrix, w: &[f64], out: &mut [f64]) {
+    let mut body = BackwardTile {
+        at: at.as_slice(),
+        w,
+        out,
+    };
+    cover_states::<SUM_TILE, _>(w.len(), &mut body);
+}
+
+/// The tile body of [`backward_step`].
+struct BackwardTile<'a> {
+    at: &'a [f64],
+    w: &'a [f64],
+    out: &'a mut [f64],
+}
+
+impl StateTile for BackwardTile<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, i0: usize) {
+        let k = self.w.len();
+        let mut acc = [0.0f64; W];
+        for (j, &wj) in self.w.iter().enumerate() {
+            let o = j * k + i0;
+            let r: &[f64; W] = self.at[o..o + W].try_into().expect("W-long slice");
+            for l in 0..W {
+                acc[l] += r[l] * wj;
+            }
+        }
+        self.out[i0..i0 + W].copy_from_slice(&acc);
+    }
+}
+
+/// Rows and columns of one ξ register tile: eight 256-bit accumulators.
+const XI_ROWS: usize = 4;
+const XI_COLS: usize = 8;
+
+/// Sums the pairwise posteriors of one sequence into `out` (`k × k`,
+/// row-major): `out[(i, j)] = Σ_n (α_{t_n − 1, i} · a[(i, j)]) · w[n][j]`
+/// over the valid steps `t_n = steps[n]` in ascending order, skipping the
+/// terms whose `α_{t_n − 1, i}` is zero. `alpha` holds the `T × k` forward
+/// rows; `w` holds one weight row per step, each
+/// `k.next_multiple_of(XI_COLS)` long.
+///
+/// Each `XI_ROWS × XI_COLS` block of `out` accumulates in registers over
+/// every step before it is stored once, where a row-at-a-time pass would
+/// load and store the row of `out` once per predecessor and step. Every
+/// entry keeps its own accumulator from `+0.0` in ascending step order, so
+/// the sums are bit-identical to that pass. A tile past the last row reuses
+/// row `k − 1` and one past the last column reads zero weights; those lanes
+/// are never stored.
+#[inline(always)]
+fn xi_tiles_impl(a: &Matrix, alpha: &[f64], w: &[f64], steps: &[usize], out: &mut [f64]) {
+    let k = a.rows();
+    let stride = k.next_multiple_of(XI_COLS);
+    let data = a.as_slice();
+    for i0 in (0..k).step_by(XI_ROWS) {
+        let rows: [usize; XI_ROWS] = std::array::from_fn(|r| (i0 + r).min(k - 1));
+        for j0 in (0..k).step_by(XI_COLS) {
+            let cols = (k - j0).min(XI_COLS);
+            let mut a_tile = [[0.0f64; XI_COLS]; XI_ROWS];
+            for (tile_row, &i) in a_tile.iter_mut().zip(&rows) {
+                tile_row[..cols].copy_from_slice(&data[i * k + j0..i * k + j0 + cols]);
+            }
+            let mut acc = [[0.0f64; XI_COLS]; XI_ROWS];
+            for (n, &t) in steps.iter().enumerate() {
+                let alpha_prev = &alpha[(t - 1) * k..t * k];
+                let o = n * stride + j0;
+                let wt: &[f64; XI_COLS] = w[o..o + XI_COLS].try_into().expect("tile-wide slice");
+                for r in 0..XI_ROWS {
+                    let ap = alpha_prev[rows[r]];
+                    if ap == 0.0 {
+                        continue;
+                    }
+                    for c in 0..XI_COLS {
+                        acc[r][c] += ap * a_tile[r][c] * wt[c];
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate().take(k - i0) {
+                let o = (i0 + r) * k + j0;
+                out[o..o + cols].copy_from_slice(&acc_row[..cols]);
+            }
+        }
     }
 }
 
@@ -471,17 +749,65 @@ fn beta_panel_step_sparse_impl<const LANES: usize>(
     }
 }
 
-/// Runs the scaled forward pass into the workspace (alpha rows, raw and log
-/// scaling constants). Assumes `ws.ensure` and `fill_emissions` have already
-/// run. Shared by the full forward–backward and the forward-only likelihood.
-fn forward_pass<E: Emission>(model: &Hmm<E>, t_len: usize, ws: &mut InferenceWorkspace) {
-    let k = model.num_states();
-    let a = model.transition();
+/// Runs the dense recursions of one sequence into the workspace: the
+/// scaled forward pass (alpha rows, raw and log scaling constants) and,
+/// when `xi` is given, the backward pass and the pairwise-posterior sums
+/// into `xi` (`k × k`, zero on entry). Assumes `ws.ensure` and
+/// `fill_emissions` have already run.
+///
+/// The AVX2 instantiation of the step kernels is chosen here, once per
+/// sequence.
+fn dense_passes<E: Emission>(
+    model: &Hmm<E>,
+    t_len: usize,
+    ws: &mut InferenceWorkspace,
+    xi: Option<&mut Matrix>,
+) {
+    let (a, at, initial) = (model.transition(), model.transition_t(), model.initial());
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by runtime detection; the function only requires
+        // the AVX2 feature it declares.
+        return unsafe { dense_passes_avx2(a, at, initial, t_len, ws, xi) };
+    }
+    dense_passes_impl(a, at, initial, t_len, ws, xi);
+}
+
+/// AVX2 instantiation of [`dense_passes_impl`] — identical body,
+/// bit-identical results.
+///
+/// # Safety
+///
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dense_passes_avx2(
+    a: &Matrix,
+    at: &Matrix,
+    initial: &[f64],
+    t_len: usize,
+    ws: &mut InferenceWorkspace,
+    xi: Option<&mut Matrix>,
+) {
+    dense_passes_impl(a, at, initial, t_len, ws, xi);
+}
+
+#[inline(always)]
+fn dense_passes_impl(
+    a: &Matrix,
+    at: &Matrix,
+    initial: &[f64],
+    t_len: usize,
+    ws: &mut InferenceWorkspace,
+    xi: Option<&mut Matrix>,
+) {
+    let k = initial.len();
+
+    // --- Forward pass.
     {
         let row = &mut ws.alpha[..k];
-        let e_row = &ws.emis[..k];
-        for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-            *r = model.initial()[j] * e;
+        for ((r, &p), &e) in row.iter_mut().zip(initial).zip(&ws.emis[..k]) {
+            *r = p * e;
         }
         let (c, log_c) = scale_row(row, ws.shifts[0]);
         ws.scales[0] = c;
@@ -489,66 +815,79 @@ fn forward_pass<E: Emission>(model: &Hmm<E>, t_len: usize, ws: &mut InferenceWor
     }
     for t in 1..t_len {
         let (prev, rest) = ws.alpha.split_at_mut(t * k);
-        let prev_row = &prev[(t - 1) * k..];
         let row = &mut rest[..k];
-        row.fill(0.0);
-        for (i, &ap) in prev_row.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            for (r, &aij) in row.iter_mut().zip(a.row(i)) {
-                *r += ap * aij;
-            }
-        }
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        for (r, &e) in row.iter_mut().zip(e_row) {
-            *r *= e;
-        }
+        forward_step_impl(a, &prev[(t - 1) * k..], &ws.emis[t * k..(t + 1) * k], row);
         let (c, log_c) = scale_row(row, ws.shifts[t]);
         ws.scales[t] = c;
         ws.log_scales[t] = log_c;
     }
-}
-
-/// Runs the scaled forward and backward passes into the workspace. Assumes
-/// `ws.ensure` and `fill_emissions` have already run.
-fn forward_backward_passes<E: Emission>(model: &Hmm<E>, t_len: usize, ws: &mut InferenceWorkspace) {
-    let k = model.num_states();
-    let a = model.transition();
-
-    forward_pass(model, t_len, ws);
+    let Some(xi) = xi else {
+        return;
+    };
 
     // --- Backward pass, scaled with per-row sums (the exact constant is
-    // irrelevant because gamma and xi are re-normalized). ---
-    for v in ws.beta[(t_len - 1) * k..t_len * k].iter_mut() {
-        *v = 1.0;
-    }
+    // irrelevant because gamma and xi are re-normalized).
+    ws.beta[(t_len - 1) * k..t_len * k].fill(1.0);
     for t in (0..t_len - 1).rev() {
+        let (cur_beta, next_beta) = ws.beta.split_at_mut((t + 1) * k);
         // w[j] = b_j(y_{t+1}) * beta(t+1, j), precomputed once per step.
-        let next_e = &ws.emis[(t + 1) * k..(t + 2) * k];
+        let w = &mut ws.row[..k];
+        for ((wv, &e), &b) in w
+            .iter_mut()
+            .zip(&ws.emis[(t + 1) * k..])
+            .zip(&next_beta[..k])
         {
-            let (cur_beta, next_beta) = ws.beta.split_at_mut((t + 1) * k);
-            let next_row = &next_beta[..k];
-            let w = &mut ws.row[..k];
-            for ((wv, &e), &b) in w.iter_mut().zip(next_e).zip(next_row) {
-                *wv = e * b;
-            }
-            let row = &mut cur_beta[t * k..];
-            for (i, r) in row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (&aij, &wv) in a.row(i).iter().zip(w.iter()) {
-                    acc += aij * wv;
-                }
-                *r = acc;
-            }
-            let norm: f64 = row.iter().sum();
-            if norm > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
+            *wv = e * b;
+        }
+        let row = &mut cur_beta[t * k..];
+        backward_step_impl(at, w, row);
+        let norm: f64 = row.iter().sum();
+        if norm > 0.0 {
+            for v in row.iter_mut() {
+                *v /= norm;
             }
         }
     }
+
+    // --- Pairwise posteriors summed over time. The per-step normalizer
+    // Σ_ij α(t−1,i)·A_ij·b_j(y_t)·β(t,j) equals c̃_t · Σ_j α(t,j)·β(t,j),
+    // so it comes from quantities already in the workspace. A step with a
+    // floored forward row or a degenerate normalizer contributes nothing.
+    let stride = k.next_multiple_of(XI_COLS);
+    if ws.xi_weights.len() < t_len * stride {
+        ws.xi_weights.resize(t_len * stride, 0.0);
+    }
+    ws.xi_steps.clear();
+    for t in 1..t_len {
+        if ws.scales[t] == 0.0 {
+            continue;
+        }
+        let alpha_t = &ws.alpha[t * k..(t + 1) * k];
+        let beta_t = &ws.beta[t * k..(t + 1) * k];
+        let mut ab = 0.0;
+        for (&av, &bv) in alpha_t.iter().zip(beta_t) {
+            ab += av * bv;
+        }
+        let total = ws.scales[t] * ab;
+        if !total.is_finite() || total <= 0.0 {
+            continue;
+        }
+        // w[j] = b_j(y_t) * beta(t, j) / total.
+        let o = ws.xi_steps.len() * stride;
+        let (w, pad) = ws.xi_weights[o..o + stride].split_at_mut(k);
+        for ((wv, &e), &b) in w.iter_mut().zip(&ws.emis[t * k..]).zip(beta_t) {
+            *wv = e * b / total;
+        }
+        pad.fill(0.0);
+        ws.xi_steps.push(t);
+    }
+    xi_tiles_impl(
+        a,
+        &ws.alpha,
+        &ws.xi_weights,
+        &ws.xi_steps,
+        xi.as_mut_slice(),
+    );
 }
 
 /// Runs the scaled forward–backward algorithm for one sequence, writing all
@@ -571,7 +910,8 @@ pub fn forward_backward_scaled<E: Emission>(
     }
     ws.ensure(k, t_len);
     fill_emissions(model, observations, ws);
-    forward_backward_passes(model, t_len, ws);
+    let mut xi_sum = Matrix::zeros(k, k);
+    dense_passes(model, t_len, ws, Some(&mut xi_sum));
 
     // Unary posteriors: gamma(t, i) ∝ alpha(t, i) * beta(t, i).
     let mut gamma = Matrix::zeros(t_len, k);
@@ -583,43 +923,6 @@ pub fn forward_backward_scaled<E: Emission>(
             *g = av * bv;
         }
         dhmm_linalg::normalize_in_place(row);
-    }
-
-    // Pairwise posteriors summed over time. The per-step normalizer
-    // Σ_ij α(t−1,i)·A_ij·b_j(y_t)·β(t,j) equals c̃_t · Σ_j α(t,j)·β(t,j),
-    // so it comes from quantities already in the workspace.
-    let mut xi_sum = Matrix::zeros(k, k);
-    let a = model.transition();
-    for t in 1..t_len {
-        if ws.scales[t] == 0.0 {
-            continue;
-        }
-        let alpha_t = &ws.alpha[t * k..(t + 1) * k];
-        let beta_t = &ws.beta[t * k..(t + 1) * k];
-        let mut ab = 0.0;
-        for (&av, &bv) in alpha_t.iter().zip(beta_t) {
-            ab += av * bv;
-        }
-        let total = ws.scales[t] * ab;
-        if !total.is_finite() || total <= 0.0 {
-            continue;
-        }
-        // w[j] = b_j(y_t) * beta(t, j) / total.
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let w = &mut ws.row[..k];
-        for ((wv, &e), &b) in w.iter_mut().zip(e_row).zip(beta_t) {
-            *wv = e * b / total;
-        }
-        let alpha_prev = &ws.alpha[(t - 1) * k..t * k];
-        for (i, &ap) in alpha_prev.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            let xi_row = xi_sum.row_mut(i);
-            for ((x, &aij), &wv) in xi_row.iter_mut().zip(a.row(i)).zip(w.iter()) {
-                *x += ap * aij * wv;
-            }
-        }
     }
 
     let log_likelihood = ws.log_scales[..t_len].iter().sum();
@@ -646,7 +949,7 @@ pub fn log_likelihood_scaled<E: Emission>(
     }
     ws.ensure(k, t_len);
     fill_emissions(model, observations, ws);
-    forward_pass(model, t_len, ws);
+    dense_passes(model, t_len, ws, None);
     Ok(ws.log_scales[..t_len].iter().sum())
 }
 
@@ -839,6 +1142,288 @@ mod tests {
                 assert_eq!(gen_bits, want_bits, "generic cur, k={k} case={case}");
                 assert_eq!(gen_psi, want_psi, "generic psi, k={k} case={case}");
             }
+        }
+    }
+
+    /// The row-at-a-time forward loop `forward_step` replaces: each live
+    /// predecessor's row of `A` is added into the whole output row.
+    fn rowwise_forward(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for (i, &ap) in prev.iter().enumerate() {
+            if ap == 0.0 {
+                continue;
+            }
+            for (r, &aij) in out.iter_mut().zip(a.row(i)) {
+                *r += ap * aij;
+            }
+        }
+        for (r, &e) in out.iter_mut().zip(e_row) {
+            *r *= e;
+        }
+    }
+
+    /// The dot-product loop `backward_step` replaces: one dependent chain
+    /// per state over row `i` of `A`.
+    fn dot_backward(a: &Matrix, w: &[f64], out: &mut [f64]) {
+        for (i, r) in out.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (&aij, &wv) in a.row(i).iter().zip(w) {
+                acc += aij * wv;
+            }
+            *r = acc;
+        }
+    }
+
+    /// The row-at-a-time ξ loop the tiles replace: `w` holds one `k`-long
+    /// weight row per step.
+    fn rowwise_xi(a: &Matrix, alpha: &[f64], w: &[f64], steps: &[usize], out: &mut [f64]) {
+        let k = a.rows();
+        for (n, &t) in steps.iter().enumerate() {
+            let w = &w[n * k..(n + 1) * k];
+            for (i, &ap) in alpha[(t - 1) * k..t * k].iter().enumerate() {
+                if ap == 0.0 {
+                    continue;
+                }
+                let xi_row = &mut out[i * k..(i + 1) * k];
+                for ((x, &aij), &wv) in xi_row.iter_mut().zip(a.row(i)).zip(w) {
+                    *x += ap * aij * wv;
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `forward_step` and `backward_step`, dispatched and as generic bodies
+    /// (which AVX2 hosts never reach through the dispatch), reproduce the
+    /// loops they replace bit for bit, on every tile/remainder split up to
+    /// k = 70 and at k = 128. The inputs carry exact zeros in `prev` (all of
+    /// it in case 4), in `A` (cases 1 and 3) and in the weights.
+    #[test]
+    fn sum_product_steps_match_the_rowwise_loops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5eed5);
+        for k in (1..=70).chain([128]) {
+            for case in 0..5 {
+                let (a, prev, e_row) = step_input(k, case, &mut rng);
+                let at = a.transpose();
+                let mut want = vec![0.0; k];
+                rowwise_forward(&a, &prev, &e_row, &mut want);
+                let mut got = vec![f64::NAN; k];
+                forward_step(&a, &prev, &e_row, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "dispatched forward, k={k} case={case}"
+                );
+                let mut gen = vec![f64::NAN; k];
+                forward_step_impl(&a, &prev, &e_row, &mut gen);
+                assert_eq!(
+                    bits(&gen),
+                    bits(&want),
+                    "generic forward, k={k} case={case}"
+                );
+
+                // The weights: `prev` with the emission row's zeros folded in.
+                let w: Vec<f64> = prev.iter().zip(&e_row).map(|(p, e)| p * e).collect();
+                dot_backward(&a, &w, &mut want);
+                backward_step(&at, &w, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "dispatched backward, k={k} case={case}"
+                );
+                backward_step_impl(&at, &w, &mut gen);
+                assert_eq!(
+                    bits(&gen),
+                    bits(&want),
+                    "generic backward, k={k} case={case}"
+                );
+            }
+        }
+    }
+
+    /// The ξ register tiles reproduce the row-at-a-time loop bit for bit on
+    /// every row/column tail up to k = 70 and at k = 128, with exact zeros
+    /// in `α`, in `A` and in the weights, and with skipped steps.
+    #[test]
+    fn xi_tiles_match_the_rowwise_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x0c51);
+        let t_len = 9;
+        for k in (1..=70usize).chain([128]) {
+            let stride = k.next_multiple_of(XI_COLS);
+            let level = |rng: &mut StdRng| f64::from(rng.gen_range(0..4u8)) * 0.25;
+            let a = Matrix::from_fn(k, k, |_, _| level(&mut rng));
+            let mut alpha: Vec<f64> = (0..t_len * k).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for v in alpha.iter_mut().step_by(3) {
+                *v = 0.0;
+            }
+            // Steps 1, 2, 4, 5, 7, 8: the ones a degenerate normalizer drops
+            // are missing.
+            let steps: Vec<usize> = (1..t_len).filter(|t| t % 3 != 0).collect();
+            let w: Vec<f64> = (0..steps.len() * k)
+                .map(|n| {
+                    if n % 5 == 2 {
+                        0.0
+                    } else {
+                        level(&mut rng) + 0.125
+                    }
+                })
+                .collect();
+            let mut want = vec![0.0; k * k];
+            rowwise_xi(&a, &alpha, &w, &steps, &mut want);
+
+            let mut padded = vec![f64::NAN; steps.len() * stride];
+            for n in 0..steps.len() {
+                padded[n * stride..n * stride + k].copy_from_slice(&w[n * k..(n + 1) * k]);
+                padded[n * stride + k..(n + 1) * stride].fill(0.0);
+            }
+            let mut got = vec![f64::NAN; k * k];
+            xi_tiles_impl(&a, &alpha, &padded, &steps, &mut got);
+            assert_eq!(bits(&got), bits(&want), "k={k}");
+        }
+    }
+
+    /// The forward–backward passes as they were before the tiled steps:
+    /// row-at-a-time forward, dot-product backward, row-at-a-time ξ. Fills
+    /// the workspace and returns `(log-likelihood, ξ)`.
+    fn rowwise_passes(
+        model: &Hmm<crate::emission::DiscreteEmission>,
+        obs: &[usize],
+        ws: &mut InferenceWorkspace,
+    ) -> (f64, Matrix) {
+        let (k, t_len) = (model.num_states(), obs.len());
+        let a = model.transition();
+        ws.ensure(k, t_len);
+        fill_emissions(model, obs, ws);
+        for j in 0..k {
+            ws.alpha[j] = model.initial()[j] * ws.emis[j];
+        }
+        let (c, log_c) = scale_row(&mut ws.alpha[..k], ws.shifts[0]);
+        (ws.scales[0], ws.log_scales[0]) = (c, log_c);
+        for t in 1..t_len {
+            let (prev, rest) = ws.alpha.split_at_mut(t * k);
+            let row = &mut rest[..k];
+            rowwise_forward(a, &prev[(t - 1) * k..], &ws.emis[t * k..(t + 1) * k], row);
+            let (c, log_c) = scale_row(row, ws.shifts[t]);
+            (ws.scales[t], ws.log_scales[t]) = (c, log_c);
+        }
+        ws.beta[(t_len - 1) * k..t_len * k].fill(1.0);
+        for t in (0..t_len - 1).rev() {
+            let w: Vec<f64> = (0..k)
+                .map(|j| ws.emis[(t + 1) * k + j] * ws.beta[(t + 1) * k + j])
+                .collect();
+            let row = &mut ws.beta[t * k..(t + 1) * k];
+            dot_backward(a, &w, row);
+            let norm: f64 = row.iter().sum();
+            if norm > 0.0 {
+                for v in row.iter_mut() {
+                    *v /= norm;
+                }
+            }
+        }
+        let mut xi = Matrix::zeros(k, k);
+        for t in 1..t_len {
+            if ws.scales[t] == 0.0 {
+                continue;
+            }
+            let (alpha_t, beta_t) = (ws.alpha_row(t), ws.beta_row(t));
+            let mut ab = 0.0;
+            for (&av, &bv) in alpha_t.iter().zip(beta_t) {
+                ab += av * bv;
+            }
+            let total = ws.scales[t] * ab;
+            if !total.is_finite() || total <= 0.0 {
+                continue;
+            }
+            let w: Vec<f64> = (0..k)
+                .map(|j| ws.emis[t * k + j] * beta_t[j] / total)
+                .collect();
+            rowwise_xi(a, &ws.alpha, &w, &[t], xi.as_mut_slice());
+        }
+        (ws.log_scales[..t_len].iter().sum(), xi)
+    }
+
+    /// A whole forward–backward run, through the per-sequence AVX2 dispatch
+    /// and through the generic body, gives the log-likelihood, γ and ξ of
+    /// the row-at-a-time passes bit for bit. The models have exact zeros in
+    /// `A` and in `B` (so whole α rows and weight entries vanish, and
+    /// impossible observations floor whole steps).
+    #[test]
+    fn forward_backward_matches_the_rowwise_passes_bit_for_bit() {
+        use crate::emission::DiscreteEmission;
+        let mut rng = StdRng::seed_from_u64(0xfb);
+        let vocab = 6;
+        for k in [1usize, 2, 3, 5, 8, 9, 15, 16, 17, 31, 37, 64, 70] {
+            let mut a = Matrix::from_fn(k, k, |_, _| rng.gen_range(0.0..1.0));
+            let mut b = Matrix::from_fn(k, vocab, |_, _| rng.gen_range(0.0..1.0));
+            for i in 0..k {
+                for j in 0..k {
+                    if (i + 2 * j) % 3 == 0 && i != j {
+                        a[(i, j)] = 0.0;
+                    }
+                }
+                for v in 0..vocab - 1 {
+                    if (i + v) % 4 == 0 {
+                        b[(i, v)] = 0.0;
+                    }
+                }
+                // The last symbol is impossible in every state.
+                b[(i, vocab - 1)] = 0.0;
+                b[(i, 0)] += 0.1;
+            }
+            a.normalize_rows();
+            b.normalize_rows();
+            let pi = vec![1.0 / k as f64; k];
+            let model = Hmm::new(pi, a, DiscreteEmission::new(b).unwrap()).unwrap();
+            let obs: Vec<usize> = (0..40).map(|_| rng.gen_range(0..vocab)).collect();
+
+            let mut ws = InferenceWorkspace::new();
+            let (want_ll, want_xi) = rowwise_passes(&model, &obs, &mut ws);
+            let want_alpha = bits(&ws.alpha[..obs.len() * k]);
+            let want_beta = bits(&ws.beta[..obs.len() * k]);
+            let stats =
+                forward_backward_scaled(&model, &obs, &mut InferenceWorkspace::new()).unwrap();
+            assert_eq!(
+                stats.log_likelihood.to_bits(),
+                want_ll.to_bits(),
+                "ll, k={k}"
+            );
+            assert_eq!(
+                bits(stats.xi_sum.as_slice()),
+                bits(want_xi.as_slice()),
+                "xi, k={k}"
+            );
+
+            let mut gen_ws = InferenceWorkspace::new();
+            gen_ws.ensure(k, obs.len());
+            fill_emissions(&model, &obs, &mut gen_ws);
+            let mut gen_xi = Matrix::zeros(k, k);
+            let (a, at) = (model.transition(), model.transition_t());
+            dense_passes_impl(
+                a,
+                at,
+                model.initial(),
+                obs.len(),
+                &mut gen_ws,
+                Some(&mut gen_xi),
+            );
+            assert_eq!(
+                bits(&gen_ws.alpha[..obs.len() * k]),
+                want_alpha,
+                "alpha, k={k}"
+            );
+            assert_eq!(
+                bits(&gen_ws.beta[..obs.len() * k]),
+                want_beta,
+                "beta, k={k}"
+            );
+            assert_eq!(
+                bits(gen_xi.as_slice()),
+                bits(want_xi.as_slice()),
+                "generic xi, k={k}"
+            );
         }
     }
 

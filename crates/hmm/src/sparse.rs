@@ -477,8 +477,9 @@ fn take_cache(
 }
 
 /// Runs the beam-pruned scaled forward pass over the compiled transitions.
-/// Mirrors the dense `forward_pass` exactly apart from the CSR scatter and
-/// the beam step, and is bit-equal to it under [`SparseParams::exact`].
+/// Mirrors the dense forward pass ([`crate::scaled::forward_step`]) exactly
+/// apart from the CSR scatter and the beam step, and is bit-equal to it
+/// under [`SparseParams::exact`].
 fn forward_pass_sparse<E: Emission>(
     model: &Hmm<E>,
     t_len: usize,

@@ -35,8 +35,15 @@ pub struct InferenceWorkspace {
     /// Per-step log scaling constants `log c_t = log c̃_t + shifts[t]`;
     /// their sum is `log P(Y | λ)`.
     pub(crate) log_scales: Vec<f64>,
-    /// Length-`k` scratch row (ξ weights, backward weights).
+    /// Length-`k` scratch row (backward weights).
     pub(crate) row: Vec<f64>,
+    /// Per-step ξ weights `b_j(y_t) · β(t, j) / total_t`, one row per entry
+    /// of `xi_steps`, each `k` rounded up to the ξ tile width (pad lanes
+    /// zero). Grown by the forward–backward pass only.
+    pub(crate) xi_weights: Vec<f64>,
+    /// The time step `t` of each row of `xi_weights`: the steps that
+    /// contribute to the ξ sums, ascending.
+    pub(crate) xi_steps: Vec<usize>,
     /// `2 × k` rolling Viterbi score rows.
     pub(crate) delta: Vec<f64>,
     /// `T × k` Viterbi backpointers.

@@ -53,12 +53,12 @@ use crate::workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace, 
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::scaled::{
-    beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, scale_row, viterbi_scale_row,
-    viterbi_step,
+    backward_step, beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, forward_step,
+    scale_row, viterbi_scale_row, viterbi_step,
 };
 use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
-use dhmm_linalg::CsrMatrix;
+use dhmm_linalg::{CsrMatrix, Matrix};
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, Histogram, TelemetrySink};
 
@@ -388,11 +388,12 @@ pub(crate) fn push_token<E: Emission>(
             }
         } else {
             let prev = ws.alpha_row(t - 1);
-            row.fill(0.0);
+            let e_row = &ws.emis[slot * k..(slot + 1) * k];
             if sparse.is_some() {
                 // CSR scatter per live predecessor: beam-zeroed (and
                 // naturally zero) predecessors skip their whole row, in the
                 // offline sparse engine's op order.
+                row.fill(0.0);
                 let fwd = trans.csr.forward();
                 for (i, &ap) in prev.iter().enumerate() {
                     if ap == 0.0 {
@@ -400,19 +401,12 @@ pub(crate) fn push_token<E: Emission>(
                     }
                     fwd.axpy_row(i, ap, row);
                 }
-            } else {
-                for (i, &ap) in prev.iter().enumerate() {
-                    if ap == 0.0 {
-                        continue;
-                    }
-                    for (r, &aij) in row.iter_mut().zip(a.row(i)) {
-                        *r += ap * aij;
-                    }
+                for (r, &e) in row.iter_mut().zip(e_row) {
+                    *r *= e;
                 }
-            }
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            for (r, &e) in row.iter_mut().zip(e_row) {
-                *r *= e;
+            } else {
+                // The offline engine's dense sum-product step.
+                forward_step(a, prev, e_row, row);
             }
         }
         if let Some(params) = sparse {
@@ -621,6 +615,9 @@ pub(crate) fn lockstep_stage<E: Emission>(
 /// overhead and `A` traffic versus running a GEMM and a max-product kernel
 /// back to back.
 ///
+/// `at` is the model's `Aᵀ` ([`Hmm::transition_t`]), so the predecessors of
+/// state `j` are one contiguous row.
+///
 /// The kernel is register-tiled: the tile-major panel layout lets it walk
 /// [`LANES`]-wide session blocks with fixed-size accumulators the compiler
 /// keeps in vector registers over the whole predecessor loop (instead of a
@@ -644,14 +641,15 @@ pub(crate) fn lockstep_stage<E: Emission>(
 /// Sessions at `t = 0` get garbage Viterbi columns here too, overwritten by
 /// the finish pass before anything reads them (`ψ(0)` is never read — the
 /// scalar path never writes it either).
-pub(crate) fn lockstep_kernel(panel: &mut BatchPanel) {
+pub(crate) fn lockstep_kernel(panel: &mut BatchPanel, at: &Matrix) {
+    assert_eq!(at.shape(), (panel.k, panel.k), "Aᵀ must be k x k");
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by runtime detection; the function only requires
         // the AVX2 feature it declares.
-        return unsafe { lockstep_kernel_avx2(panel) };
+        return unsafe { lockstep_kernel_avx2(panel, at) };
     }
-    lockstep_kernel_impl(panel);
+    lockstep_kernel_impl(panel, at);
 }
 
 /// AVX2 instantiation of [`lockstep_kernel_impl`]. The body is identical —
@@ -663,12 +661,12 @@ pub(crate) fn lockstep_kernel(panel: &mut BatchPanel) {
 /// scalar path's separate mul + add roundings.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lockstep_kernel_avx2(panel: &mut BatchPanel) {
-    lockstep_kernel_impl(panel);
+unsafe fn lockstep_kernel_avx2(panel: &mut BatchPanel, at: &Matrix) {
+    lockstep_kernel_impl(panel, at);
 }
 
 #[inline(always)]
-fn lockstep_kernel_impl(panel: &mut BatchPanel) {
+fn lockstep_kernel_impl(panel: &mut BatchPanel, at: &Matrix) {
     let k = panel.k;
     let kl = k * LANES;
     let tiles = panel.width / LANES;
@@ -684,7 +682,7 @@ fn lockstep_kernel_impl(panel: &mut BatchPanel) {
             for ((a8, p8), &a_ij) in alpha
                 .chunks_exact(LANES)
                 .zip(prev.chunks_exact(LANES))
-                .zip(panel.at.row(j))
+                .zip(at.row(j))
             {
                 for l in 0..LANES {
                     acc[l] += a8[l] * a_ij;
@@ -1247,7 +1245,6 @@ fn backward_smooth<E: Emission>(
     emit_upto: usize,
 ) {
     let k = ws.num_states;
-    let a = model.transition();
     scratch.smoothed_start = downto;
     scratch.smoothed_len = emit_upto - downto + 1;
 
@@ -1291,13 +1288,8 @@ fn backward_smooth<E: Emission>(
                     *r = fwd.dot_row(i, w);
                 }
             } else {
-                for (i, r) in beta_cur.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (&aij, &wv) in a.row(i).iter().zip(w.iter()) {
-                        acc += aij * wv;
-                    }
-                    *r = acc;
-                }
+                // The offline engine's dense β step.
+                backward_step(model.transition_t(), w, beta_cur);
             }
             let norm: f64 = beta_cur.iter().sum();
             if norm > 0.0 {
@@ -1720,9 +1712,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         for (sessions, k) in [(3usize, 3usize), (11, 16), (9, 17)] {
             let a = Matrix::from_fn(k, k, |_, _| f64::from(rng.gen_range(1..6u8)) * 0.2);
+            let at = a.transpose();
             let mut panel = BatchPanel::new();
             panel.ensure(sessions, k);
-            panel.load_transition(&a);
             for v in panel
                 .alpha_t
                 .iter_mut()
@@ -1733,8 +1725,8 @@ mod tests {
             }
 
             let (mut got, mut want) = (panel.clone(), panel.clone());
-            lockstep_kernel(&mut got);
-            lockstep_kernel_impl(&mut want);
+            lockstep_kernel(&mut got, &at);
+            lockstep_kernel_impl(&mut want, &at);
             assert_same(&got, &want, &format!("dense k={k}"));
 
             let mut csr = CsrTransition::default();
@@ -1789,8 +1781,6 @@ mod tests {
         let sparse = matches!(backend, InferenceBackend::Sparse(_));
         if let InferenceBackend::Sparse(p) = backend {
             scratch.trans.prepare_sparse(m.transition(), 0, p);
-        } else {
-            panel.load_transition(m.transition());
         }
 
         let mut block_steps = 0usize;
@@ -1801,7 +1791,7 @@ mod tests {
             if sparse {
                 lockstep_kernel_sparse(&mut panel, scratch.trans.csr.transposed());
             } else {
-                lockstep_kernel(&mut panel);
+                lockstep_kernel(&mut panel, m.transition_t());
             }
             let mut due = 0usize;
             for (s, ws) in wss.iter_mut().enumerate() {

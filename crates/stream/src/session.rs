@@ -227,13 +227,10 @@ fn lockstep_group<E: Emission>(
     let sparse = matches!(backend, InferenceBackend::Sparse(_));
     if let InferenceBackend::Sparse(params) = backend {
         // The group shares one CSR compile per epoch (no-op once warm); the
-        // dense transpose panel is not loaded — the sparse kernel walks the
-        // CSR transposed (predecessor-major) orientation directly.
+        // sparse kernel walks its transposed (predecessor-major) orientation.
         scratch
             .trans
             .prepare_sparse(model.transition(), epoch, params);
-    } else {
-        panel.load_transition(model.transition());
     }
     for slot in group.iter_mut() {
         slot.last_active = clock;
@@ -248,7 +245,7 @@ fn lockstep_group<E: Emission>(
         if sparse {
             lockstep_kernel_sparse(panel, scratch.trans.csr.transposed());
         } else {
-            lockstep_kernel(panel);
+            lockstep_kernel(panel, model.transition_t());
         }
         due.clear();
         for (s, slot) in group.iter_mut().enumerate() {

@@ -166,16 +166,6 @@ impl StreamWorkspace {
     }
 }
 
-/// Resizes a matrix in place, reusing its backing buffer (grow-only
-/// capacity). Contents after a reshape are unspecified.
-fn reshape(m: &mut Matrix, rows: usize, cols: usize) {
-    if m.shape() != (rows, cols) {
-        let mut data = std::mem::replace(m, Matrix::zeros(0, 0)).into_vec();
-        data.resize(rows * cols, 0.0);
-        *m = Matrix::from_vec(rows, cols, data).expect("buffer resized to shape");
-    }
-}
-
 /// Structure-of-arrays staging for one lockstep batch-decoding group: `S`
 /// same-epoch sessions advancing one token per step together.
 ///
@@ -188,13 +178,13 @@ fn reshape(m: &mut Matrix, rows: usize, cols: usize) {
 /// `a[(i, j)]` across a register-resident tile of sessions while its inner
 /// predecessor loop walks *contiguous* memory — no strided loads, no
 /// remainder loop, no per-iteration bounds checks. Tiles past `S` are dead
-/// pad lanes. `at` caches the transition matrix pre-transposed
-/// (`at[(j, i)] = a[(i, j)]`) so predecessors of state `j` are one
-/// contiguous row.
+/// pad lanes. The kernel reads the transition pre-transposed from the
+/// model ([`dhmm_hmm::Hmm::transition_t`]), so the predecessors of state `j`
+/// are one contiguous row.
 ///
 /// One panel lives in a [`crate::SessionPool`] and is re-staged per group
-/// per tick; all buffers reshape in place with grow-only capacity.
-#[derive(Debug, Clone)]
+/// per tick; all buffers grow monotonically.
+#[derive(Debug, Clone, Default)]
 pub struct BatchPanel {
     /// Sessions `S` of the last `ensure`.
     pub(crate) sessions: usize,
@@ -204,8 +194,6 @@ pub struct BatchPanel {
     pub(crate) width: usize,
     /// Number of states `k` of the last `ensure`.
     pub(crate) k: usize,
-    /// `k × k` pre-transposed transition `Aᵀ`.
-    pub(crate) at: Matrix,
     /// Previous filter rows `α̂(t-1)`, tile-major (zero column for a
     /// session at `t = 0`, whose output is overwritten with `π ⊙ e` by the
     /// finish pass).
@@ -234,36 +222,15 @@ pub struct BatchPanel {
 /// entry).
 pub(crate) const LANES: usize = 8;
 
-impl Default for BatchPanel {
-    fn default() -> Self {
-        Self {
-            sessions: 0,
-            width: 0,
-            k: 0,
-            at: Matrix::zeros(0, 0),
-            alpha_t: Vec::new(),
-            sum_t: Vec::new(),
-            prev_t: Vec::new(),
-            cur_t: Vec::new(),
-            emis_t: Vec::new(),
-            psi_t: Vec::new(),
-            shift: Vec::new(),
-            first: Vec::new(),
-        }
-    }
-}
-
 impl BatchPanel {
     /// Creates an empty panel; buffers are sized by [`BatchPanel::ensure`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Reshapes every buffer for an `S`-session, `k`-state group. Vector
-    /// buffers grow monotonically; matrix buffers reshape in place reusing
-    /// their backing storage.
+    /// Sizes every buffer for an `S`-session, `k`-state group. Buffers grow
+    /// monotonically.
     pub(crate) fn ensure(&mut self, sessions: usize, k: usize) {
-        reshape(&mut self.at, k, k);
         let width = sessions.next_multiple_of(LANES);
         let kw = k.checked_mul(width).expect("batch panel overflow");
         if self.prev_t.len() < kw {
@@ -281,12 +248,6 @@ impl BatchPanel {
         self.sessions = sessions;
         self.width = width;
         self.k = k;
-    }
-
-    /// Caches the group's transition matrix pre-transposed.
-    pub(crate) fn load_transition(&mut self, a: &Matrix) {
-        a.transpose_into(&mut self.at)
-            .expect("ensure sized at to the transition shape");
     }
 
     /// Active `(sessions, num_states)` shape.

@@ -47,12 +47,13 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The documented contract at real sizes: with `lag ≥ T` the stream returns
-/// `viterbi_scaled_with_score`'s path and score, bit for bit. The sizes are
-/// the paper's PoS model (k = 15), either side of the dense Viterbi step's
-/// 8-state tiles (16, 17) and the `train-wide` benchmark model (64); the
-/// transitions are smooth Dirichlet(3) rows and sparse Dirichlet(0.05)
-/// rows, whose near-zeros and exact zeros exercise the first-occurrence
-/// tie rule.
+/// `viterbi_scaled_with_score`'s path and score, and `forward_backward_scaled`'s
+/// log-likelihood and γ rows, bit for bit. The sizes are the paper's PoS
+/// model (k = 15), either side of the dense steps' 8- and 16-state tiles
+/// (16, 17) and the `train-wide` benchmark model (64); the transitions are
+/// smooth Dirichlet(3) rows and sparse Dirichlet(0.05) rows, whose
+/// near-zeros and exact zeros exercise the first-occurrence tie rule and
+/// the forward step's zero-predecessor skip.
 #[test]
 fn full_lag_stream_reproduces_offline_bits_at_real_sizes() {
     const VOCAB: usize = 24;
@@ -64,6 +65,7 @@ fn full_lag_stream_reproduces_offline_bits_at_real_sizes() {
                 let len = 1 + 61 * seed as usize;
                 let seq = random_seq(VOCAB, len, seed.wrapping_add(500));
                 let (want, want_score) = viterbi_scaled_with_score(&model, &seq, &mut ws).unwrap();
+                let stats = forward_backward_scaled(&model, &seq, &mut ws).unwrap();
 
                 let mut dec = StreamingDecoder::new(&model, len);
                 let mut got = Vec::new();
@@ -81,6 +83,20 @@ fn full_lag_stream_reproduces_offline_bits_at_real_sizes() {
                     flush.viterbi_log_score,
                     want_score
                 );
+                assert_eq!(
+                    flush.log_likelihood.to_bits(),
+                    stats.log_likelihood.to_bits(),
+                    "log-likelihood {} vs {}, {case}",
+                    flush.log_likelihood,
+                    stats.log_likelihood
+                );
+                assert_eq!(flush.smoothed_start, 0, "{case}");
+                assert_eq!(flush.smoothed.len(), len * k, "{case}");
+                for (t, row) in flush.smoothed.chunks(k).enumerate() {
+                    let got: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u64> = stats.gamma.row(t).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "gamma row {t}, {case}");
+                }
             }
         }
     }
