@@ -19,14 +19,16 @@
 //!   quoted without its error.
 //!
 //! Every timing is the median of `--repeats` runs with its min and max
-//! next to it (`*_range_us`); the header records the core count, whether
-//! the host has AVX2, and the rustc version.
+//! next to it (`*_range_us`). The dense and sparse calls of a row
+//! alternate, one of each per round, so a host that slows down during the
+//! run moves both sides of a speedup alike. The header records the core
+//! count, whether the host has AVX2, and the rustc version.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release -p dhmm_bench --bin sparse-bench -- \
 //!     [--output BENCH_sparse.json] [--k 64,128,256] [--density 5,10,25] \
-//!     [--tokens 512] [--repeats 5] [--beam 0.01] [--tolerance 0.01]
+//!     [--tokens 512] [--repeats 15] [--beam 0.01] [--tolerance 0.01]
 //! ```
 //! `--density` is the *target* percentage of heavy successors per row; the
 //! artifact records the effective density the prune rule actually reached.
@@ -34,7 +36,7 @@
 //! grows linearly in the sequence length, so a fixed total would silently
 //! tighten as `--tokens` grows.
 
-use dhmm_bench::{machine_header, time_batches, Timing};
+use dhmm_bench::{machine_header, time_alternating, Timing};
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::init::random_stochastic_matrix;
 use dhmm_hmm::{
@@ -81,7 +83,7 @@ fn parse_args() -> Args {
         sizes: vec![64, 128, 256],
         densities: vec![5, 10, 25],
         tokens: 512,
-        repeats: 5,
+        repeats: 15,
         beam: 0.01,
         tolerance: 0.01,
     };
@@ -170,12 +172,23 @@ fn stream(tokens: usize, seed: u64) -> Vec<usize> {
     (0..tokens).map(|_| rng.gen_range(0..VOCAB)).collect()
 }
 
-/// Microseconds per run of `f` over `repeats` single-run samples.
-fn time_us<F: FnMut() -> f64>(repeats: usize, mut f: F) -> Timing {
-    time_batches(repeats, 0.0, || {
-        black_box(f());
-    })
-    .scaled(1e-3)
+/// Microseconds per run of `dense` and of `sparse` over `repeats`
+/// alternating rounds of one run each.
+fn time_pair_us(
+    repeats: usize,
+    mut dense: impl FnMut() -> f64,
+    mut sparse: impl FnMut() -> f64,
+) -> (Timing, Timing) {
+    let (d, s) = time_alternating(
+        repeats,
+        || {
+            black_box(dense());
+        },
+        || {
+            black_box(sparse());
+        },
+    );
+    (d.scaled(1e-3), s.scaled(1e-3))
 }
 
 struct Row {
@@ -214,26 +227,28 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> Row {
     let mut ws_d = InferenceWorkspace::new();
     let mut ws_s = InferenceWorkspace::new();
 
-    let fwd_dense = time_us(args.repeats, || {
-        log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward")
-    });
-    let fwd_sparse = time_us(args.repeats, || {
-        log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward")
-    });
+    let (fwd_dense, fwd_sparse) = time_pair_us(
+        args.repeats,
+        || log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward"),
+        || log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward"),
+    );
     let ll_dense = log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward");
     let ll_sparse = log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward");
     let report = *ws_s.sparse_report().expect("sparse run leaves a report");
 
-    let vit_dense = time_us(args.repeats, || {
-        viterbi_scaled_with_score(&model, &seq, &mut ws_d)
-            .expect("dense viterbi")
-            .1
-    });
-    let vit_sparse = time_us(args.repeats, || {
-        viterbi_sparse_with_score(&model, &seq, &mut ws_s, params)
-            .expect("sparse viterbi")
-            .1
-    });
+    let (vit_dense, vit_sparse) = time_pair_us(
+        args.repeats,
+        || {
+            viterbi_scaled_with_score(&model, &seq, &mut ws_d)
+                .expect("dense viterbi")
+                .1
+        },
+        || {
+            viterbi_sparse_with_score(&model, &seq, &mut ws_s, params)
+                .expect("sparse viterbi")
+                .1
+        },
+    );
     // The sparse path must be a real path of the unpruned model, and it
     // cannot beat the dense optimum.
     let (_, dense_score) =

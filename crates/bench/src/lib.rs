@@ -5,7 +5,8 @@
 //! perf trajectory (`mstep-bench` writes `BENCH_mstep.json` and
 //! `BENCH_parallel.json`, `sparse-bench` writes `BENCH_sparse.json`, and so
 //! on). The library holds only what those binaries share: the [`Timing`]
-//! of one row, the median-of-batches timer [`time_batches`] and the
+//! of one row, the median-of-batches timer [`time_batches`], the
+//! alternating two-sided timer [`time_alternating`] and the
 //! [`machine_header`] of an artifact. The criterion benches live in the
 //! `benches/` directory:
 //!
@@ -38,6 +39,22 @@ pub struct Timing {
 }
 
 impl Timing {
+    /// The median (the upper one for an even count), fastest and slowest
+    /// of `samples`.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty or holds a NaN.
+    pub fn of(mut samples: Vec<f64>) -> Timing {
+        assert!(!samples.is_empty(), "at least one sample");
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        let n = samples.len();
+        Timing {
+            median: samples[n / 2],
+            min: samples[0],
+            max: samples[n - 1],
+        }
+    }
+
     /// The same timing in another unit: every sample times `factor`.
     pub fn scaled(self, factor: f64) -> Timing {
         Timing {
@@ -72,7 +89,7 @@ pub fn time_batches(batches: usize, batch_seconds: f64, mut f: impl FnMut()) -> 
     f();
     let per_call = probe.elapsed().as_secs_f64().max(1e-9);
     let calls = ((batch_seconds / per_call) as usize).clamp(1, 1_000_000);
-    let mut samples: Vec<f64> = (0..batches)
+    let samples: Vec<f64> = (0..batches)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..calls {
@@ -81,12 +98,43 @@ pub fn time_batches(batches: usize, batch_seconds: f64, mut f: impl FnMut()) -> 
             start.elapsed().as_secs_f64() * 1e9 / calls as f64
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    Timing {
-        median: samples[batches / 2],
-        min: samples[0],
-        max: samples[batches - 1],
+    Timing::of(samples)
+}
+
+/// Times `f` and `g` in alternation, one call per sample, after one
+/// unrecorded warm-up call of each: even rounds time `f` then `g`, odd
+/// rounds `g` then `f`. A host whose speed drifts during the run then
+/// slows both sides alike, not just the side that ran in the slow spell,
+/// so the drift stays out of the ratio of the two medians. Samples are
+/// wall nanoseconds per call.
+///
+/// # Panics
+/// Panics if `rounds` is zero.
+pub fn time_alternating(
+    rounds: usize,
+    mut f: impl FnMut(),
+    mut g: impl FnMut(),
+) -> (Timing, Timing) {
+    assert!(rounds > 0, "at least one round");
+    fn call_ns(h: &mut impl FnMut()) -> f64 {
+        let start = Instant::now();
+        h();
+        start.elapsed().as_secs_f64() * 1e9
     }
+    f();
+    g();
+    let mut f_samples = Vec::with_capacity(rounds);
+    let mut g_samples = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            f_samples.push(call_ns(&mut f));
+            g_samples.push(call_ns(&mut g));
+        } else {
+            g_samples.push(call_ns(&mut g));
+            f_samples.push(call_ns(&mut f));
+        }
+    }
+    (Timing::of(f_samples), Timing::of(g_samples))
 }
 
 /// Appends the `"cores"`, `"avx2"` and `"rustc"` lines of a JSON artifact
@@ -140,6 +188,26 @@ mod tests {
         // Warm-up, probe, then five one-call batches.
         assert_eq!(calls, 7);
         assert!(t.min <= t.median && t.median <= t.max);
+    }
+
+    #[test]
+    fn timing_of_takes_the_upper_median() {
+        let t = Timing::of(vec![4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((t.median, t.min, t.max), (3.0, 1.0, 4.0));
+    }
+
+    #[test]
+    fn time_alternating_swaps_the_lead_every_round() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (f, g) = time_alternating(
+            3,
+            || order.borrow_mut().push('f'),
+            || order.borrow_mut().push('g'),
+        );
+        // Warm-up f and g, then f g | g f | f g.
+        assert_eq!(order.into_inner(), ['f', 'g', 'f', 'g', 'g', 'f', 'f', 'g']);
+        assert!(f.min <= f.median && f.median <= f.max);
+        assert!(g.min <= g.median && g.median <= g.max);
     }
 
     #[test]

@@ -27,8 +27,10 @@ use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
 const PAR_MIN_SEQUENCES: usize = 8;
 /// Minimum E-step work `Σ T·k²` (the dense passes cost `O(T·k²)` per
 /// sequence) for an automatic parallel E-step. On a 2-vCPU AVX2 Xeon, one
-/// and two workers broke even near 2·10⁴ (E-steps of 40–80 µs); from
-/// 1.5·10⁵ up every measured corpus ran 1.5–2x faster on two.
+/// worker won every reading up to 3.4·10³ and two workers every reading
+/// from 1.85·10⁵ (1.5–2x); in between, from about 4·10³ to 10⁵, the
+/// readings split, so the crossover is unresolved there and 2·10⁴ is a
+/// value picked inside that band.
 const PAR_MIN_ESTEP_WORK: usize = 20_000;
 
 /// Strategy for re-estimating the transition matrix from the expected
@@ -425,8 +427,8 @@ where
 /// concatenated in range order — so the result is bit-identical for every
 /// worker policy, including `Serial`. Under `Auto` the E-step additionally
 /// drops to serial below 8 sequences or below `Σ T·k² = 2·10⁴`, where
-/// dispatch overhead would dominate (which cannot change results, only
-/// speed).
+/// dispatch overhead can outweigh the split (which cannot change results,
+/// only speed).
 pub fn e_step_on<E>(
     model: &Hmm<E>,
     sequences: &[Vec<E::Obs>],

@@ -51,9 +51,10 @@
 //! Every sum keeps the op order of the row-at-a-time loops these replace,
 //! and multiply and add stay separate roundings, so the results are the
 //! same bits. The offline engine and the streaming filter and smoother all
-//! call these steps, and each has an AVX2 instantiation of the same body,
-//! chosen at run time once per sequence offline and once per token in a
-//! stream.
+//! call these steps. Offline, the forward, backward and ξ passes of a
+//! sequence run inside one AVX2 instantiation of the same bodies, chosen
+//! at run time once per sequence; the stream's per-token calls run the
+//! generic bodies.
 
 use crate::emission::Emission;
 use crate::error::HmmError;
@@ -436,25 +437,6 @@ pub fn forward_step(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
         e_row.len() == k && out.len() == k,
         "forward_step rows must all have k entries"
     );
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { forward_step_avx2(a, prev, e_row, out) };
-    }
-    forward_step_impl(a, prev, e_row, out);
-}
-
-/// AVX2 instantiation of [`forward_step_impl`] — identical body, wider
-/// autovectorized lanes, bit-identical results (multiply and add stay
-/// separate roundings: Rust never contracts them to FMA).
-///
-/// # Safety
-///
-/// The CPU running it must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn forward_step_avx2(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
     forward_step_impl(a, prev, e_row, out);
 }
 
@@ -528,24 +510,6 @@ pub fn backward_step(at: &Matrix, w: &[f64], out: &mut [f64]) {
     let k = w.len();
     assert_eq!(at.shape(), (k, k), "transition must be k x k");
     assert_eq!(out.len(), k, "backward_step rows must all have k entries");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { backward_step_avx2(at, w, out) };
-    }
-    backward_step_impl(at, w, out);
-}
-
-/// AVX2 instantiation of [`backward_step_impl`] — identical body, wider
-/// autovectorized lanes, bit-identical results.
-///
-/// # Safety
-///
-/// The CPU running it must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn backward_step_avx2(at: &Matrix, w: &[f64], out: &mut [f64]) {
     backward_step_impl(at, w, out);
 }
 
@@ -1196,11 +1160,12 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `forward_step` and `backward_step`, dispatched and as generic bodies
-    /// (which AVX2 hosts never reach through the dispatch), reproduce the
-    /// loops they replace bit for bit, on every tile/remainder split up to
-    /// k = 70 and at k = 128. The inputs carry exact zeros in `prev` (all of
-    /// it in case 4), in `A` (cases 1 and 3) and in the weights.
+    /// `forward_step` and `backward_step` (the generic bodies; the offline
+    /// passes' AVX2 instantiation is pinned by
+    /// `forward_backward_matches_the_rowwise_passes_bit_for_bit`) reproduce
+    /// the loops they replace bit for bit, on every tile/remainder split up
+    /// to k = 70 and at k = 128. The inputs carry exact zeros in `prev` (all
+    /// of it in case 4), in `A` (cases 1 and 3) and in the weights.
     #[test]
     fn sum_product_steps_match_the_rowwise_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x5eed5);
@@ -1212,34 +1177,14 @@ mod tests {
                 rowwise_forward(&a, &prev, &e_row, &mut want);
                 let mut got = vec![f64::NAN; k];
                 forward_step(&a, &prev, &e_row, &mut got);
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "dispatched forward, k={k} case={case}"
-                );
-                let mut gen = vec![f64::NAN; k];
-                forward_step_impl(&a, &prev, &e_row, &mut gen);
-                assert_eq!(
-                    bits(&gen),
-                    bits(&want),
-                    "generic forward, k={k} case={case}"
-                );
+                assert_eq!(bits(&got), bits(&want), "forward, k={k} case={case}");
 
                 // The weights: `prev` with the emission row's zeros folded in.
                 let w: Vec<f64> = prev.iter().zip(&e_row).map(|(p, e)| p * e).collect();
                 dot_backward(&a, &w, &mut want);
+                got.fill(f64::NAN);
                 backward_step(&at, &w, &mut got);
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "dispatched backward, k={k} case={case}"
-                );
-                backward_step_impl(&at, &w, &mut gen);
-                assert_eq!(
-                    bits(&gen),
-                    bits(&want),
-                    "generic backward, k={k} case={case}"
-                );
+                assert_eq!(bits(&got), bits(&want), "backward, k={k} case={case}");
             }
         }
     }

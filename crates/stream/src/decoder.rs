@@ -4,10 +4,9 @@
 //! # Algorithms
 //!
 //! **Filtering.** The scaled forward recursion of the offline engine
-//! ([`dhmm_hmm::scaled`]), one row per pushed token: the new α̂ row is
-//! accumulated in the exact operation order of the offline `forward_pass`
-//! (ascending predecessor index, zero-predecessor skip, emission multiply,
-//! [`dhmm_hmm::scale_row`]), so the streaming filtered rows and the running
+//! ([`dhmm_hmm::scaled`]), one row per pushed token: the dense filter calls
+//! the offline engine's own [`dhmm_hmm::forward_step`] and
+//! [`dhmm_hmm::scale_row`], so the streaming filtered rows and the running
 //! `log P(y_0..t) = Σ log c_t` are **bit-identical** to an offline forward
 //! pass over the same prefix.
 //!
