@@ -9,27 +9,16 @@
 //!   tokens/sec;
 //! * **multiplexed throughput** of a [`SessionPool`] — tokens/sec of batch
 //!   ticks over a sessions × threads sweep, with the 1-thread pool as the
-//!   speedup baseline.
+//!   speedup baseline, plus the smoothed rows each run's ticks emitted.
 //!
-//! With `--lockstep` a third section is recorded: single-core tokens/sec
-//! of the pool's batched lockstep tick versus the per-session scalar path
-//! over S ∈ {1, 8, 64} co-resident sessions — the speedup the tile-major
-//! panel + fused kernel buy when equal-depth sessions advance together (results are
-//! bit-identical either way; see `tests/session_determinism.rs`). The sweep
-//! runs per `--backend` (`dense`, `sparse`, or both): the dense rows use a
-//! Dirichlet transition matrix and the dense fused kernel, the sparse rows a
-//! concentrated-transition model (≈`SPARSE_DENSITY_PCT`% heavy successors
-//! per row, the regime the diversified M-step drives rows toward) through
-//! the CSR lockstep kernel. Each lockstep row also records the batched vs
-//! scalar smoothing-row split, so the panelized-smoothing hit rate is
-//! visible next to the speedup it buys.
+//! A third section compares one pool run with telemetry disabled and
+//! registry-backed.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release -p dhmm_bench --bin stream-bench -- \
 //!     [--output BENCH_stream.json] [--threads 1,2,4] [--k 16,64] \
-//!     [--sessions 32] [--lag 8,64] [--tokens 512] [--lockstep] \
-//!     [--backend dense,sparse]
+//!     [--sessions 32] [--lag 8,64] [--tokens 512]
 //! ```
 //! All flags mirror `mstep-bench`'s comma-separated-list style so the
 //! multi-core rerun workflow covers streaming with the same invocation
@@ -37,9 +26,7 @@
 
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::init::random_stochastic_matrix;
-use dhmm_hmm::sparse::SparseParams;
-use dhmm_hmm::{CsrTransition, Hmm, InferenceBackend};
-use dhmm_linalg::Matrix;
+use dhmm_hmm::Hmm;
 use dhmm_stream::{Parallelism, SessionPool, StreamConfig, StreamingDecoder};
 use dhmm_telemetry::{Histogram, Registry, TelemetrySink, REL_ERROR};
 use rand::rngs::StdRng;
@@ -53,17 +40,6 @@ use std::time::Instant;
 const VOCAB: usize = 64;
 /// Tokens fed per tick batch in the throughput sweep.
 const TICK_CHUNK: usize = 32;
-/// Co-resident session counts of the `--lockstep` sweep (single-core).
-const LOCKSTEP_SESSIONS: [usize; 3] = [1, 8, 64];
-/// Mass shared by the heavy successors of each concentrated transition row
-/// in the sparse-backend sweep (the light remainder is what threshold
-/// pruning removes) — mirrors `sparse-bench`.
-const HEAVY_MASS: f64 = 0.999;
-/// Heavy-successor share per row of the sparse-backend sweep model.
-const SPARSE_DENSITY_PCT: usize = 10;
-/// Threshold + beam of the sparse-backend sweep.
-const SPARSE_THRESHOLD: f64 = 1e-3;
-const SPARSE_BEAM: f64 = 0.01;
 
 struct Args {
     output: String,
@@ -72,8 +48,6 @@ struct Args {
     sessions: Vec<usize>,
     lags: Vec<usize>,
     tokens: usize,
-    lockstep: bool,
-    backends: Vec<String>,
 }
 
 fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
@@ -94,8 +68,6 @@ fn parse_args() -> Args {
         sessions: vec![32],
         lags: vec![8, 64],
         tokens: 512,
-        lockstep: false,
-        backends: vec!["dense".to_string()],
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -114,13 +86,6 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--tokens expects an integer")
             }
-            "--lockstep" => args.lockstep = true,
-            "--backend" => {
-                args.backends = value_of("--backend")
-                    .split(',')
-                    .map(|b| b.trim().to_string())
-                    .collect()
-            }
             other if !other.starts_with('-') => args.output = other.to_string(),
             other => panic!("unknown argument {other:?}"),
         }
@@ -134,16 +99,6 @@ fn parse_args() -> Args {
         assert!(!list.is_empty(), "{name} list must be non-empty");
     }
     assert!(args.tokens > 0, "--tokens must be positive");
-    assert!(
-        !args.backends.is_empty(),
-        "--backend list must be non-empty"
-    );
-    for b in &args.backends {
-        assert!(
-            b == "dense" || b == "sparse",
-            "--backend entries must be dense or sparse, got {b:?}"
-        );
-    }
     args
 }
 
@@ -155,44 +110,6 @@ fn model(k: usize) -> Hmm<DiscreteEmission> {
         &mut rng,
     )
     .expect("valid parameters");
-    let b = random_stochastic_matrix(k, VOCAB, 1.0, &mut rng).expect("valid matrix");
-    Hmm::new(pi, a, DiscreteEmission::new(b).expect("valid emission")).expect("valid model")
-}
-
-/// Builds a model whose transition rows concentrate `HEAVY_MASS` on
-/// ~`density_pct`% of successors (the rest share the light remainder) —
-/// the sparse-backend sweep model, mirroring `sparse-bench`.
-fn concentrated_model(k: usize, density_pct: usize, seed: u64) -> Hmm<DiscreteEmission> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let heavy_per_row = (k * density_pct).div_ceil(100).clamp(1, k);
-    let mut a = Matrix::zeros(k, k);
-    let light = (1.0 - HEAVY_MASS) / (k - heavy_per_row).max(1) as f64;
-    for i in 0..k {
-        let mut cols: Vec<usize> = (0..k).collect();
-        for j in (1..k).rev() {
-            cols.swap(j, rng.gen_range(0..=j));
-        }
-        let heavy = &mut cols[..heavy_per_row];
-        heavy.sort_unstable();
-        let mut weights: Vec<f64> = (0..heavy_per_row)
-            .map(|_| rng.gen_range(0.2..1.0))
-            .collect();
-        let wsum: f64 = weights.iter().sum();
-        for w in &mut weights {
-            *w *= HEAVY_MASS / wsum;
-        }
-        for j in 0..k {
-            a[(i, j)] = light;
-        }
-        for (c, w) in heavy.iter().zip(&weights) {
-            a[(i, *c)] = *w + light;
-        }
-        let row_sum: f64 = a.row(i).iter().sum();
-        for j in 0..k {
-            a[(i, j)] /= row_sum;
-        }
-    }
-    let pi = vec![1.0 / k as f64; k];
     let b = random_stochastic_matrix(k, VOCAB, 1.0, &mut rng).expect("valid matrix");
     Hmm::new(pi, a, DiscreteEmission::new(b).expect("valid emission")).expect("valid model")
 }
@@ -274,32 +191,13 @@ struct ThroughputRow {
     threads: usize,
     tokens_per_sec: f64,
     serial_tokens_per_sec: f64,
+    /// Smoothed rows the ticks of the measured run emitted.
+    smoothing_scalar_rows: u64,
 }
 
 impl ThroughputRow {
     fn speedup(&self) -> f64 {
         self.tokens_per_sec / self.serial_tokens_per_sec
-    }
-}
-
-struct LockstepRow {
-    k: usize,
-    lag: usize,
-    sessions: usize,
-    backend: &'static str,
-    /// Effective density of the CSR-compiled transition matrix (sparse
-    /// rows only).
-    density: Option<f64>,
-    scalar_tokens_per_sec: f64,
-    lockstep_tokens_per_sec: f64,
-    /// Smoothing-row split of the lockstep run.
-    smoothing_batched: u64,
-    smoothing_scalar: u64,
-}
-
-impl LockstepRow {
-    fn speedup(&self) -> f64 {
-        self.lockstep_tokens_per_sec / self.scalar_tokens_per_sec
     }
 }
 
@@ -320,31 +218,27 @@ impl OverheadRow {
 }
 
 /// What one multiplexed run measured: wall-clock throughput plus the
-/// pool-lifetime path counters the run accumulated.
+/// smoothed rows the run's ticks emitted.
+#[derive(Clone, Copy)]
 struct PoolRunStats {
     tokens_per_sec: f64,
-    smoothing_batched: u64,
     smoothing_scalar: u64,
 }
 
 /// One full multiplexed run: `sessions` sessions × `tokens` tokens, fed in
-/// `TICK_CHUNK`-token rounds, under an explicit thread policy and backend.
+/// `TICK_CHUNK`-token rounds, under an explicit thread policy.
 fn pool_run(
     m: &Arc<Hmm<DiscreteEmission>>,
     streams: &[Vec<usize>],
     lag: usize,
     threads: usize,
-    lockstep: bool,
-    backend: InferenceBackend,
     telemetry: TelemetrySink,
 ) -> PoolRunStats {
     let mut pool = SessionPool::with_config(
         Arc::clone(m),
         StreamConfig::default()
             .with_lag(lag)
-            .with_backend(backend)
             .with_parallelism(Parallelism::Threads(threads))
-            .with_lockstep(lockstep)
             .with_telemetry(telemetry),
     )
     .expect("discrete models stream");
@@ -372,7 +266,6 @@ fn pool_run(
     }
     PoolRunStats {
         tokens_per_sec: tokens as f64 / start.elapsed().as_secs_f64(),
-        smoothing_batched: pool.smoothing_batched_total(),
         smoothing_scalar: pool.smoothing_scalar_total(),
     }
 }
@@ -415,54 +308,22 @@ fn main() {
                     .collect();
                 // Warm-up run sizes every session workspace and the pool
                 // scratch, so measured runs see steady-state allocation.
-                // Lockstep is pinned OFF here so the thread-scaling sweep
-                // keeps measuring the per-session scalar path its history
-                // was recorded against; `--lockstep` benches the batched
-                // path separately below.
-                black_box(
-                    pool_run(
-                        &m,
-                        &streams,
-                        lag,
-                        1,
-                        false,
-                        InferenceBackend::Scaled,
-                        TelemetrySink::Disabled,
-                    )
-                    .tokens_per_sec,
-                );
-                let serial = pool_run(
-                    &m,
-                    &streams,
-                    lag,
-                    1,
-                    false,
-                    InferenceBackend::Scaled,
-                    TelemetrySink::Disabled,
-                )
-                .tokens_per_sec;
+                black_box(pool_run(&m, &streams, lag, 1, TelemetrySink::Disabled).tokens_per_sec);
+                let serial = pool_run(&m, &streams, lag, 1, TelemetrySink::Disabled);
                 for &threads in &args.threads {
-                    let tps = if threads == 1 {
+                    let run = if threads == 1 {
                         serial
                     } else {
-                        pool_run(
-                            &m,
-                            &streams,
-                            lag,
-                            threads,
-                            false,
-                            InferenceBackend::Scaled,
-                            TelemetrySink::Disabled,
-                        )
-                        .tokens_per_sec
+                        pool_run(&m, &streams, lag, threads, TelemetrySink::Disabled)
                     };
                     throughput_rows.push(ThroughputRow {
                         k,
                         lag,
                         sessions,
                         threads,
-                        tokens_per_sec: tps,
-                        serial_tokens_per_sec: serial,
+                        tokens_per_sec: run.tokens_per_sec,
+                        serial_tokens_per_sec: serial.tokens_per_sec,
+                        smoothing_scalar_rows: run.smoothing_scalar,
                     });
                 }
             }
@@ -498,31 +359,9 @@ fn main() {
             .map(|i| stream(args.tokens, 3000 + i as u64))
             .collect();
         let best = |sink_of: &dyn Fn() -> TelemetrySink| -> f64 {
-            black_box(
-                pool_run(
-                    &m,
-                    &streams,
-                    0,
-                    1,
-                    true,
-                    InferenceBackend::Scaled,
-                    sink_of(),
-                )
-                .tokens_per_sec,
-            );
+            black_box(pool_run(&m, &streams, 0, 1, sink_of()).tokens_per_sec);
             (0..3)
-                .map(|_| {
-                    pool_run(
-                        &m,
-                        &streams,
-                        0,
-                        1,
-                        true,
-                        InferenceBackend::Scaled,
-                        sink_of(),
-                    )
-                    .tokens_per_sec
-                })
+                .map(|_| pool_run(&m, &streams, 0, 1, sink_of()).tokens_per_sec)
                 .fold(0.0, f64::max)
         };
         let disabled = best(&|| TelemetrySink::Disabled);
@@ -547,95 +386,6 @@ fn main() {
             r.enabled_tokens_per_sec,
             r.overhead_pct()
         );
-    }
-
-    let mut lockstep_rows: Vec<LockstepRow> = Vec::new();
-    if args.lockstep {
-        for backend_name in &args.backends {
-            let sparse = backend_name == "sparse";
-            let backend = if sparse {
-                InferenceBackend::Sparse(
-                    SparseParams::threshold(SPARSE_THRESHOLD).with_beam(SPARSE_BEAM),
-                )
-            } else {
-                InferenceBackend::Scaled
-            };
-            for &k in &args.sizes {
-                let m = Arc::new(if sparse {
-                    concentrated_model(k, SPARSE_DENSITY_PCT, 271)
-                } else {
-                    model(k)
-                });
-                let density = sparse.then(|| {
-                    CsrTransition::compile(
-                        m.transition(),
-                        SparseParams::threshold(SPARSE_THRESHOLD).with_beam(SPARSE_BEAM),
-                    )
-                    .expect("compilable transition")
-                    .density()
-                });
-                for &lag in &args.lags {
-                    for &sessions in &LOCKSTEP_SESSIONS {
-                        let streams: Vec<Vec<usize>> = (0..sessions)
-                            .map(|i| stream(args.tokens, 2000 + i as u64))
-                            .collect();
-                        black_box(
-                            pool_run(&m, &streams, lag, 1, true, backend, TelemetrySink::Disabled)
-                                .tokens_per_sec,
-                        );
-                        let scalar = pool_run(
-                            &m,
-                            &streams,
-                            lag,
-                            1,
-                            false,
-                            backend,
-                            TelemetrySink::Disabled,
-                        );
-                        let lockstep =
-                            pool_run(&m, &streams, lag, 1, true, backend, TelemetrySink::Disabled);
-                        lockstep_rows.push(LockstepRow {
-                            k,
-                            lag,
-                            sessions,
-                            backend: if sparse { "sparse" } else { "dense" },
-                            density,
-                            scalar_tokens_per_sec: scalar.tokens_per_sec,
-                            lockstep_tokens_per_sec: lockstep.tokens_per_sec,
-                            smoothing_batched: lockstep.smoothing_batched,
-                            smoothing_scalar: lockstep.smoothing_scalar,
-                        });
-                    }
-                }
-            }
-        }
-
-        println!("\nstream: lockstep vs scalar tick, single core\n");
-        println!(
-            "{:>6} {:>4} {:>5} {:>9} {:>14} {:>14} {:>9} {:>12}",
-            "path",
-            "k",
-            "lag",
-            "sessions",
-            "scalar tok/s",
-            "lockstep tok/s",
-            "speedup",
-            "smooth b/s"
-        );
-        for r in &lockstep_rows {
-            println!(
-                "{:>6} {:>4} {:>5} {:>9} {:>14.0} {:>14.0} {:>8.2}x {:>6}/{:<5}",
-                r.backend,
-                r.k,
-                r.lag,
-                r.sessions,
-                r.scalar_tokens_per_sec,
-                r.lockstep_tokens_per_sec,
-                r.speedup(),
-                r.smoothing_batched,
-                r.smoothing_scalar,
-            );
-        }
     }
 
     let mut json = String::new();
@@ -668,8 +418,8 @@ fn main() {
     for (i, r) in throughput_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"k\": {}, \"lag\": {}, \"sessions\": {}, \"threads\": {}, \"tokens_per_sec\": {:.0}, \"speedup_vs_serial\": {:.2}}}",
-            r.k, r.lag, r.sessions, r.threads, r.tokens_per_sec, r.speedup()
+            "    {{\"k\": {}, \"lag\": {}, \"sessions\": {}, \"threads\": {}, \"tokens_per_sec\": {:.0}, \"speedup_vs_serial\": {:.2}, \"smoothing_scalar_rows\": {}}}",
+            r.k, r.lag, r.sessions, r.threads, r.tokens_per_sec, r.speedup(), r.smoothing_scalar_rows
         );
         json.push_str(if i + 1 < throughput_rows.len() {
             ",\n"
@@ -686,32 +436,6 @@ fn main() {
             r.k, r.disabled_tokens_per_sec, r.enabled_tokens_per_sec, r.overhead_pct()
         );
         json.push_str(if i + 1 < overhead_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"lockstep\": [\n");
-    for (i, r) in lockstep_rows.iter().enumerate() {
-        // A singleton group never forms a lockstep panel (the pool's
-        // LOCKSTEP_MIN_GROUP is 2), so the S=1 row measures the scalar
-        // fallback, not the batched kernel.
-        let path = if r.sessions < 2 {
-            "scalar-fallback".to_string()
-        } else {
-            format!("lockstep-{}", r.backend)
-        };
-        let density = r
-            .density
-            .map(|d| format!(", \"density\": {d:.4}"))
-            .unwrap_or_default();
-        let _ = write!(
-            json,
-            "    {{\"k\": {}, \"lag\": {}, \"sessions\": {}, \"threads\": 1, \"backend\": \"{}\", \"path\": \"{}\"{}, \"scalar_tokens_per_sec\": {:.0}, \"lockstep_tokens_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.2}, \"smoothing_batched_rows\": {}, \"smoothing_scalar_rows\": {}}}",
-            r.k, r.lag, r.sessions, r.backend, path, density, r.scalar_tokens_per_sec, r.lockstep_tokens_per_sec, r.speedup(), r.smoothing_batched, r.smoothing_scalar
-        );
-        json.push_str(if i + 1 < lockstep_rows.len() {
             ",\n"
         } else {
             "\n"

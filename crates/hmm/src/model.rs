@@ -11,10 +11,9 @@ use dhmm_linalg::Matrix;
 /// * `B` — emission model implementing [`Emission`].
 ///
 /// The model also keeps `Aᵀ` ([`Hmm::transition_t`]) for the backward
-/// recursion and the streaming lockstep kernel, which read the predecessors
-/// of a state as one contiguous row. [`Hmm::new`] and
-/// [`Hmm::set_transition`] are the only code that writes `A`, and both
-/// rebuild `Aᵀ`, so the two never disagree.
+/// recursion, which reads the predecessors of a state as one contiguous
+/// row. [`Hmm::new`] and [`Hmm::set_transition`] are the only code that
+/// writes `A`, and both rebuild `Aᵀ`, so the two never disagree.
 #[derive(Debug, Clone)]
 pub struct Hmm<E: Emission> {
     initial: Vec<f64>,

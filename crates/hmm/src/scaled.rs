@@ -62,7 +62,7 @@ use crate::forward_backward::SequenceStats;
 use crate::model::Hmm;
 use crate::util::finite_shift;
 use crate::workspace::InferenceWorkspace;
-use dhmm_linalg::{CsrMatrix, Matrix};
+use dhmm_linalg::Matrix;
 
 /// Which inference engine to run.
 ///
@@ -209,8 +209,8 @@ pub fn scale_row(row: &mut [f64], shift: f64) -> (f64, f64) {
 
 /// Max-normalizes one Viterbi score row in place and returns the step's log
 /// scaling term: the one zero-probability rule of every Viterbi recursion.
-/// The offline dense and sparse engines, the streaming decoder's per-token
-/// step and its lockstep finish all call it.
+/// The offline dense and sparse engines and the streaming decoder's
+/// per-token step all call it.
 ///
 /// * When the row's maximum `m` is positive and finite, the row is divided
 ///   by `m` and the term is `ln m + shift`.
@@ -298,8 +298,7 @@ fn cover_states<const W: usize, B: StateTile>(k: usize, body: &mut B) {
 /// in ascending `i` and a candidate replaces the running max only when
 /// strictly greater: the column-wise loop's op order, bit for bit. The
 /// argmax is carried as an `f64` lane (every index below 2⁵³ is exact), so
-/// the compare-select stays in one vector domain, as in `dhmm_stream`'s
-/// lockstep kernel.
+/// the compare-select stays in one vector domain.
 ///
 /// The offline dense engine ([`viterbi_scaled_with_score`]) and the
 /// streaming decoder's per-token step both call this function, which is
@@ -596,119 +595,6 @@ fn xi_tiles_impl(a: &Matrix, alpha: &[f64], w: &[f64], steps: &[usize], out: &mu
                 let o = (i0 + r) * k + j0;
                 out[o..o + cols].copy_from_slice(&acc_row[..cols]);
             }
-        }
-    }
-}
-
-/// One panelized step of the fixed-lag backward recursion for a lane-tiled
-/// group of streaming sessions: `β(τ)[s][i] = Σ_j a[(i, j)] · w[s][j]`,
-/// where `w_t` / `beta_t` hold the per-session weight and output rows
-/// *tile-major* — session `s` lives in tile `s / LANES`, lane `s % LANES`,
-/// and entry `(s, j)` sits at `(s / LANES)·k·LANES + j·LANES + s % LANES`
-/// (the layout of `dhmm_stream`'s lockstep panels).
-///
-/// This is a transposed GEMM (`W · Aᵀ`), but deliberately *not* routed
-/// through a row-dot GEMM kernel: bit-identity with the scalar backward dot
-/// forbids reassociating any session's `Σ_j` chain, and a row-major GEMM's
-/// per-entry single-accumulator dot carries the exact same loop-borne
-/// dependency as the scalar pass — no speedup to be had. Broadcasting each
-/// `a[(i, j)]` across the session lanes instead keeps every lane's
-/// accumulation in the scalar op order (ascending `j`, one accumulator,
-/// `a · w` operand order — never reassociated *within* a session) while
-/// vectorizing *across* sessions, exactly like the fused lockstep kernel.
-///
-/// Public for `dhmm_stream`'s batched smoothing pass, same rationale as
-/// [`emission_likelihood_row`] / [`scale_row`]: the panel must reproduce
-/// the offline backward recursion's bits.
-pub fn beta_panel_step<const LANES: usize>(a: &Matrix, w_t: &[f64], beta_t: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { beta_panel_step_avx2::<LANES>(a, w_t, beta_t) };
-    }
-    beta_panel_step_impl::<LANES>(a, w_t, beta_t);
-}
-
-/// AVX2 instantiation of [`beta_panel_step_impl`] — identical body, wider
-/// autovectorized lanes, bit-identical results (Rust never contracts to
-/// FMA, so each lane keeps the separate mul + add roundings).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn beta_panel_step_avx2<const LANES: usize>(a: &Matrix, w_t: &[f64], beta_t: &mut [f64]) {
-    beta_panel_step_impl::<LANES>(a, w_t, beta_t);
-}
-
-#[inline(always)]
-fn beta_panel_step_impl<const LANES: usize>(a: &Matrix, w_t: &[f64], beta_t: &mut [f64]) {
-    let k = a.rows();
-    let kl = k * LANES;
-    for (w_tile, b_tile) in w_t.chunks_exact(kl).zip(beta_t.chunks_exact_mut(kl)) {
-        for i in 0..k {
-            let mut acc = [0.0f64; LANES];
-            for (w8, &aij) in w_tile.chunks_exact(LANES).zip(a.row(i)) {
-                for l in 0..LANES {
-                    acc[l] += aij * w8[l];
-                }
-            }
-            b_tile[i * LANES..(i + 1) * LANES].copy_from_slice(&acc);
-        }
-    }
-}
-
-/// CSR instantiation of [`beta_panel_step`] for sparse-backend groups:
-/// `β(τ)[s][i] = Σ_{stored (i, j)} ã[(i, j)] · w[s][j]` over the pruned
-/// matrix's stored entries only. Each lane reproduces the scalar sparse
-/// backward dot ([`CsrMatrix::dot_row`]) bit-for-bit: ascending stored
-/// order, one register-resident accumulator per lane, `ã · w` operand
-/// order — the panel broadcasts each stored value across the session lanes
-/// instead of reassociating within one.
-pub fn beta_panel_step_sparse<const LANES: usize>(
-    fwd: &CsrMatrix,
-    w_t: &[f64],
-    beta_t: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { beta_panel_step_sparse_avx2::<LANES>(fwd, w_t, beta_t) };
-    }
-    beta_panel_step_sparse_impl::<LANES>(fwd, w_t, beta_t);
-}
-
-/// AVX2 instantiation of [`beta_panel_step_sparse_impl`] — identical body,
-/// wider autovectorized lanes, bit-identical results (no FMA contraction).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn beta_panel_step_sparse_avx2<const LANES: usize>(
-    fwd: &CsrMatrix,
-    w_t: &[f64],
-    beta_t: &mut [f64],
-) {
-    beta_panel_step_sparse_impl::<LANES>(fwd, w_t, beta_t);
-}
-
-#[inline(always)]
-fn beta_panel_step_sparse_impl<const LANES: usize>(
-    fwd: &CsrMatrix,
-    w_t: &[f64],
-    beta_t: &mut [f64],
-) {
-    let k = fwd.rows();
-    let kl = k * LANES;
-    for (w_tile, b_tile) in w_t.chunks_exact(kl).zip(beta_t.chunks_exact_mut(kl)) {
-        for i in 0..k {
-            let mut acc = [0.0f64; LANES];
-            let (cols, vals) = fwd.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let o = j as usize * LANES;
-                let w8: &[f64; LANES] = w_tile[o..o + LANES].try_into().unwrap();
-                for l in 0..LANES {
-                    acc[l] += v * w8[l];
-                }
-            }
-            b_tile[i * LANES..(i + 1) * LANES].copy_from_slice(&acc);
         }
     }
 }
@@ -1369,26 +1255,6 @@ mod tests {
                 bits(want_xi.as_slice()),
                 "generic xi, k={k}"
             );
-        }
-    }
-
-    /// The dispatched backward panel step and its generic body agree bit
-    /// for bit (AVX2 hosts otherwise never run the generic body).
-    #[test]
-    fn beta_panel_step_generic_body_matches_the_dispatch() {
-        const LANES: usize = 8;
-        let mut rng = StdRng::seed_from_u64(17);
-        for k in [1usize, 3, 8, 15, 16, 33] {
-            let a = Matrix::from_fn(k, k, |_, _| rng.gen_range(0.0..1.0));
-            let w: Vec<f64> = (0..2 * k * LANES)
-                .map(|_| rng.gen_range(0.0..1.0))
-                .collect();
-            let mut got = vec![0.0; w.len()];
-            let mut gen = vec![0.0; w.len()];
-            beta_panel_step::<LANES>(&a, &w, &mut got);
-            beta_panel_step_impl::<LANES>(&a, &w, &mut gen);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&gen), "k={k}");
         }
     }
 }

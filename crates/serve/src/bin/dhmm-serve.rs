@@ -50,10 +50,9 @@ dhmm-serve — serve a diversified-HMM checkpoint over TCP
 USAGE:
   dhmm-serve serve --model <path> [--addr <host:port>] [--lag <n>]
                    [--threads <n>] [--pending-cap <n>] [--committed-cap <n>]
-                   [--max-idle-ticks <n>] [--lockstep true|false]
-                   [--backend scaled|sparse] [--sparse-threshold <p>]
-                   [--sparse-top-p <p>] [--sparse-beam <p>]
-                   [--telemetry true|false]
+                   [--max-idle-ticks <n>] [--backend scaled|sparse]
+                   [--sparse-threshold <p>] [--sparse-top-p <p>]
+                   [--sparse-beam <p>] [--telemetry true|false]
 
   Telemetry is on by default: the engine records counters, gauges and
   latency histograms into the process-global registry, scrapeable over
@@ -64,8 +63,7 @@ USAGE:
   --sparse-threshold drops entries below p (default 0, exact), or
   --sparse-top-p keeps the smallest prefix covering mass p; --sparse-beam
   additionally prunes filter states below p * max per step (approximate,
-  with a tracked per-session error bound). Sparse serving disables
-  lockstep batching.
+  with a tracked per-session error bound).
   dhmm-serve make-model --out <path> --k <n> [--vocab <n>]
                         [--family discrete|gaussian] [--seed <n>]
   dhmm-serve client --addr <host:port> --script <path>
@@ -117,7 +115,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let pending_cap: usize = take_parsed(&flags, "pending-cap", 4096)?;
     let committed_cap: usize = take_parsed(&flags, "committed-cap", 65536)?;
     let max_idle_ticks: u64 = take_parsed(&flags, "max-idle-ticks", 0)?;
-    let lockstep: bool = take_parsed(&flags, "lockstep", true)?;
     let telemetry: bool = take_parsed(&flags, "telemetry", true)?;
     let backend = parse_backend(&flags)?;
 
@@ -137,7 +134,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         } else {
             Some(max_idle_ticks)
         })
-        .with_lockstep(lockstep)
         .with_telemetry(if telemetry {
             TelemetrySink::process_global()
         } else {

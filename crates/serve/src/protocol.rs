@@ -39,7 +39,7 @@
 //! | `ok flushed <start> <n> <label>… ll <float> tokens <t>` | `flush` — the tail, final log-likelihood, token count |
 //! | `ok closed` | `close` |
 //! | `ok epoch <e>` | `swap-model` — the newly published epoch |
-//! | `ok stats active <n> epoch <e> clock <c> evicted <n> lockstep <n> scalar <n> smoothing-batched <n> smoothing-scalar <n>` | `stats` |
+//! | `ok stats active <n> epoch <e> clock <c> evicted <n> lockstep 0 scalar <n> smoothing-batched 0 smoothing-scalar <n>` | `stats` |
 //! | `ok metrics␊<exposition…>` | `metrics` — everything after the first newline is the Prometheus-style text exposition, verbatim |
 //! | `err <code> <message…>` | any verb |
 //!
@@ -47,6 +47,11 @@
 //! tag, one `\n`, then the exposition text exactly as the registry rendered
 //! it (itself newline-terminated). Everything else stays single-line
 //! whitespace-tokenized.
+//!
+//! In `ok stats`, `lockstep` and `smoothing-batched` always read 0: every
+//! ticked token and smoothed row goes through the per-session path and is
+//! counted by `scalar` and `smoothing-scalar`. The fields stay so existing
+//! clients parse the reply unchanged.
 
 use crate::error::ServeError;
 use dhmm_stream::SessionId;
@@ -277,13 +282,14 @@ pub enum Response {
         clock: u64,
         /// Sessions evicted for idleness over the pool's lifetime.
         evicted: u64,
-        /// Tokens the pool advanced through the batched lockstep path.
+        /// Always 0 (the wire field `lockstep` is kept for compatibility).
         lockstep_tokens: u64,
-        /// Tokens the pool advanced through the per-session scalar path.
+        /// Tokens the pool advanced through its ticks.
         scalar_tokens: u64,
-        /// Smoothed rows emitted through the batched panel pass.
+        /// Always 0 (the wire field `smoothing-batched` is kept for
+        /// compatibility).
         smoothing_batched: u64,
-        /// Smoothed rows emitted through the scalar backward pass.
+        /// Smoothed rows the pool's ticks emitted.
         smoothing_scalar: u64,
     },
     /// `metrics` snapshot: the Prometheus-style text exposition, carried

@@ -35,6 +35,7 @@ use dhmm_hmm::model::Hmm;
 use dhmm_runtime::Parallelism;
 use dhmm_stream::{InferenceBackend, SessionPool, StreamConfig};
 use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,11 +72,6 @@ pub struct ServeConfig {
     /// Engine heartbeat: how long the engine waits for traffic before
     /// running an idle tick (advancing the eviction clock).
     pub idle_tick: Duration,
-    /// Batched lockstep ticks (see [`StreamConfig::lockstep`]): same-epoch
-    /// sessions with equal pending depth advance through a shared
-    /// structure-of-arrays panel, bit-identical to the per-session path.
-    /// On by default; disable only to A/B the scalar path.
-    pub lockstep: bool,
     /// Metrics sink, forwarded to the session pool and used for the
     /// engine's own per-verb counters/latency histograms. With a registry
     /// attached the `metrics` verb serves its text exposition; under
@@ -94,7 +90,6 @@ impl Default for ServeConfig {
             committed_cap: Some(65536),
             max_idle_ticks: None,
             idle_tick: Duration::from_millis(20),
-            lockstep: true,
             telemetry: TelemetrySink::default(),
         }
     }
@@ -144,12 +139,6 @@ impl ServeConfig {
         self
     }
 
-    /// Returns a copy with batched lockstep ticks enabled or disabled.
-    pub fn with_lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = lockstep;
-        self
-    }
-
     /// Returns a copy recording metrics into the given sink
     /// ([`TelemetrySink::Disabled`] by default; `dhmm-serve` the binary
     /// defaults to the process-global registry).
@@ -165,7 +154,6 @@ impl ServeConfig {
             .with_parallelism(self.parallelism)
             .with_pending_cap(self.pending_cap)
             .with_committed_cap(self.committed_cap)
-            .with_lockstep(self.lockstep)
             .with_telemetry(self.telemetry.clone())
     }
 }
@@ -764,10 +752,14 @@ where
         })?;
 
     let accept_stop = Arc::clone(&stop);
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    // Live connections by number: a clone of each accepted stream, so
+    // shutdown can unblock its reader. The client thread removes its own
+    // entry when its loop ends, closing the last descriptor it held.
+    let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
     let accept_thread = thread::Builder::new()
         .name("dhmm-serve-accept".into())
         .spawn(move || {
+            let mut next_conn = 0u64;
             loop {
                 if accept_stop.load(Ordering::SeqCst) || signals::shutdown_requested() {
                     break;
@@ -775,13 +767,22 @@ where
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nodelay(true);
+                        let conn = next_conn;
+                        next_conn += 1;
                         if let Ok(clone) = stream.try_clone() {
-                            conns.lock().expect("conn registry").push(clone);
+                            conns.lock().expect("conn registry").insert(conn, clone);
                         }
                         let tx = tx.clone();
-                        let _ = thread::Builder::new()
+                        let registry = Arc::clone(&conns);
+                        let spawned = thread::Builder::new()
                             .name("dhmm-serve-client".into())
-                            .spawn(move || client_loop(stream, tx));
+                            .spawn(move || {
+                                client_loop(stream, tx);
+                                registry.lock().expect("conn registry").remove(&conn);
+                            });
+                        if spawned.is_err() {
+                            conns.lock().expect("conn registry").remove(&conn);
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(5));
@@ -791,7 +792,7 @@ where
             }
             // Unblock every reader so client threads exit and drop their
             // channel senders; the engine then drains and stops.
-            for conn in conns.lock().expect("conn registry").drain(..) {
+            for (_, conn) in conns.lock().expect("conn registry").drain() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
             drop(tx);

@@ -79,8 +79,8 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
         "dhmm_serve_errors_total",
         "dhmm_stream_ticks_total",
         "dhmm_stream_tick_duration_ns",
-        "dhmm_stream_lockstep_tokens_total",
         "dhmm_stream_scalar_tokens_total",
+        "dhmm_stream_smoothing_scalar_rows_total",
         "dhmm_stream_sparse_error_bound_max",
         "dhmm_stream_sparse_error_bound_sum",
         "dhmm_stream_evicted_sessions_total",
@@ -98,6 +98,11 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
         Some(0.0),
         "error families must render an explicit 0 before the first failure"
     );
+    // Every token runs the per-session step: no lockstep or
+    // batched-smoothing families.
+    for gone in ["dhmm_stream_lockstep", "dhmm_stream_smoothing_batched"] {
+        assert!(!before.contains(gone), "retired family {gone}* rendered");
+    }
 
     // Drive traffic: two sessions, interleaved pushes, a swap, an error,
     // and an idle eviction.
@@ -165,12 +170,8 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
         sample(&after, "dhmm_stream_tick_duration_ns_count"),
         Some(ticks)
     );
-    let lockstep = sample(&after, "dhmm_stream_lockstep_tokens_total").unwrap();
     let scalar = sample(&after, "dhmm_stream_scalar_tokens_total").unwrap();
-    assert!(
-        lockstep + scalar > 0.0,
-        "no decoded tokens counted: lockstep={lockstep} scalar={scalar}"
-    );
+    assert!(scalar > 0.0, "no decoded tokens counted");
 
     // Engine-level gauges and error counters.
     assert_eq!(sample(&after, "dhmm_serve_epoch"), Some(1.0));
@@ -200,7 +201,8 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
     assert!(evicted >= 1.0, "idle session was not evicted: {evicted}");
 
     // Stats parity: the wire `stats` reply reads the same storage the
-    // exposition renders, so the shared fields must agree exactly.
+    // exposition renders, so the shared fields must agree exactly. The
+    // `lockstep` and `smoothing-batched` fields stay on the wire at 0.
     let stats = match client.call(&Request::Stats).unwrap() {
         Response::Stats {
             active,
@@ -230,18 +232,12 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
         sample(&text, "dhmm_stream_evicted_sessions_total"),
         Some(stats.3 as f64)
     );
-    assert_eq!(
-        sample(&text, "dhmm_stream_lockstep_tokens_total"),
-        Some(stats.4 as f64)
-    );
+    assert_eq!(stats.4, 0);
     assert_eq!(
         sample(&text, "dhmm_stream_scalar_tokens_total"),
         Some(stats.5 as f64)
     );
-    assert_eq!(
-        sample(&text, "dhmm_stream_smoothing_batched_rows_total"),
-        Some(stats.6 as f64)
-    );
+    assert_eq!(stats.6, 0);
     assert_eq!(
         sample(&text, "dhmm_stream_smoothing_scalar_rows_total"),
         Some(stats.7 as f64)

@@ -48,16 +48,15 @@
 //! the offline score, bit for bit.
 
 use crate::error::StreamError;
-use crate::workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace, LANES};
+use crate::workspace::{StreamScratch, StreamWorkspace};
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::scaled::{
-    backward_step, beta_panel_step, beta_panel_step_sparse, emission_likelihood_row, forward_step,
-    scale_row, viterbi_scale_row, viterbi_step,
+    backward_step, emission_likelihood_row, forward_step, scale_row, viterbi_scale_row,
+    viterbi_step,
 };
 use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
-use dhmm_linalg::{CsrMatrix, Matrix};
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, Histogram, TelemetrySink};
 
@@ -71,11 +70,10 @@ pub(crate) fn ring_window(lag: usize) -> usize {
 
 /// One fixed-lag smoothing decision, derived by [`smoothing_action`] /
 /// [`flush_smoothing_action`]. These two functions are the single source of
-/// the smoothing-window extents: the scalar per-push tail, the lockstep
-/// finish pass and the batched panel gather all consume the same numbers
-/// instead of re-deriving them.
+/// the smoothing-window extents: the per-push tail and the flush both
+/// consume the same numbers instead of re-deriving them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SmoothAction {
+enum SmoothAction {
     /// `lag = 0`: β ≡ 1 over a window of one, so the smoothed row for `t`
     /// *is* the filtered row — copied out verbatim, never re-normalized
     /// (the α̂ row's sum may differ from 1.0 in the last ulp, and the
@@ -96,10 +94,8 @@ pub(crate) enum SmoothAction {
 /// first not-yet-emitted time `smoothed_upto`. With `lag > 0` the block
 /// fires once `2L` un-smoothed steps have accumulated; because the boundary
 /// is checked on every push, it is reached by exact equality, so every
-/// mid-stream block spans exactly `2L` steps and emits exactly `L` rows —
-/// the invariant the batched panel gather relies on to co-schedule sessions
-/// at different absolute `t`.
-pub(crate) fn smoothing_action(lag: usize, t: usize, smoothed_upto: usize) -> Option<SmoothAction> {
+/// mid-stream block spans exactly `2L` steps and emits exactly `L` rows.
+fn smoothing_action(lag: usize, t: usize, smoothed_upto: usize) -> Option<SmoothAction> {
     if lag == 0 {
         return Some(SmoothAction::CopyFiltered);
     }
@@ -124,11 +120,7 @@ pub(crate) fn smoothing_action(lag: usize, t: usize, smoothed_upto: usize) -> Op
 /// `last`, unlike the mid-stream block's `t − lag`. `None` when `lag = 0`
 /// (every row was copied out as it streamed) or when the block passes have
 /// already emitted through `last`.
-pub(crate) fn flush_smoothing_action(
-    lag: usize,
-    last: usize,
-    smoothed_upto: usize,
-) -> Option<SmoothAction> {
+fn flush_smoothing_action(lag: usize, last: usize, smoothed_upto: usize) -> Option<SmoothAction> {
     if lag > 0 && smoothed_upto <= last {
         Some(SmoothAction::Block {
             from: last,
@@ -157,9 +149,7 @@ pub struct StreamConfig {
     /// construction. Under the sparse backend the per-session
     /// log-likelihood is a certified lower bound on the exact value under
     /// the pruned matrix, with the gap tracked by
-    /// [`StreamWorkspace::sparse_error_bound`]; pool ticks batch in
-    /// lockstep under both backends (the sparse groups walk the shared
-    /// CSR-compiled matrix once per step).
+    /// [`StreamWorkspace::sparse_error_bound`].
     pub backend: InferenceBackend,
     /// Worker policy for [`crate::SessionPool`] batch ticks (ignored by a
     /// standalone decoder, which is single-session and inherently serial).
@@ -174,14 +164,6 @@ pub struct StreamConfig {
     /// consumer has let this many committed labels accumulate without
     /// `take_committed`, further pushes fail with [`StreamError::Lagging`].
     pub committed_cap: Option<usize>,
-    /// Batched lockstep decoding in [`crate::SessionPool::tick`]: groups of
-    /// ≥ 2 same-epoch sessions with equal pending depth advance one token
-    /// per step through a shared structure-of-arrays panel (one fused
-    /// filter + Viterbi pass over the transition matrix instead of S
-    /// separate k² loops). Output is bit-identical to the
-    /// per-session path; disable only to A/B the scalar path (ignored by a
-    /// standalone decoder, which is single-session by construction).
-    pub lockstep: bool,
     /// Metrics sink. [`TelemetrySink::Disabled`] (the default) compiles the
     /// record path to no-ops — no clock reads, no atomics; with a registry
     /// attached, counters/histograms cost relaxed `fetch_add`s and stay
@@ -199,7 +181,6 @@ impl Default for StreamConfig {
             parallelism: Parallelism::default(),
             pending_cap: None,
             committed_cap: None,
-            lockstep: true,
             telemetry: TelemetrySink::default(),
         }
     }
@@ -236,12 +217,6 @@ impl StreamConfig {
     /// unbounded).
     pub fn with_committed_cap(mut self, cap: Option<usize>) -> Self {
         self.committed_cap = cap;
-        self
-    }
-
-    /// Returns a copy with batched lockstep pool ticks enabled or disabled.
-    pub fn with_lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = lockstep;
         self
     }
 
@@ -333,7 +308,7 @@ pub struct FlushOutput<'a> {
 /// [`viterbi_step`] itself.
 ///
 /// Returns the number of smoothed posterior rows emitted into
-/// `scratch.smoothed` by this push (the pool's smoothing-path counters).
+/// `scratch.smoothed` by this push (the pool counts them per tick).
 pub(crate) fn push_token<E: Emission>(
     model: &Hmm<E>,
     lag: usize,
@@ -463,31 +438,6 @@ pub(crate) fn push_token<E: Emission>(
         }
     }
 
-    let rows = commit_and_smooth(model, lag, backend, ws, scratch, t);
-    ws.t = t + 1;
-    rows
-}
-
-/// The per-token tail of the scalar path: both commit rules plus the
-/// fixed-lag smoothing action, for the token at time `t` (whose
-/// filter/Viterbi rows are already in the rings). Does not advance `ws.t` —
-/// the caller does. Returns the smoothed rows emitted.
-fn commit_and_smooth<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-    t: usize,
-) -> usize {
-    commit_rules(ws, scratch, t, lag);
-    apply_smoothing(model, lag, backend, ws, scratch, t)
-}
-
-/// Both Viterbi commit rules for the token at time `t` — shared verbatim by
-/// the scalar path and the lockstep finish pass (which defers only the
-/// smoothing block, never the commits).
-fn commit_rules(ws: &mut StreamWorkspace, scratch: &mut StreamScratch, t: usize, lag: usize) {
     // --- Commit rule 1: path convergence (amortized). The level-set walk
     // costs O(window · k), so it is re-armed only after the uncommitted
     // window has grown by ~half its post-walk length: total walk cost stays
@@ -504,21 +454,9 @@ fn commit_rules(ws: &mut StreamWorkspace, scratch: &mut StreamScratch, t: usize,
     if ws.base + lag <= t {
         force_commit(ws, scratch, t, t - lag);
     }
-}
 
-/// Applies the [`smoothing_action`] for the token at time `t` through the
-/// scalar backward pass, advancing `ws.smoothed_upto`. Returns the smoothed
-/// rows emitted into `scratch.smoothed`.
-fn apply_smoothing<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-    t: usize,
-) -> usize {
-    let k = ws.num_states;
-    match smoothing_action(lag, t, ws.smoothed_upto) {
+    // --- Fixed-lag smoothing.
+    let rows = match smoothing_action(lag, t, ws.smoothed_upto) {
         Some(SmoothAction::CopyFiltered) => {
             scratch.smoothed[..k].copy_from_slice(ws.alpha_row(t));
             scratch.smoothed_len = 1;
@@ -536,554 +474,9 @@ fn apply_smoothing<E: Emission>(
             emit_upto - downto + 1
         }
         None => 0,
-    }
-}
-
-/// Lockstep step 1 of 3 — stages session `s`'s next token into the group
-/// panel: computes the emission row into the session's ring (recording the
-/// log-shift), and scatters `α̂(t-1)`, `δ(t-1)` and `e(t)` into the
-/// state-major panel columns (zeros for `α̂` at `t = 0`: the fused kernel's
-/// sums contribute nothing and the `π ⊙ e` row is written by the finish
-/// pass).
-///
-/// `δ(t-1)` is reloaded from the session's rolling rows every step rather
-/// than carried across steps inside the panel, because a forced commit in
-/// the previous step's finish pass prunes the rolling row *in place* — a
-/// stale panel copy would silently diverge from the scalar path.
-pub(crate) fn lockstep_stage<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    ws: &mut StreamWorkspace,
-    panel: &mut BatchPanel,
-    s: usize,
-    obs: &E::Obs,
-) {
-    assert!(
-        !ws.finished,
-        "lockstep step on a flushed session; the pool must not group it"
-    );
-    let k = model.num_states();
-    let window = ring_window(lag);
-    if ws.shape() != (k, window) {
-        ws.ensure(k, window);
-    }
-    let t = ws.t;
-    let slot = ws.slot(t);
-    // Session s's cell for state j sits at `tb + j * LANES` (tile-major).
-    let tb = (s / LANES) * k * LANES + (s % LANES);
-
-    // Emission row into the ring — identical numerics to the scalar step.
-    let shift = {
-        let e_row = &mut ws.emis[slot * k..(slot + 1) * k];
-        emission_likelihood_row(model.emission(), obs, e_row)
     };
-    panel.shift[s] = shift;
-    panel.first[s] = t == 0;
-
-    if t == 0 {
-        for j in 0..k {
-            panel.alpha_t[tb + j * LANES] = 0.0;
-        }
-    } else {
-        let alpha = ws.alpha_row(t - 1);
-        let prev = &ws.delta[((t - 1) % 2) * k..((t - 1) % 2) * k + k];
-        for j in 0..k {
-            panel.alpha_t[tb + j * LANES] = alpha[j];
-            panel.prev_t[tb + j * LANES] = prev[j];
-        }
-    }
-    let e_row = &ws.emis[slot * k..(slot + 1) * k];
-    for (j, &e) in e_row.iter().enumerate() {
-        panel.emis_t[tb + j * LANES] = e;
-    }
-}
-
-/// Lockstep step 2 of 3 — the fused filter + Viterbi kernel over the
-/// state-major panels. One pass over the transition matrix advances both
-/// per-token recursions for every session at once: for state `j` and
-/// session `s`,
-///
-/// * `sum_t[j][s]  = Σ_i α̂_i(t-1)[s] · a[(i, j)]` (the filter's transition
-///   sum — the emission multiply and rescale happen in the finish pass),
-/// * `cur_t[j][s]  = (max_i δ_i(t-1)[s] · a[(i, j)]) · e_j(t)[s]`, with the
-///   argmax in `psi_t`.
-///
-/// Fusing matters because both recursions stream the same `k × k`
-/// transition row per output state: one broadcast of `a[(i, j)]` feeds the
-/// filter's multiply-add and the Viterbi's multiply-max, halving loop
-/// overhead and `A` traffic versus running a GEMM and a max-product kernel
-/// back to back.
-///
-/// `at` is the model's `Aᵀ` ([`Hmm::transition_t`]), so the predecessors of
-/// state `j` are one contiguous row.
-///
-/// The kernel is register-tiled: the tile-major panel layout lets it walk
-/// [`LANES`]-wide session blocks with fixed-size accumulators the compiler
-/// keeps in vector registers over the whole predecessor loop (instead of a
-/// memory-carried running max), while the predecessor loop reads
-/// *contiguous* memory via exact-size chunks — no strided loads and no
-/// per-iteration bounds checks. The argmax is tracked as an `f64` lane
-/// (`fi` counts predecessors; every index < k is exactly representable) so
-/// the compare+blend stays in one vector domain, and is cast back at
-/// writeout.
-///
-/// Semantics per session are the scalar step's exactly:
-///
-/// * the filter sum accumulates over ascending `i` with no skip — the
-///   scalar loop skips `α̂_i = 0` predecessors, but adding their `+0.0`
-///   terms is bit-identical because every partial sum is non-negative;
-/// * the max runs over ascending `i` with a strict `>`, so ties keep the
-///   first-occurrence argmax bit-for-bit.
-///
-/// Pad lanes (`sessions..width`) compute garbage that is never gathered;
-/// blends are lane-wise, so they cannot contaminate real sessions.
-/// Sessions at `t = 0` get garbage Viterbi columns here too, overwritten by
-/// the finish pass before anything reads them (`ψ(0)` is never read — the
-/// scalar path never writes it either).
-pub(crate) fn lockstep_kernel(panel: &mut BatchPanel, at: &Matrix) {
-    assert_eq!(at.shape(), (panel.k, panel.k), "Aᵀ must be k x k");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { lockstep_kernel_avx2(panel, at) };
-    }
-    lockstep_kernel_impl(panel, at);
-}
-
-/// AVX2 instantiation of [`lockstep_kernel_impl`]. The body is identical —
-/// enabling the feature only widens the autovectorized lanes (the
-/// compare+blend select needs `vblendvpd`, which baseline x86-64 lacks);
-/// every lane still computes the same IEEE mul/add/max/compare sequence, so
-/// results are bit-identical to the generic build. FMA contraction is never
-/// emitted (Rust does not relax float semantics), so `Σ α̂·a` keeps the
-/// scalar path's separate mul + add roundings.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lockstep_kernel_avx2(panel: &mut BatchPanel, at: &Matrix) {
-    lockstep_kernel_impl(panel, at);
-}
-
-#[inline(always)]
-fn lockstep_kernel_impl(panel: &mut BatchPanel, at: &Matrix) {
-    let k = panel.k;
-    let kl = k * LANES;
-    let tiles = panel.width / LANES;
-    for tile in 0..tiles {
-        let tb = tile * kl;
-        let alpha = &panel.alpha_t[tb..tb + kl];
-        let prev = &panel.prev_t[tb..tb + kl];
-        for j in 0..k {
-            let mut acc = [0.0f64; LANES];
-            let mut best = [f64::NEG_INFINITY; LANES];
-            let mut besti = [0.0f64; LANES];
-            let mut fi = 0.0f64;
-            for ((a8, p8), &a_ij) in alpha
-                .chunks_exact(LANES)
-                .zip(prev.chunks_exact(LANES))
-                .zip(at.row(j))
-            {
-                for l in 0..LANES {
-                    acc[l] += a8[l] * a_ij;
-                    let cand = p8[l] * a_ij;
-                    // `select(cand > best, cand, best)` keeps the old value
-                    // on ties (the scalar strict-`>` first-occurrence rule)
-                    // and lowers to a single vector max; the argmax blend
-                    // reuses its mask.
-                    let better = cand > best[l];
-                    best[l] = if better { cand } else { best[l] };
-                    besti[l] = if better { fi } else { besti[l] };
-                }
-                fi += 1.0;
-            }
-            let o = tb + j * LANES;
-            let sum = &mut panel.sum_t[o..o + LANES];
-            let cur = &mut panel.cur_t[o..o + LANES];
-            let emis = &panel.emis_t[o..o + LANES];
-            let psi = &mut panel.psi_t[o..o + LANES];
-            for l in 0..LANES {
-                sum[l] = acc[l];
-                cur[l] = best[l] * emis[l];
-                psi[l] = besti[l] as usize;
-            }
-        }
-    }
-}
-
-/// Sparse-backend instantiation of the fused lockstep kernel: one walk of
-/// the shared pruned matrix in its **transposed** (predecessor-major) CSR
-/// orientation `Ãᵀ` per step, broadcasting each stored `a[(i, j)]` across
-/// the [`LANES`]-wide session tiles — the filter's multiply-add and the
-/// Viterbi's multiply-max fused on the same broadcast, exactly like the
-/// dense kernel, but touching only the `nnz` surviving entries instead of
-/// all `k²`.
-///
-/// Walking `Ãᵀ` rather than the row-major `Ã` is what lets the accumulators
-/// live in registers: row `j` of `Ãᵀ` lists every stored predecessor of
-/// state `j`, so the tile's sum / max / argmax lanes for `j` accumulate in
-/// three register tiles and store **once** per state — the dense kernel's
-/// structure. A row-major walk would instead scatter data-dependent
-/// read-modify-writes into all three panels on every stored entry
-/// (3 × [`LANES`] lanes of L1 traffic per entry), which measures *slower*
-/// than `S` scalar CSR passes at the densities the backend targets.
-///
-/// Per-session semantics are the scalar sparse step's exactly:
-///
-/// * **filter** — the scalar path scatters `fwd.axpy_row(i, α̂_i, row)` over
-///   ascending live predecessors `i`, skipping `α̂_i = 0` rows; here every
-///   stored predecessor is walked (transposition preserves the ascending-`i`
-///   arrival order per state) and the beam-zeroed ones contribute exact
-///   `+0.0` terms, which is bit-identical because every partial sum is
-///   non-negative (the dense kernel's no-skip argument);
-/// * **Viterbi** — the scalar path's `argmax_product_row(j, δ)` walks this
-///   same `Ãᵀ` row of state `j` seeded at `(0.0, 0)` with a strict `>`; the
-///   register lanes here are seeded `best = 0.0`, `ψ = 0` — note *not* the
-///   dense kernel's `−∞` seed — so ties, all-zero columns and the final
-///   `best · e` multiply reproduce the scalar CSR gather bit-for-bit. The
-///   argmax lane carries the predecessor index as `f64` (exact for any
-///   `u32`) so the select stays a vector blend, as in the dense kernel.
-///
-/// Pad lanes compute garbage that is never gathered, as in the dense kernel.
-pub(crate) fn lockstep_kernel_sparse(panel: &mut BatchPanel, tr: &CsrMatrix) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { lockstep_kernel_sparse_avx2(panel, tr) };
-    }
-    lockstep_kernel_sparse_impl(panel, tr);
-}
-
-/// AVX2 instantiation of [`lockstep_kernel_sparse_impl`] — identical body,
-/// wider autovectorized lanes, bit-identical results (no FMA contraction;
-/// see [`lockstep_kernel_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lockstep_kernel_sparse_avx2(panel: &mut BatchPanel, tr: &CsrMatrix) {
-    lockstep_kernel_sparse_impl(panel, tr);
-}
-
-#[inline(always)]
-fn lockstep_kernel_sparse_impl(panel: &mut BatchPanel, tr: &CsrMatrix) {
-    let k = panel.k;
-    let kl = k * LANES;
-    let tiles = panel.width / LANES;
-    for tile in 0..tiles {
-        let tb = tile * kl;
-        let alpha = &panel.alpha_t[tb..tb + kl];
-        let prev = &panel.prev_t[tb..tb + kl];
-        for j in 0..k {
-            let mut acc = [0.0f64; LANES];
-            let mut best = [0.0f64; LANES];
-            let mut besti = [0.0f64; LANES];
-            let (cols, vals) = tr.row(j);
-            for (&i, &v) in cols.iter().zip(vals) {
-                let o = i as usize * LANES;
-                let a8: &[f64; LANES] = alpha[o..o + LANES].try_into().unwrap();
-                let p8: &[f64; LANES] = prev[o..o + LANES].try_into().unwrap();
-                let fi = i as f64;
-                for l in 0..LANES {
-                    acc[l] += a8[l] * v;
-                    let cand = p8[l] * v;
-                    // Strict `>` keeps the first-occurrence argmax on ties.
-                    let better = cand > best[l];
-                    best[l] = if better { cand } else { best[l] };
-                    besti[l] = if better { fi } else { besti[l] };
-                }
-            }
-            // One store per state: `cur = best · e`, the dense kernel's
-            // writeout multiply.
-            let o = tb + j * LANES;
-            let sum = &mut panel.sum_t[o..o + LANES];
-            let cur = &mut panel.cur_t[o..o + LANES];
-            let emis = &panel.emis_t[o..o + LANES];
-            let psi = &mut panel.psi_t[o..o + LANES];
-            for l in 0..LANES {
-                sum[l] = acc[l];
-                cur[l] = best[l] * emis[l];
-                psi[l] = besti[l] as usize;
-            }
-        }
-    }
-}
-
-/// What [`lockstep_finish`] did about smoothing for one session, so the
-/// group loop can route the deferred block to the batched panel pass or the
-/// scalar tail and keep the smoothing-path counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LockstepFinish {
-    /// A full smoothing block fired at this step; it was *deferred* (the
-    /// workspace's `smoothed_upto` is untouched) so the group can co-run
-    /// every due session through [`lockstep_smooth_block`] or the scalar
-    /// tail [`lockstep_smooth_scalar`] — same step, same bits, batched.
-    pub(crate) block_due: bool,
-    /// Smoothed rows emitted inline by this finish (the lag-0 copy path).
-    pub(crate) smoothed_rows: usize,
-}
-
-/// Lockstep step 3 of 3 — finishes session `s`'s token from the panel: the
-/// emission multiply + scale on the gathered filter column (the scalar
-/// filter's op order exactly, including the sparse beam + bound
-/// accounting), the Viterbi normalization on the gathered `δ(t)` column,
-/// then the commit rules. The fixed-lag smoothing *block* is not run here:
-/// when one is due it is reported back deferred, so the group loop can
-/// batch the t-aligned blocks of the whole group in one panel pass.
-/// Deferral is bit-safe — the block reads only the α̂/emission rings, all
-/// fully written for this step before any smoothing runs. Advances `ws.t`.
-pub(crate) fn lockstep_finish<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-    panel: &mut BatchPanel,
-    s: usize,
-) -> LockstepFinish {
-    let k = ws.num_states;
-    let t = ws.t;
-    let slot = ws.slot(t);
-    let tb = (s / LANES) * k * LANES + (s % LANES);
-    let shift = panel.shift[s];
-    let first = panel.first[s];
-    scratch.ensure(k, ws.window);
-    let sparse: Option<SparseParams> = match backend {
-        InferenceBackend::Sparse(params) => Some(params),
-        InferenceBackend::Scaled => None,
-    };
-
-    // --- Filter finish: gather this session's transition-sum column into
-    // the α̂ ring, then the emission multiply + (sparse beam +) scale in
-    // the offline op order. The fused kernel's sums already equal the
-    // scalar accumulation (ascending predecessor index) bit-for-bit.
-    {
-        let row = &mut ws.alpha[slot * k..(slot + 1) * k];
-        let e_row = &ws.emis[slot * k..(slot + 1) * k];
-        if first {
-            for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-                *r = model.initial()[j] * e;
-            }
-        } else {
-            for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-                *r = panel.sum_t[tb + j * LANES] * e;
-            }
-        }
-        if let Some(params) = sparse {
-            let eps = beam_prune(row, params.beam);
-            if eps > 0.0 {
-                ws.sparse_pruned_total += eps;
-                ws.sparse_bound -= (-eps).ln_1p();
-            }
-        }
-        let (_c, log_c) = scale_row(row, shift);
-        ws.log_likelihood += log_c;
-    }
-
-    // --- Viterbi finish: gather this session's column, then the scalar
-    // normalization (and sparse score beam) verbatim.
-    {
-        let parity = (t % 2) * k;
-        let cur = &mut ws.delta[parity..parity + k];
-        if first {
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            for (j, p) in cur.iter_mut().enumerate() {
-                *p = model.initial()[j] * e_row[j];
-            }
-        } else {
-            let psi_row = &mut ws.psi[slot * k..(slot + 1) * k];
-            for j in 0..k {
-                cur[j] = panel.cur_t[tb + j * LANES];
-                psi_row[j] = panel.psi_t[tb + j * LANES];
-            }
-        }
-        ws.viterbi_log += viterbi_scale_row(cur, shift);
-        if let Some(params) = sparse {
-            // Beam the normalized score row (offline sparse order); the ε is
-            // deliberately not folded into the filter bound — see the scalar
-            // step.
-            beam_prune(cur, params.beam);
-        }
-    }
-
-    commit_rules(ws, scratch, t, lag);
-    let mut fin = LockstepFinish::default();
-    match smoothing_action(lag, t, ws.smoothed_upto) {
-        Some(SmoothAction::CopyFiltered) => {
-            scratch.smoothed[..k].copy_from_slice(ws.alpha_row(t));
-            scratch.smoothed_len = 1;
-            scratch.smoothed_start = t;
-            ws.smoothed_upto = t + 1;
-            fin.smoothed_rows = 1;
-        }
-        Some(SmoothAction::Block { .. }) => fin.block_due = true,
-        None => {}
-    }
     ws.t = t + 1;
-    fin
-}
-
-/// Runs the smoothing block deferred by [`lockstep_finish`] for one session
-/// through the scalar backward pass — the tail for sessions whose block
-/// fired without enough due peers to panelize (both backends batch their
-/// due-aligned groups through [`lockstep_smooth_block`]). Returns the
-/// smoothed rows emitted.
-pub(crate) fn lockstep_smooth_scalar<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    backend: InferenceBackend,
-    ws: &mut StreamWorkspace,
-    scratch: &mut StreamScratch,
-) -> usize {
-    apply_smoothing(model, lag, backend, ws, scratch, ws.t - 1)
-}
-
-/// Runs the smoothing blocks deferred by [`lockstep_finish`] for a group of
-/// **due-aligned** sessions — sessions whose `2L` window boundary fired on
-/// the same lockstep step — in one batched panel pass. Returns the smoothed
-/// rows emitted (`L` per session).
-///
-/// The blocks need not share absolute stream time: a mid-stream block is
-/// always exactly `2L` steps ending at the session's newest token (see
-/// [`smoothing_action`]), so the backward recursion is uniform in the
-/// *offset* `d` from each session's own `from = t`. The panel therefore
-/// advances all sessions by offset: at `d` it builds the weight rows
-/// `w[s][j] = e_s(τ_s+1)[j] · β_s(τ_s+1)[j]` (where `τ_s = from_s − d`),
-/// drives one shared transposed-GEMM step over the transition matrix via
-/// [`beta_panel_step`], sum-normalizes per session, and for `d ≥ L` emits
-/// the γ row of `τ_s`. This replaces `S` independent O(L·k²) scalar passes
-/// with one panelized pass over the shared matrix.
-///
-/// For sparse-backend groups, `sparse` carries the epoch-shared pruned
-/// forward matrix Ã and the backward step becomes [`beta_panel_step_sparse`]:
-/// one walk over the stored CSR entries per offset, each `ã[(i, j)]`
-/// broadcast across the session lanes — the same amortization the sparse
-/// lockstep kernel applies to the forward pass.
-///
-/// Bit-identity with [`backward_smooth`] holds lane-wise: each session's β
-/// entry accumulates `Σ_j a[(i, j)] · w[j]` over ascending `j` in a single
-/// accumulator inside [`beta_panel_step`] / [`beta_panel_step_sparse`]
-/// (the scalar dot's exact op order, including [`CsrMatrix::dot_row`]'s
-/// `ã · w` stored-order chain — the panel vectorizes *across sessions*,
-/// never reassociating within one), the normalizer is the same ascending
-/// `iter().sum()` + divide, and the γ rows are the same `α̂ ⊙ β` +
-/// `normalize_in_place`. The emitted rows land in `panel.gamma`
-/// (per-session row-major), and `ws.smoothed_upto` advances exactly as the
-/// scalar block would.
-pub(crate) fn lockstep_smooth_block<E: Emission>(
-    model: &Hmm<E>,
-    lag: usize,
-    sparse: Option<&CsrMatrix>,
-    group: &mut [&mut StreamWorkspace],
-    panel: &mut SmoothPanel,
-) -> usize {
-    let k = model.num_states();
-    let a = model.transition();
-    let win = 2 * lag;
-    panel.ensure(group.len(), k, lag);
-    let kl = k * LANES;
-    let active = (panel.width / LANES) * kl;
-
-    // d = 0: β(from) = 1 for every lane (pad lanes included — harmless).
-    panel.beta[0][..active].fill(1.0);
-    for d in 1..win {
-        let parity = d % 2;
-        // Weight rows w[s][j] = e(τ+1)[j] · β(τ+1)[j], built tile-major:
-        // gather the lane emission rows once, then one contiguous 8-lane
-        // sweep per tile (sequential reads per lane stream, contiguous
-        // writes) instead of a stride-LANES scatter per session.
-        {
-            let (w_t, beta_prev) = (&mut panel.w_t, &panel.beta[1 - parity]);
-            let zero = &panel.zero_row[..k];
-            for (tile, lanes) in group.chunks(LANES).enumerate() {
-                let base = tile * kl;
-                let mut rows: [&[f64]; LANES] = [zero; LANES];
-                for (l, ws) in lanes.iter().enumerate() {
-                    let from = ws.t - 1;
-                    let slot = ws.slot(from - d + 1);
-                    rows[l] = &ws.emis[slot * k..(slot + 1) * k];
-                }
-                let beta_tile = &beta_prev[base..base + kl];
-                let w_tile = &mut w_t[base..base + kl];
-                for (j, (w8, b8)) in w_tile
-                    .chunks_exact_mut(LANES)
-                    .zip(beta_tile.chunks_exact(LANES))
-                    .enumerate()
-                {
-                    for l in 0..LANES {
-                        w8[l] = rows[l][j] * b8[l];
-                    }
-                }
-            }
-        }
-        // One shared backward step for the whole group: β(τ)[s][i] =
-        // Σ_j a[(i, j)] · w[s][j] over the lane tiles.
-        {
-            let (w_t, beta) = (&panel.w_t, &mut panel.beta);
-            match sparse {
-                Some(fwd) => beta_panel_step_sparse::<LANES>(
-                    fwd,
-                    &w_t[..active],
-                    &mut beta[parity][..active],
-                ),
-                None => beta_panel_step::<LANES>(a, &w_t[..active], &mut beta[parity][..active]),
-            }
-        }
-        // Per-session sum-normalize, the scalar op order per lane
-        // (ascending-state single-accumulator sum, then divide), swept
-        // tile-major so every load and store is contiguous. Lanes whose sum
-        // is not positive divide by 1.0 — the bit-exact identity — instead
-        // of branching per element, which keeps the sweep uniform (and
-        // leaves dead pad lanes at 0).
-        {
-            let beta_cur = &mut panel.beta[parity];
-            for tile_base in (0..active).step_by(kl) {
-                let mut norm = [0.0f64; LANES];
-                for j in 0..k {
-                    let o = tile_base + j * LANES;
-                    let b8: &[f64; LANES] = beta_cur[o..o + LANES].try_into().unwrap();
-                    for l in 0..LANES {
-                        norm[l] += b8[l];
-                    }
-                }
-                let mut div = [1.0f64; LANES];
-                for l in 0..LANES {
-                    if norm[l] > 0.0 {
-                        div[l] = norm[l];
-                    }
-                }
-                for j in 0..k {
-                    let o = tile_base + j * LANES;
-                    let b8: &mut [f64; LANES] = (&mut beta_cur[o..o + LANES]).try_into().unwrap();
-                    for l in 0..LANES {
-                        b8[l] /= div[l];
-                    }
-                }
-            }
-        }
-        // Emit γ(τ) = normalize(α̂ ⊙ β) once τ is in the oldest-L span.
-        if d >= lag {
-            let r = win - 1 - d;
-            let (gamma, beta) = (&mut panel.gamma, &panel.beta[parity]);
-            for (s, ws) in group.iter().enumerate() {
-                let tau = ws.t - 1 - d;
-                let alpha_row = ws.alpha_row(tau);
-                let tb = (s / LANES) * kl + (s % LANES);
-                let out = &mut gamma[(s * lag + r) * k..(s * lag + r + 1) * k];
-                for (j, (g, &av)) in out.iter_mut().zip(alpha_row).enumerate() {
-                    *g = av * beta[tb + j * LANES];
-                }
-                dhmm_linalg::normalize_in_place(out);
-            }
-        }
-    }
-    for ws in group.iter_mut() {
-        debug_assert_eq!(
-            ws.t - ws.smoothed_upto,
-            win,
-            "a due-aligned session must hold exactly one full 2L window"
-        );
-        ws.smoothed_upto = ws.t - lag;
-    }
-    group.len() * lag
+    rows
 }
 
 /// Finds the newest time at which all surviving Viterbi paths pass through a
@@ -1512,10 +905,10 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
     /// block-based fixed-lag smoothing: emitting `c < L` rows per pass
     /// instead would bound the spike at O((L+c)·k²) but raise the amortized
     /// smoothing cost from `2k²` to `(L+c)/c · k²` per token. Concretely, in
-    /// `BENCH_stream.json` the k=64/lag=64 p99 (~185µs vs a ~5µs p50)
+    /// `BENCH_stream.json` the k=64/lag=64 p99 (~147µs vs a ~4µs p50)
     /// is exactly these block pushes: 1/L ≈ 1.6% of pushes pay the block,
     /// which lands inside the top percentile; at lag=8 the block is 8× more
-    /// frequent but 8× cheaper, so the p99 stays near the median. The p99.9
+    /// frequent but 8× cheaper, so the p99 (~25µs) sits far below. The p99.9
     /// column records the same bound one decade further out — the tail is
     /// flat beyond the block cost. Latency-critical deployments should pick
     /// the smallest lag their accuracy budget allows, not the largest ring
@@ -1591,22 +984,6 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhmm_hmm::emission::DiscreteEmission;
-    use dhmm_linalg::Matrix;
-
-    fn model() -> Hmm<DiscreteEmission> {
-        let emission = DiscreteEmission::new(
-            Matrix::from_rows(&[vec![0.7, 0.3], vec![0.4, 0.6], vec![0.1, 0.9]]).unwrap(),
-        )
-        .unwrap();
-        let transition = Matrix::from_rows(&[
-            vec![0.6, 0.3, 0.1],
-            vec![0.2, 0.5, 0.3],
-            vec![0.3, 0.2, 0.5],
-        ])
-        .unwrap();
-        Hmm::new(vec![0.5, 0.3, 0.2], transition, emission).unwrap()
-    }
 
     /// The single-sourced window math: lag 0 copies every row as it
     /// streams; lag > 0 fires exclusively on the exact `2L`-step boundary,
@@ -1689,158 +1066,5 @@ mod tests {
         );
         // Everything already emitted (flush right after a lag-0 copy).
         assert_eq!(flush_smoothing_action(1, 4, 5), None);
-    }
-
-    /// The dispatched lockstep kernels and their generic bodies agree bit
-    /// for bit (AVX2 hosts never run the generic bodies otherwise). Panel
-    /// and transition values sit on a coarse grid, so candidate ties are
-    /// common.
-    #[test]
-    fn lockstep_kernel_generic_bodies_match_the_dispatch() {
-        use dhmm_hmm::CsrTransition;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        fn assert_same(got: &BatchPanel, want: &BatchPanel, what: &str) {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got.sum_t), bits(&want.sum_t), "{what} sum");
-            assert_eq!(bits(&got.cur_t), bits(&want.cur_t), "{what} cur");
-            assert_eq!(got.psi_t, want.psi_t, "{what} psi");
-        }
-
-        let mut rng = StdRng::seed_from_u64(23);
-        for (sessions, k) in [(3usize, 3usize), (11, 16), (9, 17)] {
-            let a = Matrix::from_fn(k, k, |_, _| f64::from(rng.gen_range(1..6u8)) * 0.2);
-            let at = a.transpose();
-            let mut panel = BatchPanel::new();
-            panel.ensure(sessions, k);
-            for v in panel
-                .alpha_t
-                .iter_mut()
-                .chain(panel.prev_t.iter_mut())
-                .chain(panel.emis_t.iter_mut())
-            {
-                *v = f64::from(rng.gen_range(0..5u8)) * 0.25;
-            }
-
-            let (mut got, mut want) = (panel.clone(), panel.clone());
-            lockstep_kernel(&mut got, &at);
-            lockstep_kernel_impl(&mut want, &at);
-            assert_same(&got, &want, &format!("dense k={k}"));
-
-            let mut csr = CsrTransition::default();
-            csr.compile_into(&a, SparseParams::threshold(0.5)).unwrap();
-            let (mut got, mut want) = (panel.clone(), panel);
-            lockstep_kernel_sparse(&mut got, csr.transposed());
-            lockstep_kernel_sparse_impl(&mut want, csr.transposed());
-            assert_same(&got, &want, &format!("sparse k={k}"));
-        }
-    }
-
-    /// Drives three sessions through the lockstep stage/kernel/finish loop
-    /// by hand and routes every due smoothing block through the batched
-    /// panel pass, asserting the γ rows, log-likelihoods and window
-    /// positions are bit-identical to per-session [`StreamingDecoder`]s —
-    /// under both the dense backend (shared GEMM β step) and the sparse
-    /// backend (shared CSR walk over a genuinely pruned Ã). This is the
-    /// only place the batched rows themselves are pinned — the pool
-    /// discards smoothed posteriors, so pool-level parity cannot see them.
-    #[test]
-    fn batched_smoothing_block_is_bit_identical_to_the_scalar_pass() {
-        // threshold 0.15 prunes the 0.1 entries of the hand-built matrix,
-        // so the sparse axis exercises a CSR panel with real structural
-        // holes, not a dense matrix in CSR clothing.
-        let params = SparseParams::threshold(0.15).with_beam(0.05);
-        for backend in [InferenceBackend::Scaled, InferenceBackend::Sparse(params)] {
-            batched_block_parity(backend);
-        }
-    }
-
-    fn batched_block_parity(backend: InferenceBackend) {
-        let m = model();
-        let lag = 2usize;
-        let k = m.num_states();
-        let seqs: [Vec<usize>; 3] = [
-            vec![0, 1, 1, 0, 1, 0, 0, 1],
-            vec![1, 0, 0, 1, 1, 1, 0, 0],
-            vec![1, 1, 0, 0, 0, 1, 1, 0],
-        ];
-
-        let config = StreamConfig::default().with_lag(lag).with_backend(backend);
-        let mut reference: Vec<StreamingDecoder<'_, DiscreteEmission>> = seqs
-            .iter()
-            .map(|_| StreamingDecoder::with_config(&m, config.clone()).unwrap())
-            .collect();
-
-        let mut wss: Vec<StreamWorkspace> = seqs.iter().map(|_| StreamWorkspace::new()).collect();
-        let mut scratch = StreamScratch::new();
-        let mut panel = BatchPanel::new();
-        let mut smooth_panel = SmoothPanel::new();
-        panel.ensure(seqs.len(), k);
-        let sparse = matches!(backend, InferenceBackend::Sparse(_));
-        if let InferenceBackend::Sparse(p) = backend {
-            scratch.trans.prepare_sparse(m.transition(), 0, p);
-        }
-
-        let mut block_steps = 0usize;
-        for t in 0..seqs[0].len() {
-            for (s, ws) in wss.iter_mut().enumerate() {
-                lockstep_stage(&m, lag, ws, &mut panel, s, &seqs[s][t]);
-            }
-            if sparse {
-                lockstep_kernel_sparse(&mut panel, scratch.trans.csr.transposed());
-            } else {
-                lockstep_kernel(&mut panel, m.transition_t());
-            }
-            let mut due = 0usize;
-            for (s, ws) in wss.iter_mut().enumerate() {
-                let fin = lockstep_finish(&m, lag, backend, ws, &mut scratch, &mut panel, s);
-                assert_eq!(fin.smoothed_rows, 0, "lag > 0 never copies inline");
-                if fin.block_due {
-                    due += 1;
-                }
-            }
-            // Reference rows emitted by the scalar path at this same step.
-            let want: Vec<Vec<f64>> = reference
-                .iter_mut()
-                .zip(&seqs)
-                .map(|(dec, seq)| dec.push(&seq[t]).smoothed.to_vec())
-                .collect();
-
-            if due > 0 {
-                // Same start, same lag: the whole group is due together.
-                assert_eq!(due, seqs.len());
-                block_steps += 1;
-                let csr = if sparse {
-                    Some(scratch.trans.csr.forward())
-                } else {
-                    None
-                };
-                let mut group: Vec<&mut StreamWorkspace> = wss.iter_mut().collect();
-                let rows = lockstep_smooth_block(&m, lag, csr, &mut group, &mut smooth_panel);
-                assert_eq!(rows, seqs.len() * lag);
-                for (s, want_rows) in want.iter().enumerate() {
-                    let got = &smooth_panel.gamma[s * lag * k..(s * lag + lag) * k];
-                    assert_eq!(got.len(), want_rows.len());
-                    for (g, w) in got.iter().zip(want_rows) {
-                        assert_eq!(g.to_bits(), w.to_bits());
-                    }
-                }
-            } else {
-                for want_rows in &want {
-                    assert!(want_rows.is_empty());
-                }
-            }
-        }
-        // 8 tokens at lag 2: blocks at t = 3, 5, 7.
-        assert_eq!(block_steps, 3);
-
-        for (ws, dec) in wss.iter().zip(&reference) {
-            assert_eq!(ws.log_likelihood.to_bits(), dec.ws.log_likelihood.to_bits());
-            assert_eq!(ws.viterbi_log.to_bits(), dec.ws.viterbi_log.to_bits());
-            assert_eq!(ws.smoothed_upto, dec.ws.smoothed_upto);
-            assert_eq!(ws.t, dec.ws.t);
-            assert_eq!(ws.base, dec.ws.base);
-        }
     }
 }

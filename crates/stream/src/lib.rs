@@ -18,16 +18,11 @@
 //!   sized at construction, so `push` performs **zero heap allocation**.
 //! * [`SessionPool`] — many concurrent sessions multiplexed over one model:
 //!   create/push/flush/close by [`SessionId`], with batch [`SessionPool::tick`]s
-//!   that advance pending tokens in deterministic per-session bands on the
-//!   shared `runtime::Executor` — throughput scales with cores while
-//!   results stay **bit-identical across worker policies**. Groups of
-//!   same-epoch sessions with equal pending depth additionally advance in
-//!   **batched lockstep** through a tile-major structure-of-arrays
-//!   [`BatchPanel`]: one fused kernel pass over the shared transition
-//!   matrix per step advances every session's filter and Viterbi rows
-//!   together, instead of S separate k² loops, with output bit-identical
-//!   to the per-session path (on by default; see
-//!   [`StreamConfig::with_lockstep`]).
+//!   that advance each session's pending tokens through the same per-token
+//!   step as the standalone decoder, in deterministic per-session bands on
+//!   the shared `runtime::Executor`, so results stay **bit-identical across
+//!   worker policies** and equal to a standalone decoder fed the same
+//!   tokens.
 //!
 //! With `lag ≥ T` the streamed output is exactly the offline decode: the
 //! Viterbi path equals `viterbi_scaled`'s and the filtered/smoothed
@@ -47,7 +42,7 @@ pub mod workspace;
 pub use decoder::{FlushOutput, StepOutput, StreamConfig, StreamingDecoder};
 pub use error::StreamError;
 pub use session::{SessionId, SessionPool, TickReport};
-pub use workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace};
+pub use workspace::{StreamScratch, StreamWorkspace};
 
 // Re-exported so `dhmm_stream` is self-sufficient for callers configuring a
 // stream (the knobs are defined by `dhmm_hmm` / `dhmm_runtime` /

@@ -45,12 +45,9 @@
 //! it allocation-free (including a shorter stream followed by a longer one —
 //! the buffers are grow-only).
 
-use crate::decoder::{
-    flush_stream, lockstep_finish, lockstep_kernel, lockstep_kernel_sparse, lockstep_smooth_block,
-    lockstep_smooth_scalar, lockstep_stage, push_token, ring_window,
-};
+use crate::decoder::{flush_stream, push_token, ring_window};
 use crate::error::StreamError;
-use crate::workspace::{BatchPanel, SmoothPanel, StreamScratch, StreamWorkspace};
+use crate::workspace::{StreamScratch, StreamWorkspace};
 use crate::StreamConfig;
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
@@ -65,10 +62,6 @@ use std::sync::Arc;
 const PAR_MIN_SESSIONS: usize = 2;
 /// Minimum total pending tokens for an automatic parallel tick.
 const PAR_MIN_TOKENS: usize = 2_048;
-/// Minimum sessions at a shared pending depth for a lockstep group — a
-/// singleton would pay panel staging with no lanes to share the kernel's
-/// transition broadcasts across.
-const LOCKSTEP_MIN_GROUP: usize = 2;
 
 /// Handle to one session in a [`SessionPool`].
 ///
@@ -185,105 +178,6 @@ fn rebind_slot<E: Emission>(
     slot.ws.reset();
 }
 
-/// Advances one lockstep group — sessions on the current epoch with equal
-/// pending depth — one token per step: a staging pass gathers every
-/// session's state into the shared panel, the fused kernel (dense, or the
-/// CSR walk under the sparse backend) advances every session's filter and
-/// Viterbi rows from a single pass over the shared transition matrix, and a
-/// per-session finish pass runs the emission/scale and the (inherently
-/// per-session) commit tail. Sessions need not be at the same stream time
-/// `t` — each step reads and writes only per-session rings.
-///
-/// Fixed-lag smoothing is handled per *step*, not per session: every
-/// session whose `2L` window boundary fired on this step (reported deferred
-/// by the finish pass) is **due-aligned** — its block has the exact same
-/// `2L`-step shape regardless of absolute `t` — so all due sessions run one
-/// batched panel pass over the shared transition matrix (dense GEMM step or
-/// shared CSR walk, [`lockstep_smooth_block`]) instead of S scalar backward
-/// passes. Lone due sessions (staggered creation, post-hot-swap phase
-/// offsets) take the scalar tail, bit-identically.
-///
-/// Every pass is serial, so lockstep adds no policy-dependence of its own:
-/// worker policies can only change which groups run on which worker, never
-/// the arithmetic inside a group.
-///
-/// Returns `(batched_rows, scalar_rows)` — smoothed rows emitted through
-/// the panel pass vs the per-session path, for the tick report.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_group<E: Emission>(
-    model: &Arc<Hmm<E>>,
-    lag: usize,
-    backend: InferenceBackend,
-    epoch: u64,
-    clock: u64,
-    group: &mut [&mut Slot<E>],
-    depth: usize,
-    panel: &mut BatchPanel,
-    smooth_panel: &mut SmoothPanel,
-    scratch: &mut StreamScratch,
-) -> (usize, usize) {
-    let k = model.num_states();
-    panel.ensure(group.len(), k);
-    let sparse = matches!(backend, InferenceBackend::Sparse(_));
-    if let InferenceBackend::Sparse(params) = backend {
-        // The group shares one CSR compile per epoch (no-op once warm); the
-        // sparse kernel walks its transposed (predecessor-major) orientation.
-        scratch
-            .trans
-            .prepare_sparse(model.transition(), epoch, params);
-    }
-    for slot in group.iter_mut() {
-        slot.last_active = clock;
-    }
-    let mut batched_rows = 0usize;
-    let mut scalar_rows = 0usize;
-    let mut due: Vec<usize> = Vec::with_capacity(group.len());
-    for d in 0..depth {
-        for (s, slot) in group.iter_mut().enumerate() {
-            lockstep_stage(&slot.model, lag, &mut slot.ws, panel, s, &slot.pending[d]);
-        }
-        if sparse {
-            lockstep_kernel_sparse(panel, scratch.trans.csr.transposed());
-        } else {
-            lockstep_kernel(panel, model.transition_t());
-        }
-        due.clear();
-        for (s, slot) in group.iter_mut().enumerate() {
-            scratch.clear_outputs();
-            let fin = lockstep_finish(&*slot.model, lag, backend, &mut slot.ws, scratch, panel, s);
-            slot.out.extend_from_slice(&scratch.committed);
-            scalar_rows += fin.smoothed_rows;
-            if fin.block_due {
-                due.push(s);
-            }
-        }
-        if !due.is_empty() {
-            if due.len() >= LOCKSTEP_MIN_GROUP {
-                let mut block: Vec<&mut StreamWorkspace> = Vec::with_capacity(due.len());
-                let mut next = due.iter().copied().peekable();
-                for (s, slot) in group.iter_mut().enumerate() {
-                    if next.peek() == Some(&s) {
-                        block.push(&mut slot.ws);
-                        next.next();
-                    }
-                }
-                let csr = sparse.then(|| scratch.trans.csr.forward());
-                batched_rows += lockstep_smooth_block(model, lag, csr, &mut block, smooth_panel);
-            } else {
-                for &s in &due {
-                    let slot = &mut *group[s];
-                    scalar_rows +=
-                        lockstep_smooth_scalar(&*slot.model, lag, backend, &mut slot.ws, scratch);
-                }
-            }
-        }
-    }
-    for slot in group.iter_mut() {
-        slot.pending.clear();
-    }
-    (batched_rows, scalar_rows)
-}
-
 /// Summary of one batch tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TickReport {
@@ -293,29 +187,20 @@ pub struct TickReport {
     pub tokens: usize,
     /// Sessions rebound to a newer model epoch during this tick.
     pub rebound: usize,
-    /// Tokens advanced through the batched lockstep path this tick.
-    pub lockstep_tokens: usize,
-    /// Tokens advanced through the per-session scalar path this tick.
-    pub scalar_tokens: usize,
-    /// Smoothed posterior rows emitted through the batched panel pass this
-    /// tick (due-aligned lockstep groups under the dense backend).
-    pub smoothing_batched_tokens: usize,
-    /// Smoothed posterior rows emitted through the per-session scalar pass
-    /// this tick (straggler bands, lag-0 copies, lone due sessions, and
-    /// every sparse-backend block).
+    /// Smoothed posterior rows emitted this tick (fixed-lag blocks and
+    /// lag-0 copies; rows emitted by a rebind's flush are not counted).
     pub smoothing_scalar_tokens: usize,
 }
 
 /// Metric handles of one [`SessionPool`], registered once at construction.
 ///
 /// The lifetime counters double as the pool's *functional* state: the
-/// `evicted_total` / `lockstep_tokens_total` / … accessors (and a serving
+/// `evicted_total` / `scalar_tokens_total` / … accessors (and a serving
 /// front-end's `stats` reply) read the same atomics the metrics exposition
 /// renders, so the two can never disagree. They are built with
 /// [`TelemetrySink::live_counter`] — detached (but still counting) under a
-/// disabled sink. Pure-telemetry metrics (tick latency, group sizes,
-/// rebinds, gauges) are true no-ops when disabled: no clock reads, no
-/// atomics. Everything on the tick path is allocation-free (pinned by
+/// disabled sink. Pure-telemetry metrics (tick latency, rebinds, gauges)
+/// are true no-ops when disabled: no clock reads, no atomics. Everything on the tick path is allocation-free (pinned by
 /// `tests/zero_alloc.rs`).
 #[derive(Debug, Clone)]
 struct PoolMetrics {
@@ -323,8 +208,6 @@ struct PoolMetrics {
     ticks: Counter,
     /// `dhmm_stream_tick_duration_ns`.
     tick_ns: Histogram,
-    /// `dhmm_stream_lockstep_group_size` (sessions per lockstep group).
-    group_size: Histogram,
     /// `dhmm_stream_rebinds_total`.
     rebinds: Counter,
     /// `dhmm_stream_clock` (mirrors [`SessionPool::clock`]).
@@ -333,12 +216,8 @@ struct PoolMetrics {
     bound_max: Gauge,
     /// `dhmm_stream_sparse_error_bound_sum` over active sessions.
     bound_sum: Gauge,
-    /// `dhmm_stream_lockstep_tokens_total` (live: backs the accessor).
-    lockstep_tokens: Counter,
-    /// `dhmm_stream_scalar_tokens_total` (live).
+    /// `dhmm_stream_scalar_tokens_total` (live: backs the accessor).
     scalar_tokens: Counter,
-    /// `dhmm_stream_smoothing_batched_rows_total` (live).
-    smoothing_batched: Counter,
     /// `dhmm_stream_smoothing_scalar_rows_total` (live).
     smoothing_scalar: Counter,
     /// `dhmm_stream_evicted_sessions_total` (live).
@@ -357,11 +236,6 @@ impl PoolMetrics {
                 "dhmm_stream_tick_duration_ns",
                 &[],
                 "Wall time of one session-pool tick, in nanoseconds.",
-            ),
-            group_size: sink.histogram(
-                "dhmm_stream_lockstep_group_size",
-                &[],
-                "Sessions co-advanced per batched lockstep group.",
             ),
             rebinds: sink.counter(
                 "dhmm_stream_rebinds_total",
@@ -385,25 +259,15 @@ impl PoolMetrics {
                 "Sum of accumulated sparse-beam log-likelihood error bounds \
                  over active sessions.",
             ),
-            lockstep_tokens: sink.live_counter(
-                "dhmm_stream_lockstep_tokens_total",
-                &[],
-                "Tokens advanced through the batched lockstep path.",
-            ),
             scalar_tokens: sink.live_counter(
                 "dhmm_stream_scalar_tokens_total",
                 &[],
-                "Tokens advanced through the per-session scalar path.",
-            ),
-            smoothing_batched: sink.live_counter(
-                "dhmm_stream_smoothing_batched_rows_total",
-                &[],
-                "Smoothed posterior rows emitted through the batched panel pass.",
+                "Tokens advanced by session-pool ticks.",
             ),
             smoothing_scalar: sink.live_counter(
                 "dhmm_stream_smoothing_scalar_rows_total",
                 &[],
-                "Smoothed posterior rows emitted through the per-session scalar pass.",
+                "Smoothed posterior rows emitted by session-pool ticks.",
             ),
             evicted: sink.live_counter(
                 "dhmm_stream_evicted_sessions_total",
@@ -424,21 +288,16 @@ pub struct SessionPool<E: Emission> {
     parallelism: Parallelism,
     pending_cap: Option<usize>,
     committed_cap: Option<usize>,
-    lockstep: bool,
     slots: Vec<Slot<E>>,
     free: Vec<usize>,
     scratch: LeasePool<StreamScratch>,
-    /// Shared structure-of-arrays staging for lockstep groups (grow-only).
-    panel: BatchPanel,
-    /// Shared staging for batched smoothing blocks (grow-only).
-    smooth_panel: SmoothPanel,
     /// Logical clock: advances once per [`SessionPool::tick`]; the idle
     /// reference for eviction.
     clock: u64,
-    /// Metric handles; the lifetime counters (evicted, lockstep/scalar
-    /// tokens, smoothing split) live here as shared atomics so the
-    /// accessors, a serving front-end's `stats` reply and the metrics
-    /// exposition all read the same storage.
+    /// Metric handles; the lifetime counters (evicted sessions, ticked
+    /// tokens, smoothed rows) live here as shared atomics so the accessors,
+    /// a serving front-end's `stats` reply and the metrics exposition all
+    /// read the same storage.
     metrics: PoolMetrics,
 }
 
@@ -469,12 +328,9 @@ impl<E: Emission> SessionPool<E> {
             parallelism: config.parallelism,
             pending_cap: config.pending_cap,
             committed_cap: config.committed_cap,
-            lockstep: config.lockstep,
             slots: Vec::new(),
             free: Vec::new(),
             scratch: LeasePool::new(),
-            panel: BatchPanel::new(),
-            smooth_panel: SmoothPanel::new(),
             clock: 0,
             metrics: PoolMetrics::new(&config.telemetry),
         })
@@ -517,42 +373,33 @@ impl<E: Emission> SessionPool<E> {
         self.metrics.evicted.value()
     }
 
-    /// Whether batched lockstep ticks are enabled. Both backends batch:
-    /// dense groups run the fused register-tiled kernel, sparse groups walk
-    /// the shared CSR-compiled matrix once per step.
-    pub fn lockstep_enabled(&self) -> bool {
-        self.lockstep
-    }
-
     /// The configured inference backend.
     pub fn backend(&self) -> InferenceBackend {
         self.backend
     }
 
-    /// Tokens advanced through the batched lockstep path over the pool's
-    /// lifetime.
+    /// Always 0. Every ticked token advances through the per-session step
+    /// and is counted by [`SessionPool::scalar_tokens_total`]; this reader
+    /// stays so existing consumers of the old lockstep/scalar split (and
+    /// the `stats` reply) keep working.
     pub fn lockstep_tokens_total(&self) -> u64 {
-        self.metrics.lockstep_tokens.value()
+        0
     }
 
-    /// Tokens advanced through the per-session scalar path over the pool's
-    /// lifetime (tick stragglers; flush-drained tokens are not counted by
-    /// either counter).
+    /// Tokens advanced by ticks over the pool's lifetime (flush-drained
+    /// tokens are not counted).
     pub fn scalar_tokens_total(&self) -> u64 {
         self.metrics.scalar_tokens.value()
     }
 
-    /// Smoothed posterior rows emitted through the batched smoothing panel
-    /// over the pool's lifetime — the numerator of the batched-smoothing
-    /// hit rate, mirroring [`SessionPool::lockstep_tokens_total`].
+    /// Always 0, like [`SessionPool::lockstep_tokens_total`]: every
+    /// smoothed row is counted by [`SessionPool::smoothing_scalar_total`].
     pub fn smoothing_batched_total(&self) -> u64 {
-        self.metrics.smoothing_batched.value()
+        0
     }
 
-    /// Smoothed posterior rows emitted through the per-session scalar
-    /// smoothing path over the pool's lifetime (straggler bands, lag-0
-    /// copies, lone due sessions, sparse-backend blocks; flush-drained rows
-    /// are not counted by either counter, like the token split).
+    /// Smoothed posterior rows emitted by ticks over the pool's lifetime
+    /// (flush-drained rows are not counted, like the token count).
     pub fn smoothing_scalar_total(&self) -> u64 {
         self.metrics.smoothing_scalar.value()
     }
@@ -750,42 +597,14 @@ impl<E: Emission> SessionPool<E> {
     /// still pinned to a superseded model epoch (flush-then-rebind at this
     /// commit boundary).
     ///
-    /// # Lockstep grouping
-    ///
-    /// When lockstep is enabled ([`crate::StreamConfig::with_lockstep`], the
-    /// default), sessions that are **group-eligible** — same model epoch
-    /// (every session, once this tick's rebinds have run; the lag is
-    /// pool-wide), **equal pending depth**, and at least one co-grouped
-    /// peer — advance one token per step through a shared tile-major
-    /// structure-of-arrays [`BatchPanel`]: one fused kernel pass over the
-    /// shared transition matrix advances every session's filter row
-    /// (multiply-add) and Viterbi row (multiply-max plus argmax) together,
-    /// broadcasting each transition entry across register-resident session
-    /// tiles, instead of `S` separate k² loops. Under the sparse backend
-    /// the same grouping holds, with the kernel walking the shared
-    /// CSR-compiled matrix's stored entries once per step (there is no
-    /// scalar-tick downgrade for sparse pools). Everything else — singleton
-    /// depths, and the whole pool when lockstep is disabled — falls back to
-    /// the per-session scalar path, fanned out in deterministic contiguous
-    /// bands over the configured worker policy.
-    ///
-    /// Fixed-lag smoothing inside a lockstep group is batched per *step*:
-    /// sessions whose `2L` window boundary fires on the same step are
-    /// **due-aligned** (the block shape depends only on the lag, never on
-    /// absolute stream time, so staggered-start and post-hot-swap sessions
-    /// co-batch whenever their boundaries coincide) and, under the dense
-    /// backend, share one panelized backward pass; lone due sessions and
-    /// sparse-backend blocks take the scalar tail. The split is reported by
-    /// [`TickReport::smoothing_batched_tokens`] /
-    /// [`TickReport::smoothing_scalar_tokens`].
-    ///
-    /// All paths are **bit-identical**: the fused kernels accumulate each
-    /// filter entry in the scalar step's exact operation order (ascending
-    /// predecessor index; the scalar loop's zero-predecessor skip only
-    /// drops exact `+0.0` terms), keep the scalar first-occurrence
-    /// argmax, and the commit/smoothing tail reuses the same helpers. So are all worker policies — `Serial`, `Threads(n)`
-    /// and `Auto` produce the same labels, posteriors and log-likelihoods
-    /// to the last bit (pinned by `tests/session_determinism.rs`).
+    /// Each session's tokens run in queue order through the same per-token
+    /// step as [`crate::StreamingDecoder::push`] and [`SessionPool::flush`],
+    /// so a pooled session decodes exactly like a standalone decoder fed the
+    /// same tokens. The sessions are fanned out in deterministic contiguous
+    /// bands over the configured worker policy; sessions share no state, so
+    /// `Serial`, `Threads(n)` and `Auto` produce the same labels, posteriors
+    /// and log-likelihoods to the last bit (pinned by
+    /// `tests/session_determinism.rs`).
     pub fn tick(&mut self) -> TickReport
     where
         E: Send + Sync,
@@ -815,14 +634,10 @@ impl<E: Emission> SessionPool<E> {
             .iter_mut()
             .filter(|s| s.active && !s.flushed && (!s.pending.is_empty() || s.epoch != epoch))
             .collect();
-        let rebound = active.iter().filter(|s| s.epoch != epoch).count();
         let mut report = TickReport {
             sessions: active.iter().filter(|s| !s.pending.is_empty()).count(),
             tokens: total_tokens,
-            rebound,
-            lockstep_tokens: 0,
-            scalar_tokens: total_tokens,
-            smoothing_batched_tokens: 0,
+            rebound: active.iter().filter(|s| s.epoch != epoch).count(),
             smoothing_scalar_tokens: 0,
         };
         if active.is_empty() {
@@ -839,119 +654,37 @@ impl<E: Emission> SessionPool<E> {
         let num_ranges = exec.num_ranges(active.len());
         let scratches = self.scratch.ensure(num_ranges);
         let model_ref = &model;
-
-        let mut straggler_from = 0usize;
-        if self.lockstep {
-            // Rebind every stale session up front — the same commit
-            // boundary as the scalar path's in-band rebind (rebinds are
-            // per-slot independent, so hoisting them cannot change any
-            // result), and it makes freshly rebound sessions
-            // lockstep-eligible like any other.
-            for slot in active.iter_mut() {
+        exec.for_each_band_with(&mut active, 1, scratches, |_range, band, scratch| {
+            for slot in band.iter_mut() {
                 if slot.epoch != epoch {
-                    rebind_slot(slot, model_ref, epoch, lag, backend, &mut scratches[0]);
+                    rebind_slot(slot, model_ref, epoch, lag, backend, scratch);
                 }
-            }
-            // Group eligibility: equal pending depth with at least one
-            // co-grouped peer (epoch is uniform after the rebind pass and
-            // the lag is pool-wide). The sort is stable and sessions share
-            // no state, so reordering cannot change any session's output.
-            let mut depth_counts: Vec<(usize, usize)> = Vec::new();
-            for s in active.iter() {
-                let d = s.pending.len();
-                if d == 0 {
-                    continue;
+                if !slot.pending.is_empty() {
+                    slot.last_active = clock;
                 }
-                match depth_counts.iter_mut().find(|(dd, _)| *dd == d) {
-                    Some((_, c)) => *c += 1,
-                    None => depth_counts.push((d, 1)),
+                for i in 0..slot.pending.len() {
+                    let rows = push_token(
+                        &slot.model,
+                        lag,
+                        backend,
+                        slot.epoch,
+                        &mut slot.ws,
+                        scratch,
+                        &slot.pending[i],
+                    );
+                    scratch.tick_smoothing_rows += rows as u64;
+                    slot.out.extend_from_slice(&scratch.committed);
                 }
+                slot.pending.clear();
             }
-            let eligible = |pending: usize| {
-                pending > 0
-                    && depth_counts
-                        .iter()
-                        .any(|&(d, c)| d == pending && c >= LOCKSTEP_MIN_GROUP)
-            };
-            active.sort_by_key(|s| {
-                let d = s.pending.len();
-                (usize::from(!eligible(d)), d)
-            });
-            let grouped_until = active
-                .iter()
-                .take_while(|s| eligible(s.pending.len()))
-                .count();
-            let (locked, _) = active.split_at_mut(grouped_until);
-            let mut rest = locked;
-            while !rest.is_empty() {
-                let depth = rest[0].pending.len();
-                let run = rest.iter().take_while(|s| s.pending.len() == depth).count();
-                let (group, tail) = std::mem::take(&mut rest).split_at_mut(run);
-                rest = tail;
-                let (batched_rows, scalar_rows) = lockstep_group(
-                    model_ref,
-                    lag,
-                    backend,
-                    epoch,
-                    clock,
-                    group,
-                    depth,
-                    &mut self.panel,
-                    &mut self.smooth_panel,
-                    &mut scratches[0],
-                );
-                report.lockstep_tokens += depth * group.len();
-                report.smoothing_batched_tokens += batched_rows;
-                report.smoothing_scalar_tokens += scalar_rows;
-                self.metrics.group_size.record(group.len() as u64);
-            }
-            straggler_from = grouped_until;
-            report.scalar_tokens = report.tokens - report.lockstep_tokens;
-        }
-
-        // Stragglers (and, with lockstep disabled, everyone): the
-        // per-session scalar path, banded over the worker policy.
-        let stragglers = &mut active[straggler_from..];
-        if !stragglers.is_empty() {
-            exec.for_each_band_with(stragglers, 1, scratches, |_range, band, scratch| {
-                for slot in band.iter_mut() {
-                    if slot.epoch != epoch {
-                        rebind_slot(slot, model_ref, epoch, lag, backend, scratch);
-                    }
-                    if !slot.pending.is_empty() {
-                        slot.last_active = clock;
-                    }
-                    for i in 0..slot.pending.len() {
-                        let rows = push_token(
-                            &slot.model,
-                            lag,
-                            backend,
-                            slot.epoch,
-                            &mut slot.ws,
-                            scratch,
-                            &slot.pending[i],
-                        );
-                        scratch.tick_smoothing_rows += rows as u64;
-                        slot.out.extend_from_slice(&scratch.committed);
-                    }
-                    slot.pending.clear();
-                }
-            });
-            // Drain the per-band smoothing-row counters (each band owned
-            // its scratch, so the sum is policy-independent).
-            for sc in self.scratch.ensure(num_ranges).iter_mut() {
-                report.smoothing_scalar_tokens +=
-                    std::mem::take(&mut sc.tick_smoothing_rows) as usize;
-            }
+        });
+        // Drain the per-band smoothing-row counters (each band owned its
+        // scratch, so the sum is policy-independent).
+        for sc in self.scratch.ensure(num_ranges).iter_mut() {
+            report.smoothing_scalar_tokens += std::mem::take(&mut sc.tick_smoothing_rows) as usize;
         }
         self.metrics.rebinds.add(report.rebound as u64);
-        self.metrics
-            .lockstep_tokens
-            .add(report.lockstep_tokens as u64);
-        self.metrics.scalar_tokens.add(report.scalar_tokens as u64);
-        self.metrics
-            .smoothing_batched
-            .add(report.smoothing_batched_tokens as u64);
+        self.metrics.scalar_tokens.add(report.tokens as u64);
         self.metrics
             .smoothing_scalar
             .add(report.smoothing_scalar_tokens as u64);

@@ -166,172 +166,9 @@ impl StreamWorkspace {
     }
 }
 
-/// Structure-of-arrays staging for one lockstep batch-decoding group: `S`
-/// same-epoch sessions advancing one token per step together.
-///
-/// Every panel is *tile-major*, `(W / LANES) × k × LANES` where `W` is `S`
-/// rounded up to the fused kernel's [`LANES`]-wide tile: session `s` lives
-/// in tile `s / LANES`, lane `s % LANES`, and within a tile the `k` states
-/// are consecutive `LANES`-wide blocks (entry `(s, j)` is at
-/// `(s / LANES) · k · LANES + j · LANES + s % LANES`). That orientation
-/// lets the fused filter + Viterbi kernel broadcast one transition entry
-/// `a[(i, j)]` across a register-resident tile of sessions while its inner
-/// predecessor loop walks *contiguous* memory — no strided loads, no
-/// remainder loop, no per-iteration bounds checks. Tiles past `S` are dead
-/// pad lanes. The kernel reads the transition pre-transposed from the
-/// model ([`dhmm_hmm::Hmm::transition_t`]), so the predecessors of state `j`
-/// are one contiguous row.
-///
-/// One panel lives in a [`crate::SessionPool`] and is re-staged per group
-/// per tick; all buffers grow monotonically.
-#[derive(Debug, Clone, Default)]
-pub struct BatchPanel {
-    /// Sessions `S` of the last `ensure`.
-    pub(crate) sessions: usize,
-    /// State-major stride: `S` rounded up to a whole number of [`LANES`]
-    /// tiles. Lanes `S..width` are dead — staged never, gathered never;
-    /// the Viterbi kernel computes garbage there that no one reads.
-    pub(crate) width: usize,
-    /// Number of states `k` of the last `ensure`.
-    pub(crate) k: usize,
-    /// Previous filter rows `α̂(t-1)`, tile-major (zero column for a
-    /// session at `t = 0`, whose output is overwritten with `π ⊙ e` by the
-    /// finish pass).
-    pub(crate) alpha_t: Vec<f64>,
-    /// Filter transition sums `Σ_i α̂_i(t-1) · a[(i, j)]`, tile-major;
-    /// becomes `α̂(t)` after the finish pass's emission multiply and scale.
-    pub(crate) sum_t: Vec<f64>,
-    /// Previous Viterbi score rows `δ(t-1)`, tile-major.
-    pub(crate) prev_t: Vec<f64>,
-    /// Current Viterbi score rows `δ(t)`, tile-major.
-    pub(crate) cur_t: Vec<f64>,
-    /// Emission rows `e(t)`, tile-major.
-    pub(crate) emis_t: Vec<f64>,
-    /// Backpointers `ψ(t)`, tile-major.
-    pub(crate) psi_t: Vec<usize>,
-    /// Per-session emission log-shift of the current step.
-    pub(crate) shift: Vec<f64>,
-    /// Per-session "this step is `t = 0`" flag.
-    pub(crate) first: Vec<bool>,
-}
-
-/// Tile width of the fused lockstep kernel: the panel stride is padded to
-/// a multiple of this so the kernel's accumulators live in fixed-size
-/// arrays the compiler keeps in vector registers (8 f64 lanes = two
-/// 256-bit vectors per accumulator, sharing one broadcast transition
-/// entry).
-pub(crate) const LANES: usize = 8;
-
-impl BatchPanel {
-    /// Creates an empty panel; buffers are sized by [`BatchPanel::ensure`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sizes every buffer for an `S`-session, `k`-state group. Buffers grow
-    /// monotonically.
-    pub(crate) fn ensure(&mut self, sessions: usize, k: usize) {
-        let width = sessions.next_multiple_of(LANES);
-        let kw = k.checked_mul(width).expect("batch panel overflow");
-        if self.prev_t.len() < kw {
-            self.alpha_t.resize(kw, 0.0);
-            self.sum_t.resize(kw, 0.0);
-            self.prev_t.resize(kw, 0.0);
-            self.cur_t.resize(kw, 0.0);
-            self.emis_t.resize(kw, 0.0);
-            self.psi_t.resize(kw, 0);
-        }
-        if self.shift.len() < sessions {
-            self.shift.resize(sessions, 0.0);
-            self.first.resize(sessions, false);
-        }
-        self.sessions = sessions;
-        self.width = width;
-        self.k = k;
-    }
-
-    /// Active `(sessions, num_states)` shape.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.sessions, self.k)
-    }
-}
-
-/// Structure-of-arrays staging for one **batched smoothing block**: the
-/// due-aligned subset of a lockstep group — sessions whose `2L` smoothing
-/// window boundary fired on the same lockstep step — running their backward
-/// recursions together through one shared panel pass over the transition
-/// matrix (`dhmm_hmm::scaled::beta_panel_step`).
-///
-/// The weight and β panels use the same tile-major layout as [`BatchPanel`]
-/// (entry `(s, j)` at `(s / LANES)·k·LANES + j·LANES + s % LANES`, pad
-/// lanes dead); the two β panels roll with the same `(from − τ) % 2` parity
-/// as the scalar pass's two-row scratch. The emitted γ rows land in
-/// `gamma`, per-session row-major (`lag` rows of `k` per session) — the
-/// batched analogue of `StreamScratch::smoothed`.
-///
-/// One panel lives in a [`crate::SessionPool`] next to its [`BatchPanel`];
-/// all buffers reshape in place with grow-only capacity.
-#[derive(Debug, Clone, Default)]
-pub struct SmoothPanel {
-    /// Sessions `S` of the last `ensure`.
-    pub(crate) sessions: usize,
-    /// `S` rounded up to whole [`LANES`] tiles.
-    pub(crate) width: usize,
-    /// Number of states `k` of the last `ensure`.
-    pub(crate) k: usize,
-    /// Backward weight rows `w[s][j] = e(τ+1)[j] · β(τ+1)[j]`, tile-major.
-    pub(crate) w_t: Vec<f64>,
-    /// Two rolling β panels, tile-major (parity `(from − τ) % 2`).
-    pub(crate) beta: [Vec<f64>; 2],
-    /// Emitted smoothed rows, per-session row-major: session `s`'s row `r`
-    /// (time `downto_s + r`) at `(s · lag + r) · k ..`.
-    pub(crate) gamma: Vec<f64>,
-    /// A `k`-length row of zeros standing in for the emission row of pad
-    /// lanes, so the tile-major weight build runs one uniform 8-lane loop
-    /// (pad weights come out 0, keeping the dead lanes dead).
-    pub(crate) zero_row: Vec<f64>,
-}
-
-impl SmoothPanel {
-    /// Creates an empty panel; buffers are sized by [`SmoothPanel::ensure`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows every buffer for an `S`-session, `k`-state, lag-`L` block.
-    pub(crate) fn ensure(&mut self, sessions: usize, k: usize, lag: usize) {
-        let width = sessions.next_multiple_of(LANES);
-        let kw = k.checked_mul(width).expect("smooth panel overflow");
-        if self.w_t.len() < kw {
-            self.w_t.resize(kw, 0.0);
-            self.beta[0].resize(kw, 0.0);
-            self.beta[1].resize(kw, 0.0);
-        }
-        let gk = sessions
-            .checked_mul(lag)
-            .and_then(|n| n.checked_mul(k))
-            .expect("smooth panel overflow");
-        if self.gamma.len() < gk {
-            self.gamma.resize(gk, 0.0);
-        }
-        if self.zero_row.len() < k {
-            self.zero_row.resize(k, 0.0);
-        }
-        self.sessions = sessions;
-        self.width = width;
-        self.k = k;
-    }
-
-    /// Active `(sessions, num_states)` shape.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.sessions, self.k)
-    }
-}
-
 /// Per-scratch cache of the CSR-compiled pruned transition matrix the
-/// scalar streaming step runs on under the sparse backend. The dense
-/// backend needs no cache: its Viterbi step walks the model's row-major
-/// transition matrix directly.
+/// streaming step runs on under the sparse backend. The dense backend needs
+/// no cache: its steps read the model's `A` and `Aᵀ` directly.
 ///
 /// The entry is keyed by the *publishing epoch* (plus shape and compile
 /// parameters): a [`crate::SessionPool`] hot-swap bumps the epoch, so a
@@ -396,10 +233,9 @@ pub struct StreamScratch {
     /// Second membership buffer (swapped with `set_cur` per level).
     pub(crate) set_next: Vec<bool>,
     /// Smoothed rows emitted through this scratch during the *current* pool
-    /// tick's scalar bands — accumulated per worker inside the parallel
-    /// straggler pass (each band owns its scratch, so no synchronization)
-    /// and drained into the tick report afterwards. Always 0 outside a
-    /// tick.
+    /// tick — accumulated per worker inside the banded pass (each band owns
+    /// its scratch, so no synchronization) and drained into the tick report
+    /// afterwards. Always 0 outside a tick.
     pub(crate) tick_smoothing_rows: u64,
 }
 

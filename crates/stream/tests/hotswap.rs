@@ -142,11 +142,7 @@ const POLICIES: [Parallelism; 4] = [
 
 /// Drives many sessions through interleaved chunked ticks with two
 /// publishes at fixed tick indices; returns per-session (labels, ll bits).
-fn run_swapped_pool(
-    policy: Parallelism,
-    lockstep: bool,
-    backend: InferenceBackend,
-) -> Vec<(Vec<usize>, u64)> {
+fn run_swapped_pool(policy: Parallelism, backend: InferenceBackend) -> Vec<(Vec<usize>, u64)> {
     let v = 5;
     let models = [
         random_hmm(3, v, 7),
@@ -160,8 +156,7 @@ fn run_swapped_pool(
         StreamConfig::default()
             .with_lag(3)
             .with_backend(backend)
-            .with_parallelism(policy)
-            .with_lockstep(lockstep),
+            .with_parallelism(policy),
     )
     .unwrap();
     let ids: Vec<_> = seqs.iter().map(|_| pool.create()).collect();
@@ -196,25 +191,22 @@ fn run_swapped_pool(
 
 #[test]
 fn determinism_across_policies_holds_with_swaps_interleaved() {
-    // Every (policy, lockstep, backend) combination must agree bit-for-bit
-    // even with two mid-run publishes: sessions rebind at the same commit
-    // boundaries whether the tick advances them batched (dense or CSR
-    // kernel) or one by one, and the epoch-keyed transition caches recompile
-    // at the same points.
+    // Every (policy, backend) combination must agree bit-for-bit even with
+    // two mid-run publishes: sessions rebind at the same commit boundaries
+    // whichever worker band advances them, and the epoch-keyed transition
+    // caches recompile at the same points.
     for backend in [
         InferenceBackend::Scaled,
         InferenceBackend::Sparse(SparseParams::threshold(0.02).with_beam(0.01)),
     ] {
-        let mut runs = Vec::new();
-        for &p in &POLICIES {
-            for lockstep in [true, false] {
-                runs.push(run_swapped_pool(p, lockstep, backend));
-            }
-        }
+        let runs: Vec<_> = POLICIES
+            .iter()
+            .map(|&p| run_swapped_pool(p, backend))
+            .collect();
         for (i, run) in runs.iter().enumerate().skip(1) {
             assert_eq!(
                 run, &runs[0],
-                "run {i} diverged from Serial+lockstep under {backend:?}"
+                "run {i} diverged from Serial under {backend:?}"
             );
         }
     }

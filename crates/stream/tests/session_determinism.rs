@@ -22,8 +22,7 @@ const POLICIES: [Parallelism; 3] = [
 ];
 
 /// Both streaming backends: the dense scaled engine and the CSR sparse
-/// engine (which since the sparse lockstep kernel also batches in
-/// lockstep, so it must hold the same determinism contract).
+/// engine, which must hold the same determinism contract.
 fn backends() -> [InferenceBackend; 2] {
     [
         InferenceBackend::Scaled,
@@ -62,13 +61,12 @@ fn corpus(n: usize, len: usize) -> Vec<Vec<usize>> {
 /// One run's evidence per session: committed labels + final ll bits.
 type PoolTrace = Vec<(Vec<usize>, u64)>;
 
-/// Streams `seqs` through a pool in interleaved chunks under `policy`,
-/// with the batched lockstep path on or off, under the given backend.
+/// Streams `seqs` through a pool in interleaved chunks under `policy` and
+/// the given backend.
 fn run_pool_with(
     m: &Arc<Hmm<DiscreteEmission>>,
     seqs: &[Vec<usize>],
     policy: Parallelism,
-    lockstep: bool,
     backend: InferenceBackend,
 ) -> PoolTrace {
     let mut pool = SessionPool::with_config(
@@ -76,8 +74,7 @@ fn run_pool_with(
         StreamConfig::default()
             .with_lag(4)
             .with_backend(backend)
-            .with_parallelism(policy)
-            .with_lockstep(lockstep),
+            .with_parallelism(policy),
     )
     .unwrap();
     let ids: Vec<_> = seqs.iter().map(|_| pool.create()).collect();
@@ -105,12 +102,11 @@ fn run_pool_with(
 }
 
 fn run_pool(m: &Arc<Hmm<DiscreteEmission>>, seqs: &[Vec<usize>], policy: Parallelism) -> PoolTrace {
-    run_pool_with(m, seqs, policy, true, InferenceBackend::Scaled)
+    run_pool_with(m, seqs, policy, InferenceBackend::Scaled)
 }
 
-/// Truncates the corpus to staggered lengths so ticks see a mix of lockstep
-/// groups (equal depths) and scalar stragglers (odd depths) once the short
-/// streams dry up.
+/// Truncates the corpus to staggered lengths so ticks see a mix of pending
+/// depths, and sessions that stop streaming while others go on.
 fn staggered(mut seqs: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
     for (i, seq) in seqs.iter_mut().enumerate() {
         let cut = seq.len() - (i * 5) % 31;
@@ -124,16 +120,14 @@ fn pool_ticks_are_bit_identical_across_worker_policies_and_lockstep_modes() {
     let m = Arc::new(model());
     let seqs = staggered(corpus(12, 90));
     for backend in backends() {
-        let mut runs: Vec<PoolTrace> = Vec::new();
-        for &p in &POLICIES {
-            for lockstep in [true, false] {
-                runs.push(run_pool_with(&m, &seqs, p, lockstep, backend));
-            }
-        }
+        let runs: Vec<PoolTrace> = POLICIES
+            .iter()
+            .map(|&p| run_pool_with(&m, &seqs, p, backend))
+            .collect();
         for (i, run) in runs.iter().enumerate().skip(1) {
             assert_eq!(
                 run, &runs[0],
-                "run {i} diverged from Serial+lockstep under {backend:?}"
+                "run {i} diverged from Serial under {backend:?}"
             );
         }
     }
@@ -143,24 +137,21 @@ fn pool_ticks_are_bit_identical_across_worker_policies_and_lockstep_modes() {
 fn pool_sessions_match_standalone_decoders() {
     // Multiplexing must be invisible: a pooled session's labels and
     // likelihood equal a standalone decoder's on the same stream, bit for
-    // bit, regardless of tick chunking — and regardless of whether the
-    // pool advanced it via the batched lockstep path or the scalar path.
+    // bit, regardless of tick chunking.
     let m = Arc::new(model());
     let seqs = staggered(corpus(6, 73));
     for backend in backends() {
-        for lockstep in [true, false] {
-            let pooled = run_pool_with(&m, &seqs, Parallelism::Threads(4), lockstep, backend);
-            for (seq, (labels, ll_bits)) in seqs.iter().zip(&pooled) {
-                let config = StreamConfig::default().with_lag(4).with_backend(backend);
-                let mut dec = StreamingDecoder::with_config(&m, config).unwrap();
-                let mut path = Vec::new();
-                for obs in seq {
-                    path.extend_from_slice(dec.push(obs).committed);
-                }
-                path.extend_from_slice(dec.flush().committed);
-                assert_eq!(&path, labels, "lockstep={lockstep} backend={backend:?}");
-                assert_eq!(dec.log_likelihood().to_bits(), *ll_bits);
+        let pooled = run_pool_with(&m, &seqs, Parallelism::Threads(4), backend);
+        for (seq, (labels, ll_bits)) in seqs.iter().zip(&pooled) {
+            let config = StreamConfig::default().with_lag(4).with_backend(backend);
+            let mut dec = StreamingDecoder::with_config(&m, config).unwrap();
+            let mut path = Vec::new();
+            for obs in seq {
+                path.extend_from_slice(dec.push(obs).committed);
             }
+            path.extend_from_slice(dec.flush().committed);
+            assert_eq!(&path, labels, "backend={backend:?}");
+            assert_eq!(dec.log_likelihood().to_bits(), *ll_bits);
         }
     }
 }

@@ -154,26 +154,21 @@ proptest! {
         }
     }
 
-    /// A sparse pool matches the scalar sparse decoder label-for-label and
-    /// bound-for-bound, under both the banded scalar path and the sparse
-    /// lockstep kernel (the CSR variant no longer downgrades to scalar
-    /// ticks, so the lockstep request is honoured as configured).
+    /// A sparse pool matches the standalone sparse decoder label-for-label
+    /// and bound-for-bound.
     #[test]
     fn sparse_pool_matches_the_scalar_decoder(
         k in 2usize..5, v in 2usize..6, seed in 0u64..200, lag in 0usize..5,
-        chunk in 1usize..8, lockstep_bit in 0usize..2
+        chunk in 1usize..8
     ) {
-        let lockstep = lockstep_bit == 1;
         let m = Arc::new(random_hmm(k, v, seed));
         let params = SparseParams::threshold(0.05).with_beam(0.02);
         let config = StreamConfig::default()
             .with_lag(lag)
             .with_backend(InferenceBackend::Sparse(params))
-            .with_parallelism(Parallelism::Serial)
-            .with_lockstep(lockstep);
+            .with_parallelism(Parallelism::Serial);
 
         let mut pool = SessionPool::with_config(Arc::clone(&m), config.clone()).unwrap();
-        prop_assert_eq!(pool.lockstep_enabled(), lockstep);
 
         let lens = [24usize, 17, 9];
         let seqs: Vec<Vec<usize>> = lens

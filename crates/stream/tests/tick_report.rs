@@ -1,5 +1,5 @@
-//! Pins the accounting in [`TickReport`]: which sessions count, how tokens
-//! split between the lockstep and scalar paths, and how the pool-lifetime
+//! Pins the accounting in [`TickReport`]: which sessions count, how many
+//! tokens and smoothed rows a tick reports, and how the pool-lifetime
 //! counters accumulate. Label correctness is pinned elsewhere
 //! (`session_determinism.rs`, `parity.rs`); this file is only about the
 //! numbers operators read off `stats`.
@@ -18,20 +18,19 @@ fn model() -> Arc<Hmm<DiscreteEmission>> {
     Arc::new(Hmm::new(vec![0.5, 0.5], transition, emission).unwrap())
 }
 
-fn pool(lockstep: bool) -> SessionPool<DiscreteEmission> {
+fn pool() -> SessionPool<DiscreteEmission> {
     SessionPool::with_config(
         model(),
         StreamConfig::default()
             .with_lag(2)
-            .with_parallelism(Parallelism::Serial)
-            .with_lockstep(lockstep),
+            .with_parallelism(Parallelism::Serial),
     )
     .unwrap()
 }
 
 #[test]
 fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
-    let mut pool = pool(true);
+    let mut pool = pool();
     let busy_a = pool.create();
     let busy_b = pool.create();
     let flushed = pool.create();
@@ -53,13 +52,8 @@ fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
             sessions: 2,
             tokens: 7,
             rebound: 3,
-            // Depths 3 and 4 are both singletons: no lockstep group forms.
-            lockstep_tokens: 0,
-            scalar_tokens: 7,
             // At lag 2 a smoothing block fires on the 4th token: only
-            // busy_b gets that far, emitting its oldest 2 rows on the
-            // scalar path.
-            smoothing_batched_tokens: 0,
+            // busy_b gets that far, emitting its oldest 2 rows.
             smoothing_scalar_tokens: 2,
         }
     );
@@ -69,66 +63,36 @@ fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
 }
 
 #[test]
-fn token_split_tracks_group_membership_and_accumulates_on_the_pool() {
-    let mut pool = pool(true);
-    assert!(pool.lockstep_enabled());
+fn tick_counts_accumulate_on_the_pool() {
+    let mut pool = pool();
     let a = pool.create();
     let b = pool.create();
     let c = pool.create();
     let _idle = pool.create();
 
-    // a and b share depth 5 (one lockstep group); c is a depth-3 singleton
-    // and falls back to the scalar path.
     pool.push_many(a, [0usize, 1, 0, 1, 1]).unwrap();
     pool.push_many(b, [1usize, 0, 0, 1, 0]).unwrap();
     pool.push_many(c, [0usize, 0, 1]).unwrap();
     let report = pool.tick();
     assert_eq!(report.sessions, 3);
     assert_eq!(report.tokens, 13);
-    assert_eq!(report.lockstep_tokens, 10);
-    assert_eq!(report.scalar_tokens, 3);
-    // a and b hit their lag-2 window boundary on the same lockstep step,
-    // so their blocks run as one batched panel (2 rows each); c never
-    // accumulates the 4 tokens a block needs.
-    assert_eq!(report.smoothing_batched_tokens, 4);
-    assert_eq!(report.smoothing_scalar_tokens, 0);
+    // a and b hit their lag-2 window boundary on their 4th token (2 rows
+    // each); c never accumulates the 4 tokens a block needs.
+    assert_eq!(report.smoothing_scalar_tokens, 4);
 
-    // All three at the same depth: one group, nothing scalar.
     for id in [a, b, c] {
         pool.push_many(id, [1usize, 0]).unwrap();
     }
     let report = pool.tick();
-    assert_eq!(report.lockstep_tokens, 6);
-    assert_eq!(report.scalar_tokens, 0);
-    // Due-alignment is relative to each session's own window, not absolute
-    // stream time: a/b (at t=5) and c (at t=3) all fire on the group's
-    // first step and co-batch despite staggered depths.
-    assert_eq!(report.smoothing_batched_tokens, 6);
-    assert_eq!(report.smoothing_scalar_tokens, 0);
-
-    // The pool-lifetime counters are the running sums of the reports.
-    assert_eq!(pool.lockstep_tokens_total(), 16);
-    assert_eq!(pool.scalar_tokens_total(), 3);
-    assert_eq!(pool.smoothing_batched_total(), 10);
-    assert_eq!(pool.smoothing_scalar_total(), 0);
-}
-
-#[test]
-fn lockstep_disabled_routes_every_token_through_the_scalar_path() {
-    let mut pool = pool(false);
-    assert!(!pool.lockstep_enabled());
-    let a = pool.create();
-    let b = pool.create();
-    pool.push_many(a, [0usize, 1, 0]).unwrap();
-    pool.push_many(b, [1usize, 0, 1]).unwrap();
-
-    let report = pool.tick();
-    assert_eq!(report.sessions, 2);
     assert_eq!(report.tokens, 6);
-    assert_eq!(report.lockstep_tokens, 0);
-    assert_eq!(report.scalar_tokens, 6);
-    assert_eq!(report.smoothing_batched_tokens, 0);
-    assert_eq!(report.smoothing_scalar_tokens, 0);
+    // Each window is relative to the session's own stream: a and b (at
+    // t = 5) and c (at t = 3) all emit one 2-row block.
+    assert_eq!(report.smoothing_scalar_tokens, 6);
+
+    // The pool-lifetime counters are the running sums of the reports; the
+    // lockstep and batched-smoothing readers stay at 0.
+    assert_eq!(pool.scalar_tokens_total(), 19);
+    assert_eq!(pool.smoothing_scalar_total(), 10);
     assert_eq!(pool.lockstep_tokens_total(), 0);
-    assert_eq!(pool.scalar_tokens_total(), 6);
+    assert_eq!(pool.smoothing_batched_total(), 0);
 }

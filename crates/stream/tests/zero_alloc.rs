@@ -133,10 +133,10 @@ fn push_performs_zero_heap_allocation_after_warm_up() {
 
 /// One warmed-up pool tick cycle (push + tick + take) under each sink,
 /// counting allocations on the measured thread. The tick path is not
-/// strictly allocation-free (band vectors, lockstep group staging), but
-/// attaching a registry must add **zero** allocations over the disabled
-/// sink — the record path is counters and preallocated histogram buckets
-/// only.
+/// strictly allocation-free (it collects the tick's active sessions into a
+/// vector), but attaching a registry must add **zero** allocations over the
+/// disabled sink — the record path is counters and preallocated histogram
+/// buckets only.
 #[test]
 fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
     let model = Arc::new(model());
@@ -157,7 +157,7 @@ fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
         let mut pool = SessionPool::with_config(Arc::clone(&model), config).unwrap();
         let ids: Vec<_> = (0..4).map(|_| pool.create()).collect();
         let mut out = Vec::with_capacity(seq.len() * ids.len());
-        // Warm-up pass: size every grow-only buffer (rings, panels, queues).
+        // Warm-up pass: size every grow-only buffer (rings, scratch, queues).
         for chunk in seq.chunks(8) {
             for &id in &ids {
                 for &obs in chunk {

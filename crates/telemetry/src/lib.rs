@@ -1,8 +1,8 @@
 //! Zero-overhead metrics for the dhmm workspace.
 //!
-//! Production serving needs in-process visibility — hot-swap rebinds,
-//! lockstep group formation, beam-pruning mass, backpressure rejections, EM
-//! convergence — without perturbing the hot paths it observes. This crate is
+//! Production serving needs in-process visibility — hot-swap rebinds, tick
+//! latency, beam-pruning mass, backpressure rejections, EM convergence —
+//! without perturbing the hot paths it observes. This crate is
 //! the bottom-layer answer, dependency-free like `dhmm_runtime`:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free relaxed atomics behind cheap
