@@ -63,23 +63,28 @@ fn report_counts_active_flushed_idle_and_stale_epoch_sessions() {
 }
 
 #[test]
-fn tick_counts_accumulate_on_the_pool() {
+fn token_split_tracks_group_membership_and_accumulates_on_the_pool() {
     let mut pool = pool();
     let a = pool.create();
     let b = pool.create();
     let c = pool.create();
     let _idle = pool.create();
 
+    // a and b share depth 5; c sits alone at depth 3. Depth groups no
+    // longer split the tokens: every one lands on the per-session path.
     pool.push_many(a, [0usize, 1, 0, 1, 1]).unwrap();
     pool.push_many(b, [1usize, 0, 0, 1, 0]).unwrap();
     pool.push_many(c, [0usize, 0, 1]).unwrap();
     let report = pool.tick();
     assert_eq!(report.sessions, 3);
     assert_eq!(report.tokens, 13);
+    assert_eq!(pool.scalar_tokens_total(), 13);
+    assert_eq!(pool.lockstep_tokens_total(), 0);
     // a and b hit their lag-2 window boundary on their 4th token (2 rows
     // each); c never accumulates the 4 tokens a block needs.
     assert_eq!(report.smoothing_scalar_tokens, 4);
 
+    // All three at the same depth: still nothing off the per-session path.
     for id in [a, b, c] {
         pool.push_many(id, [1usize, 0]).unwrap();
     }
@@ -94,5 +99,24 @@ fn tick_counts_accumulate_on_the_pool() {
     assert_eq!(pool.scalar_tokens_total(), 19);
     assert_eq!(pool.smoothing_scalar_total(), 10);
     assert_eq!(pool.lockstep_tokens_total(), 0);
+    assert_eq!(pool.smoothing_batched_total(), 0);
+}
+
+#[test]
+fn lockstep_disabled_routes_every_token_through_the_scalar_path() {
+    // The pool has no lockstep path to enable: two sessions at equal depth,
+    // which the lockstep engine would have grouped, both count as scalar.
+    let mut pool = pool();
+    let a = pool.create();
+    let b = pool.create();
+    pool.push_many(a, [0usize, 1, 0]).unwrap();
+    pool.push_many(b, [1usize, 0, 1]).unwrap();
+
+    let report = pool.tick();
+    assert_eq!(report.sessions, 2);
+    assert_eq!(report.tokens, 6);
+    assert_eq!(report.smoothing_scalar_tokens, 0);
+    assert_eq!(pool.lockstep_tokens_total(), 0);
+    assert_eq!(pool.scalar_tokens_total(), 6);
     assert_eq!(pool.smoothing_batched_total(), 0);
 }
