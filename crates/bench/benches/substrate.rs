@@ -3,12 +3,13 @@
 //! projection and the Hungarian alignment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dhmm_bench::{random_discrete_hmm, uniform_tokens};
 use dhmm_core::transition_update::DppTransitionUpdater;
 use dhmm_core::AscentConfig;
 use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_eval::hungarian_max;
 use dhmm_hmm::baum_welch::TransitionUpdater;
-use dhmm_hmm::emission::{DiscreteEmission, GaussianEmission};
+use dhmm_hmm::emission::GaussianEmission;
 use dhmm_hmm::init::{random_parameters, random_stochastic_matrix, InitStrategy};
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::reference::{forward_backward, viterbi};
@@ -18,14 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-fn random_hmm(k: usize, v: usize, seed: u64) -> Hmm<DiscreteEmission> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (pi, a) = random_parameters(k, InitStrategy::Dirichlet { concentration: 2.0 }, &mut rng)
-        .expect("valid parameters");
-    let b = random_stochastic_matrix(k, v, 1.0, &mut rng).expect("valid emission");
-    Hmm::new(pi, a, DiscreteEmission::new(b).expect("valid")).expect("valid model")
-}
-
 fn random_stochastic(k: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     random_stochastic_matrix(k, k, 1.0, &mut rng).expect("valid matrix")
@@ -34,9 +27,8 @@ fn random_stochastic(k: usize, seed: u64) -> Matrix {
 fn bench_forward_backward(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward_backward");
     for &(k, t) in &[(5usize, 50usize), (15, 100), (26, 200)] {
-        let model = random_hmm(k, 40, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let seq: Vec<usize> = (0..t).map(|_| rng.gen_range(0..40)).collect();
+        let model = random_discrete_hmm(k, 40, 1);
+        let seq = uniform_tokens(t, 40, 2);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("k{k}_T{t}")),
             &seq,
@@ -49,9 +41,8 @@ fn bench_forward_backward(c: &mut Criterion) {
 fn bench_viterbi(c: &mut Criterion) {
     let mut group = c.benchmark_group("viterbi");
     for &(k, t) in &[(15usize, 100usize), (26, 200)] {
-        let model = random_hmm(k, 40, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let seq: Vec<usize> = (0..t).map(|_| rng.gen_range(0..40)).collect();
+        let model = random_discrete_hmm(k, 40, 3);
+        let seq = uniform_tokens(t, 40, 4);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("k{k}_T{t}")),
             &seq,
@@ -74,9 +65,8 @@ fn bench_scaled_vs_log_forward_backward(c: &mut Criterion) {
         (32, 512),
         (64, 512),
     ] {
-        let model = random_hmm(k, 40, 11);
-        let mut rng = StdRng::seed_from_u64(12);
-        let seq: Vec<usize> = (0..t).map(|_| rng.gen_range(0..40)).collect();
+        let model = random_discrete_hmm(k, 40, 11);
+        let seq = uniform_tokens(t, 40, 12);
         let mut ws = InferenceWorkspace::new();
         // Size the workspace outside the timed region so the measurement is
         // pure steady-state (the one-time resize is the cost being deleted).
@@ -142,9 +132,8 @@ fn bench_scaled_vs_log_toy_gaussian(c: &mut Criterion) {
 fn bench_scaled_vs_log_viterbi(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaled_vs_log/viterbi");
     for &(k, t) in &[(15usize, 512usize), (16, 512), (32, 512), (64, 512)] {
-        let model = random_hmm(k, 40, 14);
-        let mut rng = StdRng::seed_from_u64(15);
-        let seq: Vec<usize> = (0..t).map(|_| rng.gen_range(0..40)).collect();
+        let model = random_discrete_hmm(k, 40, 14);
+        let seq = uniform_tokens(t, 40, 15);
         let mut ws = InferenceWorkspace::new();
         viterbi_scaled(&model, &seq, &mut ws).expect("warm-up");
         group.bench_with_input(

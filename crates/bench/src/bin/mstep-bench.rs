@@ -18,8 +18,7 @@
 //!     [--output BENCH_mstep.json] [--parallel-output BENCH_parallel.json] \
 //!     [--threads 1,2,4,8] [--k 16,64] [--skip-serial-table]
 //! ```
-//! (A bare positional argument is accepted as the legacy `--output` form.
-//! `--k` applies to both artifacts; without it the serial table keeps the
+//! (`--k` applies to both artifacts; without it the serial table keeps the
 //! historical k = 4..64 ladder and the sweep uses k = {16, 64}.)
 //!
 //! Every timing is the median over five batches (`BATCHES`) of the mean
@@ -27,7 +26,7 @@
 //! it (`*_range_ns`). Both headers record the core count, whether the host
 //! has AVX2, and the rustc version.
 
-use dhmm_bench::{machine_header, time_batches, Timing};
+use dhmm_bench::{time_batches, Flags, Json, Timing};
 use dhmm_core::transition_update::{DppTransitionUpdater, TransitionObjective};
 use dhmm_core::{AscentConfig, Parallelism};
 use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
@@ -36,7 +35,6 @@ use dhmm_hmm::init::random_stochastic_matrix;
 use dhmm_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 const SIZES: [usize; 5] = [4, 8, 16, 32, 64];
@@ -52,35 +50,32 @@ fn time_ns(f: impl FnMut()) -> Timing {
     time_batches(BATCHES, BATCH_SECONDS, f)
 }
 
-struct Row {
-    op: &'static str,
-    k: usize,
-    fused: Timing,
-    /// The scalar oracle's time; `None` for the `update` row, which has no
-    /// scalar counterpart.
-    reference: Option<Timing>,
-}
-
-impl Row {
-    /// `(reference, speedup)` of the medians when the row has a scalar
-    /// counterpart.
-    fn reference(&self) -> Option<(Timing, f64)> {
-        self.reference.map(|r| (r, r.median / self.fused.median))
+/// A serial-table row: the fused engine's time, and the scalar oracle's
+/// with the speedup of the medians when the op has one (the `update` row
+/// has no scalar counterpart).
+fn serial_row(op: &str, k: usize, fused: Timing, reference: Option<Timing>) -> Json {
+    let row = Json::row()
+        .text("op", op)
+        .field("k", k)
+        .timing("fused_", "ns", fused, 0);
+    match reference {
+        Some(r) => {
+            row.timing("reference_", "ns", r, 0)
+                .fixed("speedup", r.median / fused.median, 2)
+        }
+        None => row,
     }
 }
 
-struct ParallelRow {
-    op: &'static str,
-    k: usize,
-    threads: usize,
-    time: Timing,
-    serial: Timing,
-}
-
-impl ParallelRow {
-    fn speedup(&self) -> f64 {
-        self.serial.median / self.time.median
-    }
+/// A sweep row: the engine under `Threads(threads)` against the serial one.
+fn parallel_row(op: &str, k: usize, threads: usize, time: Timing, serial: Timing) -> Json {
+    Json::row()
+        .text("op", op)
+        .field("k", k)
+        .field("threads", threads)
+        .timing("", "ns", time, 0)
+        .timing("serial_", "ns", serial, 0)
+        .fixed("speedup_vs_serial", serial.median / time.median, 2)
 }
 
 struct Args {
@@ -96,6 +91,20 @@ struct Args {
 }
 
 impl Args {
+    /// The flags on the command line, with their defaults.
+    fn from_env() -> Args {
+        let mut flags = Flags::from_env(&["--skip-serial-table"]);
+        let args = Args {
+            output: flags.value("--output", "BENCH_mstep.json".to_string()),
+            parallel_output: flags.value("--parallel-output", "BENCH_parallel.json".to_string()),
+            threads: flags.list("--threads", &[1, 2, 4, 8]),
+            sizes: flags.list_if_given("--k"),
+            skip_serial_table: flags.switch("--skip-serial-table"),
+        };
+        flags.finish();
+        args
+    }
+
     fn serial_sizes(&self) -> Vec<usize> {
         self.sizes.clone().unwrap_or_else(|| SIZES.to_vec())
     }
@@ -103,47 +112,6 @@ impl Args {
     fn sweep_sizes(&self) -> Vec<usize> {
         self.sizes.clone().unwrap_or_else(|| vec![16, 64])
     }
-}
-
-fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|part| {
-            part.trim().parse::<usize>().unwrap_or_else(|_| {
-                panic!("{flag} expects a comma-separated integer list, got {raw:?}")
-            })
-        })
-        .collect()
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        output: "BENCH_mstep.json".to_string(),
-        parallel_output: "BENCH_parallel.json".to_string(),
-        threads: vec![1, 2, 4, 8],
-        sizes: None,
-        skip_serial_table: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--output" => args.output = value_of("--output"),
-            "--parallel-output" => args.parallel_output = value_of("--parallel-output"),
-            "--threads" => args.threads = parse_list(&value_of("--threads"), "--threads"),
-            "--k" => args.sizes = Some(parse_list(&value_of("--k"), "--k")),
-            "--skip-serial-table" => args.skip_serial_table = true,
-            other if !other.starts_with('-') => args.output = other.to_string(),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    assert!(!args.threads.is_empty(), "--threads list must be non-empty");
-    if let Some(sizes) = &args.sizes {
-        assert!(!sizes.is_empty(), "--k list must be non-empty");
-    }
-    args
 }
 
 fn problem(k: usize) -> (Matrix, Matrix) {
@@ -186,12 +154,7 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
             let m = if flip { &a } else { &a_alt };
             black_box(log_det_kernel(black_box(m), &kernel).expect("value"));
         });
-        rows.push(Row {
-            op: "value",
-            k,
-            fused: value_fused,
-            reference: Some(value_reference),
-        });
+        rows.push(serial_row("value", k, value_fused, Some(value_reference)));
 
         let mut flip = false;
         let gradient_fused = time_ns(|| {
@@ -208,12 +171,12 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
             let m = if flip { &a } else { &a_alt };
             black_box(grad_log_det_kernel(black_box(m), &kernel).expect("gradient"));
         });
-        rows.push(Row {
-            op: "gradient",
+        rows.push(serial_row(
+            "gradient",
             k,
-            fused: gradient_fused,
-            reference: Some(gradient_reference),
-        });
+            gradient_fused,
+            Some(gradient_reference),
+        ));
 
         let fused_updater =
             DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(Parallelism::Serial);
@@ -225,82 +188,27 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
                     .expect("update"),
             );
         });
-        rows.push(Row {
-            op: "update",
-            k,
-            fused: update_fused,
-            reference: None,
-        });
+        rows.push(serial_row("update", k, update_fused, None));
     }
 
-    println!(
-        "dpp_mstep: fused engine vs scalar oracle (alpha = {ALPHA}, rho = {})\n",
-        kernel.rho()
-    );
-    println!(
-        "{:<10} {:>4} {:>14} {:>14} {:>9}",
-        "op", "k", "fused", "reference", "speedup"
-    );
-    for r in &rows {
-        let (reference, speedup) = match r.reference() {
-            Some((t, x)) => (format!("{:.1}us", t.median / 1e3), format!("{x:.1}x")),
-            None => ("-".to_string(), "-".to_string()),
-        };
-        println!(
-            "{:<10} {:>4} {:>12.1}us {:>14} {:>9}",
-            r.op,
-            r.k,
-            r.fused.median / 1e3,
-            reference,
-            speedup
-        );
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"dpp_mstep\",\n");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"Fused DPP prior engine vs the scalar oracle functions (log-det value, gradient), and the fused whole M-step (update); ns per call, the median over {BATCHES} batches with the fastest and slowest batch\","
-    );
-    machine_header(&mut json);
-    let _ = writeln!(json, "  \"alpha\": {ALPHA},");
-    let _ = writeln!(json, "  \"rho\": {},", kernel.rho());
-    let _ = writeln!(
-        json,
-        "  \"ascent_max_iterations\": {},",
-        ascent.max_iterations
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{}\", \"k\": {}, {}",
-            r.op,
-            r.k,
-            r.fused.json("fused_", "ns", 0)
-        );
-        if let Some((t, x)) = r.reference() {
-            let _ = write!(
-                json,
-                ", {}, \"speedup\": {x:.2}",
-                t.json("reference_", "ns", 0)
-            );
-        }
-        json.push('}');
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(output, &json).expect("write benchmark JSON");
-    println!("\nwrote {output}");
+    Json::artifact(
+        "dpp_mstep",
+        &format!(
+            "Fused DPP prior engine vs the scalar oracle functions (log-det value, gradient), \
+             and the fused whole M-step (update); ns per call, the median over {BATCHES} \
+             batches with the fastest and slowest batch"
+        ),
+    )
+    .field("alpha", ALPHA)
+    .field("rho", kernel.rho())
+    .field("ascent_max_iterations", ascent.max_iterations)
+    .rows("results", rows)
+    .write(output);
 }
 
 /// The worker-pool thread sweep: fused engine under `Threads(n)` against
 /// the serial fused engine, for the gradient alone and the full update.
 fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut rows = Vec::new();
     for &k in &args.sweep_sizes() {
         let (a, counts) = problem(k);
@@ -336,13 +244,13 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
                     .expect("gradient");
                 black_box(&grad);
             });
-            rows.push(ParallelRow {
-                op: "gradient",
+            rows.push(parallel_row(
+                "gradient",
                 k,
                 threads,
-                time: gradient_ns,
-                serial: gradient_serial,
-            });
+                gradient_ns,
+                gradient_serial,
+            ));
             let updater = DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(policy);
             let update_ns = time_ns(|| {
                 black_box(
@@ -351,78 +259,28 @@ fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
                         .expect("update"),
                 );
             });
-            rows.push(ParallelRow {
-                op: "update",
-                k,
-                threads,
-                time: update_ns,
-                serial: update_serial,
-            });
+            rows.push(parallel_row("update", k, threads, update_ns, update_serial));
         }
     }
 
-    println!("\ndpp_mstep_parallel: fused engine thread sweep ({cores} cores available)\n");
-    println!(
-        "{:<10} {:>4} {:>8} {:>14} {:>14} {:>9}",
-        "op", "k", "threads", "parallel", "serial", "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>4} {:>8} {:>12.1}us {:>12.1}us {:>8.2}x",
-            r.op,
-            r.k,
-            r.threads,
-            r.time.median / 1e3,
-            r.serial.median / 1e3,
-            r.speedup()
-        );
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"dpp_mstep_parallel\",\n");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"Fused DPP M-step engine under the shared worker-pool runtime; Threads(n) vs the serial fused engine, ns per call, the median over {BATCHES} batches with the fastest and slowest batch\","
-    );
-    machine_header(&mut json);
-    let _ = writeln!(json, "  \"alpha\": {ALPHA},");
-    let _ = writeln!(json, "  \"rho\": {},", kernel.rho());
-    let _ = writeln!(
-        json,
-        "  \"ascent_max_iterations\": {},",
-        ascent.max_iterations
-    );
-    let _ = writeln!(
-        json,
-        "  \"threads\": [{}],",
-        args.threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{}\", \"k\": {}, \"threads\": {}, {}, {}, \"speedup_vs_serial\": {:.2}}}",
-            r.op,
-            r.k,
-            r.threads,
-            r.time.json("", "ns", 0),
-            r.serial.json("serial_", "ns", 0),
-            r.speedup()
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&args.parallel_output, &json).expect("write parallel benchmark JSON");
-    println!("\nwrote {}", args.parallel_output);
+    Json::artifact(
+        "dpp_mstep_parallel",
+        &format!(
+            "Fused DPP M-step engine under the shared worker-pool runtime; Threads(n) vs the \
+             serial fused engine, ns per call, the median over {BATCHES} batches with the \
+             fastest and slowest batch"
+        ),
+    )
+    .field("alpha", ALPHA)
+    .field("rho", kernel.rho())
+    .field("ascent_max_iterations", ascent.max_iterations)
+    .field("threads", format_args!("{:?}", args.threads))
+    .rows("results", rows)
+    .write(&args.parallel_output);
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env();
     let kernel = ProductKernel::bhattacharyya();
     let ascent = AscentConfig {
         max_iterations: 15,

@@ -22,20 +22,17 @@
 //! ```
 //! Flags mirror `stream-bench`'s comma-separated-list style.
 
+use dhmm_bench::{random_discrete_hmm, uniform_tokens, Flags, Json};
 use dhmm_data::io::LoadedModel;
-use dhmm_hmm::emission::DiscreteEmission;
-use dhmm_hmm::init::random_stochastic_matrix;
-use dhmm_hmm::Hmm;
 use dhmm_runtime::Parallelism;
 use dhmm_serve::{Client, Request, Response, ServeConfig, Server};
 use dhmm_telemetry::{Histogram, REL_ERROR};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Vocabulary of the synthetic token stream.
 const VOCAB: usize = 64;
+/// Seed of the benchmark model at every k.
+const MODEL_SEED: u64 = 271;
 /// Tokens per push request.
 const CHUNK: usize = 32;
 
@@ -49,87 +46,28 @@ struct Args {
     sessions_per_client: usize,
 }
 
-fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|part| {
-            part.trim().parse::<usize>().unwrap_or_else(|_| {
-                panic!("{flag} expects a comma-separated integer list, got {raw:?}")
-            })
-        })
-        .collect()
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        output: "BENCH_serve.json".to_string(),
-        clients: vec![1, 4, 8],
-        sizes: vec![16, 64],
-        lags: vec![8],
-        tokens: 256,
-        threads: 2,
-        sessions_per_client: 2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} expects a value"))
+impl Args {
+    /// The flags on the command line, with their defaults.
+    fn from_env() -> Args {
+        let mut flags = Flags::from_env(&[]);
+        let args = Args {
+            output: flags.value("--output", "BENCH_serve.json".to_string()),
+            clients: flags.list("--clients", &[1, 4, 8]),
+            sizes: flags.list("--k", &[16, 64]),
+            lags: flags.list("--lag", &[8]),
+            tokens: flags.value("--tokens", 256),
+            threads: flags.value("--threads", 2),
+            sessions_per_client: flags.value("--sessions-per-client", 2),
         };
-        match arg.as_str() {
-            "--output" => args.output = value_of("--output"),
-            "--clients" => args.clients = parse_list(&value_of("--clients"), "--clients"),
-            "--k" => args.sizes = parse_list(&value_of("--k"), "--k"),
-            "--lag" => args.lags = parse_list(&value_of("--lag"), "--lag"),
-            "--tokens" => {
-                args.tokens = value_of("--tokens")
-                    .parse()
-                    .expect("--tokens expects an integer")
-            }
-            "--threads" => {
-                args.threads = value_of("--threads")
-                    .parse()
-                    .expect("--threads expects an integer")
-            }
-            "--sessions-per-client" => {
-                args.sessions_per_client = value_of("--sessions-per-client")
-                    .parse()
-                    .expect("--sessions-per-client expects an integer")
-            }
-            other if !other.starts_with('-') => args.output = other.to_string(),
-            other => panic!("unknown argument {other:?}"),
-        }
+        flags.finish();
+        assert!(args.tokens > 0, "--tokens must be positive");
+        assert!(args.threads > 0, "--threads must be positive");
+        assert!(
+            args.sessions_per_client > 0,
+            "--sessions-per-client must be positive"
+        );
+        args
     }
-    for (name, list) in [
-        ("--clients", &args.clients),
-        ("--k", &args.sizes),
-        ("--lag", &args.lags),
-    ] {
-        assert!(!list.is_empty(), "{name} list must be non-empty");
-    }
-    assert!(args.tokens > 0, "--tokens must be positive");
-    assert!(args.threads > 0, "--threads must be positive");
-    assert!(
-        args.sessions_per_client > 0,
-        "--sessions-per-client must be positive"
-    );
-    args
-}
-
-fn model(k: usize) -> Hmm<DiscreteEmission> {
-    let mut rng = StdRng::seed_from_u64(271);
-    let (pi, a) = dhmm_hmm::init::random_parameters(
-        k,
-        dhmm_hmm::init::InitStrategy::Dirichlet { concentration: 2.0 },
-        &mut rng,
-    )
-    .expect("valid parameters");
-    let b = random_stochastic_matrix(k, VOCAB, 1.0, &mut rng).expect("valid matrix");
-    Hmm::new(pi, a, DiscreteEmission::new(b).expect("valid emission")).expect("valid model")
-}
-
-fn stream(tokens: usize, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..tokens).map(|_| rng.gen_range(0..VOCAB)).collect()
 }
 
 /// One client's replay: `sessions` sequential sessions of `tokens` tokens
@@ -151,7 +89,7 @@ fn replay_client(
         resp
     };
     for s in 0..sessions {
-        let seq = stream(tokens, seed * 1000 + s as u64);
+        let seq = uniform_tokens(tokens, VOCAB, seed * 1000 + s as u64);
         let id = match call(&mut client, &Request::Create) {
             Response::Created { id } => id,
             other => panic!("create failed: {other:?}"),
@@ -174,28 +112,15 @@ fn replay_client(
     }
 }
 
-struct Row {
-    k: usize,
-    lag: usize,
-    clients: usize,
-    sessions: usize,
-    tokens_total: usize,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    mean_us: f64,
-    sessions_per_sec: f64,
-    tokens_per_sec: f64,
-}
-
 /// One full configuration: a fresh server, `clients` concurrent replay
 /// threads, aggregate percentiles over every request they made.
-fn run_config(k: usize, lag: usize, clients: usize, args: &Args) -> Row {
+fn run_config(k: usize, lag: usize, clients: usize, args: &Args) -> Json {
     let config = ServeConfig::default()
         .with_lag(lag)
         .with_parallelism(Parallelism::Threads(args.threads));
-    let handle = Server::start(LoadedModel::Discrete(model(k)), config, "127.0.0.1:0")
-        .expect("server starts");
+    let model = random_discrete_hmm(k, VOCAB, MODEL_SEED);
+    let handle =
+        Server::start(LoadedModel::Discrete(model), config, "127.0.0.1:0").expect("server starts");
     let addr = handle.local_addr();
 
     // Warm-up: one client, one session, sizes the pool scratch and warms
@@ -222,26 +147,22 @@ fn run_config(k: usize, lag: usize, clients: usize, args: &Args) -> Row {
     let snap = hist.snapshot();
     let total_sessions = clients * sessions;
     let total_tokens = total_sessions * tokens;
-    Row {
-        k,
-        lag,
-        clients,
-        sessions: total_sessions,
-        tokens_total: total_tokens,
-        p50_us: snap.quantile(0.5) as f64 / 1e3,
-        p99_us: snap.quantile(0.99) as f64 / 1e3,
-        p999_us: snap.quantile(0.999) as f64 / 1e3,
-        mean_us: snap.mean() / 1e3,
-        sessions_per_sec: total_sessions as f64 / wall,
-        tokens_per_sec: total_tokens as f64 / wall,
-    }
+    Json::row()
+        .field("k", k)
+        .field("lag", lag)
+        .field("clients", clients)
+        .field("sessions", total_sessions)
+        .field("tokens", total_tokens)
+        .fixed("p50_us", snap.quantile(0.5) as f64 / 1e3, 1)
+        .fixed("p99_us", snap.quantile(0.99) as f64 / 1e3, 1)
+        .fixed("p999_us", snap.quantile(0.999) as f64 / 1e3, 1)
+        .fixed("mean_us", snap.mean() / 1e3, 1)
+        .fixed("sessions_per_sec", total_sessions as f64 / wall, 1)
+        .fixed("tokens_per_sec", total_tokens as f64 / wall, 0)
 }
 
 fn main() {
-    let args = parse_args();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let args = Args::from_env();
 
     let mut rows = Vec::new();
     for &k in &args.sizes {
@@ -252,70 +173,18 @@ fn main() {
         }
     }
 
-    println!(
-        "serve: loopback client replay ({} tokens/session, {CHUNK}-token pushes, {} engine threads, {cores} cores)\n",
-        args.tokens, args.threads
-    );
-    println!(
-        "{:>4} {:>5} {:>8} {:>9} {:>10} {:>10} {:>10} {:>10} {:>13} {:>12}",
-        "k",
-        "lag",
-        "clients",
-        "sessions",
-        "p50",
-        "p99",
-        "p99.9",
-        "mean",
-        "sessions/sec",
-        "tokens/sec"
-    );
-    for r in &rows {
-        println!(
-            "{:>4} {:>5} {:>8} {:>9} {:>8.1}us {:>8.1}us {:>8.1}us {:>8.1}us {:>13.1} {:>12.0}",
-            r.k,
-            r.lag,
-            r.clients,
-            r.sessions,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.mean_us,
-            r.sessions_per_sec,
-            r.tokens_per_sec
-        );
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"serve\",\n");
-    json.push_str("  \"description\": \"TCP serving front-end: loopback client replay (create + chunked pushes + flush + close) measuring request-latency percentiles (us) and sessions/sec + tokens/sec over a k x lag x clients sweep\",\n");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"vocab\": {VOCAB},");
-    let _ = writeln!(json, "  \"tokens_per_session\": {},", args.tokens);
-    let _ = writeln!(json, "  \"push_chunk\": {CHUNK},");
-    let _ = writeln!(json, "  \"engine_threads\": {},", args.threads);
-    json.push_str("  \"latency_quantile_source\": \"dhmm_telemetry_histogram\",\n");
-    let _ = writeln!(json, "  \"quantile_rel_error_bound\": {REL_ERROR},");
-    json.push_str("  \"replay\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"k\": {}, \"lag\": {}, \"clients\": {}, \"sessions\": {}, \"tokens\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"mean_us\": {:.1}, \"sessions_per_sec\": {:.1}, \"tokens_per_sec\": {:.0}}}",
-            r.k,
-            r.lag,
-            r.clients,
-            r.sessions,
-            r.tokens_total,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.mean_us,
-            r.sessions_per_sec,
-            r.tokens_per_sec
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&args.output, &json).expect("write benchmark JSON");
-    println!("\nwrote {}", args.output);
+    Json::artifact(
+        "serve",
+        "TCP serving front-end: loopback client replay (create + chunked pushes + flush + \
+         close) measuring request-latency percentiles (us) and sessions/sec + tokens/sec over \
+         a k x lag x clients sweep",
+    )
+    .field("vocab", VOCAB)
+    .field("tokens_per_session", args.tokens)
+    .field("push_chunk", CHUNK)
+    .field("engine_threads", args.threads)
+    .text("latency_quantile_source", "dhmm_telemetry_histogram")
+    .field("quantile_rel_error_bound", REL_ERROR)
+    .rows("replay", rows)
+    .write(&args.output);
 }

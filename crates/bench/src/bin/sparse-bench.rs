@@ -36,7 +36,7 @@
 //! grows linearly in the sequence length, so a fixed total would silently
 //! tighten as `--tokens` grows.
 
-use dhmm_bench::{machine_header, time_alternating, Timing};
+use dhmm_bench::{time_alternating, uniform_tokens, Flags, Json, Timing};
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::init::random_stochastic_matrix;
 use dhmm_hmm::{
@@ -46,7 +46,6 @@ use dhmm_hmm::{
 use dhmm_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// Vocabulary of the synthetic token stream.
@@ -67,64 +66,24 @@ struct Args {
     tolerance: f64,
 }
 
-fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|part| {
-            part.trim().parse::<usize>().unwrap_or_else(|_| {
-                panic!("{flag} expects a comma-separated integer list, got {raw:?}")
-            })
-        })
-        .collect()
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        output: "BENCH_sparse.json".to_string(),
-        sizes: vec![64, 128, 256],
-        densities: vec![5, 10, 25],
-        tokens: 512,
-        repeats: 15,
-        beam: 0.01,
-        tolerance: 0.01,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} expects a value"))
+impl Args {
+    /// The flags on the command line, with their defaults.
+    fn from_env() -> Args {
+        let mut flags = Flags::from_env(&[]);
+        let args = Args {
+            output: flags.value("--output", "BENCH_sparse.json".to_string()),
+            sizes: flags.list("--k", &[64, 128, 256]),
+            densities: flags.list("--density", &[5, 10, 25]),
+            tokens: flags.value("--tokens", 512),
+            repeats: flags.value("--repeats", 15),
+            beam: flags.value("--beam", 0.01),
+            tolerance: flags.value("--tolerance", 0.01),
         };
-        match arg.as_str() {
-            "--output" => args.output = value_of("--output"),
-            "--k" => args.sizes = parse_list(&value_of("--k"), "--k"),
-            "--density" => args.densities = parse_list(&value_of("--density"), "--density"),
-            "--tokens" => {
-                args.tokens = value_of("--tokens")
-                    .parse()
-                    .expect("--tokens expects an integer")
-            }
-            "--repeats" => {
-                args.repeats = value_of("--repeats")
-                    .parse()
-                    .expect("--repeats expects an integer")
-            }
-            "--beam" => args.beam = value_of("--beam").parse().expect("--beam expects a float"),
-            "--tolerance" => {
-                args.tolerance = value_of("--tolerance")
-                    .parse()
-                    .expect("--tolerance expects a float")
-            }
-            other if !other.starts_with('-') => args.output = other.to_string(),
-            other => panic!("unknown argument {other:?}"),
-        }
+        flags.finish();
+        assert!(args.tokens > 0, "--tokens must be positive");
+        assert!(args.repeats > 0, "--repeats must be positive");
+        args
     }
-    assert!(!args.sizes.is_empty(), "--k list must be non-empty");
-    assert!(
-        !args.densities.is_empty(),
-        "--density list must be non-empty"
-    );
-    assert!(args.tokens > 0, "--tokens must be positive");
-    assert!(args.repeats > 0, "--repeats must be positive");
-    args
 }
 
 /// Builds a model whose transition rows concentrate `HEAVY_MASS` on
@@ -167,11 +126,6 @@ fn concentrated_model(k: usize, density_pct: usize, seed: u64) -> Hmm<DiscreteEm
     Hmm::new(pi, a, DiscreteEmission::new(b).expect("valid emission")).expect("valid model")
 }
 
-fn stream(tokens: usize, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..tokens).map(|_| rng.gen_range(0..VOCAB)).collect()
-}
-
 /// Microseconds per run of `dense` and of `sparse` over `repeats`
 /// alternating rounds of one run each.
 fn time_pair_us(
@@ -191,38 +145,11 @@ fn time_pair_us(
     (d.scaled(1e-3), s.scaled(1e-3))
 }
 
-struct Row {
-    k: usize,
-    target_density_pct: usize,
-    effective_density: f64,
-    nnz: usize,
-    fallback_rows: usize,
-    fwd_dense: Timing,
-    fwd_sparse: Timing,
-    vit_dense: Timing,
-    vit_sparse: Timing,
-    ll_error_bound: f64,
-    ll_gap: f64,
-    within_tolerance: bool,
-    /// Dense Viterbi score minus the sparse path's joint log-likelihood
-    /// under the unpruned model (≥ 0 up to rounding when both are right).
-    vit_path_gap: f64,
-    /// The sparse path is achievable and no better than the dense optimum.
-    vit_path_ok: bool,
-}
-
-impl Row {
-    fn fwd_speedup(&self) -> f64 {
-        self.fwd_dense.median / self.fwd_sparse.median
-    }
-    fn vit_speedup(&self) -> f64 {
-        self.vit_dense.median / self.vit_sparse.median
-    }
-}
-
-fn bench_cell(k: usize, density_pct: usize, args: &Args) -> Row {
+/// One k × density cell: its artifact row, and the message of a failed
+/// Viterbi cross-check.
+fn bench_cell(k: usize, density_pct: usize, args: &Args) -> (Json, Option<String>) {
     let model = concentrated_model(k, density_pct, 7_000 + (k * 31 + density_pct) as u64);
-    let seq = stream(args.tokens, 9_000 + k as u64);
+    let seq = uniform_tokens(args.tokens, VOCAB, 9_000 + k as u64);
     let params = SparseParams::threshold(THRESHOLD).with_beam(args.beam);
     let mut ws_d = InferenceWorkspace::new();
     let mut ws_s = InferenceWorkspace::new();
@@ -259,121 +186,73 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> Row {
         .joint_log_likelihood(&sparse_path, &seq)
         .expect("path and sequence lengths match");
 
-    Row {
-        k,
-        target_density_pct: density_pct,
-        effective_density: report.density,
-        nnz: report.nnz,
-        fallback_rows: report.fallback_rows,
-        fwd_dense,
-        fwd_sparse,
-        vit_dense,
-        vit_sparse,
-        ll_error_bound: report.ll_error_bound,
+    // Dense Viterbi score minus the sparse path's joint log-likelihood
+    // under the unpruned model: ≥ 0 up to rounding when both are right.
+    let vit_path_gap = dense_score - sparse_path_ll;
+    let vit_path_ok = sparse_path_ll.is_finite() && sparse_path_ll <= dense_score + 1e-9;
+    let failure = (!vit_path_ok).then(|| {
+        format!(
+            "viterbi cross-check failed at k={k} density={density_pct}%: the sparse path \
+             scores {:.3e} nats above the dense optimum (or is impossible)",
+            -vit_path_gap
+        )
+    });
+    let row = Json::row()
+        .field("k", k)
+        .field("target_density_pct", density_pct)
+        .fixed("effective_density", report.density, 4)
+        .field("nnz", report.nnz)
+        .field("fallback_rows", report.fallback_rows)
+        .timing("forward_dense_", "us", fwd_dense, 1)
+        .timing("forward_sparse_", "us", fwd_sparse, 1)
+        .fixed("forward_speedup", fwd_dense.median / fwd_sparse.median, 2)
+        .timing("viterbi_dense_", "us", vit_dense, 1)
+        .timing("viterbi_sparse_", "us", vit_sparse, 1)
+        .fixed("viterbi_speedup", vit_dense.median / vit_sparse.median, 2)
+        .field("viterbi_sparse_path_gap", format_args!("{vit_path_gap:.3e}"))
+        .field("viterbi_sparse_path_ok", vit_path_ok)
+        .fixed("ll_error_bound", report.ll_error_bound, 6)
         // Realized gap vs *dense on the original A*: static pruning error +
         // beam error together, the end-to-end number a user cares about.
-        ll_gap: ll_dense - ll_sparse,
-        within_tolerance: report.within(args.tolerance * args.tokens as f64),
-        vit_path_gap: dense_score - sparse_path_ll,
-        vit_path_ok: sparse_path_ll.is_finite() && sparse_path_ll <= dense_score + 1e-9,
-    }
+        .fixed("ll_gap_vs_dense", ll_dense - ll_sparse, 6)
+        .field(
+            "within_tolerance",
+            report.within(args.tolerance * args.tokens as f64),
+        );
+    (row, failure)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env();
 
     let mut rows = Vec::new();
+    let mut failures = Vec::new();
     for &k in &args.sizes {
         for &d in &args.densities {
-            rows.push(bench_cell(k, d, &args));
+            let (row, failure) = bench_cell(k, d, &args);
+            rows.push(row);
+            failures.extend(failure);
         }
     }
 
-    println!(
-        "sparse: CSR + beam vs dense scaled, concentrated transitions \
-         ({} tokens, threshold {THRESHOLD}, beam {})\n",
-        args.tokens, args.beam
-    );
-    println!(
-        "{:>4} {:>7} {:>8} {:>8} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8} {:>10} {:>9}",
-        "k",
-        "dens%",
-        "eff",
-        "nnz",
-        "fwd dense",
-        "fwd sparse",
-        "speedup",
-        "vit dense",
-        "vit sparse",
-        "speedup",
-        "bound",
-        "ll gap"
-    );
-    for r in &rows {
-        println!(
-            "{:>4} {:>7} {:>8.3} {:>8} {:>9.0}us {:>9.0}us {:>7.2}x {:>9.0}us {:>9.0}us {:>7.2}x {:>10.2e} {:>9.2e}",
-            r.k,
-            r.target_density_pct,
-            r.effective_density,
-            r.nnz,
-            r.fwd_dense.median,
-            r.fwd_sparse.median,
-            r.fwd_speedup(),
-            r.vit_dense.median,
-            r.vit_sparse.median,
-            r.vit_speedup(),
-            r.ll_error_bound,
-            r.ll_gap
-        );
-    }
+    Json::artifact(
+        "sparse",
+        "Sparse (CSR + beam) vs dense scaled inference on concentrated transition matrices: \
+         forward and Viterbi wall-clock per sequence with the tracked pruning-error report",
+    )
+    .field("vocab", VOCAB)
+    .field("tokens", args.tokens)
+    .field("repeats", args.repeats)
+    .field("threshold", THRESHOLD)
+    .field("beam", args.beam)
+    .field("tolerance_nats_per_token", args.tolerance)
+    .rows("rows", rows)
+    .write(&args.output);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"sparse\",\n");
-    json.push_str("  \"description\": \"Sparse (CSR + beam) vs dense scaled inference on concentrated transition matrices: forward and Viterbi wall-clock per sequence with the tracked pruning-error report\",\n");
-    machine_header(&mut json);
-    let _ = writeln!(json, "  \"vocab\": {VOCAB},");
-    let _ = writeln!(json, "  \"tokens\": {},", args.tokens);
-    let _ = writeln!(json, "  \"repeats\": {},", args.repeats);
-    let _ = writeln!(json, "  \"threshold\": {THRESHOLD},");
-    let _ = writeln!(json, "  \"beam\": {},", args.beam);
-    let _ = writeln!(json, "  \"tolerance_nats_per_token\": {},", args.tolerance);
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"k\": {}, \"target_density_pct\": {}, \"effective_density\": {:.4}, \"nnz\": {}, \"fallback_rows\": {}, {}, {}, \"forward_speedup\": {:.2}, {}, {}, \"viterbi_speedup\": {:.2}, \"viterbi_sparse_path_gap\": {:.3e}, \"viterbi_sparse_path_ok\": {}, \"ll_error_bound\": {:.6}, \"ll_gap_vs_dense\": {:.6}, \"within_tolerance\": {}}}",
-            r.k,
-            r.target_density_pct,
-            r.effective_density,
-            r.nnz,
-            r.fallback_rows,
-            r.fwd_dense.json("forward_dense_", "us", 1),
-            r.fwd_sparse.json("forward_sparse_", "us", 1),
-            r.fwd_speedup(),
-            r.vit_dense.json("viterbi_dense_", "us", 1),
-            r.vit_sparse.json("viterbi_sparse_", "us", 1),
-            r.vit_speedup(),
-            r.vit_path_gap,
-            r.vit_path_ok,
-            r.ll_error_bound,
-            r.ll_gap,
-            r.within_tolerance
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    for failure in &failures {
+        eprintln!("{failure}");
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&args.output, &json).expect("write benchmark JSON");
-    println!("\nwrote {}", args.output);
-
-    let failed: Vec<&Row> = rows.iter().filter(|r| !r.vit_path_ok).collect();
-    for r in &failed {
-        eprintln!(
-            "viterbi cross-check failed at k={} density={}%: the sparse path scores {:.3e} nats above the dense optimum (or is impossible)",
-            r.k, r.target_density_pct, -r.vit_path_gap
-        );
-    }
-    if !failed.is_empty() {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

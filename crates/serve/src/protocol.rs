@@ -401,7 +401,9 @@ impl Response {
             "committed" | "flushed" => {
                 let start = parse_usize(it.next(), "start")?;
                 let n = parse_usize(it.next(), "label count")?;
-                let mut labels = Vec::with_capacity(n);
+                // Each label takes at least two bytes of the payload, so a
+                // hostile count cannot reserve more than the frame holds.
+                let mut labels = Vec::with_capacity(n.min(payload.len() / 2));
                 for _ in 0..n {
                     labels.push(parse_usize(it.next(), "label")?);
                 }

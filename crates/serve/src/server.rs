@@ -21,10 +21,17 @@
 //!
 //! When the channel is idle the engine still ticks on a timeout, so the
 //! pool's eviction clock advances without traffic and idle sessions age
-//! out. On shutdown (SIGTERM/SIGINT or [`ServerHandle::shutdown`]) the
-//! accept loop stops, every connection is shut down, and the engine flushes
-//! all remaining active sessions before exiting — no stream's tail is lost
-//! mid-process.
+//! out.
+//!
+//! The acceptor blocks in `accept` and hands each connection to a reader
+//! thread at once; it backs off briefly only when `accept` fails (out of
+//! descriptors, say), so a failing listener cannot spin. On shutdown
+//! (SIGTERM/SIGINT or [`ServerHandle::shutdown`]) the engine stops within
+//! one idle tick and flushes all remaining active sessions before exiting —
+//! no stream's tail is lost mid-process. The handle then sets the stop
+//! latch and wakes the acceptor with one connection to the bound port (on
+//! loopback when the server is bound to an unspecified address); the
+//! acceptor sees the latch, shuts every live connection down, and exits.
 
 use crate::error::ServeError;
 use crate::protocol::{read_frame, write_frame, Request, Response};
@@ -36,7 +43,7 @@ use dhmm_runtime::Parallelism;
 use dhmm_stream::{InferenceBackend, SessionPool, StreamConfig};
 use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -633,14 +640,31 @@ impl ServerHandle {
         self.join()
     }
 
+    /// Joins the engine, which stops on the latch or on a signal within one
+    /// idle tick, then sets the latch and wakes the acceptor, blocked in
+    /// `accept`, with one connection of its own.
     fn join(&mut self) -> Result<DrainReport, ServeError> {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        match self.engine_thread.take() {
+        let report = match self.engine_thread.take() {
             None => Ok(DrainReport::default()),
             Some(t) => t.join().map_err(|_| ServeError::EngineCrashed),
+        };
+        if let Some(t) = self.accept_thread.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // When the wake cannot connect (out of descriptors, say), the
+            // acceptor stays blocked in `accept`; joining it would hang the
+            // shutdown, so it is left detached.
+            if TcpStream::connect(wake).is_ok() {
+                let _ = t.join();
+            }
         }
+        report
     }
 }
 
@@ -733,11 +757,6 @@ where
     let local_addr = listener.local_addr().map_err(|e| ServeError::Startup {
         reason: format!("local_addr: {e}"),
     })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Startup {
-            reason: format!("set_nonblocking: {e}"),
-        })?;
 
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<EngineMsg>();
@@ -760,34 +779,32 @@ where
         .name("dhmm-serve-accept".into())
         .spawn(move || {
             let mut next_conn = 0u64;
-            loop {
-                if accept_stop.load(Ordering::SeqCst) || signals::shutdown_requested() {
+            for stream in listener.incoming() {
+                if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let conn = next_conn;
-                        next_conn += 1;
-                        if let Ok(clone) = stream.try_clone() {
-                            conns.lock().expect("conn registry").insert(conn, clone);
-                        }
-                        let tx = tx.clone();
-                        let registry = Arc::clone(&conns);
-                        let spawned = thread::Builder::new()
-                            .name("dhmm-serve-client".into())
-                            .spawn(move || {
-                                client_loop(stream, tx);
-                                registry.lock().expect("conn registry").remove(&conn);
-                            });
-                        if spawned.is_err() {
-                            conns.lock().expect("conn registry").remove(&conn);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(5)),
+                let Ok(stream) = stream else {
+                    // Out of descriptors or a like failure: back off rather
+                    // than spin on an accept that keeps failing.
+                    thread::sleep(Duration::from_millis(5));
+                    continue;
+                };
+                let _ = stream.set_nodelay(true);
+                let conn = next_conn;
+                next_conn += 1;
+                if let Ok(clone) = stream.try_clone() {
+                    conns.lock().expect("conn registry").insert(conn, clone);
+                }
+                let tx = tx.clone();
+                let registry = Arc::clone(&conns);
+                let spawned = thread::Builder::new()
+                    .name("dhmm-serve-client".into())
+                    .spawn(move || {
+                        client_loop(stream, tx);
+                        registry.lock().expect("conn registry").remove(&conn);
+                    });
+                if spawned.is_err() {
+                    conns.lock().expect("conn registry").remove(&conn);
                 }
             }
             // Unblock every reader so client threads exit and drop their
