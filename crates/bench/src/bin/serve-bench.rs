@@ -6,21 +6,25 @@
 //! diffable artifact, `BENCH_serve.json`:
 //!
 //! * **request latency** — p50 / p99 / p99.9 / mean microseconds per
-//!   request over all clients (a round-trip includes framing, the engine
-//!   queue, one batch tick, and the reply). Quantiles come from the same
-//!   `dhmm_telemetry` log-bucketed histogram the serving registry uses —
-//!   every client thread records into one shared lock-free histogram, and
-//!   each reported percentile underestimates the exact nearest-rank value
-//!   by at most [`REL_ERROR`] (recorded in the JSON metadata);
+//!   request over all clients (a round-trip includes framing, one batch
+//!   tick — applied by the connection thread itself when the engine is
+//!   idle, or by the engine thread when it is busy — and the reply).
+//!   Quantiles come from the same `dhmm_telemetry` log-bucketed histogram
+//!   the serving registry uses — every client thread records into one
+//!   shared lock-free histogram, and each reported percentile
+//!   underestimates the exact nearest-rank value by at most [`REL_ERROR`]
+//!   (recorded in the JSON metadata);
 //! * **throughput** — sessions/sec and tokens/sec of the whole replay.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release -p dhmm_bench --bin serve-bench -- \
 //!     [--output BENCH_serve.json] [--clients 1,4,8] [--k 16,64] \
-//!     [--lag 8] [--tokens 256] [--threads 2] [--sessions-per-client 2]
+//!     [--lag 8] [--tokens 256] [--threads 2] [--sessions-per-client 50]
 //! ```
-//! Flags mirror `stream-bench`'s comma-separated-list style.
+//! Flags mirror `stream-bench`'s comma-separated-list style. At the
+//! defaults each client makes 550 requests (11 per 256-token session), so
+//! even a 1-client row's p99 is not simply its slowest request.
 
 use dhmm_bench::{random_discrete_hmm, uniform_tokens, Flags, Json};
 use dhmm_data::io::LoadedModel;
@@ -57,7 +61,7 @@ impl Args {
             lags: flags.list("--lag", &[8]),
             tokens: flags.value("--tokens", 256),
             threads: flags.value("--threads", 2),
-            sessions_per_client: flags.value("--sessions-per-client", 2),
+            sessions_per_client: flags.value("--sessions-per-client", 50),
         };
         flags.finish();
         assert!(args.tokens > 0, "--tokens must be positive");

@@ -8,8 +8,11 @@
 //!   rules + amortized fixed-lag smoothing), plus the implied single-session
 //!   tokens/sec;
 //! * **multiplexed throughput** of a [`SessionPool`] — tokens/sec of batch
-//!   ticks over a sessions × threads sweep, with the 1-thread pool as the
-//!   speedup baseline, plus the smoothed rows each run's ticks emitted.
+//!   ticks over a sessions × threads sweep, plus the smoothed rows each
+//!   run's ticks emitted. Each thread count alternates with the 1-thread
+//!   pool over `THROUGHPUT_ROUNDS` rounds; a row records both sides'
+//!   medians and ranges and `speedup_vs_serial`, the ratio of the medians
+//!   (at 1 thread that ratio reads the run-to-run noise).
 //!
 //! A third section compares the same pool run with telemetry disabled and
 //! registry-backed, alternating the two sides over `OVERHEAD_ROUNDS`
@@ -44,6 +47,9 @@ const TICK_CHUNK: usize = 32;
 const OVERHEAD_SESSIONS: usize = 8;
 /// Alternating rounds per side of a telemetry-overhead row.
 const OVERHEAD_ROUNDS: usize = 15;
+/// Alternating rounds per side of a throughput row (thread count against
+/// the serial pool).
+const THROUGHPUT_ROUNDS: usize = 5;
 
 struct Args {
     output: String,
@@ -126,23 +132,16 @@ fn latency(k: usize, lag: usize, tokens: usize) -> Json {
         .fixed("tokens_per_sec", tokens as f64 / wall, 0)
 }
 
-/// What one multiplexed run measured: wall-clock throughput plus the
-/// smoothed rows the run's ticks emitted.
-#[derive(Clone, Copy)]
-struct PoolRunStats {
-    tokens_per_sec: f64,
-    smoothing_scalar: u64,
-}
-
 /// One full multiplexed run: `sessions` sessions × `tokens` tokens, fed in
-/// `TICK_CHUNK`-token rounds, under an explicit thread policy.
+/// `TICK_CHUNK`-token rounds, under an explicit thread policy. Returns the
+/// smoothed rows the run's ticks emitted.
 fn pool_run(
     m: &Arc<Hmm<DiscreteEmission>>,
     streams: &[Vec<usize>],
     lag: usize,
     threads: usize,
     telemetry: TelemetrySink,
-) -> PoolRunStats {
+) -> u64 {
     let mut pool = SessionPool::with_config(
         Arc::clone(m),
         StreamConfig::default()
@@ -152,11 +151,9 @@ fn pool_run(
     )
     .expect("discrete models stream");
     let ids: Vec<_> = streams.iter().map(|_| pool.create()).collect();
-    let tokens: usize = streams.iter().map(|s| s.len()).sum();
     let max_len = streams.iter().map(|s| s.len()).max().unwrap_or(0);
     let mut sink = Vec::new();
 
-    let start = Instant::now();
     let mut offset = 0;
     while offset < max_len {
         for (id, seq) in ids.iter().zip(streams) {
@@ -173,10 +170,7 @@ fn pool_run(
         pool.take_committed(*id, &mut sink).expect("live session");
         black_box(sink.len());
     }
-    PoolRunStats {
-        tokens_per_sec: tokens as f64 / start.elapsed().as_secs_f64(),
-        smoothing_scalar: pool.smoothing_scalar_total(),
-    }
+    pool.smoothing_scalar_total()
 }
 
 fn main() {
@@ -197,26 +191,32 @@ fn main() {
                 let streams: Vec<Vec<usize>> = (0..sessions)
                     .map(|i| uniform_tokens(args.tokens, VOCAB, 1000 + i as u64))
                     .collect();
-                // Warm-up run sizes every session workspace and the pool
-                // scratch, so measured runs see steady-state allocation.
-                black_box(pool_run(&m, &streams, lag, 1, TelemetrySink::Disabled));
-                let serial = pool_run(&m, &streams, lag, 1, TelemetrySink::Disabled);
+                let tokens = (sessions * args.tokens) as f64;
                 for &threads in &args.threads {
-                    let run = if threads == 1 {
-                        serial
-                    } else {
-                        pool_run(&m, &streams, lag, threads, TelemetrySink::Disabled)
-                    };
-                    let speedup = run.tokens_per_sec / serial.tokens_per_sec;
+                    // Each timed call is a whole run, pool construction
+                    // included; `time_alternating` warms both sides first.
+                    let mut smoothing_rows = 0;
+                    let (serial, run) = time_alternating(
+                        THROUGHPUT_ROUNDS,
+                        || {
+                            black_box(pool_run(&m, &streams, lag, 1, TelemetrySink::Disabled));
+                        },
+                        || {
+                            let sink = TelemetrySink::Disabled;
+                            smoothing_rows = pool_run(&m, &streams, lag, threads, sink);
+                        },
+                    );
+                    let (serial, run) = (serial.rate(tokens), run.rate(tokens));
                     throughput_rows.push(
                         Json::row()
                             .field("k", k)
                             .field("lag", lag)
                             .field("sessions", sessions)
                             .field("threads", threads)
-                            .fixed("tokens_per_sec", run.tokens_per_sec, 0)
-                            .fixed("speedup_vs_serial", speedup, 2)
-                            .field("smoothing_scalar_rows", run.smoothing_scalar),
+                            .timing("", "tokens_per_sec", run, 0)
+                            .timing("serial_", "tokens_per_sec", serial, 0)
+                            .fixed("speedup_vs_serial", run.median / serial.median, 2)
+                            .field("smoothing_scalar_rows", smoothing_rows),
                     );
                 }
             }
@@ -269,8 +269,10 @@ fn main() {
         &format!(
             "Streaming inference: single-session per-token push latency (p50/p99/p99.9/mean ns) \
              and multiplexed SessionPool throughput (tokens/sec) over a k x lag x sessions x \
-             threads sweep, plus telemetry overhead: disabled vs registry-backed pool runs \
-             alternated over {OVERHEAD_ROUNDS} rounds, median and range per side"
+             threads sweep, each thread count alternated with the serial pool over \
+             {THROUGHPUT_ROUNDS} rounds (median and range per side, speedup of the medians), \
+             plus telemetry overhead: disabled vs registry-backed pool runs alternated over \
+             {OVERHEAD_ROUNDS} rounds, median and range per side"
         ),
     )
     .field("vocab", VOCAB)

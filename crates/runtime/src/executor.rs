@@ -280,6 +280,16 @@ impl Executor {
             data.len()
         );
         let rows = data.len() / stride;
+        if self.workers <= 1 || rows == 1 {
+            // One band of every row: the partition is `[0..rows]`, so the
+            // call allocates nothing (the pool tick relies on this).
+            assert!(
+                !states.is_empty(),
+                "runtime executor: 0 states for 1 ranges"
+            );
+            f(0..rows, data, &mut states[0]);
+            return;
+        }
         let ranges = split_rows(rows, self.workers);
         assert!(
             states.len() >= ranges.len(),
@@ -287,15 +297,6 @@ impl Executor {
             states.len(),
             ranges.len()
         );
-        if self.workers <= 1 || ranges.len() <= 1 {
-            let mut rest = data;
-            for (i, range) in ranges.into_iter().enumerate() {
-                let (band, tail) = rest.split_at_mut(range.len() * stride);
-                f(range, band, &mut states[i]);
-                rest = tail;
-            }
-            return;
-        }
         let base = SendPtr(data.as_mut_ptr());
         let state_ptr = SendPtr(states.as_mut_ptr());
         pool::run_tasks(ranges.len(), self.workers, &|t| {

@@ -56,18 +56,36 @@
 use crate::error::ServeError;
 use dhmm_stream::SessionId;
 use std::fmt::Write as _;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard cap on a frame payload (16 MiB): a sanity bound, far above any real
 /// request, so a corrupted length prefix fails fast instead of allocating.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Writes one length-delimited frame.
+/// Writes one length-delimited frame: the length prefix and the payload go
+/// out in one vectored write (for a socket, one `writev`) without being
+/// copied into a buffer of their own. Two writes would leave the payload
+/// waiting on Nagle's algorithm and the peer's delayed ACK whenever the
+/// writing socket has not set `TCP_NODELAY`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     debug_assert!(bytes.len() <= MAX_FRAME_LEN);
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let len = (bytes.len() as u32).to_be_bytes();
+    let mut bufs = [IoSlice::new(&len), IoSlice::new(bytes)];
+    let mut rest = &mut bufs[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -480,6 +498,59 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "push 0.0 1 2 3");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "");
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// A writer that takes at most three bytes per call and counts calls.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(3);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_survives_partial_writes_and_goes_out_in_one_write_when_it_can() {
+        let mut trickle = Trickle {
+            out: Vec::new(),
+            calls: 0,
+        };
+        write_frame(&mut trickle, "push 0.0 1 2").unwrap();
+        assert_eq!(trickle.calls, 6, "16 bytes, three per write");
+        assert_eq!(
+            read_frame(&mut &trickle.out[..]).unwrap().unwrap(),
+            "push 0.0 1 2"
+        );
+
+        // A writer with a real vectored write (a socket, or `Vec`) gets the
+        // prefix and the payload in one call.
+        struct Vectored(usize);
+        impl Write for Vectored {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                self.0 += 1;
+                Ok(bufs.iter().map(|b| b.len()).sum())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut vectored = Vectored(0);
+        write_frame(&mut vectored, "stats").unwrap();
+        assert_eq!(vectored.0, 1);
     }
 
     #[test]

@@ -1,37 +1,55 @@
-//! The serving engine: one thread owning the [`SessionPool`], fed by
-//! per-connection reader threads over an mpsc channel.
+//! The serving engine: one [`SessionPool`] behind one engine lock, applied
+//! by whichever thread finds the lock free.
 //!
 //! # Architecture
 //!
 //! ```text
-//!   client ──TCP──▶ reader thread ──┐
-//!   client ──TCP──▶ reader thread ──┼─▶ mpsc ─▶ engine thread (owns SessionPool)
-//!   client ──TCP──▶ reader thread ──┘             │ batch drain → pushes →
-//!                                                 │ ONE tick() → replies
+//!                         lock free, nothing queued:
+//!                      ┌─ apply inline, ONE tick, unlock ─┐
+//!   client ──TCP──▶ connection thread                     ├─▶ write own reply
+//!                      └─ busy ─▶ mpsc ─▶ engine thread ──┘      (unlocked)
+//!                                          │ lock → batch drain → pushes →
+//!                                          │ ONE tick() → replies → unlock
+//!                               engine lock: SessionPool + engine metrics
 //! ```
 //!
-//! The engine drains whatever requests have queued, applies them in arrival
-//! order, runs **one** [`SessionPool::tick`] for the batch's pushes, then
-//! answers each push with its session's newly committed labels. Sessions
-//! share no state and each session's tokens are processed in queue order,
-//! so per-session results are independent of how requests happen to batch —
+//! A connection thread that reads a request while the lock is free and no
+//! request is queued for the engine applies it itself, as a batch of one,
+//! then releases the lock and writes its reply. A request that finds the
+//! engine busy goes to the engine thread over the channel; the engine drains
+//! whatever has queued, applies it in arrival order under the lock, runs
+//! **one** [`SessionPool::tick`] for the batch's pushes, and hands each
+//! reply back to its connection thread. So an uncontended request pays for
+//! one lock and no thread hand-off, and contended requests still batch into
+//! one tick. Sessions share no state and each session's tokens are
+//! processed in arrival order, so per-session results are independent of
+//! which path applied them and of how requests happen to batch —
 //! protocol-driven labeling is bit-identical to driving the pool in-process
 //! (pinned by `tests/parity.rs`, including across a mid-stream
 //! `swap-model`).
 //!
-//! When the channel is idle the engine still ticks on a timeout, so the
-//! pool's eviction clock advances without traffic and idle sessions age
-//! out.
+//! No thread writes to a socket while it holds the lock, and each
+//! connection thread writes only its own replies, so a client that never
+//! reads stalls only its own thread (`tests/stalled_connection.rs`).
 //!
-//! The acceptor blocks in `accept` and hands each connection to a reader
-//! thread at once; it backs off briefly only when `accept` fails (out of
-//! descriptors, say), so a failing listener cannot spin. On shutdown
+//! When no request was applied, on either path, for one idle tick, the
+//! engine thread still ticks the pool, so its eviction clock advances
+//! without traffic and idle sessions age out.
+//!
+//! The acceptor blocks in `accept` and hands each connection to a
+//! connection thread at once; it backs off briefly only when `accept` fails
+//! (out of descriptors, say), so a failing listener cannot spin. On shutdown
 //! (SIGTERM/SIGINT or [`ServerHandle::shutdown`]) the engine stops within
-//! one idle tick and flushes all remaining active sessions before exiting —
-//! no stream's tail is lost mid-process. The handle then sets the stop
-//! latch and wakes the acceptor with one connection to the bound port (on
-//! loopback when the server is bound to an unspecified address); the
-//! acceptor sees the latch, shuts every live connection down, and exits.
+//! one idle tick, flushes all remaining active sessions and marks itself
+//! closed, all under the lock — no stream's tail is lost mid-process, and a
+//! request that takes the lock afterwards ends its connection. The handle
+//! then sets the stop latch and wakes the acceptor with one connection to
+//! the bound port (on loopback when the server is bound to an unspecified
+//! address); the acceptor sees the latch, shuts every live connection down,
+//! and exits. A panic while applying a request, on either thread, poisons
+//! the lock: the engine thread then stops without a drain, the other
+//! connections end, and [`ServerHandle::shutdown`] reports
+//! [`ServeError::EngineCrashed`].
 
 use crate::error::ServeError;
 use crate::protocol::{read_frame, write_frame, Request, Response};
@@ -40,16 +58,16 @@ use dhmm_data::io::{load_model, LoadedModel};
 use dhmm_hmm::emission::{DiscreteEmission, Emission, GaussianEmission};
 use dhmm_hmm::model::Hmm;
 use dhmm_runtime::Parallelism;
-use dhmm_stream::{InferenceBackend, SessionPool, StreamConfig};
+use dhmm_stream::{InferenceBackend, SessionId, SessionPool, StreamConfig};
 use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration of a serving process.
 ///
@@ -76,8 +94,9 @@ pub struct ServeConfig {
     /// (`None` = never). A stale client's next request answers
     /// `err stale-session`.
     pub max_idle_ticks: Option<u64>,
-    /// Engine heartbeat: how long the engine waits for traffic before
-    /// running an idle tick (advancing the eviction clock).
+    /// Engine heartbeat: how long the engine goes without applying a
+    /// request, on either path, before running an idle tick (advancing the
+    /// eviction clock).
     pub idle_tick: Duration,
     /// Metrics sink, forwarded to the session pool and used for the
     /// engine's own per-verb counters/latency histograms. With a registry
@@ -253,10 +272,79 @@ impl ServableEmission for GaussianEmission {
     }
 }
 
-/// One request in flight from a reader thread to the engine.
+/// One request in flight from a connection thread to the engine thread.
 struct EngineMsg {
     request: Request,
     reply: mpsc::Sender<Response>,
+}
+
+/// What the engine lock guards.
+struct Engine<E: Emission> {
+    pool: SessionPool<E>,
+    metrics: EngineMetrics,
+    /// When a request was last applied, on either path, or the idle
+    /// heartbeat last ticked.
+    last_active: Instant,
+    /// Set after the shutdown drain: the pool takes no more requests.
+    closed: bool,
+}
+
+/// The state the engine thread and the connection threads share.
+struct Shared<E: Emission> {
+    engine: Mutex<Engine<E>>,
+    /// Requests sent to the engine thread and not yet applied. A connection
+    /// applies its own request only while this is zero, so under contention
+    /// requests keep batching on the engine thread.
+    queued: AtomicUsize,
+}
+
+impl<E: Emission> Shared<E> {
+    fn new(pool: SessionPool<E>, metrics: EngineMetrics) -> Self {
+        metrics.epoch.set(pool.current_epoch() as f64);
+        Self {
+            engine: Mutex::new(Engine {
+                pool,
+                metrics,
+                last_active: Instant::now(),
+                closed: false,
+            }),
+            queued: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// What a connection thread found when it tried to apply its own request.
+enum Inline {
+    /// Applied under the lock: the reply to write.
+    Applied(Response),
+    /// The engine is busy or has requests queued: hand the request over.
+    Busy(Request),
+    /// The engine has drained or crashed: end the connection.
+    Refused,
+}
+
+/// Applies `request` on the calling thread as a batch of one when the lock
+/// is free and nothing is queued for the engine thread.
+fn try_inline<E: ServableEmission>(shared: &Shared<E>, request: Request) -> Inline
+where
+    E::Obs: Send + Sync,
+{
+    if shared.queued.load(Ordering::SeqCst) > 0 {
+        return Inline::Busy(request);
+    }
+    let mut engine = match shared.engine.try_lock() {
+        Ok(engine) => engine,
+        Err(TryLockError::WouldBlock) => return Inline::Busy(request),
+        Err(TryLockError::Poisoned(_)) => return Inline::Refused,
+    };
+    if engine.closed {
+        return Inline::Refused;
+    }
+    let mut reply = None;
+    apply_batch(&mut engine, std::iter::once(&request), |_, r| {
+        reply = Some(r)
+    });
+    Inline::Applied(reply.expect("every request is answered"))
 }
 
 /// The protocol verbs, in [`verb_index`] order (the per-verb metric label
@@ -310,8 +398,9 @@ struct EngineMetrics {
     request_ns: [Histogram; VERBS.len()],
     /// `dhmm_serve_errors_total{code=…}`, indexed like [`ERROR_CODES`].
     errors: [Counter; ERROR_CODES.len()],
-    /// `dhmm_serve_batch_size`: requests drained per engine batch (the
-    /// engine-side queue-depth distribution).
+    /// `dhmm_serve_batch_size`: requests applied per batch — 1 for a
+    /// request its connection thread applied itself, the queue depth for a
+    /// batch the engine thread drained.
     batch_size: Histogram,
     /// `dhmm_serve_epoch`: the currently published model epoch.
     epoch: Gauge,
@@ -349,7 +438,7 @@ impl EngineMetrics {
             batch_size: sink.histogram(
                 "dhmm_serve_batch_size",
                 &[],
-                "Requests drained per engine batch (queue-depth distribution).",
+                "Requests applied per batch (1 inline; the queue depth on the engine thread).",
             ),
             epoch: sink.gauge("dhmm_serve_epoch", &[], "Currently published model epoch."),
             drain_flushed: sink.gauge(
@@ -377,22 +466,24 @@ impl EngineMetrics {
     }
 }
 
-/// Applies one batch of requests: arrival order, one tick, then push
-/// replies. Returns the replies deferred until after the tick.
-fn apply_batch<E: ServableEmission>(
-    pool: &mut SessionPool<E>,
-    batch: Vec<EngineMsg>,
-    metrics: &EngineMetrics,
+/// Applies one batch of requests: arrival order, one tick for the batch's
+/// pushes, then the push replies. `reply(i, response)` answers the `i`-th
+/// request; every verb but `push` is answered before the tick.
+fn apply_batch<'a, E: ServableEmission>(
+    engine: &mut Engine<E>,
+    requests: impl ExactSizeIterator<Item = &'a Request>,
+    mut reply: impl FnMut(usize, Response),
 ) where
     E::Obs: Send + Sync,
 {
-    metrics.batch_size.record(batch.len() as u64);
-    let mut pushed: Vec<EngineMsg> = Vec::new();
-    for msg in batch {
-        let vi = verb_index(&msg.request);
+    let Engine { pool, metrics, .. } = &mut *engine;
+    metrics.batch_size.record(requests.len() as u64);
+    let mut pushed: Vec<(usize, SessionId)> = Vec::new();
+    for (i, request) in requests.enumerate() {
+        let vi = verb_index(request);
         metrics.requests[vi].inc();
         let span = metrics.request_ns[vi].span();
-        let response = match &msg.request {
+        let response = match request {
             Request::Create => Some(Response::Created { id: pool.create() }),
             Request::Push { id, tokens } => {
                 let parsed: Result<Vec<E::Obs>, ServeError> =
@@ -400,7 +491,7 @@ fn apply_batch<E: ServableEmission>(
                 match parsed.and_then(|obs| pool.push_many(*id, obs).map_err(ServeError::from)) {
                     Ok(()) => {
                         drop(span);
-                        pushed.push(msg);
+                        pushed.push((i, *id));
                         continue;
                     }
                     Err(e) => Some(error_response(e)),
@@ -449,17 +540,13 @@ fn apply_batch<E: ServableEmission>(
             if let Response::Error { code, .. } = &r {
                 metrics.count_error(code);
             }
-            let _ = msg.reply.send(r);
+            reply(i, r);
         }
     }
 
     if !pushed.is_empty() {
         pool.tick();
-        for msg in pushed {
-            let id = match &msg.request {
-                Request::Push { id, .. } => *id,
-                _ => unreachable!("only pushes are deferred"),
-            };
+        for (i, id) in pushed {
             let mut labels = Vec::new();
             let r = match pool.take_committed(id, &mut labels) {
                 Ok(start) => Response::Committed { start, labels },
@@ -468,9 +555,10 @@ fn apply_batch<E: ServableEmission>(
             if let Response::Error { code, .. } = &r {
                 metrics.count_error(code);
             }
-            let _ = msg.reply.send(r);
+            reply(i, r);
         }
     }
+    engine.last_active = Instant::now();
 }
 
 fn error_response(e: ServeError) -> Response {
@@ -517,54 +605,72 @@ pub struct DrainReport {
     pub tokens: usize,
 }
 
-/// The engine loop: batch, apply, tick, repeat — until shutdown, then
-/// flush every remaining session. Returns what the shutdown drain flushed.
+/// The engine thread: batch what the connection threads handed over, apply
+/// it under the lock, tick, repeat — until shutdown, then flush every
+/// remaining session and close. Returns what the shutdown drain flushed, or
+/// [`ServeError::EngineCrashed`] once a panic has poisoned the lock.
 fn engine_loop<E: ServableEmission>(
-    mut pool: SessionPool<E>,
+    shared: &Shared<E>,
     rx: mpsc::Receiver<EngineMsg>,
-    config: ServeConfig,
-    stop: Arc<AtomicBool>,
-) -> DrainReport
+    config: &ServeConfig,
+    stop: &AtomicBool,
+) -> Result<DrainReport, ServeError>
 where
     E::Obs: Send + Sync,
 {
-    let metrics = EngineMetrics::new(&config.telemetry);
-    metrics.epoch.set(pool.current_epoch() as f64);
+    let lock = || shared.engine.lock().map_err(|_| ServeError::EngineCrashed);
+    let apply = |engine: &mut Engine<E>, batch: &[EngineMsg]| {
+        apply_batch(engine, batch.iter().map(|m| &m.request), |i, r| {
+            let _ = batch[i].reply.send(r);
+        });
+        shared.queued.fetch_sub(batch.len(), Ordering::SeqCst);
+    };
+    let mut wait = config.idle_tick;
     loop {
         if stop.load(Ordering::SeqCst) || signals::shutdown_requested() {
             break;
         }
-        let first = match rx.recv_timeout(config.idle_tick) {
-            Ok(msg) => msg,
+        match rx.recv_timeout(wait) {
+            Ok(first) => {
+                let mut batch = vec![first];
+                batch.extend(rx.try_iter());
+                apply(&mut *lock()?, &batch);
+                wait = config.idle_tick;
+            }
             Err(RecvTimeoutError::Timeout) => {
+                let mut engine = lock()?;
+                let idle = engine.last_active.elapsed();
+                if idle < config.idle_tick {
+                    // A connection applied a request meanwhile.
+                    wait = config.idle_tick - idle;
+                    continue;
+                }
                 // Idle heartbeat: advance the eviction clock with an empty
                 // tick (label-neutral — there are no pending tokens).
-                pool.tick();
+                engine.pool.tick();
                 if let Some(horizon) = config.max_idle_ticks {
-                    pool.evict_idle(horizon);
+                    engine.pool.evict_idle(horizon);
                 }
-                continue;
+                engine.last_active = Instant::now();
+                wait = config.idle_tick;
             }
             Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let mut batch = vec![first];
-        while let Ok(msg) = rx.try_recv() {
-            batch.push(msg);
         }
-        apply_batch(&mut pool, batch, &metrics);
     }
 
+    let mut engine = lock()?;
     // The stop latch can flip while requests the TCP layer already accepted
     // are still queued in the channel; dropping them would silently violate
     // the drain guarantee below. Apply them as one final batch first.
     let tail: Vec<EngineMsg> = rx.try_iter().collect();
     if !tail.is_empty() {
-        apply_batch(&mut pool, tail, &metrics);
+        apply(&mut engine, &tail);
     }
 
     // Shutdown drain: commit every in-flight stream's tail so no accepted
     // token goes unlabeled (the labels are readable until the process
     // exits; a front-end with durable output would sink them here).
+    let Engine { pool, metrics, .. } = &mut *engine;
     let mut report = DrainReport::default();
     for id in pool.active_ids() {
         if !pool.is_flushed(id).unwrap_or(true) {
@@ -574,10 +680,19 @@ where
             metrics.drain_flushed.set(report.flushed as f64);
         }
     }
-    report
+    engine.closed = true;
+    Ok(report)
 }
 
-fn client_loop(mut stream: TcpStream, tx: mpsc::Sender<EngineMsg>) {
+/// One connection: read a request, apply it inline or hand it to the engine
+/// thread, write the reply — with the lock released — and repeat.
+fn client_loop<E: ServableEmission>(
+    mut stream: TcpStream,
+    shared: &Shared<E>,
+    tx: mpsc::Sender<EngineMsg>,
+) where
+    E::Obs: Send + Sync,
+{
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
@@ -585,22 +700,27 @@ fn client_loop(mut stream: TcpStream, tx: mpsc::Sender<EngineMsg>) {
         };
         let response = match Request::parse(&payload) {
             Err(e) => error_response(e),
-            Ok(request) => {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if tx
-                    .send(EngineMsg {
-                        request,
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    return; // engine gone: shutting down
+            Ok(request) => match try_inline(shared, request) {
+                Inline::Applied(r) => r,
+                Inline::Refused => return,
+                Inline::Busy(request) => {
+                    let (reply_tx, reply_rx) = mpsc::channel();
+                    shared.queued.fetch_add(1, Ordering::SeqCst);
+                    if tx
+                        .send(EngineMsg {
+                            request,
+                            reply: reply_tx,
+                        })
+                        .is_err()
+                    {
+                        return; // engine gone: shutting down
+                    }
+                    match reply_rx.recv() {
+                        Ok(r) => r,
+                        Err(_) => return,
+                    }
                 }
-                match reply_rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => return,
-                }
-            }
+            },
         };
         if write_frame(&mut stream, &response.encode()).is_err() {
             return;
@@ -614,7 +734,7 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    engine_thread: Option<JoinHandle<DrainReport>>,
+    engine_thread: Option<JoinHandle<Result<DrainReport, ServeError>>>,
 }
 
 impl ServerHandle {
@@ -624,9 +744,9 @@ impl ServerHandle {
     }
 
     /// Requests shutdown and waits for the drain; returns what the engine
-    /// flushed on the way out, or [`ServeError::EngineCrashed`] if the
-    /// engine thread panicked — a crash must never masquerade as a clean
-    /// zero-session drain.
+    /// flushed on the way out, or [`ServeError::EngineCrashed`] if applying
+    /// a request panicked, on the engine thread or on a connection thread —
+    /// a crash must never masquerade as a clean zero-session drain.
     pub fn shutdown(mut self) -> Result<DrainReport, ServeError> {
         self.stop.store(true, Ordering::SeqCst);
         self.join()
@@ -635,7 +755,7 @@ impl ServerHandle {
     /// Waits for the server to stop on its own (SIGTERM/SIGINT or an
     /// external [`crate::signals::request_shutdown`]); returns what the
     /// engine flushed on the way out, or [`ServeError::EngineCrashed`] if
-    /// the engine thread panicked.
+    /// applying a request panicked.
     pub fn wait(mut self) -> Result<DrainReport, ServeError> {
         self.join()
     }
@@ -646,7 +766,7 @@ impl ServerHandle {
     fn join(&mut self) -> Result<DrainReport, ServeError> {
         let report = match self.engine_thread.take() {
             None => Ok(DrainReport::default()),
-            Some(t) => t.join().map_err(|_| ServeError::EngineCrashed),
+            Some(t) => t.join().unwrap_or(Err(ServeError::EngineCrashed)),
         };
         if let Some(t) = self.accept_thread.take() {
             self.stop.store(true, Ordering::SeqCst);
@@ -760,12 +880,13 @@ where
 
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<EngineMsg>();
+    let shared = Arc::new(Shared::new(pool, EngineMetrics::new(&config.telemetry)));
 
     let engine_stop = Arc::clone(&stop);
-    let engine_config = config;
+    let engine_shared = Arc::clone(&shared);
     let engine_thread = thread::Builder::new()
         .name("dhmm-serve-engine".into())
-        .spawn(move || engine_loop(pool, rx, engine_config, engine_stop))
+        .spawn(move || engine_loop(&engine_shared, rx, &config, &engine_stop))
         .map_err(|e| ServeError::Startup {
             reason: format!("spawn engine: {e}"),
         })?;
@@ -796,19 +917,20 @@ where
                     conns.lock().expect("conn registry").insert(conn, clone);
                 }
                 let tx = tx.clone();
+                let shared = Arc::clone(&shared);
                 let registry = Arc::clone(&conns);
                 let spawned = thread::Builder::new()
                     .name("dhmm-serve-client".into())
                     .spawn(move || {
-                        client_loop(stream, tx);
+                        client_loop(stream, &shared, tx);
                         registry.lock().expect("conn registry").remove(&conn);
                     });
                 if spawned.is_err() {
                     conns.lock().expect("conn registry").remove(&conn);
                 }
             }
-            // Unblock every reader so client threads exit and drop their
-            // channel senders; the engine then drains and stops.
+            // Unblock every connection thread so it exits and drops its
+            // channel sender.
             for (_, conn) in conns.lock().expect("conn registry").drain() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
@@ -882,55 +1004,57 @@ mod tests {
         Hmm::new(pi, a, DiscreteEmission::new(b).expect("valid emission")).expect("valid model")
     }
 
-    /// Lag-0 pool: every ticked token's label commits immediately, so
-    /// batch-ordering semantics are visible without lag bookkeeping.
-    fn lag0_pool() -> SessionPool<DiscreteEmission> {
-        SessionPool::with_config(
+    /// Lag-0 engine state: every ticked token's label commits immediately,
+    /// so batch-ordering semantics are visible without lag bookkeeping.
+    fn lag0_shared() -> Shared<DiscreteEmission> {
+        let pool = SessionPool::with_config(
             Arc::new(model(3, 4)),
             ServeConfig::default().with_lag(0).stream_config(),
         )
-        .expect("scaled backend streams")
+        .expect("scaled backend streams");
+        Shared::new(pool, EngineMetrics::new(&TelemetrySink::Disabled))
     }
 
-    fn msg(request: Request) -> (EngineMsg, mpsc::Receiver<Response>) {
-        let (reply, rx) = mpsc::channel();
-        (EngineMsg { request, reply }, rx)
+    fn create(shared: &Shared<DiscreteEmission>) -> SessionId {
+        shared.engine.lock().expect("engine lock").pool.create()
     }
 
-    fn push_msg(
-        id: dhmm_stream::SessionId,
-        tokens: &[&str],
-    ) -> (EngineMsg, mpsc::Receiver<Response>) {
-        msg(Request::Push {
+    fn push(id: SessionId, tokens: &[&str]) -> Request {
+        Request::Push {
             id,
             tokens: tokens.iter().map(|t| t.to_string()).collect(),
-        })
+        }
     }
 
-    fn committed(rx: &mpsc::Receiver<Response>) -> (usize, Vec<usize>) {
-        match rx.try_recv().expect("reply was sent") {
-            Response::Committed { start, labels } => (start, labels),
+    /// Applies `requests` as one batch and returns the reply to each.
+    fn apply(shared: &Shared<DiscreteEmission>, requests: &[Request]) -> Vec<Response> {
+        let mut replies = vec![None; requests.len()];
+        let mut engine = shared.engine.lock().expect("engine lock");
+        apply_batch(&mut engine, requests.iter(), |i, r| replies[i] = Some(r));
+        replies
+            .into_iter()
+            .map(|r| r.expect("every request is answered"))
+            .collect()
+    }
+
+    fn committed(response: &Response) -> (usize, Vec<usize>) {
+        match response {
+            Response::Committed { start, labels } => (*start, labels.clone()),
             other => panic!("expected ok committed, got {other:?}"),
         }
     }
 
     #[test]
     fn same_batch_pushes_for_one_session_reply_on_the_first_with_contiguous_offsets() {
-        let mut pool = lag0_pool();
-        let id = pool.create();
-        let (m1, r1) = push_msg(id, &["0", "1"]);
-        let (m2, r2) = push_msg(id, &["2"]);
-        apply_batch(
-            &mut pool,
-            vec![m1, m2],
-            &EngineMetrics::new(&TelemetrySink::Disabled),
-        );
+        let shared = lag0_shared();
+        let id = create(&shared);
+        let replies = apply(&shared, &[push(id, &["0", "1"]), push(id, &["2"])]);
 
         // One tick ran for the whole batch, so everything both pushes
         // committed is attributed to the first reply; the second sees an
         // empty window starting exactly where the first ended.
-        let (s1, l1) = committed(&r1);
-        let (s2, l2) = committed(&r2);
+        let (s1, l1) = committed(&replies[0]);
+        let (s2, l2) = committed(&replies[1]);
         assert_eq!(s1, 0);
         assert_eq!(l1.len(), 3, "lag 0 commits every ticked token");
         assert_eq!(s2, 3, "offsets stay contiguous across same-batch pushes");
@@ -939,62 +1063,165 @@ mod tests {
 
     #[test]
     fn push_then_flush_in_one_batch_runs_in_arrival_order() {
-        let mut pool = lag0_pool();
-        let id = pool.create();
-        let (m1, r1) = push_msg(id, &["0", "1"]);
-        let (m2, r2) = msg(Request::Flush { id });
-        apply_batch(
-            &mut pool,
-            vec![m1, m2],
-            &EngineMetrics::new(&TelemetrySink::Disabled),
-        );
+        let shared = lag0_shared();
+        let id = create(&shared);
+        let replies = apply(&shared, &[push(id, &["0", "1"]), Request::Flush { id }]);
 
         // The flush runs inline (arrival order) and drains the same-batch
         // push itself, so the flush reply carries both labels…
-        match r2.try_recv().expect("flush reply was sent") {
+        match &replies[1] {
             Response::Flushed {
                 start,
                 labels,
                 tokens,
                 ..
             } => {
-                assert_eq!(start, 0);
+                assert_eq!(*start, 0);
                 assert_eq!(labels.len(), 2);
-                assert_eq!(tokens, 2);
+                assert_eq!(*tokens, 2);
             }
             other => panic!("expected ok flushed, got {other:?}"),
         }
         // …and the push's deferred reply finds nothing left, at the offset
         // where the flush stopped.
-        let (s1, l1) = committed(&r1);
+        let (s1, l1) = committed(&replies[0]);
         assert_eq!(s1, 2);
         assert!(l1.is_empty());
     }
 
     #[test]
     fn engine_loop_applies_requests_queued_behind_the_stop_latch() {
-        let mut pool = lag0_pool();
-        let id = pool.create();
+        let shared = lag0_shared();
+        let id = create(&shared);
         let (tx, rx) = mpsc::channel();
-        let (m, reply_rx) = push_msg(id, &["0", "1", "2", "3"]);
-        tx.send(m).expect("receiver alive");
+        let (reply, reply_rx) = mpsc::channel();
+        shared.queued.fetch_add(1, Ordering::SeqCst);
+        tx.send(EngineMsg {
+            request: push(id, &["0", "1", "2", "3"]),
+            reply,
+        })
+        .expect("receiver alive");
         drop(tx);
 
         // The latch is already set when the loop starts: the request above
         // was accepted but never batch-applied. The shutdown path must
         // apply it before draining, or its tokens are silently dropped.
-        let stop = Arc::new(AtomicBool::new(true));
-        let report = engine_loop(pool, rx, ServeConfig::default().with_lag(0), stop);
+        let config = ServeConfig::default().with_lag(0);
+        let report = engine_loop(&shared, rx, &config, &AtomicBool::new(true));
         assert_eq!(
-            report,
+            report.expect("no crash"),
             DrainReport {
                 flushed: 1,
                 tokens: 4
             }
         );
-        let (start, labels) = committed(&reply_rx);
+        let (start, labels) = committed(&reply_rx.try_recv().expect("reply was sent"));
         assert_eq!(start, 0);
         assert_eq!(labels.len(), 4, "the raced push's labels were flushed");
+    }
+
+    #[test]
+    fn an_uncontended_request_applies_inline_and_a_queued_one_does_not() {
+        let shared = lag0_shared();
+        let id = create(&shared);
+        match try_inline(&shared, push(id, &["0", "1"])) {
+            Inline::Applied(r) => {
+                let (start, labels) = committed(&r);
+                assert_eq!((start, labels.len()), (0, 2), "lag 0 commits both tokens");
+            }
+            _ => panic!("a free lock with nothing queued applies inline"),
+        }
+
+        // Something queued for the engine thread: hand over, even though
+        // the lock is free, so contended requests keep batching.
+        shared.queued.fetch_add(1, Ordering::SeqCst);
+        assert!(matches!(
+            try_inline(&shared, Request::Stats),
+            Inline::Busy(Request::Stats)
+        ));
+        shared.queued.fetch_sub(1, Ordering::SeqCst);
+
+        // The lock held elsewhere: hand over, not wait.
+        let held = shared.engine.lock().expect("engine lock");
+        assert!(matches!(
+            try_inline(&shared, Request::Stats),
+            Inline::Busy(Request::Stats)
+        ));
+        drop(held);
+    }
+
+    #[test]
+    fn an_inline_request_is_refused_once_the_engine_has_drained() {
+        let shared = lag0_shared();
+        let id = create(&shared);
+        assert!(matches!(
+            try_inline(&shared, push(id, &["0", "1", "2"])),
+            Inline::Applied(_)
+        ));
+
+        let (_tx, rx) = mpsc::channel();
+        let config = ServeConfig::default().with_lag(0);
+        let report = engine_loop(&shared, rx, &config, &AtomicBool::new(true));
+        assert_eq!(
+            report.expect("no crash"),
+            DrainReport {
+                flushed: 1,
+                tokens: 3
+            },
+            "the inline push was applied before the drain"
+        );
+
+        // The lock is free and nothing is queued, but the pool has drained:
+        // the request must end its connection, not be applied.
+        assert!(matches!(
+            try_inline(&shared, push(id, &["0"])),
+            Inline::Refused
+        ));
+        assert!(matches!(
+            try_inline(&shared, Request::Create),
+            Inline::Refused
+        ));
+    }
+
+    #[test]
+    fn a_poisoned_engine_lock_surfaces_as_engine_crashed() {
+        let shared = Arc::new(lag0_shared());
+        // A panic while applying a request on a connection thread.
+        let crashing = Arc::clone(&shared);
+        let panicked = thread::spawn(move || {
+            let _engine = crashing.engine.lock().expect("engine lock");
+            panic!("injected apply crash");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        // Other connections stop instead of treating the lock as busy…
+        assert!(matches!(
+            try_inline(&shared, Request::Stats),
+            Inline::Refused
+        ));
+
+        // …and the engine thread reports the crash instead of a drain.
+        let (_tx, rx) = mpsc::channel();
+        let engine_shared = Arc::clone(&shared);
+        let handle = ServerHandle {
+            local_addr: "127.0.0.1:0".parse().expect("literal addr"),
+            stop: Arc::new(AtomicBool::new(false)),
+            accept_thread: None,
+            engine_thread: Some(
+                thread::Builder::new()
+                    .name("dhmm-serve-engine-poison-test".into())
+                    .spawn(move || {
+                        let config = ServeConfig::default().with_idle_tick(Duration::ZERO);
+                        engine_loop(&engine_shared, rx, &config, &AtomicBool::new(false))
+                    })
+                    .expect("spawn test thread"),
+            ),
+        };
+        match handle.wait() {
+            Err(ServeError::EngineCrashed) => {}
+            other => panic!("expected Err(EngineCrashed), got {other:?}"),
+        }
     }
 
     #[test]
@@ -1006,7 +1233,9 @@ mod tests {
             engine_thread: Some(
                 thread::Builder::new()
                     .name("dhmm-serve-engine-crash-test".into())
-                    .spawn(|| -> DrainReport { panic!("injected engine crash") })
+                    .spawn(|| -> Result<DrainReport, ServeError> {
+                        panic!("injected engine crash")
+                    })
                     .expect("spawn test thread"),
             ),
         };

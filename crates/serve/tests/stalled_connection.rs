@@ -1,7 +1,7 @@
-//! One connection that never reads its replies must not delay another. The
-//! engine hands every reply to the connection's own thread over a channel
-//! and never writes to a socket itself, so a client whose replies back up
-//! stalls only its own thread.
+//! One connection that never reads its replies must not delay another. Each
+//! connection thread writes only its own replies, and only after releasing
+//! the engine lock, so a client whose replies back up stalls only its own
+//! thread.
 
 use dhmm_data::io::LoadedModel;
 use dhmm_hmm::emission::DiscreteEmission;

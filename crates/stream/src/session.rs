@@ -178,6 +178,22 @@ fn rebind_slot<E: Emission>(
     slot.ws.reset();
 }
 
+/// Empties `v` and hands its allocation to a vector of another element type
+/// of the same size and alignment: the standard library collects a mapped
+/// `vec::IntoIter` in place, so nothing is allocated or freed. This is how
+/// [`SessionPool::tick`] keeps its list of slot borrows, whose lifetime
+/// cannot outlive one tick, warm across ticks (pinned by
+/// `tests/zero_alloc.rs`).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    const {
+        assert!(size_of::<T>() == size_of::<U>() && align_of::<T>() == align_of::<U>());
+    }
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was emptied"))
+        .collect()
+}
+
 /// Summary of one batch tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TickReport {
@@ -291,6 +307,10 @@ pub struct SessionPool<E: Emission> {
     slots: Vec<Slot<E>>,
     free: Vec<usize>,
     scratch: LeasePool<StreamScratch>,
+    /// The allocation of [`SessionPool::tick`]'s list of sessions to
+    /// advance, kept empty between ticks (see [`recycle`]) so a warm tick
+    /// does not allocate.
+    tick_slots: Vec<usize>,
     /// Logical clock: advances once per [`SessionPool::tick`]; the idle
     /// reference for eviction.
     clock: u64,
@@ -331,6 +351,7 @@ impl<E: Emission> SessionPool<E> {
             slots: Vec::new(),
             free: Vec::new(),
             scratch: LeasePool::new(),
+            tick_slots: Vec::new(),
             clock: 0,
             metrics: PoolMetrics::new(&config.telemetry),
         })
@@ -629,11 +650,12 @@ impl<E: Emission> SessionPool<E> {
             .filter(|s| s.active)
             .map(|s| s.pending.len())
             .sum();
-        let mut active: Vec<&mut Slot<E>> = self
-            .slots
-            .iter_mut()
-            .filter(|s| s.active && !s.flushed && (!s.pending.is_empty() || s.epoch != epoch))
-            .collect();
+        let mut active: Vec<&mut Slot<E>> = recycle(std::mem::take(&mut self.tick_slots));
+        active.extend(
+            self.slots
+                .iter_mut()
+                .filter(|s| s.active && !s.flushed && (!s.pending.is_empty() || s.epoch != epoch)),
+        );
         let mut report = TickReport {
             sessions: active.iter().filter(|s| !s.pending.is_empty()).count(),
             tokens: total_tokens,
@@ -641,6 +663,7 @@ impl<E: Emission> SessionPool<E> {
             smoothing_scalar_tokens: 0,
         };
         if active.is_empty() {
+            self.tick_slots = recycle(active);
             drop(tick_span);
             return report;
         }
@@ -651,8 +674,9 @@ impl<E: Emission> SessionPool<E> {
         {
             exec = Executor::serial();
         }
-        let num_ranges = exec.num_ranges(active.len());
-        let scratches = self.scratch.ensure(num_ranges);
+        // One scratch per worker covers every band of the partition, and
+        // sizing by the worker count needs no partition (no allocation).
+        let scratches = self.scratch.ensure(exec.workers());
         let model_ref = &model;
         exec.for_each_band_with(&mut active, 1, scratches, |_range, band, scratch| {
             for slot in band.iter_mut() {
@@ -678,9 +702,10 @@ impl<E: Emission> SessionPool<E> {
                 slot.pending.clear();
             }
         });
+        self.tick_slots = recycle(active);
         // Drain the per-band smoothing-row counters (each band owned its
         // scratch, so the sum is policy-independent).
-        for sc in self.scratch.ensure(num_ranges).iter_mut() {
+        for sc in self.scratch.ensure(exec.workers()).iter_mut() {
             report.smoothing_scalar_tokens += std::mem::take(&mut sc.tick_smoothing_rows) as usize;
         }
         self.metrics.rebinds.add(report.rebound as u64);
