@@ -8,8 +8,9 @@
 //!   rules + amortized fixed-lag smoothing), plus the implied single-session
 //!   tokens/sec;
 //! * **multiplexed throughput** of a [`SessionPool`] — tokens/sec of batch
-//!   ticks over a sessions × threads sweep, plus the smoothed rows each
-//!   run's ticks emitted. Each thread count alternates with the 1-thread
+//!   ticks over a sessions × threads sweep, plus the rows whose fixed-lag
+//!   smoothing window closed in each run's ticks (a pool computes no
+//!   posterior for them). Each thread count alternates with the 1-thread
 //!   pool over `THROUGHPUT_ROUNDS` rounds; a row records both sides'
 //!   medians and ranges and `speedup_vs_serial`, the ratio of the medians
 //!   (at 1 thread that ratio reads the run-to-run noise).
@@ -134,7 +135,7 @@ fn latency(k: usize, lag: usize, tokens: usize) -> Json {
 
 /// One full multiplexed run: `sessions` sessions × `tokens` tokens, fed in
 /// `TICK_CHUNK`-token rounds, under an explicit thread policy. Returns the
-/// smoothed rows the run's ticks emitted.
+/// rows whose smoothing window closed in the run's ticks.
 fn pool_run(
     m: &Arc<Hmm<DiscreteEmission>>,
     streams: &[Vec<usize>],

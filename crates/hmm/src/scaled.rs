@@ -9,9 +9,8 @@
 //! normalizers `c_t` are remembered, and the sequence log-likelihood is
 //! recovered exactly as `log P(Y | λ) = Σ_t log c_t` (equivalently
 //! `−Σ_t log ĉ_t` for Rabiner's reciprocal coefficients `ĉ_t = 1/c_t`).
-//! All scratch storage lives in a caller-provided
-//! [`InferenceWorkspace`](crate::workspace::InferenceWorkspace), so repeated
-//! calls perform no allocation beyond the returned statistics.
+//! All scratch storage lives in a caller-provided [`InferenceWorkspace`], so
+//! repeated calls perform no allocation beyond the returned statistics.
 //!
 //! Numerical safety: emission likelihoods are first evaluated in the linear
 //! domain ([`Emission::prob_all`]); if an entire row underflows to zero (or

@@ -3,13 +3,14 @@
 
 use crate::parallelism::Parallelism;
 use crate::pool;
-use crate::split::split_rows;
+use crate::split::{split_count, split_range};
 use std::ops::Range;
 
 /// Shared-nothing pointer wrapper for handing disjoint `&mut` regions to
 /// pool workers. Safety of every use rests on the range-disjointness
-/// guarantee of [`split_rows`]: task `t` touches only offsets derived from
-/// range `t`, and `run_tasks` runs each task exactly once.
+/// guarantee of the [`crate::split_rows`] partition: task `t` touches only
+/// offsets derived from its range [`split_range`]`(n, workers, t)`, and
+/// `run_tasks` runs each task exactly once.
 struct SendPtr<T>(*mut T);
 
 impl<T> SendPtr<T> {
@@ -27,10 +28,12 @@ unsafe impl<T> Sync for SendPtr<T> {}
 ///
 /// `Executor` is a trivially-copyable policy value (it owns no threads); all
 /// heavy state lives in the shared pool. Every method guarantees the same
-/// contract: the iteration space is partitioned with [`split_rows`], each
-/// partition is processed exactly once, and results are collected on the
-/// calling thread in ascending range order — so outputs are bit-identical
-/// whatever the worker count, including `1`.
+/// contract: the iteration space is partitioned with [`crate::split_rows`],
+/// each partition is processed exactly once, and results are collected on
+/// the calling thread in ascending range order — so outputs are
+/// bit-identical whatever the worker count, including `1`. A method finds
+/// its ranges with [`split_range`] and builds no partition vector, so the
+/// banded methods allocate nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     workers: usize,
@@ -73,11 +76,10 @@ impl Executor {
         self.workers <= 1
     }
 
-    /// Number of ranges [`Self::map_ranges`] will produce for `n` rows —
-    /// defined as the length of the [`split_rows`] partition so the two can
-    /// never drift apart.
+    /// Number of ranges [`Self::map_ranges`] will produce for `n` rows: the
+    /// same count the [`crate::split_rows`] partition is built from.
     pub fn num_ranges(&self, n: usize) -> usize {
-        split_rows(n, self.workers).len()
+        split_count(n, self.workers)
     }
 
     /// This executor, demoted to serial when the problem is too small for
@@ -91,25 +93,21 @@ impl Executor {
         }
     }
 
-    /// Runs `f(range_index, range)` over the [`split_rows`] partition of
-    /// `0..n` and returns the outputs in range order.
+    /// Runs `f(range_index, range)` over the [`crate::split_rows`] partition
+    /// of `0..n` and returns the outputs in range order.
     pub fn map_ranges<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, Range<usize>) -> T + Sync,
     {
-        let ranges = split_rows(n, self.workers);
-        if self.workers <= 1 || ranges.len() <= 1 {
-            return ranges
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| f(i, r))
-                .collect();
+        let count = self.num_ranges(n);
+        if count <= 1 {
+            return (0..count).map(|t| f(t, 0..n)).collect();
         }
-        let mut out: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
+        let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
         let out_ptr = SendPtr(out.as_mut_ptr());
-        pool::run_tasks(ranges.len(), self.workers, &|t| {
-            let value = f(t, ranges[t].clone());
+        pool::run_tasks(count, self.workers, &|t| {
+            let value = f(t, split_range(n, self.workers, t));
             // SAFETY: slot `t` is written exactly once (tasks are unique)
             // and slots are disjoint; overwriting the prefilled `None` via
             // `write` drops nothing.
@@ -132,28 +130,23 @@ impl Executor {
         T: Send,
         F: Fn(usize, Range<usize>, &mut S) -> T + Sync,
     {
-        let ranges = split_rows(n, self.workers);
+        let count = self.num_ranges(n);
         assert!(
-            states.len() >= ranges.len(),
-            "runtime executor: {} states for {} ranges",
+            states.len() >= count,
+            "runtime executor: {} states for {count} ranges",
             states.len(),
-            ranges.len()
         );
-        if self.workers <= 1 || ranges.len() <= 1 {
-            return ranges
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| f(i, r, &mut states[i]))
-                .collect();
+        if count <= 1 {
+            return (0..count).map(|t| f(t, 0..n, &mut states[t])).collect();
         }
-        let mut out: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
+        let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
         let out_ptr = SendPtr(out.as_mut_ptr());
         let state_ptr = SendPtr(states.as_mut_ptr());
-        pool::run_tasks(ranges.len(), self.workers, &|t| {
+        pool::run_tasks(count, self.workers, &|t| {
             // SAFETY: state slot `t` is accessed only by task `t`, which
             // runs exactly once; distinct tasks touch distinct slots.
             let state = unsafe { &mut *state_ptr.get().add(t) };
-            let value = f(t, ranges[t].clone(), state);
+            let value = f(t, split_range(n, self.workers, t), state);
             // SAFETY: as in `map_ranges`.
             unsafe { std::ptr::write(out_ptr.get().add(t), Some(value)) };
         });
@@ -208,9 +201,10 @@ impl Executor {
     }
 
     /// Splits `data` — a row-major buffer of `data.len() / stride` rows —
-    /// into contiguous row bands along the [`split_rows`] partition and runs
-    /// `f(rows, band)` on each, in parallel. The workhorse of the banded
-    /// linear-algebra kernels and the per-row M-step gradient pass.
+    /// into contiguous row bands along the [`crate::split_rows`] partition
+    /// and runs `f(rows, band)` on each, in parallel. The workhorse of the
+    /// banded linear-algebra kernels and the per-row M-step gradient pass.
+    /// Allocation-free: each band's range is computed by [`split_range`].
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of `stride` (`stride == 0`
@@ -229,19 +223,14 @@ impl Executor {
             data.len()
         );
         let rows = data.len() / stride;
-        let ranges = split_rows(rows, self.workers);
-        if self.workers <= 1 || ranges.len() <= 1 {
-            let mut rest = data;
-            for range in ranges {
-                let (band, tail) = rest.split_at_mut(range.len() * stride);
-                f(range, band);
-                rest = tail;
-            }
+        let count = self.num_ranges(rows);
+        if count == 1 {
+            f(0..rows, data);
             return;
         }
         let base = SendPtr(data.as_mut_ptr());
-        pool::run_tasks(ranges.len(), self.workers, &|t| {
-            let range = ranges[t].clone();
+        pool::run_tasks(count, self.workers, &|t| {
+            let range = split_range(rows, self.workers, t);
             // SAFETY: ranges partition the rows, so the bands
             // `[start*stride, end*stride)` are pairwise disjoint; each task
             // runs exactly once, giving each band a unique `&mut`.
@@ -280,27 +269,20 @@ impl Executor {
             data.len()
         );
         let rows = data.len() / stride;
-        if self.workers <= 1 || rows == 1 {
-            // One band of every row: the partition is `[0..rows]`, so the
-            // call allocates nothing (the pool tick relies on this).
-            assert!(
-                !states.is_empty(),
-                "runtime executor: 0 states for 1 ranges"
-            );
+        let count = self.num_ranges(rows);
+        assert!(
+            states.len() >= count,
+            "runtime executor: {} states for {count} ranges",
+            states.len(),
+        );
+        if count == 1 {
             f(0..rows, data, &mut states[0]);
             return;
         }
-        let ranges = split_rows(rows, self.workers);
-        assert!(
-            states.len() >= ranges.len(),
-            "runtime executor: {} states for {} ranges",
-            states.len(),
-            ranges.len()
-        );
         let base = SendPtr(data.as_mut_ptr());
         let state_ptr = SendPtr(states.as_mut_ptr());
-        pool::run_tasks(ranges.len(), self.workers, &|t| {
-            let range = ranges[t].clone();
+        pool::run_tasks(count, self.workers, &|t| {
+            let range = split_range(rows, self.workers, t);
             // SAFETY: bands are disjoint as in `for_each_band`, and state
             // slot `t` is touched only by task `t`, which runs exactly once.
             let band = unsafe {

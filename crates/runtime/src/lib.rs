@@ -10,10 +10,11 @@
 //!   that higher layers thread through their configs; `Auto` honors the
 //!   `DHMM_THREADS` environment override (the CI matrix forces it to 1 and 4),
 //! * [`split_rows`] — deterministic balanced row-range partitioning; every
-//!   parallel loop in the workspace splits its iteration space with it,
+//!   parallel loop in the workspace splits its iteration space with it
+//!   ([`split_range`] computes one of its ranges without building the rest),
 //! * [`Executor`] — a scoped dispatcher over a lazily-grown pool of parked
-//!   worker threads ([`pool`]); jobs are row-range closures, results are
-//!   collected in fixed range order,
+//!   worker threads (the private `pool` module); jobs are row-range
+//!   closures, results are collected in fixed range order,
 //! * [`LeasePool`] / [`with_thread_scratch`] — generic per-worker scratch
 //!   leases (the generalization of the old `hmm::WorkspacePool`), plus a
 //!   thread-local lease so one-shot callers reuse warm buffers across calls.
@@ -42,4 +43,4 @@ pub mod telemetry;
 pub use executor::Executor;
 pub use lease::{with_thread_scratch, LeasePool};
 pub use parallelism::{Parallelism, THREADS_ENV};
-pub use split::split_rows;
+pub use split::{split_range, split_rows};

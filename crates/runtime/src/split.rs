@@ -2,6 +2,26 @@
 
 use std::ops::Range;
 
+/// Number of ranges [`split_rows`] cuts `0..n` into for `workers`:
+/// `min(workers.max(1), n)`, and 0 when `n == 0`.
+pub(crate) fn split_count(n: usize, workers: usize) -> usize {
+    workers.max(1).min(n)
+}
+
+/// Range `t` of the [`split_rows`] partition of `0..n`, computed without
+/// building the partition: with `w = min(workers.max(1), n)` ranges, the
+/// first `n % w` hold one row more than the rest.
+///
+/// # Panics
+/// Panics if `t` is not below that range count.
+pub fn split_range(n: usize, workers: usize, t: usize) -> Range<usize> {
+    let w = split_count(n, workers);
+    assert!(t < w, "runtime split: range {t} of {w}");
+    let (base, remainder) = (n / w, n % w);
+    let start = t * base + t.min(remainder);
+    start..start + base + usize::from(t < remainder)
+}
+
 /// Splits `0..n` into at most `workers` contiguous ranges whose lengths
 /// differ by at most one, larger ranges first.
 ///
@@ -12,22 +32,13 @@ use std::ops::Range;
 /// * `ranges.len() == min(workers.max(1), n)` (and 0 when `n == 0`),
 /// * the partition is a pure function of `(n, workers)` — two calls agree
 ///   bit for bit, which is what makes fixed-order reductions over the
-///   ranges deterministic across runs and machines.
+///   ranges deterministic across runs and machines,
+/// * range `t` is [`split_range`]`(n, workers, t)`, which is how the
+///   executor finds a band without allocating this vector.
 pub fn split_rows(n: usize, workers: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let w = workers.clamp(1, n);
-    let base = n / w;
-    let remainder = n % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0;
-    for i in 0..w {
-        let len = base + usize::from(i < remainder);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
+    (0..split_count(n, workers))
+        .map(|t| split_range(n, workers, t))
+        .collect()
 }
 
 #[cfg(test)]

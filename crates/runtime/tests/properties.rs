@@ -1,7 +1,7 @@
 //! Property-based tests for the runtime's deterministic partitioning and
 //! executor primitives.
 
-use dhmm_runtime::{split_rows, Executor};
+use dhmm_runtime::{split_range, split_rows, Executor};
 use proptest::prelude::*;
 
 proptest! {
@@ -38,6 +38,17 @@ proptest! {
         prop_assert_eq!(ranges[ranges.len() - 1].end, n);
         for pair in ranges.windows(2) {
             prop_assert_eq!(pair[0].end, pair[1].start);
+        }
+    }
+
+    #[test]
+    fn split_range_is_the_partition_range(n in 0usize..500, workers in 0usize..64) {
+        // The executor finds its bands with `split_range` and never builds
+        // the partition, so the two must agree range for range.
+        let ranges = split_rows(n, workers);
+        prop_assert_eq!(Executor::from_workers(workers).num_ranges(n), ranges.len());
+        for (t, range) in ranges.iter().enumerate() {
+            prop_assert_eq!(split_range(n, workers, t), range.clone(), "range {}", t);
         }
     }
 

@@ -48,10 +48,12 @@
 //! it (itself newline-terminated). Everything else stays single-line
 //! whitespace-tokenized.
 //!
-//! In `ok stats`, `lockstep` and `smoothing-batched` always read 0: every
-//! ticked token and smoothed row goes through the per-session path and is
-//! counted by `scalar` and `smoothing-scalar`. The fields stay so existing
-//! clients parse the reply unchanged.
+//! In `ok stats`, `scalar` counts the tokens the pool's ticks advanced and
+//! `smoothing-scalar` the rows whose fixed-lag smoothing window closed in
+//! them; the pool computes no posterior for those rows (replies carry
+//! labels and log-likelihoods only). `lockstep` and `smoothing-batched`
+//! always read 0: every ticked token goes through the per-session path.
+//! The fields stay so existing clients parse the reply unchanged.
 
 use crate::error::ServeError;
 use dhmm_stream::SessionId;
@@ -307,7 +309,8 @@ pub enum Response {
         /// Always 0 (the wire field `smoothing-batched` is kept for
         /// compatibility).
         smoothing_batched: u64,
-        /// Smoothed rows the pool's ticks emitted.
+        /// Rows whose fixed-lag smoothing window closed in the pool's
+        /// ticks (no posterior is computed for them).
         smoothing_scalar: u64,
     },
     /// `metrics` snapshot: the Prometheus-style text exposition, carried

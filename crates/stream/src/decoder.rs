@@ -19,6 +19,13 @@
 //! row for time `s` emitted while the stream is at time `t` equals row `s`
 //! of `forward_backward_scaled` over the prefix `y_0..=t` exactly.
 //!
+//! The per-token step (`push_token`, and `flush_stream` at the end) only
+//! *decides* which window a token closes and advances the bookkeeping; the
+//! backward pass runs only in [`StreamingDecoder`], the one caller that
+//! hands posteriors out. A [`crate::SessionPool`] shares the step, counts
+//! the rows whose window closed, and computes no posterior: it exposes
+//! labels and log-likelihoods only.
+//!
 //! **Online Viterbi.** The max-product recursion with per-step
 //! max-normalization, ψ backpointers in a ring of `W = max(2L, 1)` rows,
 //! and two commit rules:
@@ -71,13 +78,14 @@ pub(crate) fn ring_window(lag: usize) -> usize {
 /// One fixed-lag smoothing decision, derived by [`smoothing_action`] /
 /// [`flush_smoothing_action`]. These two functions are the single source of
 /// the smoothing-window extents: the per-push tail and the flush both
-/// consume the same numbers instead of re-deriving them.
+/// consume the same numbers instead of re-deriving them. [`push_token`] and
+/// [`flush_stream`] return the decision; only [`StreamingDecoder`] runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SmoothAction {
-    /// `lag = 0`: β ≡ 1 over a window of one, so the smoothed row for `t`
-    /// *is* the filtered row — copied out verbatim, never re-normalized
-    /// (the α̂ row's sum may differ from 1.0 in the last ulp, and the
-    /// offline product with the exact 1.0 β row is an identity).
+pub(crate) enum SmoothAction {
+    /// `lag = 0`: β ≡ 1 over a window of one, so the smoothed row for the
+    /// token just pushed *is* its filtered row — copied out verbatim, never
+    /// re-normalized (the α̂ row's sum may differ from 1.0 in the last ulp,
+    /// and the offline product with the exact 1.0 β row is an identity).
     CopyFiltered,
     /// A full window has accumulated: run the backward recursion from
     /// `from` (where β = 1) down to `downto`, emitting the γ rows of times
@@ -88,6 +96,18 @@ enum SmoothAction {
         downto: usize,
         emit_upto: usize,
     },
+}
+
+impl SmoothAction {
+    /// Number of posterior rows whose fixed-lag window this action closes.
+    pub(crate) fn rows(self) -> usize {
+        match self {
+            SmoothAction::CopyFiltered => 1,
+            SmoothAction::Block {
+                downto, emit_upto, ..
+            } => emit_upto - downto + 1,
+        }
+    }
 }
 
 /// The per-push smoothing decision for the token at time `t`, given the
@@ -139,8 +159,10 @@ fn flush_smoothing_action(lag: usize, last: usize, smoothed_upto: usize) -> Opti
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Fixed lag `L`: the Viterbi label of time `t` is emitted no later than
-    /// after token `t + L`, and smoothed posteriors condition on at least
-    /// `L` tokens of lookahead. Memory is O(max(2L, 1) · k) per session.
+    /// after token `t + L`, and a [`StreamingDecoder`]'s smoothed posteriors
+    /// condition on at least `L` tokens of lookahead (a
+    /// [`crate::SessionPool`] computes no posteriors). Memory is
+    /// O(max(2L, 1) · k) per session.
     /// `lag ≥ T` makes the stream exactly equivalent to offline decoding;
     /// `lag = 0` degenerates to committed-as-you-go greedy filtering.
     pub lag: usize,
@@ -307,8 +329,10 @@ pub struct FlushOutput<'a> {
 /// recursions are the offline engine's, and the Viterbi step is
 /// [`viterbi_step`] itself.
 ///
-/// Returns the number of smoothed posterior rows emitted into
-/// `scratch.smoothed` by this push (the pool counts them per tick).
+/// Decides whether this token closes a fixed-lag smoothing window and
+/// advances the workspace past it, but computes no posterior: it returns
+/// the [`SmoothAction`] for the caller to run (the standalone decoder does;
+/// the pool only counts its rows).
 pub(crate) fn push_token<E: Emission>(
     model: &Hmm<E>,
     lag: usize,
@@ -317,7 +341,7 @@ pub(crate) fn push_token<E: Emission>(
     ws: &mut StreamWorkspace,
     scratch: &mut StreamScratch,
     obs: &E::Obs,
-) -> usize {
+) -> Option<SmoothAction> {
     assert!(
         !ws.finished,
         "StreamingDecoder::push after flush; call reset() to start a new stream"
@@ -455,28 +479,42 @@ pub(crate) fn push_token<E: Emission>(
         force_commit(ws, scratch, t, t - lag);
     }
 
-    // --- Fixed-lag smoothing.
-    let rows = match smoothing_action(lag, t, ws.smoothed_upto) {
+    // --- Fixed-lag smoothing bookkeeping: the window this token closes.
+    let action = smoothing_action(lag, t, ws.smoothed_upto);
+    match action {
+        Some(SmoothAction::CopyFiltered) => ws.smoothed_upto = t + 1,
+        Some(SmoothAction::Block { emit_upto, .. }) => ws.smoothed_upto = emit_upto + 1,
+        None => {}
+    }
+    ws.t = t + 1;
+    action
+}
+
+/// Runs the smoothing action a step returned, emitting its posterior rows
+/// into `scratch.smoothed` (nothing when the step closed no window). Only
+/// [`StreamingDecoder`] calls it, right after the step and before the next
+/// push overwrites the ring rows it reads.
+fn smooth<E: Emission>(
+    model: &Hmm<E>,
+    backend: InferenceBackend,
+    ws: &StreamWorkspace,
+    scratch: &mut StreamScratch,
+    action: Option<SmoothAction>,
+) {
+    match action {
+        None => {}
         Some(SmoothAction::CopyFiltered) => {
+            let (k, t) = (ws.num_states, ws.t - 1);
             scratch.smoothed[..k].copy_from_slice(ws.alpha_row(t));
             scratch.smoothed_len = 1;
             scratch.smoothed_start = t;
-            ws.smoothed_upto = t + 1;
-            1
         }
         Some(SmoothAction::Block {
             from,
             downto,
             emit_upto,
-        }) => {
-            backward_smooth(model, backend, ws, scratch, from, downto, emit_upto);
-            ws.smoothed_upto = emit_upto + 1;
-            emit_upto - downto + 1
-        }
-        None => 0,
-    };
-    ws.t = t + 1;
-    rows
+        }) => backward_smooth(model, backend, ws, scratch, from, downto, emit_upto),
+    }
 }
 
 /// Finds the newest time at which all surviving Viterbi paths pass through a
@@ -624,9 +662,10 @@ fn commit_chain(ws: &StreamWorkspace, scratch: &mut StreamScratch, m: usize, x: 
 /// emitting normalized `γ` rows for times `downto ..= emit_upto` into
 /// `scratch.smoothed` (ascending). Exactly the offline backward recursion,
 /// restricted to the ring window. Under the sparse backend the per-row dot
-/// runs over the CSR-stored entries of `Ã` (the scratch cache must already
-/// be prepared — every caller runs after a push or prepares explicitly),
-/// keeping the smoothed posteriors consistent with the pruned filter.
+/// runs over the CSR-stored entries of `Ã`, keeping the smoothed posteriors
+/// consistent with the pruned filter. The scratch's CSR cache already holds
+/// them: the only caller is a [`StreamingDecoder`], whose own pushes
+/// compiled its one borrowed model into its own scratch.
 fn backward_smooth<E: Emission>(
     model: &Hmm<E>,
     backend: InferenceBackend,
@@ -703,15 +742,14 @@ fn backward_smooth<E: Emission>(
 }
 
 /// Flushes the stream: commits the Viterbi tail by backtracking from the
-/// best final state and emits the remaining smoothed rows.
-pub(crate) fn flush_stream<E: Emission>(
-    model: &Hmm<E>,
+/// best final state. Returns the path's joint log-probability and the
+/// smoothing action that would emit the remaining posterior rows, which,
+/// as in [`push_token`], is the caller's to run.
+pub(crate) fn flush_stream(
     lag: usize,
-    backend: InferenceBackend,
-    epoch: u64,
     ws: &mut StreamWorkspace,
     scratch: &mut StreamScratch,
-) -> f64 {
+) -> (f64, Option<SmoothAction>) {
     assert!(
         !ws.finished,
         "StreamingDecoder::flush called twice; call reset() to start a new stream"
@@ -721,7 +759,7 @@ pub(crate) fn flush_stream<E: Emission>(
     scratch.clear_outputs();
     ws.finished = true;
     if ws.t == 0 {
-        return f64::NEG_INFINITY;
+        return (f64::NEG_INFINITY, None);
     }
     let last = ws.t - 1;
 
@@ -743,23 +781,9 @@ pub(crate) fn flush_stream<E: Emission>(
     let score = ws.viterbi_log + best_val.ln();
 
     // Remaining smoothed rows (everything not yet emitted by block passes).
-    if let Some(SmoothAction::Block {
-        from,
-        downto,
-        emit_upto,
-    }) = flush_smoothing_action(lag, last, ws.smoothed_upto)
-    {
-        // A flush through a leased scratch may land after another session's
-        // pushes evicted this stream's compiled transitions: re-prepare.
-        if let InferenceBackend::Sparse(params) = backend {
-            scratch
-                .trans
-                .prepare_sparse(model.transition(), epoch, params);
-        }
-        backward_smooth(model, backend, ws, scratch, from, downto, emit_upto);
-        ws.smoothed_upto = ws.t;
-    }
-    score
+    let action = flush_smoothing_action(lag, last, ws.smoothed_upto);
+    ws.smoothed_upto = ws.t;
+    (score, action)
 }
 
 /// Metric handles of one [`StreamingDecoder`]. Registered once at
@@ -894,7 +918,7 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
 
     /// Advances the stream by one observation: one O(k²) filter step, one
     /// O(k²) Viterbi step, the commit rules, and (amortized O(k²)) fixed-lag
-    /// smoothing. Allocation-free.
+    /// smoothing, which only a standalone decoder runs. Allocation-free.
     ///
     /// # Latency profile (amortization bound)
     ///
@@ -905,10 +929,10 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
     /// block-based fixed-lag smoothing: emitting `c < L` rows per pass
     /// instead would bound the spike at O((L+c)·k²) but raise the amortized
     /// smoothing cost from `2k²` to `(L+c)/c · k²` per token. Concretely, in
-    /// `BENCH_stream.json` the k=64/lag=64 p99 (~147µs vs a ~4µs p50)
+    /// `BENCH_stream.json` the k=64/lag=64 p99 (~90µs vs a ~2µs p50)
     /// is exactly these block pushes: 1/L ≈ 1.6% of pushes pay the block,
     /// which lands inside the top percentile; at lag=8 the block is 8× more
-    /// frequent but 8× cheaper, so the p99 (~25µs) sits far below. The p99.9
+    /// frequent but 8× cheaper, so the p99 (~14µs) sits far below. The p99.9
     /// column records the same bound one decade further out — the tail is
     /// flat beyond the block cost. Latency-critical deployments should pick
     /// the smallest lag their accuracy budget allows, not the largest ring
@@ -921,7 +945,7 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
         // Epoch 0: the borrowed model cannot change under a standalone
         // decoder, so the scratch's transition cache never goes stale.
         let span = self.metrics.push_ns.span();
-        let smoothed_rows = push_token(
+        let action = push_token(
             self.model,
             self.lag,
             self.backend,
@@ -930,9 +954,16 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
             &mut self.scratch,
             obs,
         );
+        smooth(
+            self.model,
+            self.backend,
+            &self.ws,
+            &mut self.scratch,
+            action,
+        );
         drop(span);
         self.metrics.pushes.inc();
-        self.metrics.smoothed.add(smoothed_rows as u64);
+        self.metrics.smoothed.add(self.scratch.smoothed_len as u64);
         self.metrics
             .committed
             .add(self.scratch.committed.len() as u64);
@@ -954,13 +985,13 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
     /// emits the remaining smoothed rows. After `flush`, call
     /// [`StreamingDecoder::reset`] before pushing again.
     pub fn flush(&mut self) -> FlushOutput<'_> {
-        let score = flush_stream(
+        let (score, action) = flush_stream(self.lag, &mut self.ws, &mut self.scratch);
+        smooth(
             self.model,
-            self.lag,
             self.backend,
-            0,
-            &mut self.ws,
+            &self.ws,
             &mut self.scratch,
+            action,
         );
         let k = self.ws.num_states.max(1);
         FlushOutput {

@@ -20,12 +20,13 @@
 //!   create/push/flush/close by [`SessionId`], with batch [`SessionPool::tick`]s
 //!   that advance each session's pending tokens through the same per-token
 //!   step as the standalone decoder, in deterministic per-session bands on
-//!   the shared `runtime::Executor`, so results stay **bit-identical across
-//!   worker policies** and equal to a standalone decoder fed the same
-//!   tokens.
+//!   the shared `runtime::Executor`, so labels and log-likelihoods stay
+//!   **bit-identical across worker policies** and equal to a standalone
+//!   decoder's fed the same tokens. A pool runs no fixed-lag smoother and
+//!   exposes no posteriors.
 //!
 //! With `lag ≥ T` the streamed output is exactly the offline decode: the
-//! Viterbi path equals `viterbi_scaled`'s and the filtered/smoothed
+//! Viterbi path equals `viterbi_scaled`'s and the decoder's filtered/smoothed
 //! posteriors match `forward_backward_scaled` prefix marginals (pinned to
 //! 1e-9 — in practice bit-identical — by `tests/parity.rs`). Smaller lags
 //! trade a bounded, explicit amount of lookahead for O(lag · k) memory and

@@ -7,8 +7,10 @@
 //! contiguous bands (the token order *within* a session is always its queue
 //! order, and sessions share no state), so a tick is **bit-identical across
 //! worker policies** — `Serial`, `Threads(n)` and `Auto` produce the same
-//! labels, posteriors and log-likelihoods to the last bit, pinned by
-//! `tests/session_determinism.rs`.
+//! labels and log-likelihoods to the last bit, pinned by
+//! `tests/session_determinism.rs`. A pool exposes labels and
+//! log-likelihoods only: it shares the standalone decoder's per-token step
+//! but never runs its fixed-lag smoother, so no tick computes a posterior.
 //!
 //! # Epoch-versioned models
 //!
@@ -45,7 +47,7 @@
 //! it allocation-free (including a shorter stream followed by a longer one —
 //! the buffers are grow-only).
 
-use crate::decoder::{flush_stream, push_token, ring_window};
+use crate::decoder::{flush_stream, push_token, ring_window, SmoothAction};
 use crate::error::StreamError;
 use crate::workspace::{StreamScratch, StreamWorkspace};
 use crate::StreamConfig;
@@ -154,20 +156,12 @@ fn rebind_slot<E: Emission>(
     model: &Arc<Hmm<E>>,
     epoch: u64,
     lag: usize,
-    backend: InferenceBackend,
     scratch: &mut StreamScratch,
 ) {
     if slot.ws.tokens() > 0 && !slot.ws.is_finished() {
-        // The tail commits under the *old* model/epoch — the epoch keys the
-        // scratch's compiled-transition cache to the right matrix.
-        flush_stream(
-            &*slot.model,
-            lag,
-            backend,
-            slot.epoch,
-            &mut slot.ws,
-            scratch,
-        );
+        // The tail commits under the *old* model (a backtrack over the
+        // session's own ring; no posterior is computed).
+        flush_stream(lag, &mut slot.ws, scratch);
         slot.out.extend_from_slice(&scratch.committed);
     }
     slot.ll_carry += slot.ws.log_likelihood();
@@ -203,8 +197,10 @@ pub struct TickReport {
     pub tokens: usize,
     /// Sessions rebound to a newer model epoch during this tick.
     pub rebound: usize,
-    /// Smoothed posterior rows emitted this tick (fixed-lag blocks and
-    /// lag-0 copies; rows emitted by a rebind's flush are not counted).
+    /// Rows whose fixed-lag smoothing window closed this tick (whole
+    /// blocks, or one row per token at lag 0): the rows a standalone
+    /// decoder fed the same tokens would emit. The pool computes no
+    /// posterior for them. A rebind's flush is not counted.
     pub smoothing_scalar_tokens: usize,
 }
 
@@ -283,7 +279,8 @@ impl PoolMetrics {
             smoothing_scalar: sink.live_counter(
                 "dhmm_stream_smoothing_scalar_rows_total",
                 &[],
-                "Smoothed posterior rows emitted by session-pool ticks.",
+                "Rows whose fixed-lag smoothing window closed in session-pool \
+                 ticks (the pool computes no posterior for them).",
             ),
             evicted: sink.live_counter(
                 "dhmm_stream_evicted_sessions_total",
@@ -315,9 +312,9 @@ pub struct SessionPool<E: Emission> {
     /// reference for eviction.
     clock: u64,
     /// Metric handles; the lifetime counters (evicted sessions, ticked
-    /// tokens, smoothed rows) live here as shared atomics so the accessors,
-    /// a serving front-end's `stats` reply and the metrics exposition all
-    /// read the same storage.
+    /// tokens, closed smoothing rows) live here as shared atomics so the
+    /// accessors, a serving front-end's `stats` reply and the metrics
+    /// exposition all read the same storage.
     metrics: PoolMetrics,
 }
 
@@ -413,14 +410,16 @@ impl<E: Emission> SessionPool<E> {
         self.metrics.scalar_tokens.value()
     }
 
-    /// Always 0, like [`SessionPool::lockstep_tokens_total`]: every
-    /// smoothed row is counted by [`SessionPool::smoothing_scalar_total`].
+    /// Always 0, like [`SessionPool::lockstep_tokens_total`]: every closed
+    /// smoothing row is counted by [`SessionPool::smoothing_scalar_total`].
     pub fn smoothing_batched_total(&self) -> u64 {
         0
     }
 
-    /// Smoothed posterior rows emitted by ticks over the pool's lifetime
-    /// (flush-drained rows are not counted, like the token count).
+    /// Rows whose fixed-lag smoothing window closed in ticks over the
+    /// pool's lifetime (see [`TickReport::smoothing_scalar_tokens`]; the
+    /// pool computes no posterior for them, and flush-drained rows are not
+    /// counted, like the token count).
     pub fn smoothing_scalar_total(&self) -> u64 {
         self.metrics.smoothing_scalar.value()
     }
@@ -620,11 +619,14 @@ impl<E: Emission> SessionPool<E> {
     ///
     /// Each session's tokens run in queue order through the same per-token
     /// step as [`crate::StreamingDecoder::push`] and [`SessionPool::flush`],
-    /// so a pooled session decodes exactly like a standalone decoder fed the
-    /// same tokens. The sessions are fanned out in deterministic contiguous
+    /// so a pooled session's labels and log-likelihood are exactly a
+    /// standalone decoder's fed the same tokens. Unlike the decoder, a tick
+    /// never runs the fixed-lag smoother: it counts the rows whose window
+    /// closed ([`TickReport::smoothing_scalar_tokens`]) and computes no
+    /// posterior. The sessions are fanned out in deterministic contiguous
     /// bands over the configured worker policy; sessions share no state, so
-    /// `Serial`, `Threads(n)` and `Auto` produce the same labels, posteriors
-    /// and log-likelihoods to the last bit (pinned by
+    /// `Serial`, `Threads(n)` and `Auto` produce the same labels and
+    /// log-likelihoods to the last bit (pinned by
     /// `tests/session_determinism.rs`).
     pub fn tick(&mut self) -> TickReport
     where
@@ -681,13 +683,13 @@ impl<E: Emission> SessionPool<E> {
         exec.for_each_band_with(&mut active, 1, scratches, |_range, band, scratch| {
             for slot in band.iter_mut() {
                 if slot.epoch != epoch {
-                    rebind_slot(slot, model_ref, epoch, lag, backend, scratch);
+                    rebind_slot(slot, model_ref, epoch, lag, scratch);
                 }
                 if !slot.pending.is_empty() {
                     slot.last_active = clock;
                 }
                 for i in 0..slot.pending.len() {
-                    let rows = push_token(
+                    let action = push_token(
                         &slot.model,
                         lag,
                         backend,
@@ -696,7 +698,7 @@ impl<E: Emission> SessionPool<E> {
                         scratch,
                         &slot.pending[i],
                     );
-                    scratch.tick_smoothing_rows += rows as u64;
+                    scratch.tick_smoothing_rows += action.map_or(0, SmoothAction::rows) as u64;
                     slot.out.extend_from_slice(&scratch.committed);
                 }
                 slot.pending.clear();
@@ -748,7 +750,7 @@ impl<E: Emission> SessionPool<E> {
         let scratch = &mut self.scratch.ensure(1)[0];
         let s = &mut self.slots[slot];
         if s.epoch != epoch {
-            rebind_slot(s, &model, epoch, lag, backend, scratch);
+            rebind_slot(s, &model, epoch, lag, scratch);
         }
         for i in 0..s.pending.len() {
             push_token(
@@ -763,7 +765,7 @@ impl<E: Emission> SessionPool<E> {
             s.out.extend_from_slice(&scratch.committed);
         }
         s.pending.clear();
-        flush_stream(&*s.model, lag, backend, s.epoch, &mut s.ws, scratch);
+        flush_stream(lag, &mut s.ws, scratch);
         s.out.extend_from_slice(&scratch.committed);
         s.flushed = true;
         s.last_active = clock;
@@ -882,5 +884,95 @@ impl<E: Emission> SessionPool<E> {
     /// The ring window `W = max(2L, 1)` sessions of this pool use.
     pub fn window(&self) -> usize {
         ring_window(self.lag)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StreamingDecoder;
+    use dhmm_hmm::emission::DiscreteEmission;
+    use dhmm_hmm::SparseParams;
+    use dhmm_linalg::Matrix;
+
+    fn model() -> Hmm<DiscreteEmission> {
+        let emission = DiscreteEmission::new(
+            Matrix::from_rows(&[
+                vec![0.5, 0.3, 0.1, 0.1],
+                vec![0.1, 0.5, 0.3, 0.1],
+                vec![0.1, 0.1, 0.3, 0.5],
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        let transition = Matrix::from_rows(&[
+            vec![0.8, 0.1, 0.1],
+            vec![0.15, 0.7, 0.15],
+            vec![0.1, 0.2, 0.7],
+        ])
+        .unwrap();
+        Hmm::new(vec![0.5, 0.3, 0.2], transition, emission).unwrap()
+    }
+
+    /// Asserts that no scratch the pool ever leased holds a posterior row.
+    fn assert_no_posteriors(pool: &mut SessionPool<DiscreteEmission>, when: &str) {
+        let leased = pool.scratch.len();
+        for (w, scratch) in pool.scratch.ensure(leased).iter().enumerate() {
+            assert_eq!(scratch.smoothed_len, 0, "{when}: scratch {w} smoothed");
+        }
+    }
+
+    /// Ticks and flushes share the standalone decoder's per-token step but
+    /// never run its smoother: at lag 0 every token closes its window, at
+    /// lag 3 the sixth, ninth and twelfth tokens close a block, and the
+    /// last token each tick and flush pushes is one of them. No leased
+    /// scratch holds a posterior row afterwards, while the smoothing counter
+    /// still counts the rows a decoder fed the ticked tokens emits.
+    #[test]
+    fn a_pool_never_runs_the_smoother() {
+        let model = Arc::new(model());
+        let tokens: Vec<usize> = (0..12).map(|i| (i * 7 + i / 5) % 4).collect();
+        let backends = [
+            InferenceBackend::Scaled,
+            InferenceBackend::Sparse(SparseParams::default()),
+        ];
+        for backend in backends {
+            for (lag, closed_rows) in [(0usize, 9usize), (3, 6)] {
+                for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+                    let config = StreamConfig::default()
+                        .with_lag(lag)
+                        .with_backend(backend)
+                        .with_parallelism(parallelism);
+                    let case = format!("{backend:?} lag {lag} {parallelism:?}");
+                    let mut pool = SessionPool::with_config(Arc::clone(&model), config.clone())
+                        .expect("valid config");
+                    let ids = [pool.create(), pool.create()];
+                    for ticked in [&tokens[..6], &tokens[6..9]] {
+                        for &id in &ids {
+                            pool.push_many(id, ticked.iter().copied()).unwrap();
+                        }
+                        pool.tick();
+                        assert_no_posteriors(&mut pool, &format!("{case} tick"));
+                    }
+                    for &id in &ids {
+                        pool.push_many(id, tokens[9..].iter().copied()).unwrap();
+                        pool.flush(id).unwrap();
+                        assert_no_posteriors(&mut pool, &format!("{case} flush"));
+                    }
+
+                    let mut decoder = StreamingDecoder::with_config(&model, config).unwrap();
+                    let decoder_rows: usize = tokens[..9]
+                        .iter()
+                        .map(|obs| decoder.push(obs).smoothed.len() / 3)
+                        .sum();
+                    assert_eq!(decoder_rows, closed_rows, "{case}");
+                    assert_eq!(
+                        pool.smoothing_scalar_total(),
+                        (ids.len() * closed_rows) as u64,
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 }

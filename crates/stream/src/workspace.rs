@@ -12,9 +12,10 @@
 //!   `InferenceWorkspace`.
 //! * [`StreamScratch`] — the *transient* per-push scratch: level-set walks,
 //!   backward-smoothing rows and the per-push output staging (newly
-//!   committed labels, newly smoothed posteriors). One per worker; in a
-//!   session pool it is leased from a runtime `LeasePool`, so `S` sessions
-//!   on `w` workers cost `S` workspaces but only `w` scratches.
+//!   committed labels, and a standalone decoder's newly smoothed
+//!   posteriors). One per worker; in a session pool it is leased from a
+//!   runtime `LeasePool`, so `S` sessions on `w` workers cost `S`
+//!   workspaces but only `w` scratches.
 //!
 //! Both grow monotonically: after the first push at a given `(k, lag)` shape
 //! (or after [`StreamWorkspace::ensure`] at construction), no call path in
@@ -217,8 +218,10 @@ pub struct StreamScratch {
     pub(crate) committed: Vec<usize>,
     /// Time index of `committed[0]` (meaningful when non-empty).
     pub(crate) committed_start: usize,
-    /// Smoothed posterior rows emitted by the last push/flush, row-major
-    /// (`smoothed_len × k`), ascending in time.
+    /// Smoothed posterior rows emitted by the last standalone-decoder
+    /// push/flush, row-major (`smoothed_len × k`), ascending in time. A
+    /// session pool never smooths, so its leased scratch keeps
+    /// `smoothed_len == 0`.
     pub(crate) smoothed: Vec<f64>,
     /// Number of valid rows in `smoothed`.
     pub(crate) smoothed_len: usize,
@@ -232,10 +235,11 @@ pub struct StreamScratch {
     pub(crate) set_cur: Vec<bool>,
     /// Second membership buffer (swapped with `set_cur` per level).
     pub(crate) set_next: Vec<bool>,
-    /// Smoothed rows emitted through this scratch during the *current* pool
-    /// tick — accumulated per worker inside the banded pass (each band owns
-    /// its scratch, so no synchronization) and drained into the tick report
-    /// afterwards. Always 0 outside a tick.
+    /// Rows whose fixed-lag smoothing window closed in pushes through this
+    /// scratch during the *current* pool tick — accumulated per worker
+    /// inside the banded pass (each band owns its scratch, so no
+    /// synchronization) and drained into the tick report afterwards. Always
+    /// 0 outside a tick.
     pub(crate) tick_smoothing_rows: u64,
 }
 

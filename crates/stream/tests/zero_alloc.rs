@@ -137,8 +137,17 @@ fn push_performs_zero_heap_allocation_after_warm_up() {
 /// its allocation across ticks, and the record path is counters and
 /// preallocated histogram buckets only — so attaching a registry adds
 /// **zero** allocations over the disabled sink, which itself makes none.
+/// A `Threads(2)` tick over the four sessions splits them into two bands
+/// without building the partition, so it allocates nothing either (the
+/// counter sees the dispatching thread; the helper runs the other band).
 #[test]
 fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        pool_tick_allocations_are_zero(parallelism);
+    }
+}
+
+fn pool_tick_allocations_are_zero(parallelism: Parallelism) {
     let model = Arc::new(model());
     let seq: Vec<usize> = (0..256).map(|i| (i * 7 + i / 5) % 4).collect();
 
@@ -152,7 +161,7 @@ fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
     {
         let config = StreamConfig::default()
             .with_lag(4)
-            .with_parallelism(Parallelism::Serial)
+            .with_parallelism(parallelism)
             .with_telemetry(telemetry);
         let mut pool = SessionPool::with_config(Arc::clone(&model), config).unwrap();
         let ids: Vec<_> = (0..4).map(|_| pool.create()).collect();
@@ -192,14 +201,14 @@ fn telemetry_adds_zero_allocations_to_the_pool_tick_path() {
     }
     assert_eq!(
         allocs[1], allocs[0],
-        "registry-backed tick path allocated more than the disabled one \
-         (disabled={}, enabled={})",
+        "{parallelism:?}: registry-backed tick path allocated more than the \
+         disabled one (disabled={}, enabled={})",
         allocs[0], allocs[1]
     );
     assert_eq!(
         allocs,
         [0, 0],
-        "the warm pool tick path allocated (disabled={}, enabled={})",
+        "{parallelism:?}: the warm pool tick path allocated (disabled={}, enabled={})",
         allocs[0],
         allocs[1]
     );
