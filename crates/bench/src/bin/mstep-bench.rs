@@ -5,7 +5,9 @@
 //!
 //! * `BENCH_mstep.json` — the fused DPP prior engine (`DppObjective`)
 //!   against the scalar oracle functions `dhmm_dpp::{log_det_kernel,
-//!   grad_log_det_kernel}` for the value and the gradient, plus the fused
+//!   grad_log_det_kernel}` for the value and the gradient, the simplex
+//!   projection of an ascent candidate sorted from scratch against one
+//!   warm-started from the previous candidate's order, plus the fused
 //!   `DppTransitionUpdater::update` (a whole M-step) on its own;
 //! * `BENCH_parallel.json` — the worker-pool thread sweep: the same fused
 //!   `DppTransitionUpdater::update` (and the gradient alone) at each
@@ -32,7 +34,7 @@ use dhmm_core::{AscentConfig, Parallelism};
 use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::init::random_stochastic_matrix;
-use dhmm_linalg::Matrix;
+use dhmm_linalg::{project_row_stochastic_with, project_to_simplex_into, Matrix, SimplexScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -44,6 +46,8 @@ const ALPHA: f64 = 10.0;
 const BATCHES: usize = 5;
 /// Wall clock each batch aims to cover.
 const BATCH_SECONDS: f64 = 0.04;
+/// Step sizes of the backtracking ladder the `project` row cycles through.
+const LADDER_STEPS: usize = 4;
 
 /// Nanoseconds per call of `f`: the median of `BATCHES` batches.
 fn time_ns(f: impl FnMut()) -> Timing {
@@ -131,8 +135,55 @@ fn problem_alt(k: usize) -> Matrix {
     random_stochastic_matrix(k, k, 1.0, &mut rng).expect("valid matrix")
 }
 
-/// Serial table: the fused prior engine vs the scalar oracle functions, and
-/// the fused whole M-step.
+/// Trial candidates `a + γ·∇/max|∇|` of one ascent iteration at `a`, with
+/// `γ` walking down the backtracking ladder from the initial step, as the
+/// ascent forms them.
+fn ladder(objective: &TransitionObjective<'_>, a: &Matrix, ascent: &AscentConfig) -> Vec<Matrix> {
+    let grad = objective.gradient(a).expect("gradient");
+    let scale = grad.max_abs().max(1e-12);
+    (0..LADDER_STEPS)
+        .map(|t| {
+            let step = ascent.initial_step * ascent.backtrack_factor.powi(t as i32) / scale;
+            Matrix::from_fn(a.rows(), a.cols(), |i, j| a[(i, j)] + grad[(i, j)] * step)
+        })
+        .collect()
+}
+
+/// The `project` row: ns per simplex projection of a `k × k` ascent
+/// candidate, cycling through the ladder so each candidate follows its
+/// neighbour. `cold` sorts every row from scratch (`project_to_simplex_into`
+/// row by row); `warm` is the ascent's own `project_row_stochastic_with`,
+/// each row re-sorted from the previous candidate's order. Both time the
+/// copy of the candidate into place too.
+fn project_row(k: usize, candidates: &[Matrix]) -> Json {
+    let mut work = Matrix::zeros(k, k);
+    let mut next = 0;
+    let mut row_scratch = Vec::new();
+    let cold = time_ns(|| {
+        next = (next + 1) % candidates.len();
+        work.copy_from(&candidates[next]).expect("same shape");
+        for row in work.as_mut_slice().chunks_exact_mut(k) {
+            project_to_simplex_into(row, &mut row_scratch);
+        }
+        black_box(&work);
+    });
+    let mut simplex = SimplexScratch::new();
+    let warm = time_ns(|| {
+        next = (next + 1) % candidates.len();
+        work.copy_from(&candidates[next]).expect("same shape");
+        project_row_stochastic_with(&mut work, &mut simplex);
+        black_box(&work);
+    });
+    Json::row()
+        .text("op", "project")
+        .field("k", k)
+        .timing("cold_", "ns", cold, 0)
+        .timing("warm_", "ns", warm, 0)
+        .fixed("speedup", cold.median / warm.median, 2)
+}
+
+/// Serial table: the fused prior engine vs the scalar oracle functions, the
+/// cold and warm simplex projection, and the fused whole M-step.
 fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], output: &str) {
     let engine = DppObjective::new(kernel);
     let mut rows = Vec::new();
@@ -181,6 +232,11 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         let fused_updater =
             DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(Parallelism::Serial);
         let uniform = Matrix::filled(k, k, 1.0 / k as f64);
+        // The candidates of the `project` row are taken where a real ascent
+        // runs: at the iterate the timed update returns.
+        let fitted = fused_updater.update(&counts, &uniform).expect("update");
+        let objective = TransitionObjective::unsupervised(&counts, ALPHA, kernel);
+        rows.push(project_row(k, &ladder(&objective, &fitted, &ascent)));
         let update_fused = time_ns(|| {
             black_box(
                 fused_updater
@@ -195,8 +251,11 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
         "dpp_mstep",
         &format!(
             "Fused DPP prior engine vs the scalar oracle functions (log-det value, gradient), \
-             and the fused whole M-step (update); ns per call, the median over {BATCHES} \
-             batches with the fastest and slowest batch"
+             the simplex projection of a k x k ascent candidate (at the iterate the update \
+             returns, cycling through {LADDER_STEPS} backtracking steps) sorted from scratch \
+             (cold) vs re-sorted from the previous candidate's order (warm), and the fused \
+             whole M-step (update); ns per call, the median over {BATCHES} batches with the \
+             fastest and slowest batch"
         ),
     )
     .field("alpha", ALPHA)

@@ -5,8 +5,9 @@
 //!
 //! * **per-token latency** of a single [`StreamingDecoder`] session — p50 /
 //!   p99 / mean nanoseconds per `push` (filter + online Viterbi + commit
-//!   rules + amortized fixed-lag smoothing), plus the implied single-session
-//!   tokens/sec;
+//!   rules + amortized fixed-lag smoothing), plus the single-session
+//!   tokens/sec of uninstrumented passes (median and range over
+//!   `LATENCY_BATCHES` batches);
 //! * **multiplexed throughput** of a [`SessionPool`] — tokens/sec of batch
 //!   ticks over a sessions × threads sweep, plus the rows whose fixed-lag
 //!   smoothing window closed in each run's ticks (a pool computes no
@@ -29,14 +30,15 @@
 //! multi-core rerun workflow covers streaming with the same invocation
 //! shape.
 
-use dhmm_bench::{random_discrete_hmm, time_alternating, uniform_tokens, Flags, Json};
+use dhmm_bench::{
+    random_discrete_hmm, time_alternating, time_batches, uniform_tokens, Flags, Json,
+};
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::Hmm;
 use dhmm_stream::{Parallelism, SessionPool, StreamConfig, StreamingDecoder};
 use dhmm_telemetry::{Histogram, Registry, TelemetrySink, REL_ERROR};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Vocabulary of the synthetic token stream.
 const VOCAB: usize = 64;
@@ -51,6 +53,10 @@ const OVERHEAD_ROUNDS: usize = 15;
 /// Alternating rounds per side of a throughput row (thread count against
 /// the serial pool).
 const THROUGHPUT_ROUNDS: usize = 5;
+/// Timed batches of clean decoder passes per latency row.
+const LATENCY_BATCHES: usize = 5;
+/// Wall clock each batch of clean passes aims to cover.
+const LATENCY_BATCH_SECONDS: f64 = 0.02;
 
 struct Args {
     output: String,
@@ -85,10 +91,13 @@ impl Args {
 /// serving registry exports, so bench and production quantiles share one
 /// definition. Reported quantiles are bucket lower bounds, an
 /// underestimate by at most one bucket width (relative error ≤ `REL_ERROR`
-/// = 0.125, recorded in the JSON metadata). Tokens/sec comes from a
-/// separate *uninstrumented* pass, so the committed throughput figure
+/// = 0.125, recorded in the JSON metadata). Tokens/sec comes from
+/// separate *uninstrumented* passes, so the committed throughput figure
 /// carries no `Instant::now` / sample-recording overhead (at sub-µs
-/// pushes, two timer reads per token would skew it by ~10%).
+/// pushes, two timer reads per token would skew it by ~10%). Those passes
+/// run in `LATENCY_BATCHES` batches through the shared harness, and the row
+/// records the median batch with the range: a host stall inside one pass
+/// widens the range instead of moving the figure beside the percentiles.
 fn latency(k: usize, lag: usize, tokens: usize) -> Json {
     let m = random_discrete_hmm(k, VOCAB, MODEL_SEED);
     let seq = uniform_tokens(tokens, VOCAB, 99);
@@ -110,13 +119,13 @@ fn latency(k: usize, lag: usize, tokens: usize) -> Json {
     dec.flush();
     dec.reset();
 
-    // Clean pass: wall-clock throughput with nothing inside the loop.
-    let total = Instant::now();
-    for obs in &seq {
-        black_box(dec.push(obs).log_likelihood);
-    }
-    let wall = total.elapsed().as_secs_f64();
-    dec.flush();
+    // Clean passes: wall-clock throughput with nothing inside the loop.
+    let pass = time_batches(LATENCY_BATCHES, LATENCY_BATCH_SECONDS, || {
+        dec.reset();
+        for obs in &seq {
+            black_box(dec.push(obs).log_likelihood);
+        }
+    });
 
     let snap = hist.snapshot();
     Json::row()
@@ -130,7 +139,7 @@ fn latency(k: usize, lag: usize, tokens: usize) -> Json {
         // whenever the block lands inside the top percentile.
         .field("p999_ns", snap.quantile(0.999))
         .fixed("mean_ns", snap.mean(), 0)
-        .fixed("tokens_per_sec", tokens as f64 / wall, 0)
+        .timing("", "tokens_per_sec", pass.rate(tokens as f64), 0)
 }
 
 /// One full multiplexed run: `sessions` sessions × `tokens` tokens, fed in
@@ -269,8 +278,10 @@ fn main() {
         "stream",
         &format!(
             "Streaming inference: single-session per-token push latency (p50/p99/p99.9/mean ns) \
-             and multiplexed SessionPool throughput (tokens/sec) over a k x lag x sessions x \
-             threads sweep, each thread count alternated with the serial pool over \
+             with the tokens/sec of uninstrumented passes (median and range over \
+             {LATENCY_BATCHES} batches), and multiplexed SessionPool throughput (tokens/sec) \
+             over a k x lag x sessions x threads sweep, each thread count alternated with the \
+             serial pool over \
              {THROUGHPUT_ROUNDS} rounds (median and range per side, speedup of the medians), \
              plus telemetry overhead: disabled vs registry-backed pool runs alternated over \
              {OVERHEAD_ROUNDS} rounds, median and range per side"

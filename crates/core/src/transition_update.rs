@@ -31,7 +31,7 @@ use crate::error::DhmmError;
 use dhmm_dpp::{DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::HmmError;
-use dhmm_linalg::{project_row_stochastic_with, Matrix};
+use dhmm_linalg::{project_row_stochastic_with, Matrix, SimplexScratch};
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, TelemetrySink};
 use std::sync::Mutex;
@@ -199,16 +199,24 @@ impl<'a> TransitionObjective<'a> {
 
 /// Reusable buffers for [`maximize_transition_objective_with`]: the fused
 /// engine's [`MStepWorkspace`] plus the ascent's own candidate/gradient
-/// matrices and the simplex-projection scratch. Sized on first use and
-/// reused allocation-free while the problem shape is unchanged — i.e. for
-/// every backtrack, ascent iteration and EM iteration of a training run.
+/// matrices and the simplex projection's [`SimplexScratch`]. Sized on first
+/// use and reused allocation-free while the problem shape is unchanged —
+/// i.e. for every backtrack, ascent iteration and EM iteration of a
+/// training run.
+///
+/// The projection scratch keeps every row's descending order from the last
+/// projection, whichever matrix it was: each trial candidate
+/// `current + γ·∇` is re-sorted from the previous trial's order, and the
+/// first projection of an M-step from the last one of the M-step before.
+/// That order only decides how much sorting a projection does, never its
+/// result, so the workspace carries no state into the fitted model.
 #[derive(Debug, Clone)]
 pub struct AscentWorkspace {
     dpp: MStepWorkspace,
     grad: Matrix,
     current: Matrix,
     candidate: Matrix,
-    scratch: Vec<f64>,
+    simplex: SimplexScratch,
 }
 
 impl Default for AscentWorkspace {
@@ -218,7 +226,7 @@ impl Default for AscentWorkspace {
             grad: Matrix::zeros(0, 0),
             current: Matrix::zeros(0, 0),
             candidate: Matrix::zeros(0, 0),
-            scratch: Vec::new(),
+            simplex: SimplexScratch::new(),
         }
     }
 }
@@ -296,11 +304,11 @@ pub fn maximize_transition_objective_counted(
         grad,
         current,
         candidate,
-        scratch,
+        simplex,
     } = ws;
 
     current.copy_from(initial)?;
-    project_row_stochastic_with(current, scratch);
+    project_row_stochastic_with(current, simplex);
     // The starting iterate needs both the value and the gradient; the fused
     // engine reads both off one factorization.
     let mut current_value = objective.value_and_gradient_with(current, dpp, grad)?;
@@ -327,7 +335,7 @@ pub fn maximize_transition_objective_counted(
             {
                 *c = x + g * scale;
             }
-            project_row_stochastic_with(candidate, scratch);
+            project_row_stochastic_with(candidate, simplex);
             let candidate_value = objective.value_with(candidate, dpp)?;
             if candidate_value > current_value {
                 let gain = candidate_value - current_value;
@@ -717,6 +725,57 @@ mod tests {
         let text = sink.registry().unwrap().render();
         assert!(text.contains("dhmm_train_ascent_accepted_total"), "{text}");
         assert!(text.contains("dhmm_train_ascent_rejected_total"), "{text}");
+    }
+
+    /// FNV-1a over the bits of every entry.
+    fn bits_hash(m: &Matrix) -> u64 {
+        m.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Two successive M-steps on a fixed k = 16 problem whose counts hold
+    /// zeros, so the projections clip entries to exactly zero and the
+    /// ascent both accepts and rejects trials: the transition bits and the
+    /// line-search counts are pinned to the values of the projection that
+    /// sorted every row from scratch, as a guard on the warm-started one.
+    #[test]
+    fn update_bits_and_ascent_counts_are_pinned() {
+        use dhmm_telemetry::{Registry, TelemetrySink};
+        let k = 16;
+        let counts = |shift: usize| {
+            Matrix::from_fn(k, k, |i, j| {
+                if (i * 5 + j * 3 + shift).is_multiple_of(7) {
+                    0.0
+                } else {
+                    let diagonal = if i == j { 40.0 } else { 0.0 };
+                    ((i * 17 + j * 29 + i * j + shift) % 31) as f64 + 0.5 + diagonal
+                }
+            })
+        };
+        let mut start = Matrix::from_fn(k, k, |i, j| 1.0 + ((i * 11 + j * 7) % 13) as f64);
+        start.normalize_rows();
+        let sink = TelemetrySink::Registry(Registry::new());
+        let ascent = AscentConfig {
+            tolerance: 0.0,
+            ..AscentConfig::default()
+        };
+        let updater = DppTransitionUpdater::new(10.0, ProductKernel::bhattacharyya(), ascent)
+            .with_parallelism(Parallelism::Serial)
+            .with_telemetry(&sink);
+        let first = updater.update(&counts(0), &start).unwrap();
+        assert_eq!(bits_hash(&first), 0xce0b_fee2_cf39_ab26);
+        assert_eq!(
+            (updater.accepted.value(), updater.rejected.value()),
+            (50, 4)
+        );
+        let second = updater.update(&counts(3), &first).unwrap();
+        assert_eq!(bits_hash(&second), 0xf94c_06fa_fa10_907a);
+        assert_eq!(
+            (updater.accepted.value(), updater.rejected.value()),
+            (100, 10)
+        );
+        assert_eq!(second.as_slice().iter().filter(|&&x| x == 0.0).count(), 26);
     }
 
     #[test]

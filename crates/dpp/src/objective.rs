@@ -367,7 +367,9 @@ impl DppObjective {
     }
 
     /// Gradient from an already-filled floored power matrix `ws.p`:
-    /// `S = P·Pᵀ`, normalize, factor, and read the gradient off the factor.
+    /// `S = P·Pᵀ`, normalize (lower triangle), factor, and read the gradient
+    /// off the factor. Leaves the upper triangle of `ws.kt` stale; the value
+    /// paths rebuild all of it before they read it.
     fn grad_from_power(
         &self,
         a: &Matrix,
@@ -380,8 +382,10 @@ impl DppObjective {
         for i in 0..k {
             ws.selfsim[i] = ws.s[(i, i)].max(ENTRY_FLOOR);
         }
+        // The lower triangle only: `factor_into` reads nothing above the
+        // diagonal, and the fallback below never reads `kt`.
         for i in 0..k {
-            for j in 0..k {
+            for j in 0..=i {
                 ws.kt[(i, j)] = ws.s[(i, j)] / (ws.selfsim[i] * ws.selfsim[j]).sqrt();
             }
         }

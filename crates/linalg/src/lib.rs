@@ -18,7 +18,8 @@
 //!   nearly-singular DPP kernels),
 //! * [`simplex`] — Euclidean projection onto the probability simplex
 //!   (Wang & Carreira-Perpiñán, Algorithm 1), the projection step of the
-//!   paper's Algorithm 1,
+//!   paper's Algorithm 1, re-sorting each row of a matrix from its last
+//!   order,
 //! * [`stats`] — small numeric helpers (log-sum-exp, normalization, argmax).
 //!
 //! The kernels of the diversified M-step (the Gram matrix
@@ -50,6 +51,6 @@ pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use simplex::{
     project_row_stochastic, project_row_stochastic_with, project_to_simplex,
-    project_to_simplex_into,
+    project_to_simplex_into, SimplexScratch,
 };
 pub use stats::{argmax, log_sum_exp, normalize_in_place};

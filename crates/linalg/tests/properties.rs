@@ -1,7 +1,9 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use dhmm_linalg::lu;
-use dhmm_linalg::simplex::{distance_to_simplex, project_to_simplex};
+use dhmm_linalg::simplex::{
+    distance_to_simplex, project_row_stochastic_with, project_to_simplex, SimplexScratch,
+};
 use dhmm_linalg::stats::log_sum_exp;
 use dhmm_linalg::vector;
 use dhmm_linalg::{Cholesky, Matrix};
@@ -18,6 +20,87 @@ fn square_matrix(max_n: usize) -> impl Strategy<Value = Matrix> {
 /// Strategy producing vectors of length 1..=max_len with entries in [-10, 10].
 fn vector_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     (1..=max_len).prop_flat_map(|n| proptest::collection::vec(-10.0..10.0f64, n))
+}
+
+/// An entry from the cases a projection must survive: exact ties, both
+/// signed zeros, NaN and both infinities, among ordinary values.
+fn projection_entry() -> impl Strategy<Value = f64> {
+    (0usize..12, -3.0..3.0f64).prop_map(|(pick, x)| match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 0.0,
+        4 => -0.0,
+        5 => 0.5,
+        6 => -0.25,
+        _ => x,
+    })
+}
+
+/// A `rows × n` matrix of [`projection_entry`] values (`n` from 1, so rows
+/// of one and two entries come up), every entry made non-positive in about
+/// one case in three, and a second matrix of the same shape whose
+/// projection leaves an arbitrary descending order behind to start from.
+/// Rows up to 24 entries long are often too far from that order for the
+/// warm re-sort's budget, so the full-sort fallback runs too.
+fn warm_projection_case() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (1usize..=3, 1usize..=24).prop_flat_map(|(rows, n)| {
+        (
+            proptest::collection::vec(projection_entry(), rows * n),
+            proptest::collection::vec(-1.0..1.0f64, rows * n),
+            0usize..3,
+        )
+            .prop_map(move |(data, keys, negate)| {
+                let data = data
+                    .into_iter()
+                    .map(|x| if negate == 0 { -x.abs() } else { x })
+                    .collect();
+                (
+                    Matrix::from_vec(rows, n, data).unwrap(),
+                    Matrix::from_vec(rows, n, keys).unwrap(),
+                )
+            })
+    })
+}
+
+/// The value a projection sorts a non-finite entry as.
+fn sort_key(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        f64::MIN / 2.0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn warm_projection_is_bit_identical_to_the_full_sort(case in warm_projection_case()) {
+        let (m, keys) = case;
+        let (rows, n) = m.shape();
+        let mut scratch = SimplexScratch::new();
+        // Projecting the keys leaves their descending order behind.
+        let mut start = keys.clone();
+        project_row_stochastic_with(&mut start, &mut scratch);
+        let mut warm = m.clone();
+        project_row_stochastic_with(&mut warm, &mut scratch);
+        for i in 0..rows {
+            let expected: Vec<u64> =
+                project_to_simplex(m.row(i)).iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u64> = warm.row(i).iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got, expected, "row {} of {:?}", i, m.row(i));
+
+            let order = scratch.order(i);
+            let mut seen = order.to_vec();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..n as u32).collect::<Vec<_>>());
+            for pair in order.windows(2) {
+                let (a, b) = (m[(i, pair[0] as usize)], m[(i, pair[1] as usize)]);
+                prop_assert!(sort_key(a) >= sort_key(b), "row {}: {} before {}", i, a, b);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -859,6 +859,7 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
         ws.ensure(model.num_states(), window);
         let mut scratch = StreamScratch::new();
         scratch.ensure(model.num_states(), window);
+        scratch.ensure_smoother(model.num_states(), window);
         Self {
             model,
             lag,

@@ -922,6 +922,40 @@ mod tests {
         }
     }
 
+    /// A pool never runs the smoother, so no scratch it leases grows the
+    /// smoother's buffers: after ticks and a flush at lag 64, serial and on
+    /// two workers, every leased scratch holds no backward row and no
+    /// posterior row.
+    #[test]
+    fn a_pool_scratch_holds_no_smoother_buffer() {
+        let model = Arc::new(model());
+        let tokens: Vec<usize> = (0..200).map(|i| (i * 7 + i / 5) % 4).collect();
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let config = StreamConfig::default()
+                .with_lag(64)
+                .with_parallelism(parallelism);
+            let mut pool = SessionPool::with_config(Arc::clone(&model), config).unwrap();
+            let ids = [pool.create(), pool.create(), pool.create()];
+            for chunk in tokens.chunks(50) {
+                for &id in &ids {
+                    pool.push_many(id, chunk.iter().copied()).unwrap();
+                }
+                pool.tick();
+            }
+            pool.flush(ids[0]).unwrap();
+            let leased = pool.scratch.len();
+            assert!(leased > 0, "{parallelism:?}: no scratch leased");
+            for (w, scratch) in pool.scratch.ensure(leased).iter().enumerate() {
+                assert_eq!(scratch.beta.capacity(), 0, "{parallelism:?} scratch {w}");
+                assert_eq!(
+                    scratch.smoothed.capacity(),
+                    0,
+                    "{parallelism:?} scratch {w}"
+                );
+            }
+        }
+    }
+
     /// Ticks and flushes share the standalone decoder's per-token step but
     /// never run its smoother: at lag 0 every token closes its window, at
     /// lag 3 the sixth, ninth and twelfth tokens close a block, and the

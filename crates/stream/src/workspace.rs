@@ -212,7 +212,8 @@ pub struct StreamScratch {
     /// Length-`k` work row (new α row before it enters the ring; backward
     /// weights during smoothing).
     pub(crate) row: Vec<f64>,
-    /// `2 × k` rolling backward rows for fixed-lag smoothing.
+    /// `2 × k` rolling backward rows for fixed-lag smoothing (sized by
+    /// [`Self::ensure_smoother`] only; empty in a pool's leased scratch).
     pub(crate) beta: Vec<f64>,
     /// Labels committed by the last push/flush, ascending in time.
     pub(crate) committed: Vec<usize>,
@@ -221,7 +222,8 @@ pub struct StreamScratch {
     /// Smoothed posterior rows emitted by the last standalone-decoder
     /// push/flush, row-major (`smoothed_len × k`), ascending in time. A
     /// session pool never smooths, so its leased scratch keeps
-    /// `smoothed_len == 0`.
+    /// `smoothed_len == 0` and this buffer empty (see
+    /// [`Self::ensure_smoother`]).
     pub(crate) smoothed: Vec<f64>,
     /// Number of valid rows in `smoothed`.
     pub(crate) smoothed_len: usize,
@@ -249,18 +251,16 @@ impl StreamScratch {
         Self::default()
     }
 
-    /// Grows every buffer for a `k`-state, `window`-slot stream.
+    /// Grows the per-push buffers for a `k`-state, `window`-slot stream.
+    /// The smoother's buffers are not among them: only a standalone decoder
+    /// runs the smoother, and it sizes them once with
+    /// [`Self::ensure_smoother`].
     pub(crate) fn ensure(&mut self, k: usize, window: usize) {
         if self.row.len() < k {
             self.row.resize(k, 0.0);
-            self.beta.resize(2 * k, 0.0);
             self.roots.resize(k, 0);
             self.set_cur.resize(k, false);
             self.set_next.resize(k, false);
-        }
-        let wk = window.checked_mul(k).expect("stream scratch overflow");
-        if self.smoothed.len() < wk {
-            self.smoothed.resize(wk, 0.0);
         }
         // A single push can commit at most the whole uncommitted window plus
         // the pushed token itself.
@@ -269,6 +269,19 @@ impl StreamScratch {
         }
         if self.committed.capacity() < window + 1 {
             self.committed.reserve(window + 1);
+        }
+    }
+
+    /// Grows the fixed-lag smoother's buffers for a `k`-state,
+    /// `window`-slot stream: the `2 × k` backward rows and the `window × k`
+    /// posterior rows one push or flush can emit.
+    pub(crate) fn ensure_smoother(&mut self, k: usize, window: usize) {
+        if self.beta.len() < 2 * k {
+            self.beta.resize(2 * k, 0.0);
+        }
+        let wk = window.checked_mul(k).expect("stream scratch overflow");
+        if self.smoothed.len() < wk {
+            self.smoothed.resize(wk, 0.0);
         }
     }
 
@@ -321,9 +334,13 @@ mod tests {
         let mut s = StreamScratch::new();
         s.ensure(5, 8);
         assert_eq!(s.row.len(), 5);
-        assert_eq!(s.beta.len(), 10);
-        assert!(s.smoothed.len() >= 40);
         assert!(s.chain.len() >= 9);
         assert!(s.committed.capacity() >= 9);
+        // The smoother's buffers are sized apart.
+        assert_eq!(s.beta.capacity(), 0);
+        assert_eq!(s.smoothed.capacity(), 0);
+        s.ensure_smoother(5, 8);
+        assert_eq!(s.beta.len(), 10);
+        assert!(s.smoothed.len() >= 40);
     }
 }
