@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices called out in DESIGN.md §5:
-//! the kernel exponent ρ, the step-size strategy of Algorithm 1, and the
-//! prior family (sparse ↔ none ↔ diverse).
+//! Ablation benches for three design choices of the reproduction: the
+//! kernel exponent ρ, the step-size strategy of Algorithm 1 (the paper says
+//! only "adaptive step"), and the prior family (sparse ↔ none ↔ diverse).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhmm_baselines::SparseTransitionUpdater;

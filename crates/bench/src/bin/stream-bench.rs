@@ -5,9 +5,10 @@
 //!
 //! * **per-token latency** of a single [`StreamingDecoder`] session — p50 /
 //!   p99 / mean nanoseconds per `push` (filter + online Viterbi + commit
-//!   rules + amortized fixed-lag smoothing), plus the single-session
-//!   tokens/sec of uninstrumented passes (median and range over
-//!   `LATENCY_BATCHES` batches);
+//!   rules + amortized fixed-lag smoothing) over `LATENCY_BATCHES`
+//!   instrumented passes, plus the single-session tokens/sec of
+//!   uninstrumented passes (median and range over `LATENCY_BATCHES`
+//!   batches, each run right after one of the instrumented passes);
 //! * **multiplexed throughput** of a [`SessionPool`] — tokens/sec of batch
 //!   ticks over a sessions × threads sweep, plus the rows whose fixed-lag
 //!   smoothing window closed in each run's ticks (a pool computes no
@@ -31,7 +32,7 @@
 //! shape.
 
 use dhmm_bench::{
-    random_discrete_hmm, time_alternating, time_batches, uniform_tokens, Flags, Json,
+    random_discrete_hmm, time_alternating, time_batches, uniform_tokens, Flags, Json, Timing,
 };
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::Hmm;
@@ -53,7 +54,8 @@ const OVERHEAD_ROUNDS: usize = 15;
 /// Alternating rounds per side of a throughput row (thread count against
 /// the serial pool).
 const THROUGHPUT_ROUNDS: usize = 5;
-/// Timed batches of clean decoder passes per latency row.
+/// Instrumented decoder passes per latency row, each followed by one timed
+/// batch of clean passes.
 const LATENCY_BATCHES: usize = 5;
 /// Wall clock each batch of clean passes aims to cover.
 const LATENCY_BATCH_SECONDS: f64 = 0.02;
@@ -86,7 +88,7 @@ impl Args {
 }
 
 /// Single-session per-token latency: push `tokens` tokens through a warm
-/// decoder. The percentile pass times each push individually into a
+/// decoder. The instrumented passes time each push individually into one
 /// detached telemetry [`Histogram`] — the same log-bucketed structure the
 /// serving registry exports, so bench and production quantiles share one
 /// definition. Reported quantiles are bucket lower bounds, an
@@ -96,36 +98,38 @@ impl Args {
 /// carries no `Instant::now` / sample-recording overhead (at sub-µs
 /// pushes, two timer reads per token would skew it by ~10%). Those passes
 /// run in `LATENCY_BATCHES` batches through the shared harness, and the row
-/// records the median batch with the range: a host stall inside one pass
-/// widens the range instead of moving the figure beside the percentiles.
+/// records the median batch with the range. Each batch runs right after
+/// one of the `LATENCY_BATCHES` instrumented passes, so the histogram and
+/// the batches sample the same spells of the host: a stall inside one pass
+/// widens the tail and the range instead of moving the mean alone.
 fn latency(k: usize, lag: usize, tokens: usize) -> Json {
     let m = random_discrete_hmm(k, VOCAB, MODEL_SEED);
     let seq = uniform_tokens(tokens, VOCAB, 99);
     let mut dec = StreamingDecoder::new(&m, lag);
-    // Warm-up pass sizes every buffer and the branch predictors.
-    for obs in &seq {
-        black_box(dec.push(obs).log_likelihood);
-    }
-    dec.flush();
-    dec.reset();
-
-    // Instrumented pass: per-push percentiles.
-    let hist = Histogram::detached();
-    for obs in &seq {
-        let span = hist.span();
-        black_box(dec.push(obs).log_likelihood);
-        drop(span);
-    }
-    dec.flush();
-    dec.reset();
-
-    // Clean passes: wall-clock throughput with nothing inside the loop.
-    let pass = time_batches(LATENCY_BATCHES, LATENCY_BATCH_SECONDS, || {
+    // A clean pass: nothing inside the loop but the push.
+    let pass = |dec: &mut StreamingDecoder<'_, DiscreteEmission>| {
         dec.reset();
         for obs in &seq {
             black_box(dec.push(obs).log_likelihood);
         }
-    });
+    };
+    // Warm-up pass sizes every buffer and the branch predictors.
+    pass(&mut dec);
+
+    let hist = Histogram::detached();
+    let mut batches = Vec::with_capacity(LATENCY_BATCHES);
+    for _ in 0..LATENCY_BATCHES {
+        // Instrumented pass: per-push samples into the shared histogram.
+        dec.reset();
+        for obs in &seq {
+            let span = hist.span();
+            black_box(dec.push(obs).log_likelihood);
+            drop(span);
+        }
+        // One batch of clean passes: wall-clock throughput.
+        batches.push(time_batches(1, LATENCY_BATCH_SECONDS, || pass(&mut dec)).median);
+    }
+    let clean = Timing::of(batches);
 
     let snap = hist.snapshot();
     Json::row()
@@ -139,7 +143,7 @@ fn latency(k: usize, lag: usize, tokens: usize) -> Json {
         // whenever the block lands inside the top percentile.
         .field("p999_ns", snap.quantile(0.999))
         .fixed("mean_ns", snap.mean(), 0)
-        .timing("", "tokens_per_sec", pass.rate(tokens as f64), 0)
+        .timing("", "tokens_per_sec", clean.rate(tokens as f64), 0)
 }
 
 /// One full multiplexed run: `sessions` sessions × `tokens` tokens, fed in
@@ -278,8 +282,9 @@ fn main() {
         "stream",
         &format!(
             "Streaming inference: single-session per-token push latency (p50/p99/p99.9/mean ns) \
-             with the tokens/sec of uninstrumented passes (median and range over \
-             {LATENCY_BATCHES} batches), and multiplexed SessionPool throughput (tokens/sec) \
+             over {LATENCY_BATCHES} instrumented passes, with the tokens/sec of uninstrumented \
+             passes (median and range over {LATENCY_BATCHES} batches, each after one \
+             instrumented pass), and multiplexed SessionPool throughput (tokens/sec) \
              over a k x lag x sessions x threads sweep, each thread count alternated with the \
              serial pool over \
              {THROUGHPUT_ROUNDS} rounds (median and range per side, speedup of the medians), \

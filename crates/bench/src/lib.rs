@@ -32,7 +32,7 @@
 //! Each experiment bench prints the reproduced table/series once before
 //! timing it, so `cargo bench` output doubles as a reproduction log
 //! (quick-scale; run the `exp-*` binaries with `--paper` for the full-size
-//! numbers recorded in EXPERIMENTS.md).
+//! numbers).
 
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::init::{random_parameters, random_stochastic_matrix, InitStrategy};

@@ -13,9 +13,9 @@
 //! projected gradient ascent: gradient step (Eq. 15 / 18), row-wise
 //! projection onto the simplex (Wang & Carreira-Perpiñán), repeated until
 //! the objective improvement drops below `δ`. The step size is adapted by a
-//! backtracking line search — the paper only says "adaptive step"; DESIGN.md
-//! records this choice and the ablation bench compares it against a fixed
-//! step.
+//! backtracking line search: the paper only says "adaptive step", so this
+//! is the reproduction's choice, and the `ablations` bench compares it
+//! against a fixed step.
 //!
 //! The prior term is evaluated by the fused engine (`dhmm_dpp`'s
 //! [`DppObjective`]), which restructures `log det K̃_A` and its gradient

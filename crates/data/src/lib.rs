@@ -20,8 +20,9 @@
 //! * [`corpus`] — shared containers (labeled corpora, train/test splits),
 //! * [`io`] — plain-text persistence of corpora and matrices for inspection.
 //!
-//! DESIGN.md §3 documents why each substitution preserves the behaviour the
-//! dHMM experiments actually measure.
+//! Each generator's module doc lists the statistics of the original data it
+//! keeps — the ones the dHMM experiments actually measure — which is why
+//! the substitution preserves the behaviour under test.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -14,7 +14,8 @@
 //!   inference engine: linear-domain forward–backward and Viterbi writing
 //!   into a reusable [`workspace::InferenceWorkspace`],
 //! * [`sparse`] — the sparse-transition engine: CSR-compiled pruned
-//!   transitions with beam-pruned recursions and a queryable error report,
+//!   transitions, exact under the pruned matrix, with a queryable pruning
+//!   report,
 //! * [`workspace`] — preallocated inference buffers, reused across sequences
 //!   and EM iterations (one per thread in the parallel E-step),
 //! * [`mod@reference`] — the original log-domain engine, kept as the numerical
@@ -63,8 +64,8 @@ pub use scaled::{
     viterbi_step, InferenceBackend,
 };
 pub use sparse::{
-    beam_prune, forward_backward_sparse, log_likelihood_sparse, viterbi_sparse,
-    viterbi_sparse_with_score, CsrTransition, PruneRule, SparseParams, SparseReport,
+    forward_backward_sparse, log_likelihood_sparse, viterbi_sparse, viterbi_sparse_with_score,
+    CsrTransition, PruneRule, SparseParams, SparseReport,
 };
 pub use supervised::{supervised_estimate, SupervisedCounts};
 pub use workspace::{InferenceWorkspace, WorkspacePool};

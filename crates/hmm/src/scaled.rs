@@ -74,10 +74,11 @@ pub enum InferenceBackend {
     /// into a reusable workspace (fast path).
     #[default]
     Scaled,
-    /// CSR-compiled pruned transitions with beam-pruned scaled recursions
-    /// (see [`crate::sparse`]): approximate, with the pruning error tracked
-    /// in a queryable [`crate::sparse::SparseReport`]. Bit-equal to `Scaled`
-    /// under [`crate::sparse::SparseParams::exact`].
+    /// CSR-compiled pruned transitions under the same scaled recursions
+    /// (see [`crate::sparse`]): exact under the pruned, renormalized matrix
+    /// `Ã`, with how far `Ã` is from `A` in a queryable
+    /// [`crate::sparse::SparseReport`]. Bit-equal to `Scaled` under
+    /// [`crate::sparse::SparseParams::exact`].
     Sparse(crate::sparse::SparseParams),
 }
 

@@ -1,5 +1,5 @@
-//! Sparse-transition inference engine: CSR-compiled transitions with
-//! beam-pruned scaled recursions and a tracked pruning-error report.
+//! Sparse-transition inference engine: CSR-compiled pruned transitions,
+//! exact under the pruned matrix, with a per-run pruning report.
 //!
 //! Dense inference pays O(k²) per time step regardless of how concentrated
 //! the transition rows are — and the diversified M-step produces exactly the
@@ -8,36 +8,25 @@
 //! [`CsrTransition`] — the matrix after [`PruneRule`] pruning and row
 //! renormalization, stored in both orientations (row-major for the forward
 //! and backward passes, transposed for Viterbi) — and runs the same scaled
-//! recursions as [`crate::scaled`] over the stored entries only, optionally
-//! beam-pruning the per-step state distribution.
+//! recursions as [`crate::scaled`] over the stored entries only.
 //!
-//! # Approximation contract
+//! # Contract: exact under `Ã`
 //!
-//! Two separate approximations are in play, both tracked in the
-//! [`SparseReport`] queryable from the workspace after every run:
+//! Static pruning replaces the model's transition matrix `A` with the
+//! pruned, renormalized `Ã`; nothing else is approximated. The
+//! log-likelihood, the posteriors and the Viterbi optimum (path and score)
+//! are those of the dense engine run on a model whose transition matrix is
+//! `Ã` (`CsrTransition::to_dense`), up to rounding and co-optimal ties
+//! between paths. The [`SparseReport`] queryable from the workspace after
+//! every run says how far `Ã` is from `A`: the per-row mass removed before
+//! renormalization ([`SparseReport::static_pruned_max`]), the stored
+//! entries, and the rows the rule would have emptied, which fall back to
+//! their original dense form ([`SparseReport::fallback_rows`]).
 //!
-//! * **Static pruning** replaces the model's transition matrix `A` with the
-//!   pruned, renormalized `Ã`. Inference is then *exact* with respect to
-//!   `Ã`; the per-row mass removed before renormalization is reported as
-//!   [`SparseReport::static_pruned_max`]. A row the rule would empty
-//!   entirely falls back to its original dense form
-//!   ([`SparseReport::fallback_rows`]).
-//! * **Beam pruning** zeroes states whose scaled forward (or Viterbi score)
-//!   mass falls below `beam × max` at each step. The relative mass discarded
-//!   at step `t`, `ε_t`, accumulates into
-//!   [`SparseReport::ll_error_bound`]` = Σ_t −ln(1−ε_t)`. Beam pruning only
-//!   removes probability mass, so the sparse log-likelihood is a certified
-//!   *lower* bound on the exact log-likelihood under `Ã`; the reported bound
-//!   is the accumulated-pruned-mass estimate of the gap (it is exact for the
-//!   mass discarded along the pruned trajectory, which dominates the realized
-//!   gap on smooth models — the property suite pins this). The Viterbi path
-//!   score is exact *for the returned path*: a surviving path's scores are
-//!   never altered, only competitors are discarded.
-//!
-//! With `threshold 0` and `beam 0` nothing is pruned, no row is
-//! renormalized, and every recursion visits the same values in the same
-//! floating-point order as the dense engine — the results are **bit-equal**
-//! to [`crate::scaled`], which is how the backend is oracle-pinned.
+//! With `threshold 0` nothing is pruned, no row is renormalized, and every
+//! recursion visits the same values in the same floating-point order as the
+//! dense engine — the results are **bit-equal** to [`crate::scaled`], which
+//! is how the backend is oracle-pinned.
 
 use crate::emission::Emission;
 use crate::error::HmmError;
@@ -68,80 +57,46 @@ impl Default for PruneRule {
     }
 }
 
-/// Parameters of the sparse inference backend: the static prune rule and the
-/// per-step beam width.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Parameters of the sparse inference backend: the static prune rule.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SparseParams {
     /// Static transition pruning applied at compile time.
     pub prune: PruneRule,
-    /// Per-step beam: states whose scaled forward / Viterbi mass falls below
-    /// `beam × max` are zeroed. Must lie in `[0, 1)`; `0.0` disables beam
-    /// pruning.
-    pub beam: f64,
-}
-
-impl Default for SparseParams {
-    fn default() -> Self {
-        Self {
-            prune: PruneRule::default(),
-            beam: 1e-6,
-        }
-    }
 }
 
 impl SparseParams {
     /// The identity configuration: nothing is pruned and results are
     /// bit-equal to the dense scaled engine.
     pub fn exact() -> Self {
-        Self {
-            prune: PruneRule::Threshold(0.0),
-            beam: 0.0,
-        }
+        Self::threshold(0.0)
     }
 
-    /// Threshold pruning at `tau` with no beam.
+    /// Threshold pruning at `tau`.
     pub fn threshold(tau: f64) -> Self {
         Self {
             prune: PruneRule::Threshold(tau),
-            beam: 0.0,
         }
     }
 
-    /// Top-p (nucleus) pruning at `p` with no beam.
+    /// Top-p (nucleus) pruning at `p`.
     pub fn top_p(p: f64) -> Self {
         Self {
             prune: PruneRule::TopP(p),
-            beam: 0.0,
         }
     }
 
-    /// Returns `self` with the beam width replaced.
-    pub fn with_beam(mut self, beam: f64) -> Self {
-        self.beam = beam;
-        self
-    }
-
-    /// Checks the parameter ranges: threshold `>= 0`, top-p in `(0, 1]`,
-    /// beam in `[0, 1)`.
+    /// Checks the parameter ranges: threshold `>= 0`, top-p in `(0, 1]`.
     pub fn validate(&self) -> Result<(), HmmError> {
         match self.prune {
-            PruneRule::Threshold(t) if t.is_finite() && t >= 0.0 => {}
-            PruneRule::TopP(p) if p.is_finite() && p > 0.0 && p <= 1.0 => {}
-            _ => {
-                return Err(HmmError::InvalidParameters {
-                    reason: format!(
-                        "invalid prune rule {:?}: threshold must be >= 0, top-p in (0, 1]",
-                        self.prune
-                    ),
-                })
-            }
+            PruneRule::Threshold(t) if t.is_finite() && t >= 0.0 => Ok(()),
+            PruneRule::TopP(p) if p.is_finite() && p > 0.0 && p <= 1.0 => Ok(()),
+            _ => Err(HmmError::InvalidParameters {
+                reason: format!(
+                    "invalid prune rule {:?}: threshold must be >= 0, top-p in (0, 1]",
+                    self.prune
+                ),
+            }),
         }
-        if !(self.beam.is_finite() && (0.0..1.0).contains(&self.beam)) {
-            return Err(HmmError::InvalidParameters {
-                reason: format!("beam must lie in [0, 1), got {}", self.beam),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -160,89 +115,6 @@ pub struct SparseReport {
     /// Largest per-row transition mass removed by static pruning (before
     /// renormalization).
     pub static_pruned_max: f64,
-    /// `Σ_t ε_t` — total relative per-step mass removed by the beam.
-    pub beam_pruned_total: f64,
-    /// `max_t ε_t` — worst single-step relative mass removed by the beam.
-    pub beam_pruned_max: f64,
-    /// `Σ_t −ln(1−ε_t)` — the accumulated pruned-mass estimate of the
-    /// log-likelihood deficit relative to exact inference under the pruned
-    /// matrix `Ã`. The sparse log-likelihood itself is always a certified
-    /// *lower* bound; this estimate of the gap is exact when per-state
-    /// future growth is homogeneous (e.g. state-independent emissions) and
-    /// zero exactly when the beam pruned nothing.
-    pub ll_error_bound: f64,
-}
-
-impl SparseReport {
-    /// Whether the accumulated log-likelihood error bound is within `tol`.
-    pub fn within(&self, tol: f64) -> bool {
-        self.ll_error_bound <= tol
-    }
-}
-
-/// Running beam statistics of one recursion.
-#[derive(Debug, Clone, Copy, Default)]
-struct BeamStats {
-    total: f64,
-    max: f64,
-    bound: f64,
-}
-
-impl BeamStats {
-    #[inline]
-    fn record(&mut self, eps: f64) {
-        if eps > 0.0 {
-            self.total += eps;
-            if eps > self.max {
-                self.max = eps;
-            }
-            self.bound -= (-eps).ln_1p();
-        }
-    }
-}
-
-/// Zeroes entries of `row` below `beam × max(row)` and returns the relative
-/// mass removed, `ε = pruned / (pruned + kept)`. With `beam == 0.0` (or a
-/// degenerate row) the row is left untouched and `0.0` is returned, so the
-/// exact configuration never perturbs a single bit.
-///
-/// Public so the streaming decoder in `dhmm-stream` applies the identical
-/// beam step token-by-token; `−ln(1−ε)` accumulated over steps is the
-/// log-likelihood deficit estimate (see the module docs).
-pub fn beam_prune(row: &mut [f64], beam: f64) -> f64 {
-    if beam <= 0.0 {
-        return 0.0;
-    }
-    let mut m = 0.0_f64;
-    for &v in row.iter() {
-        m = m.max(v);
-    }
-    // `m` cannot be NaN: it starts at 0.0 and `f64::max` keeps the non-NaN
-    // operand, so `<=` is a complete degenerate-row check here.
-    if m <= 0.0 || !m.is_finite() {
-        return 0.0;
-    }
-    // Branchless select: whether an entry survives is data-dependent and
-    // close to a coin flip per element, so a conditional here costs a
-    // mispredict per entry — masking by 0.0/1.0 keeps the loop a straight
-    // line of multiplies the compiler can vectorize. Multiplying a kept
-    // value by 1.0 reproduces it bit-for-bit, and the `+ 0.0` terms added
-    // to each accumulator leave the branchy sums unchanged (all entries
-    // are non-negative), so the ε accounting is identical.
-    let cut = beam * m;
-    let mut kept = 0.0;
-    let mut pruned = 0.0;
-    for v in row.iter_mut() {
-        let keep = f64::from(u8::from(*v >= cut));
-        let drop = 1.0 - keep;
-        pruned += *v * drop;
-        kept += *v * keep;
-        *v *= keep;
-    }
-    if pruned <= 0.0 {
-        return 0.0;
-    }
-    pruned / (pruned + kept)
 }
 
 /// A dense transition matrix compiled for sparse inference: the pruned,
@@ -476,26 +348,22 @@ fn take_cache(
     }
 }
 
-/// Runs the beam-pruned scaled forward pass over the compiled transitions.
-/// Mirrors the dense forward pass ([`crate::scaled::forward_step`]) exactly
-/// apart from the CSR scatter and the beam step, and is bit-equal to it
-/// under [`SparseParams::exact`].
+/// Runs the scaled forward pass over the compiled transitions. Mirrors the
+/// dense forward pass ([`crate::scaled::forward_step`]) exactly apart from
+/// the CSR scatter, and is bit-equal to it under [`SparseParams::exact`].
 fn forward_pass_sparse<E: Emission>(
     model: &Hmm<E>,
     t_len: usize,
     ws: &mut InferenceWorkspace,
     csr: &CsrTransition,
-    beam: f64,
-) -> BeamStats {
+) {
     let k = model.num_states();
-    let mut stats = BeamStats::default();
     {
         let row = &mut ws.alpha[..k];
         let e_row = &ws.emis[..k];
         for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
             *r = model.initial()[j] * e;
         }
-        stats.record(beam_prune(row, beam));
         let (c, log_c) = scale_row(row, ws.shifts[0]);
         ws.scales[0] = c;
         ws.log_scales[0] = log_c;
@@ -506,10 +374,9 @@ fn forward_pass_sparse<E: Emission>(
         let prev_row = &prev[(t - 1) * k..];
         let row = &mut rest[..k];
         row.fill(0.0);
-        // Scatter one source row per live predecessor: beam-zeroed (and
-        // naturally zero) predecessors skip their whole row. Ascending `i`
-        // keeps the per-column accumulation order identical to the dense
-        // engine.
+        // Scatter one source row per live predecessor: zero predecessors
+        // skip their whole row. Ascending `i` keeps the per-column
+        // accumulation order identical to the dense engine.
         for (i, &ap) in prev_row.iter().enumerate() {
             if ap == 0.0 {
                 continue;
@@ -520,32 +387,27 @@ fn forward_pass_sparse<E: Emission>(
         for (r, &e) in row.iter_mut().zip(e_row) {
             *r *= e;
         }
-        stats.record(beam_prune(row, beam));
         let (c, log_c) = scale_row(row, ws.shifts[t]);
         ws.scales[t] = c;
         ws.log_scales[t] = log_c;
     }
-    stats
 }
 
 /// Assembles and stores the run report on the workspace.
-fn store_report(ws: &mut InferenceWorkspace, csr: &CsrTransition, steps: usize, beam: BeamStats) {
+fn store_report(ws: &mut InferenceWorkspace, csr: &CsrTransition, steps: usize) {
     ws.sparse_report = Some(SparseReport {
         steps,
         nnz: csr.nnz(),
         density: csr.density(),
         fallback_rows: csr.fallback_rows(),
         static_pruned_max: csr.static_pruned_max(),
-        beam_pruned_total: beam.total,
-        beam_pruned_max: beam.max,
-        ll_error_bound: beam.bound,
     });
 }
 
 /// Sparse-transition scaled forward–backward: the sparse counterpart of
 /// [`crate::scaled::forward_backward_scaled`]. The returned statistics are
-/// exact under the pruned matrix `Ã` (up to beam pruning, see the module
-/// docs); the [`SparseReport`] of the run is left on the workspace.
+/// exact under the pruned matrix `Ã`; the [`SparseReport`] of the run is
+/// left on the workspace.
 pub fn forward_backward_sparse<E: Emission>(
     model: &Hmm<E>,
     observations: &[E::Obs],
@@ -563,7 +425,7 @@ pub fn forward_backward_sparse<E: Emission>(
     fill_emissions(model, observations, ws);
     let cache = take_cache(ws, model.transition(), params)?;
     let csr = &cache.csr;
-    let beam = forward_pass_sparse(model, t_len, ws, csr, params.beam);
+    forward_pass_sparse(model, t_len, ws, csr);
 
     // Backward pass: identical to the dense engine with the per-row dot
     // taken over the stored entries (ascending column order, same bits).
@@ -637,7 +499,7 @@ pub fn forward_backward_sparse<E: Emission>(
     }
 
     let log_likelihood = ws.log_scales[..t_len].iter().sum();
-    store_report(ws, csr, t_len, beam);
+    store_report(ws, csr, t_len);
     ws.sparse = Some(cache);
     Ok(SequenceStats {
         gamma,
@@ -646,9 +508,7 @@ pub fn forward_backward_sparse<E: Emission>(
     })
 }
 
-/// Sparse-transition log-likelihood (forward pass only); a certified lower
-/// bound on the exact value under `Ã`, with the gap estimate in the run's
-/// [`SparseReport`].
+/// Sparse-transition log-likelihood (forward pass only), exact under `Ã`.
 pub fn log_likelihood_sparse<E: Emission>(
     model: &Hmm<E>,
     observations: &[E::Obs],
@@ -665,8 +525,8 @@ pub fn log_likelihood_sparse<E: Emission>(
     ws.ensure(k, t_len);
     fill_emissions(model, observations, ws);
     let cache = take_cache(ws, model.transition(), params)?;
-    let beam = forward_pass_sparse(model, t_len, ws, &cache.csr, params.beam);
-    store_report(ws, &cache.csr, t_len, beam);
+    forward_pass_sparse(model, t_len, ws, &cache.csr);
+    store_report(ws, &cache.csr, t_len);
     ws.sparse = Some(cache);
     Ok(ws.log_scales[..t_len].iter().sum())
 }
@@ -681,16 +541,14 @@ pub fn viterbi_sparse<E: Emission>(
     Ok(viterbi_sparse_with_score(model, observations, ws, params)?.0)
 }
 
-/// Beam-pruned Viterbi over the transposed CSR layout, returning the path
-/// and its joint log-probability under `Ã`.
+/// Viterbi over the transposed CSR layout, returning a most likely path
+/// under `Ã` and its joint log-probability.
 ///
 /// The score recursion gathers over each state's stored *predecessors*
-/// (`Ãᵀ` row) — contiguous in the transposed layout — and beam-zeroes the
-/// normalized score row each step. The returned score is exact for the
-/// returned path: beam pruning discards competing paths but never rescales a
-/// surviving one. A step at which every candidate path hits probability
-/// zero is floored to uniform by [`viterbi_scale_row`], the rule the dense
-/// engine and the streaming decoder share.
+/// (`Ãᵀ` row) — contiguous in the transposed layout. A step at which every
+/// candidate path hits probability zero is floored to uniform by
+/// [`viterbi_scale_row`], the rule the dense engine and the streaming
+/// decoder share.
 pub fn viterbi_sparse_with_score<E: Emission>(
     model: &Hmm<E>,
     observations: &[E::Obs],
@@ -709,7 +567,6 @@ pub fn viterbi_sparse_with_score<E: Emission>(
     let cache = take_cache(ws, model.transition(), params)?;
     let csr = &cache.csr;
     let tr = csr.transposed();
-    let mut stats = BeamStats::default();
 
     let mut log_score = 0.0;
     {
@@ -718,7 +575,6 @@ pub fn viterbi_sparse_with_score<E: Emission>(
             *p = model.initial()[j] * ws.emis[j];
         }
         log_score += viterbi_scale_row(prev, ws.shifts[0]);
-        stats.record(beam_prune(prev, params.beam));
     }
     for t in 1..t_len {
         let (first, rest) = ws.delta.split_at_mut(k);
@@ -736,7 +592,6 @@ pub fn viterbi_sparse_with_score<E: Emission>(
             psi_row[j] = best_i;
         }
         log_score += viterbi_scale_row(cur, ws.shifts[t]);
-        stats.record(beam_prune(cur, params.beam));
     }
 
     let last = if (t_len - 1) % 2 == 0 {
@@ -756,7 +611,7 @@ pub fn viterbi_sparse_with_score<E: Emission>(
     for t in (0..t_len - 1).rev() {
         path[t] = ws.psi[(t + 1) * k + path[t + 1]];
     }
-    store_report(ws, csr, t_len, stats);
+    store_report(ws, csr, t_len);
     ws.sparse = Some(cache);
     Ok((path, log_score + best_val.ln()))
 }

@@ -2,18 +2,15 @@
 //!
 //! The contract under test, in increasing strength:
 //!
-//! 1. `SparseParams::exact()` (threshold 0, no beam) is **bit-identical**
-//!    to the scaled engine: the CSR scatter visits the same predecessors in
-//!    the same order, so every float matches `to_bits`-for-`to_bits`.
+//! 1. `SparseParams::exact()` (threshold 0) is **bit-identical** to the
+//!    scaled engine: the CSR scatter visits the same predecessors in the
+//!    same order, so every float matches `to_bits`-for-`to_bits`.
 //! 2. Static pruning (threshold / top-p) is *exact inference on the pruned,
 //!    renormalized matrix Ã*: running the sparse engine on the original
 //!    model equals running the dense scaled engine on a model built from
-//!    `CsrTransition::to_dense()`, and the reported `ll_error_bound` is 0.
-//! 3. Beam pruning is approximate but *certified*: the sparse
-//!    log-likelihood is a lower bound of the dense-on-Ã log-likelihood, and
-//!    the gap is covered by the reported `ll_error_bound`.
-//! 4. The Viterbi score is exact *for the returned path* regardless of
-//!    pruning: the path's joint likelihood under Ã equals the score.
+//!    `CsrTransition::to_dense()`, Viterbi optimum included.
+//! 3. The Viterbi score is exact *for the returned path*: the path's joint
+//!    likelihood under Ã equals the score.
 //!
 //! Plus the degenerate inputs pruning adds on top of the dense suite:
 //! fully-pruned rows (dense fallback), zero-probability and
@@ -63,6 +60,37 @@ fn pruned_model(model: &Hmm<DiscreteEmission>, params: SparseParams) -> Hmm<Disc
     .unwrap()
 }
 
+/// The sparse Viterbi finds Ã's optimum: its score equals the dense
+/// engine's on Ã bit for bit, and its path is the dense one or co-optimal
+/// with it under Ã.
+fn assert_viterbi_optimal_on_tilde(
+    model: &Hmm<DiscreteEmission>,
+    tilde: &Hmm<DiscreteEmission>,
+    seq: &[usize],
+    params: SparseParams,
+) -> Result<(), TestCaseError> {
+    let (path_s, score_s) =
+        viterbi_sparse_with_score(model, seq, &mut InferenceWorkspace::new(), params).unwrap();
+    let (path_d, score_d) =
+        viterbi_scaled_with_score(tilde, seq, &mut InferenceWorkspace::new()).unwrap();
+    prop_assert_eq!(
+        score_s.to_bits(),
+        score_d.to_bits(),
+        "viterbi score {} vs {} on Ã",
+        score_s,
+        score_d
+    );
+    if path_s != path_d {
+        let js = tilde.joint_log_likelihood(&path_s, seq).unwrap();
+        let jd = tilde.joint_log_likelihood(&path_d, seq).unwrap();
+        prop_assert!(
+            (js - jd).abs() < 1e-9,
+            "paths differ and are not co-optimal under Ã: {js} vs {jd}"
+        );
+    }
+    Ok(())
+}
+
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what} shapes differ");
     for r in 0..a.rows() {
@@ -106,7 +134,6 @@ proptest! {
         // Exact compilation keeps every entry and prunes no mass.
         let report = ws_s.sparse_report().expect("sparse run leaves a report");
         prop_assert_eq!(report.nnz, k * k);
-        prop_assert_eq!(report.ll_error_bound, 0.0);
         prop_assert_eq!(report.static_pruned_max, 0.0);
     }
 
@@ -130,12 +157,7 @@ proptest! {
             "ll {} vs {} on Ã", sparse.log_likelihood, dense.log_likelihood);
         prop_assert!(sparse.gamma.approx_eq(&dense.gamma, 1e-12));
         prop_assert!(sparse.xi_sum.approx_eq(&dense.xi_sum, 1e-12));
-
-        // Without a beam the run is exact w.r.t. Ã: nothing accrues.
-        let report = *ws_s.sparse_report().unwrap();
-        prop_assert_eq!(report.ll_error_bound, 0.0);
-        prop_assert_eq!(report.beam_pruned_total, 0.0);
-        prop_assert!(report.within(0.0));
+        assert_viterbi_optimal_on_tilde(&model, &tilde, &seq, params)?;
     }
 
     #[test]
@@ -153,95 +175,26 @@ proptest! {
         let ll_s = log_likelihood_sparse(&model, &seq, &mut ws_s, params).unwrap();
         let ll_d = log_likelihood_scaled(&tilde, &seq, &mut ws_d).unwrap();
         prop_assert!((ll_s - ll_d).abs() < 1e-12, "{ll_s} vs {ll_d}");
-        prop_assert_eq!(ws_s.sparse_report().unwrap().ll_error_bound, 0.0);
+        assert_viterbi_optimal_on_tilde(&model, &tilde, &seq, params)?;
     }
 
-    // ---- Contract 3: the beam ll is a certified lower bound, and the ----
-    // ---- reported deficit estimate is sound where the theory says so. ----
-
-    #[test]
-    fn beam_ll_is_a_certified_lower_bound(
-        k in 3usize..8, v in 2usize..8, seed in 0u64..1000, len in 2usize..40,
-        tau in 0.0f64..0.2, beam in 0.01f64..0.5
-    ) {
-        let model = random_hmm(k, v, seed);
-        let seq = random_seq(v, len, seed.wrapping_add(37));
-        let params = SparseParams::threshold(tau).with_beam(beam);
-        let tilde = pruned_model(&model, params);
-        let mut ws_s = InferenceWorkspace::new();
-        let mut ws_d = InferenceWorkspace::new();
-
-        let ll_beam = log_likelihood_sparse(&model, &seq, &mut ws_s, params).unwrap();
-        let ll_exact = log_likelihood_scaled(&tilde, &seq, &mut ws_d).unwrap();
-        let report = *ws_s.sparse_report().unwrap();
-
-        // Dropping probability mass can only lower the likelihood.
-        prop_assert!(ll_beam <= ll_exact + 1e-9,
-            "beam raised the likelihood: {ll_beam} > {ll_exact}");
-        // The accumulated estimate is internally consistent: nonnegative,
-        // at least the raw pruned mass (−ln(1−ε) ≥ ε), and zero exactly
-        // when the beam removed nothing.
-        prop_assert!(report.ll_error_bound >= report.beam_pruned_total);
-        prop_assert!(report.beam_pruned_max <= report.beam_pruned_total + 1e-15);
-        prop_assert_eq!(report.ll_error_bound == 0.0, report.beam_pruned_total == 0.0);
-        if report.beam_pruned_total == 0.0 {
-            prop_assert!((ll_beam - ll_exact).abs() < 1e-12,
-                "no pruning but lls differ: {ll_beam} vs {ll_exact}");
-        }
-    }
-
-    #[test]
-    fn beam_deficit_estimate_is_exact_under_homogeneous_emissions(
-        k in 3usize..8, seed in 0u64..1000, len in 2usize..40, beam in 0.01f64..0.5
-    ) {
-        // With state-independent emissions every state grows at the same
-        // rate, so the pruned mass evolves exactly like the kept mass and
-        // Σ −ln(1−ε_t) equals the realized log-likelihood deficit.
-        let base = random_hmm(k, 5, seed);
-        let shared: Vec<f64> = {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(3));
-            dhmm_hmm::init::random_stochastic_matrix(1, 5, 1.0, &mut rng)
-                .unwrap()
-                .row(0)
-                .to_vec()
-        };
-        let b = Matrix::from_rows(&vec![shared; k]).unwrap();
-        let model = Hmm::new(
-            base.initial().to_vec(),
-            base.transition().clone(),
-            DiscreteEmission::new(b).unwrap(),
-        )
-        .unwrap();
-        let seq = random_seq(5, len, seed.wrapping_add(43));
-        let params = SparseParams::exact().with_beam(beam);
-        let mut ws_s = InferenceWorkspace::new();
-        let mut ws_d = InferenceWorkspace::new();
-
-        let ll_beam = log_likelihood_sparse(&model, &seq, &mut ws_s, params).unwrap();
-        let ll_exact = log_likelihood_scaled(&model, &seq, &mut ws_d).unwrap();
-        let report = *ws_s.sparse_report().unwrap();
-        let gap = ll_exact - ll_beam;
-        prop_assert!((gap - report.ll_error_bound).abs() < 1e-9,
-            "homogeneous gap {gap} != estimate {}", report.ll_error_bound);
-    }
-
-    // ---- Contract 4: the Viterbi score is exact for the returned path. ----
+    // ---- Contract 3: the Viterbi score is exact for the returned path. ----
 
     #[test]
     fn viterbi_score_is_exact_for_the_returned_path(
         k in 2usize..8, v in 2usize..8, seed in 0u64..1000, len in 1usize..30,
-        tau in 0.0f64..0.25, beam in 0.0f64..0.3
+        tau in 0.0f64..0.25
     ) {
         let model = random_hmm(k, v, seed);
         let seq = random_seq(v, len, seed.wrapping_add(41));
-        let params = SparseParams::threshold(tau).with_beam(beam);
+        let params = SparseParams::threshold(tau);
         let tilde = pruned_model(&model, params);
         let mut ws = InferenceWorkspace::new();
 
         let (path, score) = viterbi_sparse_with_score(&model, &seq, &mut ws, params).unwrap();
         prop_assert_eq!(path.len(), seq.len());
-        // Whatever the pruning dropped, the score the engine reports is the
-        // true joint likelihood of the path it returns, under Ã.
+        // The score the engine reports is the true joint likelihood of the
+        // path it returns, under Ã.
         let joint = tilde.joint_log_likelihood(&path, &seq).unwrap();
         prop_assert!((joint - score).abs() < 1e-9,
             "path joint {joint} does not achieve reported score {score}");
@@ -284,7 +237,6 @@ fn fully_pruned_rows_fall_back_to_dense_verbatim() {
     assert_bits_eq(&sparse.gamma, &dense.gamma, "gamma");
     let report = ws_s.sparse_report().unwrap();
     assert_eq!(report.fallback_rows, k);
-    assert_eq!(report.ll_error_bound, 0.0);
 }
 
 #[test]
@@ -323,14 +275,15 @@ fn partially_pruned_matrix_keeps_only_emptied_rows_dense() {
 fn zero_probability_and_oov_symbols_survive_pruning() {
     // Symbol 2 has exactly zero probability under both states (the shifted
     // log-space rescue path), and symbol 7 is outside the vocabulary
-    // entirely. Neither may panic or go NaN under static + beam pruning.
+    // entirely. Neither may panic or go NaN under pruning, and the
+    // zero-probability run must agree with the dense engine on Ã.
     let emission = DiscreteEmission::new(
         Matrix::from_rows(&[vec![0.5, 0.5, 0.0], vec![0.9, 0.1, 0.0]]).unwrap(),
     )
     .unwrap();
     let transition = Matrix::from_rows(&[vec![0.7, 0.3], vec![0.3, 0.7]]).unwrap();
     let model = Hmm::new(vec![0.5, 0.5], transition, emission).unwrap();
-    let params = SparseParams::threshold(0.4).with_beam(0.05);
+    let params = SparseParams::threshold(0.4);
     let tilde = pruned_model(&model, params);
     let mut ws = InferenceWorkspace::new();
 
@@ -340,12 +293,12 @@ fn zero_probability_and_oov_symbols_survive_pruning() {
     assert!(stats.gamma.is_finite());
     let mut ws_d = InferenceWorkspace::new();
     let exact = forward_backward_scaled(&tilde, &zero_sym, &mut ws_d).unwrap();
-    let report = *ws.sparse_report().unwrap();
     assert!(
-        stats.log_likelihood <= exact.log_likelihood + 1e-9,
-        "beam raised the likelihood on a zero-probability symbol"
+        (stats.log_likelihood - exact.log_likelihood).abs() < 1e-12,
+        "zero-probability symbol: sparse {} vs dense on Ã {}",
+        stats.log_likelihood,
+        exact.log_likelihood
     );
-    assert!(report.ll_error_bound.is_finite() && report.ll_error_bound >= 0.0);
 
     let oov = vec![0usize, 7, 1];
     let ll = log_likelihood_sparse(&model, &oov, &mut ws, params).unwrap();
@@ -366,7 +319,7 @@ fn workspace_reuse_across_shapes_and_params_is_safe() {
         (6usize, 8usize, 24usize, SparseParams::threshold(0.1)),
         (2, 3, 5, SparseParams::exact()),
         (6, 8, 24, SparseParams::top_p(0.8)),
-        (4, 5, 17, SparseParams::threshold(0.2).with_beam(0.1)),
+        (4, 5, 17, SparseParams::threshold(0.2)),
         (4, 5, 17, SparseParams::threshold(0.05)),
     ];
     for (i, &(k, v, len, params)) in plans.iter().enumerate() {

@@ -52,7 +52,7 @@ USAGE:
                    [--threads <n>] [--pending-cap <n>] [--committed-cap <n>]
                    [--max-idle-ticks <n>] [--backend scaled|sparse]
                    [--sparse-threshold <p>] [--sparse-top-p <p>]
-                   [--sparse-beam <p>] [--telemetry true|false]
+                   [--telemetry true|false]
 
   Telemetry is on by default: the engine records counters, gauges and
   latency histograms into the process-global registry, scrapeable over
@@ -60,23 +60,28 @@ USAGE:
   --telemetry false compiles the record path to no-ops.
 
   Under --backend sparse the transition matrix is pruned into CSR form:
-  --sparse-threshold drops entries below p (default 0, exact), or
-  --sparse-top-p keeps the smallest prefix covering mass p; --sparse-beam
-  additionally prunes filter states below p * max per step (approximate,
-  with a tracked per-session error bound).
+  --sparse-threshold drops entries below p (default 0, identical to
+  scaled), or --sparse-top-p keeps the smallest prefix covering mass p;
+  each pruned row is renormalized, and decoding is exact under the
+  pruned matrix.
+
   dhmm-serve make-model --out <path> --k <n> [--vocab <n>]
                         [--family discrete|gaussian] [--seed <n>]
   dhmm-serve client --addr <host:port> --script <path>
 ";
 
-/// Pulls `--name value` pairs out of `args`; errors on anything else.
-fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, String> {
+/// Pulls `--name value` pairs out of `args`, where every name is one of
+/// `known` (the subcommand's flags); errors on anything else.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Vec<(String, String)>, String> {
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got {flag:?}"))?;
+        if !known.contains(&name) {
+            return Err(format!("unknown flag --{name}\n{USAGE}"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("--{name} requires a value"))?;
@@ -93,21 +98,44 @@ fn take<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
+/// The parsed value of `--name`, or `None` when the flag is absent.
+fn take_opt<T: std::str::FromStr>(
+    flags: &[(String, String)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    take(flags, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--{name} got an unparseable value {v:?}"))
+        })
+        .transpose()
+}
+
 fn take_parsed<T: std::str::FromStr>(
     flags: &[(String, String)],
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match take(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} got an unparseable value {v:?}")),
-    }
+    Ok(take_opt(flags, name)?.unwrap_or(default))
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "model",
+            "addr",
+            "lag",
+            "threads",
+            "pending-cap",
+            "committed-cap",
+            "max-idle-ticks",
+            "telemetry",
+            "backend",
+            "sparse-threshold",
+            "sparse-top-p",
+        ],
+    )?;
     let model = take(&flags, "model").ok_or("serve requires --model <path>")?;
     let addr = take(&flags, "addr").unwrap_or("127.0.0.1:7711").to_string();
     let lag: usize = take_parsed(&flags, "lag", 8)?;
@@ -157,25 +185,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// (`StreamConfig::validate`), so out-of-range values surface as the same
 /// `backend` error a library caller would see.
 fn parse_backend(flags: &[(String, String)]) -> Result<InferenceBackend, String> {
-    let threshold: Option<f64> = match take(flags, "sparse-threshold") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--sparse-threshold got an unparseable value {v:?}"))?,
-        ),
-    };
-    let top_p: Option<f64> = match take(flags, "sparse-top-p") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--sparse-top-p got an unparseable value {v:?}"))?,
-        ),
-    };
-    let beam: f64 = take_parsed(flags, "sparse-beam", 0.0)?;
+    let threshold: Option<f64> = take_opt(flags, "sparse-threshold")?;
+    let top_p: Option<f64> = take_opt(flags, "sparse-top-p")?;
 
     match take(flags, "backend").unwrap_or("scaled") {
         "scaled" => {
-            if threshold.is_some() || top_p.is_some() || beam != 0.0 {
+            if threshold.is_some() || top_p.is_some() {
                 return Err("--sparse-* flags require --backend sparse".into());
             }
             Ok(InferenceBackend::Scaled)
@@ -191,14 +206,14 @@ fn parse_backend(flags: &[(String, String)]) -> Result<InferenceBackend, String>
                 (None, Some(p)) => SparseParams::top_p(p),
                 (None, None) => SparseParams::exact(),
             };
-            Ok(InferenceBackend::Sparse(params.with_beam(beam)))
+            Ok(InferenceBackend::Sparse(params))
         }
         other => Err(format!("--backend must be scaled or sparse, got {other:?}")),
     }
 }
 
 fn cmd_make_model(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["out", "k", "vocab", "family", "seed"])?;
     let out = take(&flags, "out").ok_or("make-model requires --out <path>")?;
     let k: usize = take_parsed(&flags, "k", 0)?;
     if k == 0 {
@@ -236,7 +251,7 @@ fn cmd_make_model(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_client(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr", "script"])?;
     let addr = take(&flags, "addr").ok_or("client requires --addr <host:port>")?;
     let script = take(&flags, "script").ok_or("client requires --script <path>")?;
 

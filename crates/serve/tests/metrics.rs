@@ -81,8 +81,6 @@ fn metrics_verb_exposes_every_layer_and_advances_with_traffic() {
         "dhmm_stream_tick_duration_ns",
         "dhmm_stream_scalar_tokens_total",
         "dhmm_stream_smoothing_scalar_rows_total",
-        "dhmm_stream_sparse_error_bound_max",
-        "dhmm_stream_sparse_error_bound_sum",
         "dhmm_stream_evicted_sessions_total",
         "dhmm_runtime_dispatch_total",
         "dhmm_runtime_tasks_total",

@@ -255,3 +255,50 @@ fn client_subcommand_replays_a_script() {
     let status = server.child.wait().expect("wait");
     assert!(status.success(), "server did not exit cleanly: {status:?}");
 }
+
+#[test]
+fn serve_binary_rejects_an_unknown_flag() {
+    let model = tmp("unknown-flag.model");
+    make_model(&model);
+    // A flag the server does not know must stop it before it listens, not
+    // be ignored: poll for the exit and kill a server that started anyway.
+    let mut child = Command::new(BIN)
+        .args([
+            "serve",
+            "--model",
+            model.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--sparse-beam",
+            "0.01",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve started despite an unknown flag");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(!status.success(), "serve accepted an unknown flag");
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut err)
+        .unwrap();
+    assert!(
+        err.contains("unknown flag --sparse-beam"),
+        "stderr does not name the flag: {err:?}"
+    );
+    let _ = std::fs::remove_file(&model);
+}

@@ -276,9 +276,8 @@ fn sparse_backend_serves_and_exact_params_match_scaled_labels() {
 
     // Invalid sparse parameters fail at startup, not at first push.
     let path = checkpoint("sp-bad");
-    let bad = ServeConfig::default().with_backend(InferenceBackend::Sparse(
-        SparseParams::exact().with_beam(1.5),
-    ));
+    let bad =
+        ServeConfig::default().with_backend(InferenceBackend::Sparse(SparseParams::top_p(1.5)));
     let err = Server::start_from_path(&path, bad, "127.0.0.1:0").unwrap_err();
     assert_eq!(err.code(), "backend", "got {err:?}");
 }

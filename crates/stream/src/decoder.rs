@@ -62,7 +62,6 @@ use dhmm_hmm::scaled::{
     backward_step, emission_likelihood_row, forward_step, scale_row, viterbi_scale_row,
     viterbi_step,
 };
-use dhmm_hmm::sparse::{beam_prune, SparseParams};
 use dhmm_hmm::InferenceBackend;
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, Histogram, TelemetrySink};
@@ -168,10 +167,9 @@ pub struct StreamConfig {
     pub lag: usize,
     /// Inference engine: [`InferenceBackend::Scaled`] (the default) or
     /// [`InferenceBackend::Sparse`], whose parameters are validated at
-    /// construction. Under the sparse backend the per-session
-    /// log-likelihood is a certified lower bound on the exact value under
-    /// the pruned matrix, with the gap tracked by
-    /// [`StreamWorkspace::sparse_error_bound`].
+    /// construction. Under the sparse backend the labels, log-likelihood
+    /// and posteriors are exact under the pruned, renormalized matrix `Ã`,
+    /// as the offline sparse engine's are.
     pub backend: InferenceBackend,
     /// Worker policy for [`crate::SessionPool`] batch ticks (ignored by a
     /// standalone decoder, which is single-session and inherently serial).
@@ -323,11 +321,9 @@ pub struct FlushOutput<'a> {
 /// [`crate::workspace::StreamScratch`]): the pool passes its publish epoch,
 /// a standalone decoder always passes 0. Under
 /// [`InferenceBackend::Sparse`] the filter and Viterbi recursions run over
-/// the CSR-compiled pruned matrix with the per-step beam applied after each
-/// normalization, accumulating `Σ −ln(1−ε_t)` into the workspace's
-/// log-likelihood error bound; under [`InferenceBackend::Scaled`] the dense
-/// recursions are the offline engine's, and the Viterbi step is
-/// [`viterbi_step`] itself.
+/// the CSR-compiled pruned matrix in the offline sparse engine's op order;
+/// under [`InferenceBackend::Scaled`] the dense recursions are the offline
+/// engine's, and the Viterbi step is [`viterbi_step`] itself.
 ///
 /// Decides whether this token closes a fixed-lag smoothing window and
 /// advances the workspace past it, but computes no posterior: it returns
@@ -361,12 +357,12 @@ pub(crate) fn push_token<E: Emission>(
     let a = model.transition();
 
     // --- CSR transition layout (epoch-keyed; a no-op once warm).
-    let sparse: Option<SparseParams> = match backend {
+    let sparse = match backend {
         InferenceBackend::Sparse(params) => {
             scratch.trans.prepare_sparse(a, epoch, params);
-            Some(params)
+            true
         }
-        InferenceBackend::Scaled => None,
+        InferenceBackend::Scaled => false,
     };
 
     // --- Emission row (shared per-step numerics with the offline engine).
@@ -387,10 +383,9 @@ pub(crate) fn push_token<E: Emission>(
         } else {
             let prev = ws.alpha_row(t - 1);
             let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            if sparse.is_some() {
-                // CSR scatter per live predecessor: beam-zeroed (and
-                // naturally zero) predecessors skip their whole row, in the
-                // offline sparse engine's op order.
+            if sparse {
+                // CSR scatter per live predecessor: zero predecessors skip
+                // their whole row, in the offline sparse engine's op order.
                 row.fill(0.0);
                 let fwd = trans.csr.forward();
                 for (i, &ap) in prev.iter().enumerate() {
@@ -405,13 +400,6 @@ pub(crate) fn push_token<E: Emission>(
             } else {
                 // The offline engine's dense sum-product step.
                 forward_step(a, prev, e_row, row);
-            }
-        }
-        if let Some(params) = sparse {
-            let eps = beam_prune(row, params.beam);
-            if eps > 0.0 {
-                ws.sparse_pruned_total += eps;
-                ws.sparse_bound -= (-eps).ln_1p();
             }
         }
         let (_c, log_c) = scale_row(row, shift);
@@ -438,7 +426,7 @@ pub(crate) fn push_token<E: Emission>(
                 (second, first)
             };
             let psi_row = &mut ws.psi[slot * k..(slot + 1) * k];
-            if sparse.is_some() {
+            if sparse {
                 // Gather over each state's stored predecessors (`Ãᵀ` row).
                 let tr = trans.csr.transposed();
                 for j in 0..k {
@@ -453,13 +441,6 @@ pub(crate) fn push_token<E: Emission>(
             cur
         };
         ws.viterbi_log += viterbi_scale_row(cur, shift);
-        if let Some(params) = sparse {
-            // Beam the normalized score row (offline sparse order). The
-            // discarded states are competing paths only; the surviving
-            // path's score is never altered. ε here is deliberately not
-            // folded into the filter's error bound.
-            beam_prune(cur, params.beam);
-        }
     }
 
     // --- Commit rule 1: path convergence (amortized). The level-set walk
@@ -888,13 +869,6 @@ impl<'m, E: Emission> StreamingDecoder<'m, E> {
     /// The configured inference backend.
     pub fn backend(&self) -> InferenceBackend {
         self.backend
-    }
-
-    /// Running bound on the log-likelihood deficit introduced by sparse
-    /// beam pruning (0 under the scaled backend; see
-    /// [`StreamWorkspace::sparse_error_bound`]).
-    pub fn sparse_error_bound(&self) -> f64 {
-        self.ws.sparse_error_bound()
     }
 
     /// The model this decoder streams against.

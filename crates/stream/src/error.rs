@@ -15,8 +15,8 @@ use std::fmt;
 /// instead of growing without bound.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
-    /// The backend's parameters are out of range (e.g. a sparse beam width
-    /// outside `[0, 1)`), rejected at construction before any session runs.
+    /// The backend's parameters are out of range (e.g. a sparse top-p
+    /// outside `(0, 1]`), rejected at construction before any session runs.
     InvalidConfig {
         /// Human-readable description of the offending parameter.
         reason: String,
@@ -97,10 +97,10 @@ mod tests {
     #[test]
     fn display_names_the_problem() {
         assert!(StreamError::InvalidConfig {
-            reason: "beam out of range".into()
+            reason: "top-p out of range".into()
         }
         .to_string()
-        .contains("beam"));
+        .contains("top-p"));
         assert!(StreamError::SessionNotFound { slot: 3 }
             .to_string()
             .contains('3'));

@@ -118,9 +118,6 @@ struct Slot<E: Emission> {
     /// last rebind (each rebind flushes a segment and folds its `Σ log c_t`
     /// in here).
     ll_carry: f64,
-    /// Sparse-beam error bound accumulated by segments completed before the
-    /// last rebind (0 under the scaled backend).
-    bound_carry: f64,
     /// Tokens decoded by segments completed before the last rebind.
     tokens_carry: usize,
     /// Pool clock value of the last activity on this session (push, flush,
@@ -141,7 +138,6 @@ impl<E: Emission> Slot<E> {
             out: Vec::new(),
             out_start: 0,
             ll_carry: 0.0,
-            bound_carry: 0.0,
             tokens_carry: 0,
             last_active: 0,
         }
@@ -165,7 +161,6 @@ fn rebind_slot<E: Emission>(
         slot.out.extend_from_slice(&scratch.committed);
     }
     slot.ll_carry += slot.ws.log_likelihood();
-    slot.bound_carry += slot.ws.sparse_error_bound();
     slot.tokens_carry += slot.ws.tokens();
     slot.model = Arc::clone(model);
     slot.epoch = epoch;
@@ -224,10 +219,6 @@ struct PoolMetrics {
     rebinds: Counter,
     /// `dhmm_stream_clock` (mirrors [`SessionPool::clock`]).
     clock: Gauge,
-    /// `dhmm_stream_sparse_error_bound_max` over active sessions.
-    bound_max: Gauge,
-    /// `dhmm_stream_sparse_error_bound_sum` over active sessions.
-    bound_sum: Gauge,
     /// `dhmm_stream_scalar_tokens_total` (live: backs the accessor).
     scalar_tokens: Counter,
     /// `dhmm_stream_smoothing_scalar_rows_total` (live).
@@ -258,18 +249,6 @@ impl PoolMetrics {
                 "dhmm_stream_clock",
                 &[],
                 "The pool's logical clock (ticks so far).",
-            ),
-            bound_max: sink.gauge(
-                "dhmm_stream_sparse_error_bound_max",
-                &[],
-                "Largest accumulated sparse-beam log-likelihood error bound \
-                 over active sessions (0 under the scaled backend).",
-            ),
-            bound_sum: sink.gauge(
-                "dhmm_stream_sparse_error_bound_sum",
-                &[],
-                "Sum of accumulated sparse-beam log-likelihood error bounds \
-                 over active sessions.",
             ),
             scalar_tokens: sink.live_counter(
                 "dhmm_stream_scalar_tokens_total",
@@ -491,7 +470,6 @@ impl<E: Emission> SessionPool<E> {
         s.out.clear();
         s.out_start = 0;
         s.ll_carry = 0.0;
-        s.bound_carry = 0.0;
         s.tokens_carry = 0;
         s.last_active = clock;
         SessionId {
@@ -715,19 +693,6 @@ impl<E: Emission> SessionPool<E> {
         self.metrics
             .smoothing_scalar
             .add(report.smoothing_scalar_tokens as u64);
-        if self.metrics.bound_max.is_live() {
-            // Pool-level aggregates instead of a per-session label: bounded
-            // metric cardinality regardless of session churn, refreshed once
-            // per tick and only when a registry is attached.
-            let (mut max, mut sum) = (0.0f64, 0.0f64);
-            for s in self.slots.iter().filter(|s| s.active) {
-                let b = s.bound_carry + s.ws.sparse_error_bound();
-                max = max.max(b);
-                sum += b;
-            }
-            self.metrics.bound_max.set(max);
-            self.metrics.bound_sum.set(sum);
-        }
         drop(tick_span);
         report
     }
@@ -810,16 +775,6 @@ impl<E: Emission> SessionPool<E> {
         let slot = self.resolve(id)?;
         let s = &self.slots[slot];
         Ok(s.ll_carry + s.ws.log_likelihood())
-    }
-
-    /// Accumulated sparse-beam error bound on the session's log-likelihood
-    /// across epochs: [`SessionPool::log_likelihood`] is a certified lower
-    /// bound on the exact value under the pruned matrix, and the gap is
-    /// estimated by this value. Always 0 under the scaled backend.
-    pub fn sparse_error_bound(&self, id: SessionId) -> Result<f64, StreamError> {
-        let slot = self.resolve(id)?;
-        let s = &self.slots[slot];
-        Ok(s.bound_carry + s.ws.sparse_error_bound())
     }
 
     /// Tokens fully processed (ticked) on this session, across epochs.

@@ -57,12 +57,6 @@ pub struct StreamWorkspace {
     pub(crate) viterbi_log: f64,
     /// Set by `flush`; pushes must not follow until `reset`.
     pub(crate) finished: bool,
-    /// `Σ_t ε_t` — total relative filter mass removed by the sparse beam so
-    /// far (stays 0 under the scaled backend).
-    pub(crate) sparse_pruned_total: f64,
-    /// `Σ_t −ln(1−ε_t)` over the filter steps so far: the running bound on
-    /// the log-likelihood deficit introduced by beam pruning.
-    pub(crate) sparse_bound: f64,
     /// `W × k` ring of scaled filtered rows `α̂(t, ·)`; slot `t % W`.
     pub(crate) alpha: Vec<f64>,
     /// `W × k` ring of (shift-rescued) linear-domain emission rows.
@@ -109,8 +103,6 @@ impl StreamWorkspace {
         self.log_likelihood = 0.0;
         self.viterbi_log = 0.0;
         self.finished = false;
-        self.sparse_pruned_total = 0.0;
-        self.sparse_bound = 0.0;
     }
 
     /// Active `(num_states, window)` shape.
@@ -136,20 +128,6 @@ impl StreamWorkspace {
     /// Whether `flush` has been called since the last reset.
     pub fn is_finished(&self) -> bool {
         self.finished
-    }
-
-    /// Total relative filter mass removed by the sparse beam so far
-    /// (0 under the scaled backend, or with `beam = 0`).
-    pub fn sparse_pruned_total(&self) -> f64 {
-        self.sparse_pruned_total
-    }
-
-    /// Running bound on the log-likelihood deficit introduced by sparse
-    /// beam pruning: under the sparse backend, [`Self::log_likelihood`] is
-    /// a certified lower bound on the exact value under the pruned matrix
-    /// `Ã`, and the gap is estimated by `Σ_t −ln(1−ε_t)`, this value.
-    pub fn sparse_error_bound(&self) -> f64 {
-        self.sparse_bound
     }
 
     /// The ring slot of time index `t`.

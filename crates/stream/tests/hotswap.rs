@@ -197,7 +197,7 @@ fn determinism_across_policies_holds_with_swaps_interleaved() {
     // caches recompile at the same points.
     for backend in [
         InferenceBackend::Scaled,
-        InferenceBackend::Sparse(SparseParams::threshold(0.02).with_beam(0.01)),
+        InferenceBackend::Sparse(SparseParams::threshold(0.02)),
     ] {
         let runs: Vec<_> = POLICIES
             .iter()

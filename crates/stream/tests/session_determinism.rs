@@ -26,7 +26,7 @@ const POLICIES: [Parallelism; 3] = [
 fn backends() -> [InferenceBackend; 2] {
     [
         InferenceBackend::Scaled,
-        InferenceBackend::Sparse(SparseParams::threshold(0.02).with_beam(0.01)),
+        InferenceBackend::Sparse(SparseParams::threshold(0.02)),
     ]
 }
 

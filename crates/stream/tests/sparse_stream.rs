@@ -2,9 +2,8 @@
 //!
 //! Mirrors `tests/parity.rs` with `InferenceBackend::Sparse`: exact params
 //! must be bit-identical to the scaled streaming path, pruned params must
-//! match the *offline sparse engine* (the oracle for Ã), the pool must match
-//! the scalar decoder, and the per-session error bound must accumulate and
-//! survive hot swaps.
+//! match the *offline sparse engine* (the oracle for Ã), and the pool must
+//! match the scalar decoder.
 
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::{forward_backward_sparse, viterbi_sparse_with_score, Hmm, InferenceWorkspace};
@@ -42,12 +41,12 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs one decoder to completion, returning (labels, final ll, bound).
+/// Runs one decoder to completion, returning (labels, final ll).
 fn run_decoder(
     model: &Hmm<DiscreteEmission>,
     config: StreamConfig,
     seq: &[usize],
-) -> (Vec<usize>, f64, f64) {
+) -> (Vec<usize>, f64) {
     let mut dec = StreamingDecoder::with_config(model, config).unwrap();
     let mut labels = Vec::new();
     for obs in seq {
@@ -56,7 +55,7 @@ fn run_decoder(
     let flush = dec.flush();
     labels.extend_from_slice(flush.committed);
     let ll = flush.log_likelihood;
-    (labels, ll, dec.sparse_error_bound())
+    (labels, ll)
 }
 
 proptest! {
@@ -95,7 +94,6 @@ proptest! {
         for (x, y) in fa.smoothed.iter().zip(fb.smoothed) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-        prop_assert_eq!(sparse.sparse_error_bound(), 0.0);
     }
 
     /// With lag ≥ T, pruned sparse streaming is the offline sparse engine:
@@ -103,11 +101,11 @@ proptest! {
     #[test]
     fn full_lag_pruned_stream_equals_offline_sparse(
         k in 2usize..5, v in 2usize..6, seed in 0u64..300, len in 1usize..30,
-        tau in 0.0f64..0.3, beam in 0.0f64..0.1
+        tau in 0.0f64..0.3
     ) {
         let model = random_hmm(k, v, seed);
         let seq = random_seq(v, len, seed.wrapping_add(2));
-        let params = SparseParams::threshold(tau).with_beam(beam);
+        let params = SparseParams::threshold(tau);
         let backend = InferenceBackend::Sparse(params);
 
         let mut ws = InferenceWorkspace::new();
@@ -155,14 +153,14 @@ proptest! {
     }
 
     /// A sparse pool matches the standalone sparse decoder label-for-label
-    /// and bound-for-bound.
+    /// and in its log-likelihood, bit for bit.
     #[test]
     fn sparse_pool_matches_the_scalar_decoder(
         k in 2usize..5, v in 2usize..6, seed in 0u64..200, lag in 0usize..5,
         chunk in 1usize..8
     ) {
         let m = Arc::new(random_hmm(k, v, seed));
-        let params = SparseParams::threshold(0.05).with_beam(0.02);
+        let params = SparseParams::threshold(0.05);
         let config = StreamConfig::default()
             .with_lag(lag)
             .with_backend(InferenceBackend::Sparse(params))
@@ -192,13 +190,9 @@ proptest! {
             let mut got = Vec::new();
             pool.take_committed(*id, &mut got).unwrap();
 
-            let (want, ll, bound) = run_decoder(&m, config.clone(), seq);
+            let (want, ll) = run_decoder(&m, config.clone(), seq);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(pool.log_likelihood(*id).unwrap().to_bits(), ll.to_bits());
-            prop_assert_eq!(
-                pool.sparse_error_bound(*id).unwrap().to_bits(),
-                bound.to_bits()
-            );
         }
     }
 }
@@ -206,12 +200,7 @@ proptest! {
 #[test]
 fn invalid_sparse_params_are_rejected_at_construction() {
     let model = random_hmm(3, 4, 1);
-    for bad in [
-        SparseParams::exact().with_beam(1.5),
-        SparseParams::exact().with_beam(-0.1),
-        SparseParams::threshold(f64::NAN),
-        SparseParams::top_p(0.0),
-    ] {
+    for bad in [SparseParams::threshold(f64::NAN), SparseParams::top_p(0.0)] {
         let config = StreamConfig::default().with_backend(InferenceBackend::Sparse(bad));
         match StreamingDecoder::with_config(&model, config.clone()) {
             Err(StreamError::InvalidConfig { .. }) => {}
@@ -222,50 +211,4 @@ fn invalid_sparse_params_are_rejected_at_construction() {
             Err(StreamError::InvalidConfig { .. })
         ));
     }
-}
-
-#[test]
-fn hot_swap_carries_the_error_bound_across_models() {
-    // A beam wide enough to prune on every step: the per-session bound must
-    // be positive, monotone while streaming, and survive a model swap (the
-    // pre-swap accumulation is folded into the rebind carry).
-    let m1 = Arc::new(random_hmm(4, 5, 31));
-    let m2 = Arc::new(random_hmm(4, 5, 32));
-    let params = SparseParams::threshold(0.02).with_beam(0.3);
-    let mut pool = SessionPool::with_config(
-        Arc::clone(&m1),
-        StreamConfig::default()
-            .with_lag(2)
-            .with_backend(InferenceBackend::Sparse(params)),
-    )
-    .unwrap();
-    let id = pool.create();
-    let seq = random_seq(5, 30, 33);
-
-    for &obs in &seq[..15] {
-        pool.push(id, obs).unwrap();
-    }
-    pool.tick();
-    let before_swap = pool.sparse_error_bound(id).unwrap();
-    assert!(
-        before_swap > 0.0,
-        "a 0.3 beam on 15 tokens should have pruned something"
-    );
-
-    pool.publish(Arc::clone(&m2));
-    for &obs in &seq[15..] {
-        pool.push(id, obs).unwrap();
-    }
-    pool.tick();
-    pool.flush(id).unwrap();
-    let after = pool.sparse_error_bound(id).unwrap();
-    assert!(
-        after >= before_swap,
-        "bound shrank across the swap: {before_swap} -> {after}"
-    );
-    assert!(after.is_finite());
-
-    let mut labels = Vec::new();
-    pool.take_committed(id, &mut labels).unwrap();
-    assert_eq!(labels.len(), seq.len());
 }

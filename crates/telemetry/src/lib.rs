@@ -1,9 +1,9 @@
 //! Zero-overhead metrics for the dhmm workspace.
 //!
 //! Production serving needs in-process visibility — hot-swap rebinds, tick
-//! latency, beam-pruning mass, backpressure rejections, EM convergence —
-//! without perturbing the hot paths it observes. This crate is
-//! the bottom-layer answer, dependency-free like `dhmm_runtime`:
+//! latency, backpressure rejections, EM convergence — without perturbing
+//! the hot paths it observes. This crate is the bottom-layer answer,
+//! dependency-free like `dhmm_runtime`:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free relaxed atomics behind cheap
 //!   clonable handles.

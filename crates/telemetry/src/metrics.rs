@@ -100,11 +100,6 @@ impl Gauge {
             .as_ref()
             .map_or(0.0, |cell| f64::from_bits(cell.load(Ordering::Relaxed)))
     }
-
-    /// Whether sets are observable (live), as opposed to a no-op.
-    pub fn is_live(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2016);
 
     // 1. Generate the corpus: 15 merged tags, Zipf vocabulary, skewed tag
-    //    frequencies (see Table 2 of the paper and DESIGN.md §3).
+    //    frequencies (see Table 2 of the paper and the `dhmm::data::pos`
+    //    module docs).
     let config = if paper_scale {
         PosConfig::default()
     } else {
