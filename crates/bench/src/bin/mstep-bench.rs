@@ -1,36 +1,29 @@
 //! Machine-readable M-step benchmark.
 //!
-//! Two artifacts, so the repository's perf trajectory is recorded in
-//! diffable files rather than scattered bench logs:
-//!
-//! * `BENCH_mstep.json` — the fused DPP prior engine (`DppObjective`)
-//!   against the scalar oracle functions `dhmm_dpp::{log_det_kernel,
-//!   grad_log_det_kernel}` for the value and the gradient, the simplex
-//!   projection of an ascent candidate sorted from scratch against one
-//!   warm-started from the previous candidate's order, plus the fused
-//!   `DppTransitionUpdater::update` (a whole M-step) on its own;
-//! * `BENCH_parallel.json` — the worker-pool thread sweep: the same fused
-//!   `DppTransitionUpdater::update` (and the gradient alone) at each
-//!   requested thread count, with the serial fused engine as the baseline,
-//!   plus the machine's core count so speedups can be read in context.
+//! Writes `BENCH_mstep.json`, so the repository's perf trajectory is
+//! recorded in a diffable file rather than scattered bench logs: the fused
+//! DPP prior engine (`DppObjective`) against the scalar oracle functions
+//! `dhmm_dpp::{log_det_kernel, grad_log_det_kernel}` for the value and the
+//! gradient, the simplex projection of an ascent candidate sorted from
+//! scratch against one warm-started from the previous candidate's order,
+//! plus the fused `DppTransitionUpdater::update` (a whole M-step) on its
+//! own.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release -p dhmm_bench --bin mstep-bench -- \
-//!     [--output BENCH_mstep.json] [--parallel-output BENCH_parallel.json] \
-//!     [--threads 1,2,4,8] [--k 16,64] [--skip-serial-table]
+//!     [--output BENCH_mstep.json] [--k 4,8,16,32,64]
 //! ```
-//! (`--k` applies to both artifacts; without it the serial table keeps the
-//! historical k = 4..64 ladder and the sweep uses k = {16, 64}.)
 //!
 //! Every timing is the median over five batches (`BATCHES`) of the mean
 //! ns per call within a batch, with the fastest and slowest batch next to
-//! it (`*_range_ns`). Both headers record the core count, whether the host
-//! has AVX2, and the rustc version.
+//! it (`*_range_ns`). The header records the core count, whether the host
+//! has AVX2 (the `update` row runs the ascent's AVX2 instantiation where it
+//! does), and the rustc version.
 
 use dhmm_bench::{time_batches, Flags, Json, Timing};
 use dhmm_core::transition_update::{DppTransitionUpdater, TransitionObjective};
-use dhmm_core::{AscentConfig, Parallelism};
+use dhmm_core::AscentConfig;
 use dhmm_dpp::{grad_log_det_kernel, log_det_kernel, DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::init::random_stochastic_matrix;
@@ -54,10 +47,10 @@ fn time_ns(f: impl FnMut()) -> Timing {
     time_batches(BATCHES, BATCH_SECONDS, f)
 }
 
-/// A serial-table row: the fused engine's time, and the scalar oracle's
+/// A table row: the fused engine's time, and the scalar oracle's
 /// with the speedup of the medians when the op has one (the `update` row
 /// has no scalar counterpart).
-fn serial_row(op: &str, k: usize, fused: Timing, reference: Option<Timing>) -> Json {
+fn table_row(op: &str, k: usize, fused: Timing, reference: Option<Timing>) -> Json {
     let row = Json::row()
         .text("op", op)
         .field("k", k)
@@ -71,50 +64,21 @@ fn serial_row(op: &str, k: usize, fused: Timing, reference: Option<Timing>) -> J
     }
 }
 
-/// A sweep row: the engine under `Threads(threads)` against the serial one.
-fn parallel_row(op: &str, k: usize, threads: usize, time: Timing, serial: Timing) -> Json {
-    Json::row()
-        .text("op", op)
-        .field("k", k)
-        .field("threads", threads)
-        .timing("", "ns", time, 0)
-        .timing("serial_", "ns", serial, 0)
-        .fixed("speedup_vs_serial", serial.median / time.median, 2)
-}
-
 struct Args {
     output: String,
-    parallel_output: String,
-    threads: Vec<usize>,
-    /// `--k`: explicit size list, applied to BOTH the serial table and the
-    /// parallel sweep. Defaults differ per artifact (the serial table keeps
-    /// the historical 4..64 ladder, the sweep uses {16, 64}), hence the
-    /// Option.
-    sizes: Option<Vec<usize>>,
-    skip_serial_table: bool,
+    sizes: Vec<usize>,
 }
 
 impl Args {
     /// The flags on the command line, with their defaults.
     fn from_env() -> Args {
-        let mut flags = Flags::from_env(&["--skip-serial-table"]);
+        let mut flags = Flags::from_env(&[]);
         let args = Args {
             output: flags.value("--output", "BENCH_mstep.json".to_string()),
-            parallel_output: flags.value("--parallel-output", "BENCH_parallel.json".to_string()),
-            threads: flags.list("--threads", &[1, 2, 4, 8]),
-            sizes: flags.list_if_given("--k"),
-            skip_serial_table: flags.switch("--skip-serial-table"),
+            sizes: flags.list("--k", &SIZES),
         };
         flags.finish();
         args
-    }
-
-    fn serial_sizes(&self) -> Vec<usize> {
-        self.sizes.clone().unwrap_or_else(|| SIZES.to_vec())
-    }
-
-    fn sweep_sizes(&self) -> Vec<usize> {
-        self.sizes.clone().unwrap_or_else(|| vec![16, 64])
     }
 }
 
@@ -182,9 +146,9 @@ fn project_row(k: usize, candidates: &[Matrix]) -> Json {
         .fixed("speedup", cold.median / warm.median, 2)
 }
 
-/// Serial table: the fused prior engine vs the scalar oracle functions, the
+/// The table: the fused prior engine vs the scalar oracle functions, the
 /// cold and warm simplex projection, and the fused whole M-step.
-fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], output: &str) {
+fn mstep_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], output: &str) {
     let engine = DppObjective::new(kernel);
     let mut rows = Vec::new();
     for &k in sizes {
@@ -205,7 +169,7 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
             let m = if flip { &a } else { &a_alt };
             black_box(log_det_kernel(black_box(m), &kernel).expect("value"));
         });
-        rows.push(serial_row("value", k, value_fused, Some(value_reference)));
+        rows.push(table_row("value", k, value_fused, Some(value_reference)));
 
         let mut flip = false;
         let gradient_fused = time_ns(|| {
@@ -222,15 +186,14 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
             let m = if flip { &a } else { &a_alt };
             black_box(grad_log_det_kernel(black_box(m), &kernel).expect("gradient"));
         });
-        rows.push(serial_row(
+        rows.push(table_row(
             "gradient",
             k,
             gradient_fused,
             Some(gradient_reference),
         ));
 
-        let fused_updater =
-            DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(Parallelism::Serial);
+        let fused_updater = DppTransitionUpdater::new(ALPHA, kernel, ascent);
         let uniform = Matrix::filled(k, k, 1.0 / k as f64);
         // The candidates of the `project` row are taken where a real ascent
         // runs: at the iterate the timed update returns.
@@ -244,7 +207,7 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
                     .expect("update"),
             );
         });
-        rows.push(serial_row("update", k, update_fused, None));
+        rows.push(table_row("update", k, update_fused, None));
     }
 
     Json::artifact(
@@ -254,7 +217,9 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
              the simplex projection of a k x k ascent candidate (at the iterate the update \
              returns, cycling through {LADDER_STEPS} backtracking steps) sorted from scratch \
              (cold) vs re-sorted from the previous candidate's order (warm), and the fused \
-             whole M-step (update); ns per call, the median over {BATCHES} batches with the \
+             whole M-step (update, the ascent's AVX2 instantiation where the host has AVX2; \
+             the other rows call the engine and the projection directly, compiled for the \
+             baseline target); ns per call, the median over {BATCHES} batches with the \
              fastest and slowest batch"
         ),
     )
@@ -265,88 +230,16 @@ fn serial_table(kernel: ProductKernel, ascent: AscentConfig, sizes: &[usize], ou
     .write(output);
 }
 
-/// The worker-pool thread sweep: fused engine under `Threads(n)` against
-/// the serial fused engine, for the gradient alone and the full update.
-fn parallel_sweep(kernel: ProductKernel, ascent: AscentConfig, args: &Args) {
-    let mut rows = Vec::new();
-    for &k in &args.sweep_sizes() {
-        let (a, counts) = problem(k);
-        let uniform = Matrix::filled(k, k, 1.0 / k as f64);
-
-        let serial_obj = TransitionObjective::unsupervised(&counts, ALPHA, kernel)
-            .with_parallelism(Parallelism::Serial);
-        let mut ws = MStepWorkspace::new();
-        let mut grad = Matrix::zeros(k, k);
-        let gradient_serial = time_ns(|| {
-            serial_obj
-                .gradient_with(black_box(&a), &mut ws, &mut grad)
-                .expect("gradient");
-            black_box(&grad);
-        });
-        let serial_updater =
-            DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(Parallelism::Serial);
-        let update_serial = time_ns(|| {
-            black_box(
-                serial_updater
-                    .update(black_box(&counts), black_box(&uniform))
-                    .expect("update"),
-            );
-        });
-
-        for &threads in &args.threads {
-            let policy = Parallelism::Threads(threads);
-            let obj =
-                TransitionObjective::unsupervised(&counts, ALPHA, kernel).with_parallelism(policy);
-            let mut ws_t = MStepWorkspace::new();
-            let gradient_ns = time_ns(|| {
-                obj.gradient_with(black_box(&a), &mut ws_t, &mut grad)
-                    .expect("gradient");
-                black_box(&grad);
-            });
-            rows.push(parallel_row(
-                "gradient",
-                k,
-                threads,
-                gradient_ns,
-                gradient_serial,
-            ));
-            let updater = DppTransitionUpdater::new(ALPHA, kernel, ascent).with_parallelism(policy);
-            let update_ns = time_ns(|| {
-                black_box(
-                    updater
-                        .update(black_box(&counts), black_box(&uniform))
-                        .expect("update"),
-                );
-            });
-            rows.push(parallel_row("update", k, threads, update_ns, update_serial));
-        }
-    }
-
-    Json::artifact(
-        "dpp_mstep_parallel",
-        &format!(
-            "Fused DPP M-step engine under the shared worker-pool runtime; Threads(n) vs the \
-             serial fused engine, ns per call, the median over {BATCHES} batches with the \
-             fastest and slowest batch"
-        ),
-    )
-    .field("alpha", ALPHA)
-    .field("rho", kernel.rho())
-    .field("ascent_max_iterations", ascent.max_iterations)
-    .field("threads", format_args!("{:?}", args.threads))
-    .rows("results", rows)
-    .write(&args.parallel_output);
-}
-
 fn main() {
     let args = Args::from_env();
-    let kernel = ProductKernel::bhattacharyya();
     let ascent = AscentConfig {
         max_iterations: 15,
         ..AscentConfig::default()
     };
-    if !args.skip_serial_table {
-        serial_table(kernel, ascent, &args.serial_sizes(), &args.output);
-    }
-    parallel_sweep(kernel, ascent, &args);
+    mstep_table(
+        ProductKernel::bhattacharyya(),
+        ascent,
+        &args.sizes,
+        &args.output,
+    );
 }

@@ -2,8 +2,8 @@
 //!
 //! Criterion benchmarks for the dHMM reproduction, plus the JSON bench
 //! binaries under `src/bin/` that record the repository's machine-readable
-//! perf trajectory (`mstep-bench` writes `BENCH_mstep.json` and
-//! `BENCH_parallel.json`, `sparse-bench` writes `BENCH_sparse.json`,
+//! perf trajectory (`mstep-bench` writes `BENCH_mstep.json`,
+//! `sparse-bench` writes `BENCH_sparse.json`,
 //! `stream-bench` writes `BENCH_stream.json` and `serve-bench` writes
 //! `BENCH_serve.json`). The library is the one harness those binaries
 //! share:

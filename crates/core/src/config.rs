@@ -79,9 +79,11 @@ pub struct DiversifiedConfig {
     /// engine by default). Note `Hmm::decode`/`decode_all` on the model
     /// itself always use the scaled default.
     pub backend: InferenceBackend,
-    /// Worker policy governing E-step, M-step and GEMM parallelism end to
-    /// end (`Auto` by default; `Serial` is the single-threaded oracle).
-    /// Results are bit-identical under every policy.
+    /// Worker policy of the E-step, of the M-step's two concurrent halves
+    /// (transition ascent and emission update) and of the decoders and
+    /// pools this trainer builds (`Auto` by default; `Serial` is the
+    /// single-threaded oracle). The transition ascent itself runs on one
+    /// thread. Results are bit-identical under every policy.
     pub parallelism: Parallelism,
 }
 
@@ -168,8 +170,9 @@ pub struct SupervisedConfig {
     /// Inference engine used when decoding unlabeled sequences (scaled
     /// workspace engine by default).
     pub backend: InferenceBackend,
-    /// Worker policy for the transition refinement's prior evaluations
-    /// (`Auto` by default; bit-identical results under every policy).
+    /// Worker policy of the decoders and pools this trainer builds (`Auto`
+    /// by default; bit-identical results under every policy). The
+    /// transition refinement runs on the calling thread.
     pub parallelism: Parallelism,
 }
 

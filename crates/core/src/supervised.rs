@@ -104,8 +104,7 @@ impl SupervisedDiversifiedHmm {
                 kernel,
                 &anchor,
                 self.config.alpha_anchor,
-            )
-            .with_parallelism(self.config.parallelism);
+            );
             let (a, stats) = maximize_transition_objective_counted(
                 &objective,
                 &anchor,

@@ -25,6 +25,13 @@
 //! EM iterations — performs no allocation in steady state. The scalar
 //! `dhmm_dpp::{log_det_kernel, grad_log_det_kernel}` paths are the oracle
 //! the tests pin the fused engine against.
+//!
+//! The ascent runs on the calling thread, as one body with the objective,
+//! the engine and every `dhmm_linalg` kernel inlined into it.
+//! [`maximize_transition_objective_counted`] runs an AVX2 instantiation of
+//! that body where the CPU has AVX2 (the idiom of `dhmm_hmm`'s dense
+//! passes), and the baseline one elsewhere. Neither fuses a multiply and
+//! an add or reorders a sum, so both return the same bits.
 
 use crate::config::AscentConfig;
 use crate::error::DhmmError;
@@ -32,7 +39,6 @@ use dhmm_dpp::{DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_hmm::baum_welch::TransitionUpdater;
 use dhmm_hmm::HmmError;
 use dhmm_linalg::{project_row_stochastic_with, Matrix, SimplexScratch};
-use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, TelemetrySink};
 use std::sync::Mutex;
 
@@ -53,10 +59,6 @@ pub struct TransitionObjective<'a> {
     pub kernel: ProductKernel,
     /// Optional anchor `(A0, α_A)` for the supervised objective.
     pub anchor: Option<(&'a Matrix, f64)>,
-    /// Worker policy for the fused engine's parallel sections (`Serial` by
-    /// default at this level; the trainers pass their configured policy
-    /// down). Bit-identical results under every policy.
-    pub parallelism: Parallelism,
 }
 
 impl<'a> TransitionObjective<'a> {
@@ -67,7 +69,6 @@ impl<'a> TransitionObjective<'a> {
             alpha,
             kernel,
             anchor: None,
-            parallelism: Parallelism::Serial,
         }
     }
 
@@ -85,22 +86,17 @@ impl<'a> TransitionObjective<'a> {
             alpha,
             kernel,
             anchor: Some((anchor, alpha_anchor)),
-            parallelism: Parallelism::Serial,
         }
     }
 
-    /// Returns the objective with a different worker policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The fused engine configured for this objective's kernel and policy.
+    /// The fused engine for this objective's kernel.
+    #[inline(always)]
     fn engine(&self) -> DppObjective {
-        DppObjective::new(self.kernel).with_parallelism(self.parallelism)
+        DppObjective::new(self.kernel)
     }
 
     /// The data term `Σ_ij ξ_ij · log A_ij` (floored).
+    #[inline(always)]
     fn data_value(&self, a: &Matrix) -> f64 {
         let mut obj = 0.0;
         for i in 0..a.rows() {
@@ -121,6 +117,7 @@ impl<'a> TransitionObjective<'a> {
     }
 
     /// Evaluates `L_A(a)`, reusing `ws` for the prior's intermediates.
+    #[inline(always)]
     pub fn value_with(&self, a: &Matrix, ws: &mut MStepWorkspace) -> Result<f64, DhmmError> {
         let mut obj = self.data_value(a);
         if self.alpha > 0.0 {
@@ -141,6 +138,7 @@ impl<'a> TransitionObjective<'a> {
     }
 
     /// Evaluates `∇_A L_A(a)` into `out`, reusing `ws`.
+    #[inline(always)]
     pub fn gradient_with(
         &self,
         a: &Matrix,
@@ -157,6 +155,7 @@ impl<'a> TransitionObjective<'a> {
     /// Value + gradient at the same iterate: the prior's log-determinant and
     /// gradient come from one power matrix and one Cholesky factorization.
     /// Returns `L_A(a)` and writes `∇L_A` into `out`.
+    #[inline(always)]
     pub fn value_and_gradient_with(
         &self,
         a: &Matrix,
@@ -178,6 +177,7 @@ impl<'a> TransitionObjective<'a> {
     /// Turns the prior gradient already in `out` (or garbage when
     /// `alpha == 0`) into the full objective gradient:
     /// `α·∇prior + ξ/A + anchor term`.
+    #[inline(always)]
     fn finish_gradient(&self, a: &Matrix, out: &mut Matrix) {
         for i in 0..a.rows() {
             for j in 0..a.cols() {
@@ -237,6 +237,7 @@ impl AscentWorkspace {
         Self::default()
     }
 
+    #[inline]
     fn ensure(&mut self, k: usize, d: usize) {
         if self.grad.shape() != (k, d) {
             self.grad = Matrix::zeros(k, d);
@@ -289,6 +290,8 @@ pub fn maximize_transition_objective_with(
 /// kernel/factorization buffers, projection scratch — live in `ws`, so the
 /// loop allocates nothing beyond the returned matrix once the workspace is
 /// warm.
+///
+/// The AVX2 instantiation of the ascent is chosen here, once per call.
 pub fn maximize_transition_objective_counted(
     objective: &TransitionObjective<'_>,
     initial: &Matrix,
@@ -296,6 +299,42 @@ pub fn maximize_transition_objective_counted(
     ws: &mut AscentWorkspace,
 ) -> Result<(Matrix, AscentStats), DhmmError> {
     config.validate()?;
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by runtime detection; the function only requires
+        // the AVX2 feature it declares.
+        return unsafe { ascent_avx2(objective, initial, config, ws) };
+    }
+    ascent_impl(objective, initial, config, ws)
+}
+
+/// AVX2 instantiation of [`ascent_impl`] — identical body, with the
+/// projection, the data term and every kernel of the prior inlined into it,
+/// bit-identical results.
+///
+/// # Safety
+///
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn ascent_avx2(
+    objective: &TransitionObjective<'_>,
+    initial: &Matrix,
+    config: &AscentConfig,
+    ws: &mut AscentWorkspace,
+) -> Result<(Matrix, AscentStats), DhmmError> {
+    ascent_impl(objective, initial, config, ws)
+}
+
+/// The ascent of [`maximize_transition_objective_counted`], for a config
+/// that has been validated.
+#[inline(always)]
+fn ascent_impl(
+    objective: &TransitionObjective<'_>,
+    initial: &Matrix,
+    config: &AscentConfig,
+    ws: &mut AscentWorkspace,
+) -> Result<(Matrix, AscentStats), DhmmError> {
     let mut stats = AscentStats::default();
     let (k, d) = initial.shape();
     ws.ensure(k, d);
@@ -378,9 +417,6 @@ pub struct DppTransitionUpdater {
     pub kernel: ProductKernel,
     /// Ascent configuration.
     pub ascent: AscentConfig,
-    /// Worker policy for the prior engine's parallel sections (`Auto` by
-    /// default; the trainers overwrite it with their configured policy).
-    pub parallelism: Parallelism,
     workspace: Mutex<AscentWorkspace>,
     /// `dhmm_train_ascent_accepted_total` — accepted line-search steps
     /// across all M-steps (no-op unless [`Self::with_telemetry`]).
@@ -395,7 +431,6 @@ impl Clone for DppTransitionUpdater {
             alpha: self.alpha,
             kernel: self.kernel,
             ascent: self.ascent,
-            parallelism: self.parallelism,
             workspace: Mutex::new(
                 self.workspace
                     .lock()
@@ -410,23 +445,16 @@ impl Clone for DppTransitionUpdater {
 
 impl DppTransitionUpdater {
     /// Creates an updater with the given prior weight, kernel and ascent
-    /// settings under the `Auto` worker policy.
+    /// settings.
     pub fn new(alpha: f64, kernel: ProductKernel, ascent: AscentConfig) -> Self {
         Self {
             alpha,
             kernel,
             ascent,
-            parallelism: Parallelism::default(),
             workspace: Mutex::new(AscentWorkspace::new()),
             accepted: Counter::noop(),
             rejected: Counter::noop(),
         }
-    }
-
-    /// Returns the updater with a different worker policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Returns the updater recording line-search accept/backtrack counts
@@ -459,8 +487,7 @@ impl TransitionUpdater for DppTransitionUpdater {
             a.normalize_rows();
             return Ok(a);
         }
-        let objective = TransitionObjective::unsupervised(xi_sum, self.alpha, self.kernel)
-            .with_parallelism(self.parallelism);
+        let objective = TransitionObjective::unsupervised(xi_sum, self.alpha, self.kernel);
         let mut ws = self.workspace.lock().expect("ascent workspace poisoned");
 
         // Candidate starting points for the ascent: the MLE solution, the
@@ -507,7 +534,6 @@ impl TransitionUpdater for DppTransitionUpdater {
         }
         let mut ws = self.workspace.lock().expect("ascent workspace poisoned");
         let log_det = DppObjective::new(self.kernel)
-            .with_parallelism(self.parallelism)
             .log_det_with(a, &mut ws.dpp)
             .map_err(|e| HmmError::InvalidParameters {
                 reason: format!("diversity prior evaluation failed: {e}"),
@@ -734,6 +760,142 @@ mod tests {
         })
     }
 
+    /// What [`two_pinned_updates`] pins of each of its two M-steps.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Pinned {
+        /// FNV-1a of the returned transition's bits.
+        hash: u64,
+        /// Accepted and rejected line-search steps so far.
+        steps: (u64, u64),
+        /// Entries the projections clipped to exactly zero.
+        zeros: usize,
+    }
+
+    /// `k × k` counts with one zero in seven and a heavy diagonal (`shift`
+    /// moves the pattern), so the projections clip entries to exactly zero
+    /// and the ascent both accepts and rejects trials.
+    fn counts_with_zeros(k: usize, shift: usize) -> Matrix {
+        Matrix::from_fn(k, k, |i, j| {
+            if (i * 5 + j * 3 + shift).is_multiple_of(7) {
+                0.0
+            } else {
+                let diagonal = if i == j { 40.0 } else { 0.0 };
+                ((i * 17 + j * 29 + i * j + shift) % 31) as f64 + 0.5 + diagonal
+            }
+        })
+    }
+
+    /// A row-stochastic `k × k` starting point unrelated to the counts.
+    fn uneven_start(k: usize) -> Matrix {
+        let mut start = Matrix::from_fn(k, k, |i, j| 1.0 + ((i * 11 + j * 7) % 13) as f64);
+        start.normalize_rows();
+        start
+    }
+
+    /// Two successive M-steps at `k` on [`counts_with_zeros`], the first
+    /// from [`uneven_start`], the second from the first's result.
+    fn two_pinned_updates(k: usize) -> [Pinned; 2] {
+        use dhmm_telemetry::{Registry, TelemetrySink};
+        let sink = TelemetrySink::Registry(Registry::new());
+        let ascent = AscentConfig {
+            tolerance: 0.0,
+            ..AscentConfig::default()
+        };
+        let updater = DppTransitionUpdater::new(10.0, ProductKernel::bhattacharyya(), ascent)
+            .with_telemetry(&sink);
+        let pin = |a: &Matrix| Pinned {
+            hash: bits_hash(a),
+            steps: (updater.accepted.value(), updater.rejected.value()),
+            zeros: a.as_slice().iter().filter(|&&x| x == 0.0).count(),
+        };
+        let first = updater
+            .update(&counts_with_zeros(k, 0), &uneven_start(k))
+            .unwrap();
+        let first_pin = pin(&first);
+        let second = updater.update(&counts_with_zeros(k, 3), &first).unwrap();
+        [first_pin, pin(&second)]
+    }
+
+    /// The dispatched ascent returns the bits and line-search counts of the
+    /// baseline body called directly: where the CPU has AVX2 this compares
+    /// the two instantiations, at k = 13 (a partial block of right-hand
+    /// sides in the inverse, partial tiles in every GEMM), 16 and 64, on
+    /// counts with exact zeros, with and without the supervised anchor.
+    #[test]
+    fn dispatched_ascent_equals_the_baseline_body_bit_for_bit() {
+        let kernel = ProductKernel::bhattacharyya();
+        let config = AscentConfig {
+            tolerance: 0.0,
+            ..AscentConfig::default()
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [13, 16, 64] {
+            let (xi, start) = (counts_with_zeros(k, 0), uneven_start(k));
+            let unsupervised = TransitionObjective::unsupervised(&xi, 10.0, kernel);
+            let supervised = TransitionObjective::supervised(&xi, 10.0, kernel, &start, 50.0);
+            for (name, objective) in [("unsupervised", unsupervised), ("supervised", supervised)] {
+                let mut ws = AscentWorkspace::new();
+                let (dispatched, counts) =
+                    maximize_transition_objective_counted(&objective, &start, &config, &mut ws)
+                        .unwrap();
+                let mut ws = AscentWorkspace::new();
+                let (baseline, baseline_counts) =
+                    ascent_impl(&objective, &start, &config, &mut ws).unwrap();
+                assert_eq!(bits(&dispatched), bits(&baseline), "k = {k}, {name}");
+                assert_eq!(counts, baseline_counts, "k = {k}, {name}");
+                assert!(counts.accepted > 0 && counts.rejected > 0, "{counts:?}");
+                assert!(
+                    dispatched.as_slice().contains(&0.0),
+                    "k = {k}: no entry clipped"
+                );
+            }
+        }
+    }
+
+    /// [`update_bits_and_ascent_counts_are_pinned`] at `train-wide`'s
+    /// k = 64, recorded before the ascent ran on AVX2 lanes.
+    #[test]
+    fn update_bits_and_ascent_counts_are_pinned_at_k64() {
+        let pins = two_pinned_updates(64);
+        assert_eq!(
+            pins,
+            [
+                Pinned {
+                    hash: 0x0dd7_eecc_84be_21e6,
+                    steps: (50, 55),
+                    zeros: 233,
+                },
+                Pinned {
+                    hash: 0x6c8c_4c08_0434_7aeb,
+                    steps: (100, 111),
+                    zeros: 266,
+                },
+            ]
+        );
+    }
+
+    /// The same at k = 13, which leaves a partial block of right-hand sides
+    /// in the inverse and partial tiles in every GEMM.
+    #[test]
+    fn update_bits_and_ascent_counts_are_pinned_at_k13() {
+        let pins = two_pinned_updates(13);
+        assert_eq!(
+            pins,
+            [
+                Pinned {
+                    hash: 0x247a_638d_c9f5_6a7d,
+                    steps: (50, 2),
+                    zeros: 16,
+                },
+                Pinned {
+                    hash: 0x5bb3_6db7_6f0d_18d7,
+                    steps: (100, 5),
+                    zeros: 14,
+                },
+            ]
+        );
+    }
+
     /// Two successive M-steps on a fixed k = 16 problem whose counts hold
     /// zeros, so the projections clip entries to exactly zero and the
     /// ascent both accepts and rejects trials: the transition bits and the
@@ -741,41 +903,16 @@ mod tests {
     /// sorted every row from scratch, as a guard on the warm-started one.
     #[test]
     fn update_bits_and_ascent_counts_are_pinned() {
-        use dhmm_telemetry::{Registry, TelemetrySink};
-        let k = 16;
-        let counts = |shift: usize| {
-            Matrix::from_fn(k, k, |i, j| {
-                if (i * 5 + j * 3 + shift).is_multiple_of(7) {
-                    0.0
-                } else {
-                    let diagonal = if i == j { 40.0 } else { 0.0 };
-                    ((i * 17 + j * 29 + i * j + shift) % 31) as f64 + 0.5 + diagonal
-                }
-            })
-        };
-        let mut start = Matrix::from_fn(k, k, |i, j| 1.0 + ((i * 11 + j * 7) % 13) as f64);
-        start.normalize_rows();
-        let sink = TelemetrySink::Registry(Registry::new());
-        let ascent = AscentConfig {
-            tolerance: 0.0,
-            ..AscentConfig::default()
-        };
-        let updater = DppTransitionUpdater::new(10.0, ProductKernel::bhattacharyya(), ascent)
-            .with_parallelism(Parallelism::Serial)
-            .with_telemetry(&sink);
-        let first = updater.update(&counts(0), &start).unwrap();
-        assert_eq!(bits_hash(&first), 0xce0b_fee2_cf39_ab26);
+        let [first, second] = two_pinned_updates(16);
+        assert_eq!((first.hash, first.steps), (0xce0b_fee2_cf39_ab26, (50, 4)));
         assert_eq!(
-            (updater.accepted.value(), updater.rejected.value()),
-            (50, 4)
+            second,
+            Pinned {
+                hash: 0xf94c_06fa_fa10_907a,
+                steps: (100, 10),
+                zeros: 26,
+            }
         );
-        let second = updater.update(&counts(3), &first).unwrap();
-        assert_eq!(bits_hash(&second), 0xf94c_06fa_fa10_907a);
-        assert_eq!(
-            (updater.accepted.value(), updater.rejected.value()),
-            (100, 10)
-        );
-        assert_eq!(second.as_slice().iter().filter(|&&x| x == 0.0).count(), 26);
     }
 
     #[test]

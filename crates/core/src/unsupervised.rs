@@ -81,7 +81,6 @@ impl DiversifiedHmm {
     {
         let kernel = self.config.validate()?;
         let updater = DppTransitionUpdater::new(self.config.alpha, kernel, self.config.ascent)
-            .with_parallelism(self.config.parallelism)
             .with_telemetry(&self.telemetry);
         let bw = BaumWelch::new(BaumWelchConfig {
             max_iterations: self.config.max_em_iterations,

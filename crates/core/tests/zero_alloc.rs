@@ -21,7 +21,6 @@ use dhmm_core::transition_update::{
 use dhmm_core::AscentConfig;
 use dhmm_dpp::ProductKernel;
 use dhmm_linalg::Matrix;
-use dhmm_runtime::Parallelism;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -95,30 +94,27 @@ fn a_warm_ascent_allocates_only_the_returned_matrix() {
         ..AscentConfig::default()
     };
     for k in [16, 64] {
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let mut ws = AscentWorkspace::new();
-            for seed in 0..3 {
-                let xi = counts(k, seed);
-                let objective = TransitionObjective::unsupervised(&xi, 10.0, kernel)
-                    .with_parallelism(parallelism);
-                let mut start = xi.clone();
-                start.normalize_rows();
-                let mut result = None;
-                let allocations = allocations_in(|| {
-                    result = Some(
-                        maximize_transition_objective_counted(&objective, &start, &config, &mut ws)
-                            .expect("ascent runs"),
-                    );
-                });
-                let (a, stats) = result.expect("measured call ran");
-                assert!(stats.accepted > 0, "k = {k}: the ascent never moved");
-                assert!(a.is_row_stochastic(1e-9));
-                assert!(a.as_slice().contains(&0.0), "k = {k}: no entry clipped");
-                // The first call sizes the workspace; every later one only
-                // returns its matrix.
-                if seed > 0 {
-                    assert_eq!(allocations, 1, "k = {k}, {parallelism:?}, seed {seed}");
-                }
+        let mut ws = AscentWorkspace::new();
+        for seed in 0..3 {
+            let xi = counts(k, seed);
+            let objective = TransitionObjective::unsupervised(&xi, 10.0, kernel);
+            let mut start = xi.clone();
+            start.normalize_rows();
+            let mut result = None;
+            let allocations = allocations_in(|| {
+                result = Some(
+                    maximize_transition_objective_counted(&objective, &start, &config, &mut ws)
+                        .expect("ascent runs"),
+                );
+            });
+            let (a, stats) = result.expect("measured call ran");
+            assert!(stats.accepted > 0, "k = {k}: the ascent never moved");
+            assert!(a.is_row_stochastic(1e-9));
+            assert!(a.as_slice().contains(&0.0), "k = {k}: no entry clipped");
+            // The first call sizes the workspace; every later one only
+            // returns its matrix.
+            if seed > 0 {
+                assert_eq!(allocations, 1, "k = {k}, seed {seed}");
             }
         }
     }

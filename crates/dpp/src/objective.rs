@@ -24,27 +24,20 @@
 //!    `InferenceWorkspace`), so repeated evaluations across backtracks,
 //!    ascent iterations and EM iterations never touch the allocator.
 //!
-//! Two refinements ride on top of the fused structure:
+//! Every kernel runs on the calling thread, as a direct call into the
+//! register-tiled kernels of `dhmm_linalg`. The engine's methods and those
+//! kernels are always inlined, so a caller compiled for AVX2 (the M-step
+//! ascent in `dhmm_core` dispatches to one) runs all of it in 256-bit
+//! registers, bit-identical to the baseline build.
 //!
-//! * **Parallel per-row evaluation** — the Gram matrix `S = P·Pᵀ`, the
-//!   inverse's per-row triangular solves, the gradient GEMM `V·P` and the
-//!   final elementwise pass are all row-independent, so the engine splits
-//!   them across `dhmm_runtime`'s worker pool when an [`Executor`] with more
-//!   than one worker is attached (serial below a size threshold, and by
-//!   default). Every parallel section is bit-deterministic across worker
-//!   counts. Under `dhmm_hmm::BaumWelch::fit_with_updater` with more than
-//!   one worker, though, the transition update is itself one job of the
-//!   M-step's pool join (next to the emission update), and a dispatch from
-//!   inside a pool job runs inline. So in EM training these sections run
-//!   serially on that worker, and the speed comes from the register-tiled
-//!   kernels of `dhmm_linalg` alone.
-//! * **Accept→gradient factorization caching** — a successful interior
-//!   value evaluation leaves its power matrix, Gram matrix and Cholesky
-//!   factor resident in the workspace, fingerprinted by the exact iterate
-//!   and kernel exponent. The projected-gradient ascent always evaluates the
-//!   accepted candidate's value last and its gradient next, so that
-//!   gradient starts from the cached factor — one `O(k³)` factorization and
-//!   one `O(k²·d)` GEMM saved per ascent iteration.
+//! On top of the fused structure sits **accept→gradient factorization
+//! caching**: a successful interior value evaluation leaves its power
+//! matrix, Gram matrix and Cholesky factor resident in the workspace,
+//! fingerprinted by the exact iterate and kernel exponent. The
+//! projected-gradient ascent always evaluates the accepted candidate's
+//! value last and its gradient next, so that gradient starts from the
+//! cached factor — one `O(k³)` factorization and one `O(k²·d)` GEMM saved
+//! per ascent iteration.
 //!
 //! The engine reproduces the reference semantics exactly, including their
 //! different boundary clamps: the value path clamps matrix entries at zero
@@ -62,16 +55,9 @@ use crate::error::DppError;
 use crate::gradient::{grad_log_det_kernel, ENTRY_FLOOR};
 use crate::kernel::ProductKernel;
 use crate::logdet::{log_det_floor, log_det_psd_prefactored_after_plain};
-use dhmm_linalg::{factor_into, log_det_from_factor, spd_inverse_rows_from_factor, Matrix};
-use dhmm_runtime::{Executor, Parallelism};
-
-/// Minimum multiply–add count before a GEMM (or the triangular-solve
-/// inverse) inside the engine is dispatched to the worker pool; below this,
-/// dispatch overhead exceeds the arithmetic and the section runs serially.
-const PAR_MIN_GEMM_FLOPS: usize = 32_768;
-/// Minimum entry count before the gradient's final elementwise pass is
-/// dispatched to the worker pool.
-const PAR_MIN_ELEMS: usize = 4_096;
+use dhmm_linalg::{
+    factor_into, log_det_from_factor, spd_inverse_rows_from_factor, Matrix, INVERSE_LANES,
+};
 
 /// Grow-on-reshape scratch buffers for the fused M-step engine.
 ///
@@ -94,6 +80,8 @@ pub struct MStepWorkspace {
     l: Matrix,
     /// `k × k` inverse of `K̃`, column-scaled in place into `V = K̃⁻¹·diag(u)`.
     inv: Matrix,
+    /// `k × INVERSE_LANES` right-hand sides the inverse solves together.
+    lanes: Vec<f64>,
     /// `k × d` gradient GEMM `G = V·P`.
     g: Matrix,
     /// Length-`k` floored self-similarities `max(S_ii, ENTRY_FLOOR)`.
@@ -129,6 +117,7 @@ impl MStepWorkspace {
 
     /// Sizes every buffer for a `k × d` problem; a no-op when the shape is
     /// unchanged (the steady state of an EM run).
+    #[inline]
     fn ensure(&mut self, k: usize, d: usize) {
         if self.p.shape() != (k, d) {
             self.p = Matrix::zeros(k, d);
@@ -140,6 +129,7 @@ impl MStepWorkspace {
             self.kt = Matrix::zeros(k, k);
             self.l = Matrix::zeros(k, k);
             self.inv = Matrix::zeros(k, k);
+            self.lanes = vec![0.0; k * INVERSE_LANES];
             self.selfsim = vec![0.0; k];
             self.u = vec![0.0; k];
             self.c = vec![0.0; k];
@@ -149,6 +139,7 @@ impl MStepWorkspace {
 
     /// Records that `p`/`s`/`l` hold the interior factorization of `a` under
     /// exponent `rho`, with value `ld`.
+    #[inline]
     fn remember(&mut self, a: &Matrix, rho: f64, ld: f64) {
         if self.cached_a.shape() != a.shape() {
             self.cached_a = a.clone();
@@ -166,6 +157,7 @@ impl MStepWorkspace {
     /// and exponent. The fingerprint is an exact entrywise comparison —
     /// `O(k·d)`, negligible against the `O(k³)` factorization it saves, and
     /// immune to the false positives a hash would admit.
+    #[inline]
     fn cache_hit(&self, a: &Matrix, rho: f64) -> bool {
         self.cache_valid && self.cached_rho == rho && self.cached_a == *a
     }
@@ -179,6 +171,7 @@ impl Default for MStepWorkspace {
             kt: Matrix::zeros(0, 0),
             l: Matrix::zeros(0, 0),
             inv: Matrix::zeros(0, 0),
+            lanes: Vec::new(),
             g: Matrix::zeros(0, 0),
             selfsim: Vec::new(),
             u: Vec::new(),
@@ -193,51 +186,22 @@ impl Default for MStepWorkspace {
 
 /// The fused evaluator of the DPP prior `log det K̃_A` and its gradient.
 ///
-/// Carries an [`Executor`] (serial by default) through which its GEMMs, the
-/// triangular-solve inverse and the gradient's final elementwise pass are
-/// split per output row across the worker pool. All parallel sections are
-/// bit-deterministic across worker counts, so the executor choice affects
-/// wall-clock time only, never results.
+/// Every evaluation runs on the calling thread; its methods are always
+/// inlined into the caller (see the module doc).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DppObjective {
     kernel: ProductKernel,
-    exec: Executor,
 }
 
 impl DppObjective {
-    /// Creates an engine for the given product kernel, running serially.
+    /// Creates an engine for the given product kernel.
     pub fn new(kernel: ProductKernel) -> Self {
-        Self {
-            kernel,
-            exec: Executor::serial(),
-        }
-    }
-
-    /// Returns the engine dispatching through the given executor.
-    pub fn with_executor(mut self, exec: Executor) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Returns the engine with an executor resolved from `parallelism`.
-    pub fn with_parallelism(self, parallelism: Parallelism) -> Self {
-        self.with_executor(Executor::new(parallelism))
+        Self { kernel }
     }
 
     /// The kernel defining `K̃_A`.
     pub fn kernel(&self) -> &ProductKernel {
         &self.kernel
-    }
-
-    /// The executor the engine's parallel sections dispatch through.
-    pub fn executor(&self) -> Executor {
-        self.exec
-    }
-
-    /// The executor for a `flops`-sized GEMM/solve section (serial when too
-    /// small to amortize dispatch).
-    fn gemm_exec(&self, flops: usize) -> Executor {
-        self.exec.unless_smaller_than(flops, PAR_MIN_GEMM_FLOPS)
     }
 
     /// `log det K̃_A`, equivalent to
@@ -247,6 +211,7 @@ impl DppObjective {
     /// computes is left resident in the workspace keyed by the iterate, so a
     /// following [`Self::grad_with`] at the same iterate — the ascent's
     /// accept→gradient pattern — skips its own `O(k³)` factorization.
+    #[inline(always)]
     pub fn log_det_with(&self, a: &Matrix, ws: &mut MStepWorkspace) -> Result<f64, DppError> {
         validate(a, "kernel matrix requires a non-empty input matrix")?;
         let (k, d) = a.shape();
@@ -257,13 +222,13 @@ impl DppObjective {
         }
         ws.cache_valid = false;
         let boundary = fill_power(a, rho, 0.0, &mut ws.p);
-        ws.p.gram_into_on(&mut ws.s, &self.gemm_exec(k * k * d))?;
+        ws.p.gram_into(&mut ws.s)?;
         normalize_value_kernel(&ws.s, &mut ws.kt);
         // Attempt the plain (jitter-0) factorization here — the same first
         // rung the robust ladder would try — so a success on an interior
         // iterate can be cached for the gradient that typically follows,
         // and a failure is never re-attempted by the fall-through.
-        let interior = !boundary && (0..k).all(|i| ws.s[(i, i)] >= ENTRY_FLOOR);
+        let interior = !boundary && self_similarities_reach_floor(&ws.s);
         let plain = factor_into(&ws.kt, 0.0, &mut ws.l).is_ok();
         if plain {
             let ld = log_det_from_factor(&ws.l);
@@ -293,6 +258,7 @@ impl DppObjective {
     /// iterates make the value-path and gradient-path clamps coincide, so
     /// the reuse is exact in the same sense as
     /// [`Self::log_det_and_grad_with`]'s shared factorization.
+    #[inline(always)]
     pub fn grad_with(
         &self,
         a: &Matrix,
@@ -317,6 +283,7 @@ impl DppObjective {
     /// iterate is interior (no entry below the gradient's `ENTRY_FLOOR`) and
     /// the kernel matrix is positive definite. Returns `log det K̃_A` and
     /// writes the gradient into `out`.
+    #[inline(always)]
     pub fn log_det_and_grad_with(
         &self,
         a: &Matrix,
@@ -335,10 +302,10 @@ impl DppObjective {
         }
         ws.cache_valid = false;
         let boundary = fill_power(a, rho, 0.0, &mut ws.p);
-        ws.p.gram_into_on(&mut ws.s, &self.gemm_exec(k * k * d))?;
+        ws.p.gram_into(&mut ws.s)?;
         normalize_value_kernel(&ws.s, &mut ws.kt);
 
-        let interior = !boundary && (0..k).all(|i| ws.s[(i, i)] >= ENTRY_FLOOR);
+        let interior = !boundary && self_similarities_reach_floor(&ws.s);
         let plain = factor_into(&ws.kt, 0.0, &mut ws.l).is_ok();
         if interior && plain {
             let ld = log_det_from_factor(&ws.l);
@@ -370,15 +337,15 @@ impl DppObjective {
     /// `S = P·Pᵀ`, normalize (lower triangle), factor, and read the gradient
     /// off the factor. Leaves the upper triangle of `ws.kt` stale; the value
     /// paths rebuild all of it before they read it.
+    #[inline(always)]
     fn grad_from_power(
         &self,
         a: &Matrix,
         ws: &mut MStepWorkspace,
         out: &mut Matrix,
     ) -> Result<(), DppError> {
-        let d = a.cols();
         let k = ws.s.rows();
-        ws.p.gram_into_on(&mut ws.s, &self.gemm_exec(k * k * d))?;
+        ws.p.gram_into(&mut ws.s)?;
         for i in 0..k {
             ws.selfsim[i] = ws.s[(i, i)].max(ENTRY_FLOOR);
         }
@@ -408,12 +375,10 @@ impl DppObjective {
     ///                    − A_ij^{2ρ−1}·c_i/S_ii]`
     /// with `c_i = Σ_{n≠i} V_in·S_in`; the `(V·P)` term is a GEMM and the
     /// elementwise powers reuse `P` (`A^{ρ−1} = P/A`, `A^{2ρ−1} = P²/A`).
-    /// The inverse (per-row solves), the GEMM (per output row) and the
-    /// final elementwise pass (per gradient row) are all row-independent and
-    /// dispatch through the engine's executor when large enough.
     ///
     /// Reads but never writes `ws.p`/`ws.s`/`ws.l`, which is what lets the
     /// accept→gradient cache survive this call.
+    #[inline(always)]
     fn grad_from_factored(
         &self,
         a: &Matrix,
@@ -425,7 +390,7 @@ impl DppObjective {
             ws.selfsim[i] = ws.s[(i, i)].max(ENTRY_FLOOR);
             ws.u[i] = 1.0 / ws.selfsim[i].sqrt();
         }
-        spd_inverse_rows_from_factor(&ws.l, &mut ws.inv, &self.gemm_exec(k * k * k))?;
+        spd_inverse_rows_from_factor(&ws.l, &mut ws.inv, &mut ws.lanes)?;
         // Column-scale the inverse in place: V = K̃⁻¹·diag(u).
         for i in 0..k {
             for n in 0..k {
@@ -439,36 +404,30 @@ impl DppObjective {
             }
             ws.c[i] = total - ws.inv[(i, i)] * ws.s[(i, i)];
         }
-        ws.inv
-            .matmul_into_on(&ws.p, &mut ws.g, &self.gemm_exec(k * k * d))?;
+        ws.inv.matmul_into(&ws.p, &mut ws.g)?;
         let rho = self.kernel.rho();
-        let (p, g, u, inv, c, selfsim) = (&ws.p, &ws.g, &ws.u, &ws.inv, &ws.c, &ws.selfsim);
-        self.exec
-            .unless_smaller_than(k * d, PAR_MIN_ELEMS)
-            .for_each_band(out.as_mut_slice(), d, |rows, band| {
-                for (local, i) in rows.enumerate() {
-                    let coef = 2.0 * rho * u[i];
-                    let sii = selfsim[i];
-                    let vii = inv[(i, i)];
-                    let ci = c[i];
-                    let a_row = a.row(i);
-                    let p_row = p.row(i);
-                    let g_row = g.row(i);
-                    let out_row = &mut band[local * d..(local + 1) * d];
-                    for j in 0..d {
-                        let a_safe = a_row[j].max(ENTRY_FLOOR);
-                        let pf = p_row[j];
-                        let pow_rm1 = pf / a_safe;
-                        let pow_2rm1 = pf * pf / a_safe;
-                        out_row[j] = coef * (pow_rm1 * (g_row[j] - vii * pf) - pow_2rm1 * ci / sii);
-                    }
-                }
-            });
+        let (a, p, g) = (a.as_slice(), ws.p.as_slice(), ws.g.as_slice());
+        for (i, out_row) in out.as_mut_slice().chunks_exact_mut(d).enumerate() {
+            let (start, end) = (i * d, (i + 1) * d);
+            let (a_row, p_row, g_row) = (&a[start..end], &p[start..end], &g[start..end]);
+            let coef = 2.0 * rho * ws.u[i];
+            let sii = ws.selfsim[i];
+            let vii = ws.inv[(i, i)];
+            let ci = ws.c[i];
+            for j in 0..d {
+                let a_safe = a_row[j].max(ENTRY_FLOOR);
+                let pf = p_row[j];
+                let pow_rm1 = pf / a_safe;
+                let pow_2rm1 = pf * pf / a_safe;
+                out_row[j] = coef * (pow_rm1 * (g_row[j] - vii * pf) - pow_2rm1 * ci / sii);
+            }
+        }
         Ok(())
     }
 }
 
 /// Shared input validation mirroring the scalar reference paths.
+#[inline(always)]
 fn validate(a: &Matrix, empty_reason: &str) -> Result<(), DppError> {
     if a.rows() == 0 || a.cols() == 0 {
         return Err(DppError::InvalidInput {
@@ -483,6 +442,7 @@ fn validate(a: &Matrix, empty_reason: &str) -> Result<(), DppError> {
     Ok(())
 }
 
+#[inline(always)]
 fn check_out_shape(a: &Matrix, out: &Matrix) -> Result<(), DppError> {
     if out.shape() != a.shape() {
         return Err(DppError::InvalidInput {
@@ -500,6 +460,7 @@ fn check_out_shape(a: &Matrix, out: &Matrix) -> Result<(), DppError> {
 /// evaluation), dispatching `ρ = 0.5` to `sqrt` and `ρ = 1` to a plain copy.
 /// Returns whether any raw entry lies below the gradient's `ENTRY_FLOOR`
 /// (the boundary/interior test for clamp sharing).
+#[inline(always)]
 fn fill_power(a: &Matrix, rho: f64, clamp: f64, p: &mut Matrix) -> bool {
     let mut boundary = false;
     let src = a.as_slice();
@@ -523,9 +484,24 @@ fn fill_power(a: &Matrix, rho: f64, clamp: f64, p: &mut Matrix) -> bool {
     boundary
 }
 
+/// Whether every raw self-similarity `S_ii` is at least `ENTRY_FLOOR`. A
+/// plain loop rather than `Iterator::all`, whose closure LLVM may leave out
+/// of line.
+#[inline(always)]
+fn self_similarities_reach_floor(s: &Matrix) -> bool {
+    for i in 0..s.rows() {
+        if s[(i, i)] >= ENTRY_FLOOR {
+            continue;
+        }
+        return false;
+    }
+    true
+}
+
 /// `ENTRY_FLOOR^ρ` through the same fast paths as [`fill_power`], so the
 /// in-place floor upgrade `P_f = max(P, floor^ρ)` is consistent with a
 /// direct floored fill.
+#[inline(always)]
 fn power_floor(rho: f64) -> f64 {
     if rho == 0.5 {
         ENTRY_FLOOR.sqrt()
@@ -539,6 +515,7 @@ fn power_floor(rho: f64) -> f64 {
 /// Normalized kernel with the value-path semantics of
 /// [`ProductKernel::kernel_matrix`]: exactly-unit diagonal, zero similarity
 /// when either raw self-similarity vanishes, symmetric by construction.
+#[inline(always)]
 fn normalize_value_kernel(s: &Matrix, kt: &mut Matrix) {
     let k = s.rows();
     for i in 0..k {
@@ -695,44 +672,6 @@ mod tests {
         let a = Matrix::filled(3, 3, 1.0 / 3.0);
         assert!(engine.grad_with(&a, &mut ws, &mut out).is_err());
         assert!(engine.log_det_and_grad_with(&a, &mut ws, &mut out).is_err());
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_to_serial() {
-        // Large enough that every parallel section clears its size gate.
-        let k = 70;
-        let mut a = Matrix::from_fn(k, k, |i, j| ((i * 13 + j * 7) % 29 + 1) as f64);
-        a.normalize_rows();
-        let kernel = ProductKernel::bhattacharyya();
-        let serial = DppObjective::new(kernel);
-        let mut ws_s = MStepWorkspace::new();
-        let mut grad_s = Matrix::zeros(k, k);
-        let value_s = serial
-            .log_det_and_grad_with(&a, &mut ws_s, &mut grad_s)
-            .unwrap();
-        for workers in [2usize, 4, 16] {
-            let parallel = DppObjective::new(kernel)
-                .with_executor(dhmm_runtime::Executor::from_workers(workers));
-            let mut ws_p = MStepWorkspace::new();
-            let mut grad_p = Matrix::zeros(k, k);
-            let value_p = parallel
-                .log_det_and_grad_with(&a, &mut ws_p, &mut grad_p)
-                .unwrap();
-            assert_eq!(value_s, value_p, "workers={workers}");
-            assert!(grad_p.approx_eq(&grad_s, 0.0), "workers={workers}");
-            // The standalone calls agree bit for bit too.
-            let mut grad_sep = Matrix::zeros(k, k);
-            assert_eq!(
-                parallel.log_det_with(&a, &mut ws_p).unwrap(),
-                serial.log_det_with(&a, &mut ws_s).unwrap()
-            );
-            parallel.grad_with(&a, &mut ws_p, &mut grad_sep).unwrap();
-            let mut grad_sep_serial = Matrix::zeros(k, k);
-            serial
-                .grad_with(&a, &mut ws_s, &mut grad_sep_serial)
-                .unwrap();
-            assert!(grad_sep.approx_eq(&grad_sep_serial, 0.0));
-        }
     }
 
     #[test]

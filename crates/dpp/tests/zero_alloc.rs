@@ -1,21 +1,18 @@
 //! Allocation-freedom of the fused DPP M-step engine, asserted with a
 //! counting global allocator: once a workspace has seen a shape, every
 //! value, gradient and fused evaluation at that shape makes zero heap
-//! allocations, under the serial executor and under a two-worker one, on
-//! both the factorizing path and the accept→gradient cache path.
+//! allocations, on both the factorizing path and the accept→gradient cache
+//! path.
 //!
 //! The iterates are interior and well conditioned: the degenerate-kernel
 //! gradient falls back to the scalar reference, which is documented to
 //! allocate, and stays out of this test.
 //!
 //! The counter is per thread and gated on a thread-local flag, so the test
-//! sees only the allocations of its own measured calls on the dispatching
-//! thread. Everything runs in one test so that no other test in this binary
-//! holds the worker pool while this one warms it up.
+//! sees only the allocations of its own measured calls.
 
 use dhmm_dpp::{DppObjective, MStepWorkspace, ProductKernel};
 use dhmm_linalg::Matrix;
-use dhmm_runtime::Executor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -116,23 +113,19 @@ fn warm_evaluations_allocate_nothing() {
     let mut allocating = Vec::new();
     for k in [16usize, 64] {
         let (a, b) = (interior_iterate(k, 0), interior_iterate(k, 1));
-        for exec in [Executor::serial(), Executor::from_workers(2)] {
-            let engine = DppObjective::new(ProductKernel::bhattacharyya()).with_executor(exec);
-            let mut ws = MStepWorkspace::new();
-            let mut grad = Matrix::zeros(k, k);
-            // The first pass sizes the workspace (and, at k = 64 on two
-            // workers, spawns the pool's helper thread); the second is
-            // measured.
-            for measured in [false, true] {
-                for (name, call) in CALLS {
-                    let n = allocations_in(|| call(&engine, &a, &b, &mut ws, &mut grad));
-                    if measured && n > 0 {
-                        allocating.push(format!("k={k} workers={} {name}: {n}", exec.workers()));
-                    }
+        let engine = DppObjective::new(ProductKernel::bhattacharyya());
+        let mut ws = MStepWorkspace::new();
+        let mut grad = Matrix::zeros(k, k);
+        // The first pass sizes the workspace; the second is measured.
+        for measured in [false, true] {
+            for (name, call) in CALLS {
+                let n = allocations_in(|| call(&engine, &a, &b, &mut ws, &mut grad));
+                if measured && n > 0 {
+                    allocating.push(format!("k={k} {name}: {n}"));
                 }
             }
-            assert!(grad.is_finite(), "k={k} workers={}", exec.workers());
         }
+        assert!(grad.is_finite(), "k={k}");
     }
     assert!(
         allocating.is_empty(),

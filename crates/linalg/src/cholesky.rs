@@ -9,8 +9,6 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use dhmm_runtime::Executor;
-use std::ops::Range;
 
 /// Lower-triangular Cholesky factor `L` such that `A = L·Lᵀ`.
 #[derive(Debug, Clone)]
@@ -152,6 +150,10 @@ impl Cholesky {
 /// advance together while each keeps that op order. A pivot that is not
 /// positive and finite stops the factorization with
 /// [`LinalgError::NotPositiveDefinite`] naming the first such row.
+///
+/// Always inlined, so a caller compiled for wider vector registers (the
+/// M-step's AVX2 ascent) runs the kernel in them.
+#[inline(always)]
 pub fn factor_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<(), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -193,12 +195,17 @@ pub fn factor_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<(), Linalg
     Ok(())
 }
 
-/// Rows of a column, or right-hand sides, advanced together by the
-/// factorization and the inverse. Four scalar chains already keep both
-/// floating-point ports busy, and an AVX2 instantiation of either kernel
-/// measured no faster: their operands sit a row apart, so nothing
-/// vectorizes.
+/// Rows of a column advanced together by the factorization. Four scalar
+/// chains already keep both floating-point ports busy, and wider registers
+/// do not help: the rows' operands sit a row apart, so nothing vectorizes.
+/// The inverse lays its right-hand sides out side by side instead (see
+/// [`INVERSE_LANES`]).
 const LOCKSTEP: usize = 4;
+
+/// Right-hand sides [`spd_inverse_rows_from_factor`] solves together, as the
+/// contiguous lanes of each row of an `n × INVERSE_LANES` buffer: two AVX2
+/// vectors, or four SSE2 ones.
+pub const INVERSE_LANES: usize = 8;
 
 /// Column `j = lj.len()` of factor rows `i0..i0 + R`, held in `rows`
 /// (`R × n`, columns `< j` already final).
@@ -211,9 +218,18 @@ fn factor_column_rows<const R: usize>(
     rows: &mut [f64],
 ) {
     let (j, n) = (lj.len(), a.cols());
-    let mut s: [f64; R] = std::array::from_fn(|r| a[(i0 + r, j)]);
+    let mut s = [0.0; R];
+    for (r, s) in s.iter_mut().enumerate() {
+        *s = a[(i0 + r, j)];
+    }
     {
-        let li: [&[f64]; R] = std::array::from_fn(|r| &rows[r * n..r * n + j]);
+        // Plain loops rather than `std::array::from_fn`, whose closure LLVM
+        // may leave out of line, and then compiled without the caller's
+        // target features.
+        let mut li: [&[f64]; R] = [&[]; R];
+        for (r, li) in li.iter_mut().enumerate() {
+            *li = &rows[r * n..r * n + j];
+        }
         for (t, &y) in lj.iter().enumerate() {
             for r in 0..R {
                 s[r] -= li[r][t] * y;
@@ -227,36 +243,44 @@ fn factor_column_rows<const R: usize>(
 
 /// Log-determinant `2·Σ log L_ii` read off a factor produced by
 /// [`factor_into`] (or [`Cholesky::factor_l`]).
+#[inline(always)]
 pub fn log_det_from_factor(l: &Matrix) -> f64 {
-    (0..l.rows()).map(|i| l[(i, i)].ln()).sum::<f64>() * 2.0
+    // The fold `Iterator::sum` performs, from `-0.0`, as a plain loop.
+    let mut sum = -0.0;
+    for i in 0..l.rows() {
+        sum += l[(i, i)].ln();
+    }
+    sum * 2.0
 }
 
-/// Inverse of the factored SPD matrix, written into `inv` **row by row**
-/// with the rows split across the executor's workers.
+/// Inverse of the factored SPD matrix, written into `inv` row by row.
 ///
 /// Row `r` of the output is the solution of `A·x = e_r`: a column of the
 /// inverse stored as a row, which is the same matrix because the inverse
-/// of an SPD matrix is symmetric. Each row's pair of triangular solves
-/// runs in place inside that output row (the back-substitution overwrites
-/// the forward solution it has already consumed), so the routine needs no
-/// scratch and every row is computed independently: bit-identical for
-/// every worker count, including the serial executor.
+/// of an SPD matrix is symmetric.
 ///
-/// Within a band, four right-hand sides are solved in lockstep. Their
-/// forward solves start at the first of the four rows, so a later row
-/// also subtracts products with its own leading exact zeros first. Those
+/// The right-hand sides are solved [`INVERSE_LANES`] at a time in `lanes`,
+/// an `n × INVERSE_LANES` buffer in which solution `q` of a block is column
+/// `q`, so each step of either triangular solve reads one factor entry and
+/// updates one contiguous row of lanes. Every entry keeps the subtractions
+/// of its own column-wise solve, in the same order. A block's forward
+/// solves start at its first right-hand side, so a later one also
+/// subtracts products with its own leading exact zeros first. Those
 /// products are exact ±0 (the factor is finite), which leave a sum that
 /// starts at `+0.0` or `1.0` unchanged, so every row keeps the bits of its
-/// own solve.
+/// own solve. The last block's unused lanes solve for zero and are not
+/// written out. Nothing `lanes` held before the call is read.
 ///
 /// `l` is a factor produced by [`factor_into`]; only its lower triangle is
 /// read. This is the "one factorization, two uses" read-out of the fused
 /// DPP M-step engine: the same factor yields both the log-determinant and
-/// the inverse without a second `O(k³)` decomposition.
+/// the inverse without a second `O(k³)` decomposition. Always inlined, like
+/// [`factor_into`].
+#[inline(always)]
 pub fn spd_inverse_rows_from_factor(
     l: &Matrix,
     inv: &mut Matrix,
-    exec: &Executor,
+    lanes: &mut [f64],
 ) -> Result<(), LinalgError> {
     let n = l.rows();
     if inv.shape() != l.shape() {
@@ -266,74 +290,75 @@ pub fn spd_inverse_rows_from_factor(
             right: inv.shape(),
         });
     }
-    exec.for_each_band(inv.as_mut_slice(), n, |rows, band| {
-        inverse_band(l, rows, band);
-    });
+    if lanes.len() != n * INVERSE_LANES {
+        return Err(LinalgError::ShapeMismatch {
+            op: "cholesky::spd_inverse_rows_from_factor (lanes)",
+            left: (n, INVERSE_LANES),
+            right: (lanes.len(), 1),
+        });
+    }
+    let (ld, out) = (l.as_slice(), inv.as_mut_slice());
+    let mut r0 = 0;
+    while r0 < n {
+        solve_unit_lanes(ld, n, r0, lanes);
+        for (q, row) in out[r0 * n..]
+            .chunks_exact_mut(n)
+            .take(INVERSE_LANES)
+            .enumerate()
+        {
+            for (o, x) in row.iter_mut().zip(lanes.chunks_exact(INVERSE_LANES)) {
+                *o = x[q];
+            }
+        }
+        r0 += INVERSE_LANES;
+    }
     Ok(())
 }
 
-/// Rows `rows` of the inverse, written into `band`: blocks of four
-/// right-hand sides, then single ones.
-fn inverse_band(l: &Matrix, rows: Range<usize>, band: &mut [f64]) {
-    let n = l.rows();
-    let mut blocks = band.chunks_exact_mut(LOCKSTEP * n);
-    let mut r0 = rows.start;
-    for block in &mut blocks {
-        solve_unit_rows::<LOCKSTEP>(l, r0, block);
-        r0 += LOCKSTEP;
-    }
-    for row in blocks.into_remainder().chunks_exact_mut(n) {
-        solve_unit_rows::<1>(l, r0, row);
-        r0 += 1;
-    }
-}
-
-/// Solves `L·Lᵀ·x = e_{r0 + q}` for `q < R` in lockstep, each solution in
-/// row `q` of `x` (`R × n`).
+/// Solves `L·Lᵀ·x = e_{r0 + q}` for every lane `q < INVERSE_LANES`, each
+/// solution in column `q` of `x` (`n × INVERSE_LANES`, row-major, `ld` the
+/// factor's row-major data). A lane with `r0 + q ≥ n` solves for zero.
 #[inline(always)]
-fn solve_unit_rows<const R: usize>(l: &Matrix, r0: usize, x: &mut [f64]) {
-    let n = l.rows();
-    let ld = l.as_slice();
-    let mut xs: [&mut [f64]; R] = {
-        let mut it = x.chunks_exact_mut(n);
-        std::array::from_fn(|_| it.next().expect("R rows of n"))
-    };
+fn solve_unit_lanes(ld: &[f64], n: usize, r0: usize, x: &mut [f64]) {
+    const W: usize = INVERSE_LANES;
     // Forward: L·y = e_r. Rows above `r0` solve to exactly zero.
-    for xq in xs.iter_mut() {
-        xq[..r0].fill(0.0);
-    }
+    x[..r0 * W].fill(0.0);
     for i in r0..n {
-        let mut v: [f64; R] = std::array::from_fn(|q| if i == r0 + q { 1.0 } else { 0.0 });
+        let (solved, rest) = x.split_at_mut(i * W);
+        let mut v = [0.0; W];
+        if i - r0 < W {
+            v[i - r0] = 1.0;
+        }
+        for (&lij, xj) in ld[i * n + r0..i * n + i]
+            .iter()
+            .zip(solved[r0 * W..].chunks_exact(W))
         {
-            let xr: [&[f64]; R] = std::array::from_fn(|q| &xs[q][r0..i]);
-            for (t, &lij) in ld[i * n + r0..i * n + i].iter().enumerate() {
-                for q in 0..R {
-                    v[q] -= lij * xr[q][t];
-                }
+            for (v, &xj) in v.iter_mut().zip(xj) {
+                *v -= lij * xj;
             }
         }
         let lii = ld[i * n + i];
-        for q in 0..R {
-            xs[q][i] = v[q] / lii;
+        for (xi, v) in rest[..W].iter_mut().zip(v) {
+            *xi = v / lii;
         }
     }
-    // Backward: Lᵀ·x = y, in place — x[j] for j > i already holds the
-    // final solution while x[i] still holds the forward value.
+    // Backward: Lᵀ·x = y, in place — rows below `i` already hold the final
+    // solution while row `i` still holds the forward value.
     for i in (0..n).rev() {
-        let mut v: [f64; R] = std::array::from_fn(|q| xs[q][i]);
-        {
-            let xr: [&[f64]; R] = std::array::from_fn(|q| &xs[q][i + 1..n]);
-            for t in 0..n - i - 1 {
-                // Column `i` of the factor below the diagonal.
-                let lji = ld[(i + 1 + t) * n + i];
-                for q in 0..R {
-                    v[q] -= lji * xr[q][t];
-                }
+        let (head, below) = x.split_at_mut((i + 1) * W);
+        let xi = &mut head[i * W..];
+        let mut v = [0.0; W];
+        v.copy_from_slice(xi);
+        for (t, xj) in below.chunks_exact(W).enumerate() {
+            // Column `i` of the factor below the diagonal.
+            let lji = ld[(i + 1 + t) * n + i];
+            for (v, &xj) in v.iter_mut().zip(xj) {
+                *v -= lji * xj;
             }
         }
         let lii = ld[i * n + i];
-        for q in 0..R {
-            xs[q][i] = v[q] / lii;
+        for (xi, v) in xi.iter_mut().zip(v) {
+            *xi = v / lii;
         }
     }
 }
@@ -544,18 +569,17 @@ mod tests {
         let mut l = Matrix::zeros(3, 3);
         factor_into(&a, 0.0, &mut l).unwrap();
         let mut inv = Matrix::filled(3, 3, f64::NAN);
-        spd_inverse_rows_from_factor(&l, &mut inv, &Executor::serial()).unwrap();
+        let mut lanes = vec![0.0; 3 * INVERSE_LANES];
+        spd_inverse_rows_from_factor(&l, &mut inv, &mut lanes).unwrap();
         assert!(inv.approx_eq(&expected, 1e-12));
         assert_eq!(bits(&inv), bits(&spd_inverse_from_factor(&l).transpose()));
         assert!(a
             .matmul(&inv)
             .unwrap()
             .approx_eq(&Matrix::identity(3), 1e-9));
-        // Shape validation.
-        assert!(
-            spd_inverse_rows_from_factor(&l, &mut Matrix::zeros(2, 2), &Executor::serial())
-                .is_err()
-        );
+        // Shape validation, of the output and of the lanes.
+        assert!(spd_inverse_rows_from_factor(&l, &mut Matrix::zeros(2, 2), &mut lanes).is_err());
+        assert!(spd_inverse_rows_from_factor(&l, &mut inv, &mut lanes[1..]).is_err());
     }
 
     #[test]
@@ -563,22 +587,17 @@ mod tests {
         let a = spd();
         let mut l = Matrix::zeros(3, 3);
         factor_into(&a, 0.0, &mut l).unwrap();
-        let by_cols = spd_inverse_from_factor(&l);
-        for workers in [1usize, 2, 8] {
-            let mut by_rows = Matrix::filled(3, 3, f64::NAN);
-            spd_inverse_rows_from_factor(&l, &mut by_rows, &Executor::from_workers(workers))
-                .unwrap();
-            // Same arithmetic per solve, transposed storage: exact equality.
-            assert_eq!(
-                bits(&by_rows),
-                bits(&by_cols.transpose()),
-                "workers={workers}"
-            );
-            assert!(a
-                .matmul(&by_rows)
-                .unwrap()
-                .approx_eq(&Matrix::identity(3), 1e-9));
-        }
+        let mut by_rows = Matrix::filled(3, 3, f64::NAN);
+        spd_inverse_rows_from_factor(&l, &mut by_rows, &mut [f64::NAN; 3 * INVERSE_LANES]).unwrap();
+        // Same arithmetic per solve, transposed storage: exact equality.
+        assert_eq!(
+            bits(&by_rows),
+            bits(&spd_inverse_from_factor(&l).transpose())
+        );
+        assert!(a
+            .matmul(&by_rows)
+            .unwrap()
+            .approx_eq(&Matrix::identity(3), 1e-9));
     }
 
     /// The column-lockstep factorization reproduces the row-by-row loop bit
@@ -626,10 +645,11 @@ mod tests {
         }
     }
 
-    /// The lockstep row solves reproduce the column-wise solves bit for
-    /// bit at every worker count, on every lockstep split up to k = 70 and
-    /// at k = 128. The factor's strict upper triangle holds NaN, so reading
-    /// it would show.
+    /// The lockstep row solves, `INVERSE_LANES` right-hand sides at a time,
+    /// reproduce the column-wise solves bit for bit on every split into
+    /// blocks up to k = 70 and at k = 128. The factor's strict upper
+    /// triangle holds NaN and the lanes start as NaN, then as the previous
+    /// solve's leftovers, so reading either would show.
     #[test]
     fn lockstep_inverse_matches_the_columnwise_solves_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x1a7e);
@@ -638,11 +658,11 @@ mod tests {
             let mut l = Matrix::filled(k, k, f64::NAN);
             factor_into(&a, 0.0, &mut l).unwrap();
             let want = bits(&spd_inverse_from_factor(&l).transpose());
-            for workers in [1usize, 2, 4, 16] {
+            let mut lanes = vec![f64::NAN; k * INVERSE_LANES];
+            for pass in 0..2 {
                 let mut inv = Matrix::filled(k, k, f64::NAN);
-                spd_inverse_rows_from_factor(&l, &mut inv, &Executor::from_workers(workers))
-                    .unwrap();
-                assert_eq!(bits(&inv), want, "k={k} workers={workers}");
+                spd_inverse_rows_from_factor(&l, &mut inv, &mut lanes).unwrap();
+                assert_eq!(bits(&inv), want, "k={k} pass={pass}");
             }
         }
     }

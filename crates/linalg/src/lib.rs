@@ -23,12 +23,15 @@
 //! * [`stats`] — small numeric helpers (log-sum-exp, normalization, argmax).
 //!
 //! The kernels of the diversified M-step (the Gram matrix
-//! [`Matrix::gram_into_on`], the GEMM [`Matrix::matmul_into_on`], the
-//! Cholesky factorization [`factor_into`] and the inverse
+//! [`Matrix::gram_into`], the GEMM [`Matrix::matmul_into`], the Cholesky
+//! factorization [`factor_into`] and the inverse
 //! [`spd_inverse_rows_from_factor`]) advance several independent output
-//! entries together in registers. Every entry keeps the op order of the
-//! plain scalar loop, and multiply and add are never fused, so each kernel
-//! is bit-identical to that loop on every host; the unit tests pin it.
+//! entries together in registers, on the calling thread. Every entry keeps
+//! the op order of the plain scalar loop, and multiply and add are never
+//! fused, so each kernel is bit-identical to that loop on every host and
+//! for every instruction set it is compiled for; the unit tests pin it.
+//! They and the simplex projection are always inlined, so the M-step's
+//! AVX2 instantiation of its ascent runs them in 256-bit registers.
 //! There is no cache blocking: at these sizes every operand fits in L1 or
 //! L2.
 
@@ -44,7 +47,9 @@ pub mod simplex;
 pub mod stats;
 pub mod vector;
 
-pub use cholesky::{factor_into, log_det_from_factor, spd_inverse_rows_from_factor, Cholesky};
+pub use cholesky::{
+    factor_into, log_det_from_factor, spd_inverse_rows_from_factor, Cholesky, INVERSE_LANES,
+};
 pub use csr::CsrMatrix;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;

@@ -7,16 +7,15 @@
 //! reads close to the equations in the paper.
 
 use crate::error::LinalgError;
-use dhmm_runtime::Executor;
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Range, Sub};
+use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// Output rows per register tile of the GEMM and Gram kernels.
 const TILE_ROWS: usize = 4;
-/// Output columns per register tile of [`Matrix::matmul_into_on`]: a 4 × 8
+/// Output columns per register tile of [`Matrix::matmul_into`]: a 4 × 8
 /// tile advances 32 independent sums.
 const GEMM_TILE_COLS: usize = 8;
-/// Output columns per register tile of [`Matrix::gram_into_on`]. Its
+/// Output columns per register tile of [`Matrix::gram_into`]. Its
 /// operands are rows of the same matrix, so a wider tile only adds strided
 /// loads.
 const GRAM_TILE_COLS: usize = 4;
@@ -311,14 +310,7 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self * other` written into `out` without allocating,
-    /// on the calling thread; see [`Matrix::matmul_into_on`].
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        self.matmul_into_on(other, out, &Executor::serial())
-    }
-
-    /// Matrix product `self * other` written into `out`, with the output
-    /// rows split into bands across the executor's workers.
+    /// Matrix product `self * other` written into `out` without allocating.
     ///
     /// `out` must already have shape `(self.rows, other.cols)`; its previous
     /// contents are overwritten. The kernel advances 4 × 8 tiles of output
@@ -327,14 +319,12 @@ impl Matrix {
     /// loop of [`Matrix::matmul`] does. `matmul` skips a zero `self` entry
     /// and this kernel does not, but with finite operands the skipped
     /// product is an exact ±0, which never changes a sum that starts at
-    /// `+0.0`. So for finite operands the two are bit-identical, for every
-    /// worker count: each output row is computed entirely by one worker.
-    pub fn matmul_into_on(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        exec: &Executor,
-    ) -> Result<(), LinalgError> {
+    /// `+0.0`. So for finite operands the two are bit-identical.
+    ///
+    /// Always inlined, so a caller compiled for wider vector registers
+    /// (the M-step's AVX2 ascent) runs the tiles in them.
+    #[inline(always)]
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_into",
@@ -349,29 +339,37 @@ impl Matrix {
                 right: out.shape(),
             });
         }
-        if out.data.is_empty() {
+        let n = other.cols;
+        if n == 0 {
             return Ok(());
         }
-        exec.for_each_band(&mut out.data, other.cols, |rows, band| {
-            matmul_band(self, other, rows, band);
-        });
+        let mut blocks = out.data.chunks_exact_mut(TILE_ROWS * n);
+        let mut i0 = 0;
+        for block in &mut blocks {
+            matmul_rows::<TILE_ROWS>(self, other, i0, block);
+            i0 += TILE_ROWS;
+        }
+        for row in blocks.into_remainder().chunks_exact_mut(n) {
+            matmul_rows::<1>(self, other, i0, row);
+            i0 += 1;
+        }
         Ok(())
     }
 
-    /// Gram matrix `self · selfᵀ` written into `out`, with the output rows
-    /// split into bands across the executor's workers.
+    /// Gram matrix `self · selfᵀ` written into `out` without allocating.
     ///
     /// Entry `(i, j)` is the dot product of rows `i` and `j`, summed in
     /// ascending column order from `-0.0` exactly as
     /// `row_i.iter().zip(row_j).map(|(x, y)| x * y).sum::<f64>()` sums it,
-    /// so the result is bit-identical to that loop for every worker count.
-    /// The kernel advances 4 × 4 tiles of these dot products together in
-    /// registers and computes only the tiles on or below the diagonal. It
-    /// then mirrors the lower triangle into the upper one, which is exact
-    /// because `x·y == y·x` in IEEE arithmetic. `out` must already have
-    /// shape `(self.rows, self.rows)`. The DPP kernel `S = P·Pᵀ` is the
-    /// caller.
-    pub fn gram_into_on(&self, out: &mut Matrix, exec: &Executor) -> Result<(), LinalgError> {
+    /// so the result is bit-identical to that loop. The kernel advances
+    /// 4 × 4 tiles of these dot products together in registers and computes
+    /// only the tiles on or below the diagonal. It then mirrors the lower
+    /// triangle into the upper one, which is exact because `x·y == y·x` in
+    /// IEEE arithmetic. `out` must already have shape
+    /// `(self.rows, self.rows)`. The DPP kernel `S = P·Pᵀ` is the caller;
+    /// like [`Matrix::matmul_into`], this is always inlined.
+    #[inline(always)]
+    pub fn gram_into(&self, out: &mut Matrix) -> Result<(), LinalgError> {
         let n = self.rows;
         if out.shape() != (n, n) {
             return Err(LinalgError::ShapeMismatch {
@@ -380,9 +378,19 @@ impl Matrix {
                 right: out.shape(),
             });
         }
-        exec.for_each_band(&mut out.data, n, |rows, band| {
-            gram_band(self, rows, band);
-        });
+        if n == 0 {
+            return Ok(());
+        }
+        let mut blocks = out.data.chunks_exact_mut(TILE_ROWS * n);
+        let mut i0 = 0;
+        for block in &mut blocks {
+            gram_rows::<TILE_ROWS>(self, i0, block);
+            i0 += TILE_ROWS;
+        }
+        for row in blocks.into_remainder().chunks_exact_mut(n) {
+            gram_rows::<1>(self, i0, row);
+            i0 += 1;
+        }
         for i in 0..n {
             for j in (i + 1)..n {
                 out.data[i * n + j] = out.data[j * n + i];
@@ -394,6 +402,7 @@ impl Matrix {
     /// Copies every entry of `other` into `self` without reallocating.
     ///
     /// Returns an error if the shapes differ.
+    #[inline]
     pub fn copy_from(&mut self, other: &Matrix) -> Result<(), LinalgError> {
         if self.shape() != other.shape() {
             return Err(LinalgError::ShapeMismatch {
@@ -522,12 +531,20 @@ impl Matrix {
     }
 
     /// Maximum absolute entry. Returns 0 for an empty matrix.
+    #[inline]
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
+        // A plain loop rather than a fold: the M-step's AVX2 ascent inlines
+        // this, and an iterator adapter's closure may stay out of line.
+        let mut max = 0.0_f64;
+        for x in &self.data {
+            max = max.max(x.abs());
+        }
+        max
     }
 
     /// Squared Frobenius distance `‖self − other‖²_F`, as used by the
     /// supervised dHMM objective term `α_A ‖A − A0‖²`.
+    #[inline]
     pub fn squared_distance(&self, other: &Matrix) -> Result<f64, LinalgError> {
         if self.shape() != other.shape() {
             return Err(LinalgError::ShapeMismatch {
@@ -573,8 +590,15 @@ impl Matrix {
     }
 
     /// `true` if all entries are finite.
+    #[inline]
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        // A plain loop for the same reason as in `max_abs`.
+        for v in &self.data {
+            if !v.is_finite() {
+                return false;
+            }
+        }
+        true
     }
 
     /// `true` if the matrix is symmetric within `tol`.
@@ -637,23 +661,6 @@ impl Matrix {
     }
 }
 
-/// `out[rows, :] = a[rows, :] · b` into the row band `band`
-/// (`rows.len() × b.cols`, row-major): full 4-row blocks, then single rows;
-/// within a block, 8-column tiles, then single columns.
-fn matmul_band(a: &Matrix, b: &Matrix, rows: Range<usize>, band: &mut [f64]) {
-    let n = b.cols;
-    let mut blocks = band.chunks_exact_mut(TILE_ROWS * n);
-    let mut i0 = rows.start;
-    for block in &mut blocks {
-        matmul_rows::<TILE_ROWS>(a, b, i0, block);
-        i0 += TILE_ROWS;
-    }
-    for row in blocks.into_remainder().chunks_exact_mut(n) {
-        matmul_rows::<1>(a, b, i0, row);
-        i0 += 1;
-    }
-}
-
 /// Output rows `i0..i0 + R` of `a · b`, written into `out` (`R × b.cols`).
 #[inline(always)]
 fn matmul_rows<const R: usize>(a: &Matrix, b: &Matrix, i0: usize, out: &mut [f64]) {
@@ -678,11 +685,10 @@ fn matmul_tile<const R: usize, const C: usize>(
     i0: usize,
     j0: usize,
 ) -> [[f64; C]; R] {
-    let inner = a.cols;
-    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a.row(i0 + r)[..inner]);
+    let a_rows = tile_rows::<R>(a, i0);
     let mut acc = [[0.0; C]; R];
     for (t, b_row) in b.data.chunks_exact(b.cols).enumerate() {
-        let y: &[f64; C] = b_row[j0..j0 + C].try_into().expect("C-long slice");
+        let y = &b_row[j0..j0 + C];
         for r in 0..R {
             let x = a_rows[r][t];
             for c in 0..C {
@@ -691,24 +697,6 @@ fn matmul_tile<const R: usize, const C: usize>(
         }
     }
     acc
-}
-
-/// Lower-triangle tiles of the Gram matrix `a · aᵀ` for output rows
-/// `rows`, written into `band` (`rows.len() × a.rows`, row-major): full
-/// 4-row blocks, then single rows. The strict upper triangle of the band is
-/// left for [`Matrix::gram_into_on`] to mirror.
-fn gram_band(a: &Matrix, rows: Range<usize>, band: &mut [f64]) {
-    let n = a.rows;
-    let mut blocks = band.chunks_exact_mut(TILE_ROWS * n);
-    let mut i0 = rows.start;
-    for block in &mut blocks {
-        gram_rows::<TILE_ROWS>(a, i0, block);
-        i0 += TILE_ROWS;
-    }
-    for row in blocks.into_remainder().chunks_exact_mut(n) {
-        gram_rows::<1>(a, i0, row);
-        i0 += 1;
-    }
 }
 
 /// Gram rows `i0..i0 + R`, columns `0..i0 + R` (every entry on or below
@@ -734,12 +722,13 @@ fn gram_rows<const R: usize>(a: &Matrix, i0: usize, out: &mut [f64]) {
 /// together.
 #[inline(always)]
 fn gram_tile<const R: usize, const C: usize>(a: &Matrix, i0: usize, j0: usize) -> [[f64; C]; R] {
-    let d = a.cols;
-    let x_rows: [&[f64]; R] = std::array::from_fn(|r| &a.row(i0 + r)[..d]);
-    let y_rows: [&[f64]; C] = std::array::from_fn(|c| &a.row(j0 + c)[..d]);
+    let (x_rows, y_rows) = (tile_rows::<R>(a, i0), tile_rows::<C>(a, j0));
     let mut acc = [[-0.0; C]; R];
-    for t in 0..d {
-        let y: [f64; C] = std::array::from_fn(|c| y_rows[c][t]);
+    for t in 0..a.cols {
+        let mut y = [0.0; C];
+        for (y, row) in y.iter_mut().zip(&y_rows) {
+            *y = row[t];
+        }
         for r in 0..R {
             let x = x_rows[r][t];
             for c in 0..C {
@@ -748,6 +737,18 @@ fn gram_tile<const R: usize, const C: usize>(a: &Matrix, i0: usize, j0: usize) -
         }
     }
     acc
+}
+
+/// Rows `i0..i0 + R` of `a`. A plain loop rather than
+/// `std::array::from_fn`, whose closure LLVM may leave out of line, and
+/// then compiled without the caller's target features.
+#[inline(always)]
+fn tile_rows<const R: usize>(a: &Matrix, i0: usize) -> [&[f64]; R] {
+    let mut rows: [&[f64]; R] = [&[]; R];
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = &a.data[(i0 + r) * a.cols..(i0 + r + 1) * a.cols];
+    }
+    rows
 }
 
 /// Writes an `R × C` tile into columns `j0..j0 + C` of the first `R` rows
@@ -986,38 +987,29 @@ mod tests {
     fn gram_into_matches_matmul_with_transpose() {
         let a = sample(); // 2x3
         let mut gram = Matrix::filled(2, 2, f64::NAN);
-        a.gram_into_on(&mut gram, &Executor::serial()).unwrap();
+        a.gram_into(&mut gram).unwrap();
         assert!(gram.approx_eq(&a.matmul(&a.transpose()).unwrap(), 1e-12));
         assert!(gram.is_symmetric(0.0));
         assert_eq!(gram[(0, 1)], 32.0);
         // Shape errors.
-        assert!(a
-            .gram_into_on(&mut Matrix::zeros(3, 3), &Executor::serial())
-            .is_err());
-        assert!(a
-            .gram_into_on(&mut Matrix::zeros(2, 3), &Executor::serial())
-            .is_err());
+        assert!(a.gram_into(&mut Matrix::zeros(3, 3)).is_err());
+        assert!(a.gram_into(&mut Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]
-    fn blocked_and_parallel_gemm_are_bit_identical_to_naive() {
+    fn blocked_gemm_and_gram_are_bit_identical_to_naive() {
         // Shapes with ragged tile tails on every axis, including an
-        // exact-zero entry the naive product skips, and worker counts
-        // beyond the row count: every path must agree bit for bit.
+        // exact-zero entry the naive product skips: both kernels must agree
+        // with the naive product bit for bit.
         let mut a = Matrix::from_fn(37, 73, |i, j| ((i * 31 + j * 7) % 23) as f64 / 11.0 - 1.0);
         a[(5, 5)] = 0.0;
         let b = Matrix::from_fn(73, 269, |i, j| ((i * 13 + j * 3) % 17) as f64 / 7.0 - 1.2);
-        let naive = a.matmul(&b).unwrap();
-        let gram_naive = a.matmul(&a.transpose()).unwrap();
-        for workers in [1usize, 2, 3, 64] {
-            let exec = Executor::from_workers(workers);
-            let mut out = Matrix::filled(37, 269, f64::NAN);
-            a.matmul_into_on(&b, &mut out, &exec).unwrap();
-            assert_eq!(bits(&out), bits(&naive), "matmul workers={workers}");
-            let mut gram = Matrix::filled(37, 37, f64::NAN);
-            a.gram_into_on(&mut gram, &exec).unwrap();
-            assert_eq!(bits(&gram), bits(&gram_naive), "gram workers={workers}");
-        }
+        let mut out = Matrix::filled(37, 269, f64::NAN);
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&a.matmul(&b).unwrap()));
+        let mut gram = Matrix::filled(37, 37, f64::NAN);
+        a.gram_into(&mut gram).unwrap();
+        assert_eq!(bits(&gram), bits(&a.matmul(&a.transpose()).unwrap()));
     }
 
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -1052,8 +1044,8 @@ mod tests {
     }
 
     /// The tiled GEMM and Gram kernels reproduce plain scalar loops bit for
-    /// bit at every worker count, on every tile and tail split up to k = 70
-    /// and at k = 128, with negative entries and exact zeros of both signs.
+    /// bit, on every tile and tail split up to k = 70 and at k = 128, with
+    /// negative entries and exact zeros of both signs.
     #[test]
     fn tiled_gemm_and_gram_match_scalar_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x6e44);
@@ -1061,17 +1053,12 @@ mod tests {
             let d = if k % 3 == 0 { k / 3 + 1 } else { k + 3 };
             let v = signed_input(k, k, &mut rng);
             let p = signed_input(k, d, &mut rng);
-            let want_product = scalar_product(&v, &p);
-            let want_gram = scalar_gram(&p);
-            for workers in [1usize, 2, 4, 16] {
-                let exec = Executor::from_workers(workers);
-                let mut out = Matrix::filled(k, d, f64::NAN);
-                v.matmul_into_on(&p, &mut out, &exec).unwrap();
-                assert_eq!(bits(&out), bits(&want_product), "gemm k={k} w={workers}");
-                let mut s = Matrix::filled(k, k, f64::NAN);
-                p.gram_into_on(&mut s, &exec).unwrap();
-                assert_eq!(bits(&s), bits(&want_gram), "gram k={k} w={workers}");
-            }
+            let mut out = Matrix::filled(k, d, f64::NAN);
+            v.matmul_into(&p, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(&scalar_product(&v, &p)), "gemm k={k}");
+            let mut s = Matrix::filled(k, k, f64::NAN);
+            p.gram_into(&mut s).unwrap();
+            assert_eq!(bits(&s), bits(&scalar_gram(&p)), "gram k={k}");
         }
     }
 

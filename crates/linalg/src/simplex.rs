@@ -84,6 +84,7 @@ pub fn project_to_simplex_into(row: &mut [f64], scratch: &mut Vec<f64>) {
 }
 
 /// Replaces non-finite values so sorting and the running sum stay sane.
+#[inline(always)]
 fn sanitize(row: &mut [f64]) {
     for x in row.iter_mut() {
         if !x.is_finite() {
@@ -95,6 +96,7 @@ fn sanitize(row: &mut [f64]) {
 /// Running sums of `sorted` into `prefix`, continuing from `cumulative`
 /// (`0.0` at the start of a row). Always added front to back: the order of
 /// the additions fixes the bits.
+#[inline(always)]
 fn prefix_sums(sorted: &[f64], prefix: &mut [f64], mut cumulative: f64) {
     for (p, &u) in prefix.iter_mut().zip(sorted) {
         cumulative += u;
@@ -106,17 +108,23 @@ fn prefix_sums(sorted: &[f64], prefix: &mut [f64], mut cumulative: f64) {
 /// `prefix` sums: the candidate `(1 − Σ_{i≤ρ} u_i)/ρ` of the largest `ρ`
 /// whose entry passes `u_ρ + candidate > 0`, or `None` when no entry does.
 /// The test runs backward from the end, so it stops at `ρ` without
-/// dividing at the indices before it.
+/// dividing at the indices before it. A plain loop rather than `find_map`,
+/// whose closure LLVM may leave out of the M-step's AVX2 ascent.
+#[inline(always)]
 fn threshold(sorted: &[f64], prefix: &[f64]) -> Option<f64> {
-    (0..sorted.len()).rev().find_map(|i| {
+    for i in (0..sorted.len()).rev() {
         let candidate = (1.0 - prefix[i]) / (i + 1) as f64;
-        (sorted[i] + candidate > 0.0).then_some(candidate)
-    })
+        if sorted[i] + candidate > 0.0 {
+            return Some(candidate);
+        }
+    }
+    None
 }
 
 /// Shifts `row` by `λ` and clips it at zero; without a threshold (all
 /// entries were so negative that nothing survived) falls back to the
 /// uniform distribution, the centre of the simplex.
+#[inline(always)]
 fn shift_and_clip(row: &mut [f64], lambda: Option<f64>) {
     match lambda {
         Some(lambda) => {
@@ -168,6 +176,7 @@ impl SimplexScratch {
 
     /// Sizes the scratch for a `rows × cols` matrix. Returns `true` when
     /// the shape changed, so no row has an order to start from.
+    #[inline]
     fn ensure(&mut self, rows: usize, cols: usize) -> bool {
         if self.shape == (rows, cols) {
             return false;
@@ -197,6 +206,10 @@ pub fn project_row_stochastic(a: &mut Matrix) {
 /// its order in the previous call (see the module doc). Every row comes out
 /// bit-identical to [`project_to_simplex`] of it, whatever order `scratch`
 /// held.
+///
+/// Always inlined, so the M-step's AVX2 ascent runs it in 256-bit
+/// registers; the full sort it falls back on stays a call.
+#[inline(always)]
 pub fn project_row_stochastic_with(a: &mut Matrix, scratch: &mut SimplexScratch) {
     let (rows, cols) = a.shape();
     if cols == 0 {
@@ -233,6 +246,7 @@ pub fn project_row_stochastic_with(a: &mut Matrix, scratch: &mut SimplexScratch)
 /// index) up, and the sums are redone from the first position that moved.
 /// Gives up (returning `false`, with `order` still a permutation) once the
 /// moves pass the budget of `WARM_MOVES_PER_ENTRY` per entry.
+#[inline(always)]
 fn resort(row: &[f64], order: &mut [u32], sorted: &mut [f64], prefix: &mut [f64]) -> bool {
     let (mut cumulative, mut previous, mut in_order) = (0.0, f64::INFINITY, true);
     for ((s, p), &j) in sorted.iter_mut().zip(prefix.iter_mut()).zip(order.iter()) {

@@ -202,8 +202,7 @@ impl Executor {
 
     /// Splits `data` — a row-major buffer of `data.len() / stride` rows —
     /// into contiguous row bands along the [`crate::split_rows`] partition
-    /// and runs `f(rows, band)` on each, in parallel. The workhorse of the
-    /// banded linear-algebra kernels and the per-row M-step gradient pass.
+    /// and runs `f(rows, band)` on each, in parallel.
     /// Allocation-free: each band's range is computed by [`split_range`].
     ///
     /// # Panics

@@ -1,10 +1,10 @@
 //! # dhmm-runtime
 //!
 //! The shared execution substrate of the dHMM workspace: one worker-pool
-//! runtime serving the pooled E-step (`dhmm-hmm`), the per-row M-step
-//! gradient (`dhmm-dpp`) and the row-banded GEMM, Gram and inverse kernels
-//! (`dhmm-linalg`), so every layer parallelizes through the same three
-//! primitives instead of growing its own threading idiom:
+//! runtime serving the pooled E-step and the concurrent M-step halves
+//! (`dhmm-hmm`) and the session pool's ticks (`dhmm-stream`), so every
+//! layer parallelizes through the same three primitives instead of growing
+//! its own threading idiom:
 //!
 //! * [`Parallelism`] — the one policy knob (`Serial`, `Threads(n)`, `Auto`)
 //!   that higher layers thread through their configs; `Auto` honors the

@@ -12,8 +12,9 @@ pub const THREADS_ENV: &str = "DHMM_THREADS";
 /// How many workers a parallel section may use.
 ///
 /// One value of this type, threaded through `BaumWelchConfig`,
-/// `DiversifiedConfig` and `SupervisedConfig`, governs E-step, M-step and
-/// GEMM parallelism end to end. Because every parallel primitive in the
+/// `DiversifiedConfig`, `SupervisedConfig` and `StreamConfig`, governs the
+/// E-step, the concurrent M-step halves and the session pool's ticks end to
+/// end. Because every parallel primitive in the
 /// runtime is bit-deterministic across thread counts, changing this knob
 /// changes wall-clock time only — never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

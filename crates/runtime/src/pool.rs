@@ -2,8 +2,9 @@
 //!
 //! A scoped-thread (`std::thread::scope`) implementation would be fully
 //! safe, but spawning an OS thread costs tens of microseconds — more than an
-//! entire `k = 64` gradient evaluation — so per-call spawning erases exactly
-//! the wins the parallel M-step exists to deliver. Instead the pool keeps
+//! entire `k = 64` gradient evaluation — so per-call spawning would erase
+//! the wins a pooled E-step or pool tick exists to deliver. Instead the
+//! pool keeps
 //! its helper threads parked on a condvar between dispatches and hands them
 //! a lifetime-erased pointer to the caller's job closure.
 //!

@@ -11,10 +11,13 @@ use dhmm_serve::{Client, Request, Response, ServeConfig, Server};
 use dhmm_stream::{SessionId, SessionPool, StreamConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-fn checkpoint(name: &str, k: usize, v: usize, seed: u64) -> PathBuf {
+mod common;
+use common::TempFile;
+
+fn checkpoint(name: &str, k: usize, v: usize, seed: u64) -> TempFile {
     let mut rng = StdRng::seed_from_u64(seed);
     let (pi, a) = dhmm_hmm::init::random_parameters(
         k,
@@ -24,8 +27,7 @@ fn checkpoint(name: &str, k: usize, v: usize, seed: u64) -> PathBuf {
     .unwrap();
     let b = dhmm_hmm::init::random_stochastic_matrix(k, v, 1.0, &mut rng).unwrap();
     let model = Hmm::new(pi, a, DiscreteEmission::new(b).unwrap()).unwrap();
-    let path =
-        std::env::temp_dir().join(format!("dhmm-parity-{}-{name}.model", std::process::id()));
+    let path = TempFile::new("dhmm-parity", &format!("{name}.model"));
     save_model(&path, &model).unwrap();
     path
 }

@@ -10,13 +10,16 @@
 use dhmm_serve::{Client, Request, Response};
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
+
+mod common;
+use common::TempFile;
 
 const BIN: &str = env!("CARGO_BIN_EXE_dhmm-serve");
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("dhmm-smoke-{}-{name}", std::process::id()))
+fn tmp(name: &str) -> TempFile {
+    TempFile::new("dhmm-smoke", name)
 }
 
 fn make_model(path: &Path) {
@@ -222,7 +225,7 @@ fn client_subcommand_replays_a_script() {
 
     let script = tmp("script.txt");
     std::fs::write(
-        &script,
+        &*script,
         "# smoke script: one full session\n\
          create\n\
          push $sid 1 2 3 4 5 6\n\
@@ -300,5 +303,4 @@ fn serve_binary_rejects_an_unknown_flag() {
         err.contains("unknown flag --sparse-beam"),
         "stderr does not name the flag: {err:?}"
     );
-    let _ = std::fs::remove_file(&model);
 }

@@ -9,9 +9,11 @@ use dhmm_serve::{Client, Request, Response, ServeConfig, Server, ServerHandle};
 use dhmm_stream::SessionId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 
-fn checkpoint(name: &str) -> PathBuf {
+mod common;
+use common::TempFile;
+
+fn checkpoint(name: &str) -> TempFile {
     let mut rng = StdRng::seed_from_u64(5);
     let (pi, a) = dhmm_hmm::init::random_parameters(
         3,
@@ -21,7 +23,7 @@ fn checkpoint(name: &str) -> PathBuf {
     .unwrap();
     let b = dhmm_hmm::init::random_stochastic_matrix(3, 8, 1.0, &mut rng).unwrap();
     let model = Hmm::new(pi, a, DiscreteEmission::new(b).unwrap()).unwrap();
-    let path = std::env::temp_dir().join(format!("dhmm-bp-{}-{name}.model", std::process::id()));
+    let path = TempFile::new("dhmm-bp", &format!("{name}.model"));
     save_model(&path, &model).unwrap();
     path
 }
@@ -202,7 +204,7 @@ fn swapping_a_mismatched_checkpoint_answers_model() {
     .unwrap();
     let b = dhmm_hmm::init::random_stochastic_matrix(5, 8, 1.0, &mut rng).unwrap();
     let other = Hmm::new(pi, a, DiscreteEmission::new(b).unwrap()).unwrap();
-    let path = std::env::temp_dir().join(format!("dhmm-bp-{}-k5.model", std::process::id()));
+    let path = TempFile::new("dhmm-bp", "k5.model");
     save_model(&path, &other).unwrap();
     expect_err(
         &mut client,
@@ -224,7 +226,7 @@ fn swapping_a_mismatched_checkpoint_answers_model() {
     .unwrap();
     let b = dhmm_hmm::init::random_stochastic_matrix(3, 12, 1.0, &mut rng).unwrap();
     let wide = Hmm::new(pi, a, DiscreteEmission::new(b).unwrap()).unwrap();
-    let path = std::env::temp_dir().join(format!("dhmm-bp-{}-v12.model", std::process::id()));
+    let path = TempFile::new("dhmm-bp", "v12.model");
     save_model(&path, &wide).unwrap();
     expect_err(
         &mut client,
