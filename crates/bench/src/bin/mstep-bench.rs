@@ -72,7 +72,7 @@ struct Args {
 impl Args {
     /// The flags on the command line, with their defaults.
     fn from_env() -> Args {
-        let mut flags = Flags::from_env(&[]);
+        let mut flags = Flags::from_env();
         let args = Args {
             output: flags.value("--output", "BENCH_mstep.json".to_string()),
             sizes: flags.list("--k", &SIZES),

@@ -53,7 +53,7 @@ struct Args {
 impl Args {
     /// The flags on the command line, with their defaults.
     fn from_env() -> Args {
-        let mut flags = Flags::from_env(&[]);
+        let mut flags = Flags::from_env();
         let args = Args {
             output: flags.value("--output", "BENCH_serve.json".to_string()),
             clients: flags.list("--clients", &[1, 4, 8]),

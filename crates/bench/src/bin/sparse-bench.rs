@@ -38,8 +38,8 @@ use dhmm_bench::{time_alternating, uniform_tokens, Flags, Json, Timing};
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::init::random_stochastic_matrix;
 use dhmm_hmm::{
-    log_likelihood_scaled, log_likelihood_sparse, viterbi_scaled_with_score,
-    viterbi_sparse_with_score, Hmm, InferenceWorkspace, SparseParams,
+    log_likelihood_scaled, viterbi_scaled_with_score, Hmm, InferenceBackend, InferenceWorkspace,
+    SparseParams,
 };
 use dhmm_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -65,7 +65,7 @@ struct Args {
 impl Args {
     /// The flags on the command line, with their defaults.
     fn from_env() -> Args {
-        let mut flags = Flags::from_env(&[]);
+        let mut flags = Flags::from_env();
         let args = Args {
             output: flags.value("--output", "BENCH_sparse.json".to_string()),
             sizes: flags.list("--k", &[64, 128, 256]),
@@ -144,17 +144,23 @@ fn time_pair_us(
 fn bench_cell(k: usize, density_pct: usize, args: &Args) -> (Json, Option<String>) {
     let model = concentrated_model(k, density_pct, 7_000 + (k * 31 + density_pct) as u64);
     let seq = uniform_tokens(args.tokens, VOCAB, 9_000 + k as u64);
-    let params = SparseParams::threshold(THRESHOLD);
+    let sparse = InferenceBackend::Sparse(SparseParams::threshold(THRESHOLD));
     let mut ws_d = InferenceWorkspace::new();
     let mut ws_s = InferenceWorkspace::new();
 
     let (fwd_dense, fwd_sparse) = time_pair_us(
         args.repeats,
         || log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward"),
-        || log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward"),
+        || {
+            sparse
+                .log_likelihood(&model, &seq, &mut ws_s)
+                .expect("sparse forward")
+        },
     );
     let ll_dense = log_likelihood_scaled(&model, &seq, &mut ws_d).expect("dense forward");
-    let ll_sparse = log_likelihood_sparse(&model, &seq, &mut ws_s, params).expect("sparse forward");
+    let ll_sparse = sparse
+        .log_likelihood(&model, &seq, &mut ws_s)
+        .expect("sparse forward");
     let report = *ws_s.sparse_report().expect("sparse run leaves a report");
 
     let (vit_dense, vit_sparse) = time_pair_us(
@@ -165,7 +171,8 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> (Json, Option<String
                 .1
         },
         || {
-            viterbi_sparse_with_score(&model, &seq, &mut ws_s, params)
+            sparse
+                .viterbi_with_score(&model, &seq, &mut ws_s)
                 .expect("sparse viterbi")
                 .1
         },
@@ -174,8 +181,9 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> (Json, Option<String
     // cannot beat the dense optimum.
     let (_, dense_score) =
         viterbi_scaled_with_score(&model, &seq, &mut ws_d).expect("dense viterbi");
-    let (sparse_path, _) =
-        viterbi_sparse_with_score(&model, &seq, &mut ws_s, params).expect("sparse viterbi");
+    let (sparse_path, _) = sparse
+        .viterbi_with_score(&model, &seq, &mut ws_s)
+        .expect("sparse viterbi");
     let sparse_path_ll = model
         .joint_log_likelihood(&sparse_path, &seq)
         .expect("path and sequence lengths match");

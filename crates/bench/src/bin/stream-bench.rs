@@ -72,7 +72,7 @@ struct Args {
 impl Args {
     /// The flags on the command line, with their defaults.
     fn from_env() -> Args {
-        let mut flags = Flags::from_env(&[]);
+        let mut flags = Flags::from_env();
         let args = Args {
             output: flags.value("--output", "BENCH_stream.json".to_string()),
             threads: flags.list("--threads", &[1, 2, 4]),

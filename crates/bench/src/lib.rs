@@ -9,7 +9,7 @@
 //! share:
 //!
 //! * [`Flags`] reads every binary's command line: `--name value` pairs,
-//!   comma-separated integer lists, typed values and bare switches;
+//!   comma-separated integer lists and typed values;
 //! * [`Timing`], [`time_batches`] and [`time_alternating`] time a row and
 //!   keep its spread;
 //! * [`Json`] writes an artifact: the `bench`/`description` header, the
@@ -61,30 +61,28 @@ impl FlagValue for String {
     const EXPECTS: &'static str = "a string";
 }
 
-/// The command line of a bench binary: `--name value` pairs and bare
-/// switches. Each getter takes its flag out of the line (the last of
-/// repeated occurrences wins), so [`Flags::finish`] can reject whatever no
-/// getter asked for.
+/// The command line of a bench binary: `--name value` pairs. Each getter
+/// takes its flag out of the line (the last of repeated occurrences wins),
+/// so [`Flags::finish`] can reject whatever no getter asked for.
 pub struct Flags {
-    /// Arguments in command-line order. A flag that takes a value holds the
-    /// next argument, or `None` at the end of the line; a switch or a bare
-    /// word holds `None`.
+    /// Arguments in command-line order. A flag holds the next argument, or
+    /// `None` at the end of the line; a bare word holds `None`.
     args: Vec<(String, Option<String>)>,
 }
 
 impl Flags {
-    /// Reads the process's arguments. `switches` names the flags that take
-    /// no value; every other `--name` takes the argument after it.
-    pub fn from_env(switches: &[&str]) -> Flags {
-        Flags::new(std::env::args().skip(1), switches)
+    /// Reads the process's arguments: every `--name` takes the argument
+    /// after it.
+    pub fn from_env() -> Flags {
+        Flags::new(std::env::args().skip(1))
     }
 
     /// Reads `args` (without the program name) as [`Flags::from_env`] does.
-    fn new(args: impl IntoIterator<Item = String>, switches: &[&str]) -> Flags {
+    fn new(args: impl IntoIterator<Item = String>) -> Flags {
         let mut it = args.into_iter();
         let mut parsed = Vec::new();
         while let Some(arg) = it.next() {
-            let value = if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            let value = if arg.starts_with("--") {
                 it.next()
             } else {
                 None
@@ -114,11 +112,6 @@ impl Flags {
     fn raw(&mut self, name: &str) -> Option<String> {
         self.take(name)
             .map(|value| value.unwrap_or_else(|| panic!("{name} expects a value")))
-    }
-
-    /// Whether the switch `name` is on the line.
-    pub fn switch(&mut self, name: &str) -> bool {
-        self.take(name).is_some()
     }
 
     /// The value of `name`, or `default` when the flag is absent.
@@ -568,20 +561,18 @@ mod tests {
     }
 
     fn flags(line: &str) -> Flags {
-        Flags::new(line.split_whitespace().map(String::from), &["--quiet"])
+        Flags::new(line.split_whitespace().map(String::from))
     }
 
     #[test]
-    fn flags_read_lists_values_and_switches() {
-        let mut f = flags("--k 4,16 --tokens 64 --beam 0.5 --quiet --k 8");
+    fn flags_read_lists_and_values() {
+        let mut f = flags("--k 4,16 --tokens 64 --beam 0.5 --k 8");
         assert_eq!(f.list("--k", &[1]), [8], "the last occurrence wins");
         assert_eq!(f.list("--lag", &[2, 3]), [2, 3]);
         assert_eq!(f.list_if_given("--threads"), None);
         assert_eq!(f.value("--tokens", 512usize), 64);
         assert_eq!(f.value("--beam", 0.01), 0.5);
         assert_eq!(f.value("--output", "out.json".to_string()), "out.json");
-        assert!(f.switch("--quiet"));
-        assert!(!f.switch("--quiet"));
         f.finish();
     }
 
@@ -606,7 +597,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "--k list must be non-empty")]
     fn an_empty_list_panics() {
-        Flags::new(["--k".to_string(), String::new()], &[]).list("--k", &[1]);
+        Flags::new(["--k".to_string(), String::new()]).list("--k", &[1]);
     }
 
     #[test]

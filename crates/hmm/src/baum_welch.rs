@@ -17,7 +17,7 @@ use crate::model::Hmm;
 use crate::scaled::InferenceBackend;
 use crate::workspace::WorkspacePool;
 use dhmm_linalg::Matrix;
-use dhmm_runtime::{with_thread_scratch, Executor, Parallelism};
+use dhmm_runtime::{Executor, Parallelism};
 use dhmm_telemetry::{Counter, Gauge, Histogram, TelemetrySink};
 
 /// Below either of these data sizes an [`Parallelism::Auto`] E-step runs
@@ -371,53 +371,6 @@ impl BaumWelch {
     }
 }
 
-/// Runs the E-step over all sequences with the default (scaled) engine and
-/// this thread's leased workspace pool.
-pub fn e_step<E>(model: &Hmm<E>, sequences: &[Vec<E::Obs>]) -> Result<Vec<SequenceStats>, HmmError>
-where
-    E: Emission + Sync,
-    E::Obs: Sync,
-{
-    e_step_with(model, sequences, InferenceBackend::default())
-}
-
-/// Runs the E-step over all sequences with an explicit inference engine.
-///
-/// One-shot entry point: instead of constructing (and immediately
-/// discarding) a private [`WorkspacePool`] per call, the pool is leased from
-/// the runtime's thread-local scratch, so repeated one-shot calls on the
-/// same thread reuse the same warm buffers just like a held pool would.
-pub fn e_step_with<E>(
-    model: &Hmm<E>,
-    sequences: &[Vec<E::Obs>],
-    backend: InferenceBackend,
-) -> Result<Vec<SequenceStats>, HmmError>
-where
-    E: Emission + Sync,
-    E::Obs: Sync,
-{
-    with_thread_scratch::<WorkspacePool, _>(|pool| e_step_pooled(model, sequences, backend, pool))
-}
-
-/// Runs the E-step over all sequences under the default `Auto` worker
-/// policy. Each executor range draws its own
-/// [`crate::workspace::InferenceWorkspace`] from `pool`, so a pool kept
-/// alive across EM iterations (as [`BaumWelch::fit_with_updater`] does)
-/// makes every iteration after the first allocation-free inside the
-/// recursions.
-pub fn e_step_pooled<E>(
-    model: &Hmm<E>,
-    sequences: &[Vec<E::Obs>],
-    backend: InferenceBackend,
-    pool: &mut WorkspacePool,
-) -> Result<Vec<SequenceStats>, HmmError>
-where
-    E: Emission + Sync,
-    E::Obs: Sync,
-{
-    e_step_on(model, sequences, backend, pool, Parallelism::Auto)
-}
-
 /// Runs the E-step over all sequences on the shared runtime executor with an
 /// explicit worker policy.
 ///
@@ -632,7 +585,14 @@ mod tests {
             .into_iter()
             .map(|s| s.observations)
             .collect();
-        let parallel = e_step(&truth, &data).unwrap();
+        let parallel = e_step_on(
+            &truth,
+            &data,
+            InferenceBackend::default(),
+            &mut WorkspacePool::new(),
+            Parallelism::Auto,
+        )
+        .unwrap();
         let serial: Vec<SequenceStats> = data
             .iter()
             .map(|s| crate::reference::forward_backward(&truth, s).unwrap())

@@ -10,12 +10,12 @@
 //!   generic over the emission model `B`,
 //! * [`emission`] — discrete (multinomial), Gaussian and Bernoulli-vector
 //!   (Naive-Bayes pixel) emission models, the three used in the paper,
-//! * [`scaled`] — the default scaled-space (Rabiner scaling-coefficient)
-//!   inference engine: linear-domain forward–backward and Viterbi writing
-//!   into a reusable [`workspace::InferenceWorkspace`],
-//! * [`sparse`] — the sparse-transition engine: CSR-compiled pruned
-//!   transitions, exact under the pruned matrix, with a queryable pruning
-//!   report,
+//! * [`scaled`] — the scaled-space (Rabiner scaling-coefficient) inference
+//!   engine: one linear-domain forward–backward body and one Viterbi body,
+//!   writing into a reusable [`workspace::InferenceWorkspace`], over a
+//!   [`scaled::Transitions`] operator with a dense and a CSR layout,
+//! * [`sparse`] — the CSR layout's pruning: compiled pruned transitions,
+//!   exact under the pruned matrix, with a queryable pruning report,
 //! * [`workspace`] — preallocated inference buffers, reused across sequences
 //!   and EM iterations (one per thread in the parallel E-step),
 //! * [`mod@reference`] — the original log-domain engine, kept as the numerical
@@ -48,8 +48,7 @@ pub mod viterbi;
 pub mod workspace;
 
 pub use baum_welch::{
-    e_step, e_step_on, e_step_pooled, e_step_with, BaumWelch, BaumWelchConfig, FitResult,
-    MleTransitionUpdater, TransitionUpdater,
+    e_step_on, BaumWelch, BaumWelchConfig, FitResult, MleTransitionUpdater, TransitionUpdater,
 };
 pub use dhmm_runtime::Parallelism;
 pub use emission::{BernoulliEmission, DiscreteEmission, Emission, GaussianEmission};
@@ -59,13 +58,9 @@ pub use generate::generate_sequences;
 pub use init::{random_parameters, InitStrategy};
 pub use model::Hmm;
 pub use scaled::{
-    backward_step, emission_likelihood_row, forward_backward_scaled, forward_step,
-    log_likelihood_scaled, scale_row, viterbi_scale_row, viterbi_scaled, viterbi_scaled_with_score,
-    viterbi_step, InferenceBackend,
+    emission_likelihood_row, forward_backward_scaled, log_likelihood_scaled, scale_row,
+    viterbi_scale_row, viterbi_scaled, viterbi_scaled_with_score, InferenceBackend, Transitions,
 };
-pub use sparse::{
-    forward_backward_sparse, log_likelihood_sparse, viterbi_sparse, viterbi_sparse_with_score,
-    CsrTransition, PruneRule, SparseParams, SparseReport,
-};
+pub use sparse::{CsrTransition, PruneRule, SparseParams, SparseReport};
 pub use supervised::{supervised_estimate, SupervisedCounts};
 pub use workspace::{InferenceWorkspace, WorkspacePool};

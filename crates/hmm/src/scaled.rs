@@ -24,44 +24,67 @@
 //! (an observation impossible under every reachable state) is floored to a
 //! uniform row that contributes `ln(f64::MIN_POSITIVE)` to the log scale —
 //! [`scale_row`] for the forward pass, [`viterbi_scale_row`] for Viterbi.
-//! The offline engines here, the sparse engine and the streaming decoder in
-//! `dhmm_stream` all apply this one rule, so they decode such a sequence to
-//! the same path with the same finite score.
+//! Every recursion here and the streaming decoder in `dhmm_stream` apply
+//! this one rule, so they decode such a sequence to the same path with the
+//! same finite score.
 //!
-//! Dense max-product: one Viterbi step, [`viterbi_step`], is shared by the
-//! offline engine and the streaming decoder's per-token step. It walks the
-//! row-major transition matrix one predecessor `i` at a time and folds row
-//! `i` into a register tile of successor columns. A state's running max is
-//! one lane of the tile, and the lanes never mix: state `j` still sees its
-//! candidates `δ_i · a[(i, j)]` in ascending `i` under the strict-`>`
-//! first-occurrence rule, exactly as a column-wise loop over `a[(i, j)]`
-//! would. Only the order *across* states changes, so every score and
-//! backpointer is bit-identical to the column-wise recursion, while every
-//! load of `A` is contiguous and the compare-select runs on whole vectors.
+//! # One set of recursions, two transition layouts
 //!
-//! Dense sum-product: the forward–backward recursions run the same way.
-//! [`forward_step`] walks row-major `A` into 16-state tiles of running sums
-//! (ascending predecessor `i`, zero predecessors skipped), and
-//! [`backward_step`] walks the model's `Aᵀ` ([`Hmm::transition_t`]) the same
-//! way, so each `β(t, i)` keeps its one accumulator over ascending `j`
-//! without a dependent dot-product chain per state. The ξ sums first store
-//! each step's weights `b(y_t) ∘ β(t) / total_t`, then accumulate every
-//! 4 × 8 block of ξ in registers over all steps before storing it once.
-//! Every sum keeps the op order of the row-at-a-time loops these replace,
-//! and multiply and add stay separate roundings, so the results are the
-//! same bits. The offline engine and the streaming filter and smoother all
-//! call these steps. Offline, the forward, backward and ξ passes of a
-//! sequence run inside one AVX2 instantiation of the same bodies, chosen
-//! at run time once per sequence; the stream's per-token calls run the
-//! generic bodies.
+//! The recursions run on a [`Transitions`] operator, which supplies the four
+//! steps they take: forward, backward, Viterbi and the ξ sums. Its dense
+//! layout is the model's `A` with its cached `Aᵀ` ([`Hmm::transition_t`]);
+//! its CSR layout is the pruned, renormalized `Ã` of a [`CsrTransition`]
+//! (see [`crate::sparse`]), which stores only the kept entries. One
+//! forward–backward body and one Viterbi body are generic over the layout.
+//! Each runs in one AVX2 instantiation per layout, chosen at run time once
+//! per sequence, so the dense instantiation holds no CSR code. The layouts
+//! keep their own kernels, and each kernel keeps its op order, so a layout's
+//! results do not depend on which instantiation ran them. Under
+//! [`crate::sparse::SparseParams::exact`] the CSR layout stores every entry
+//! of `A` in ascending order and its results are the dense layout's bits.
+//!
+//! Dense max-product: the Viterbi step walks the row-major transition
+//! matrix one predecessor `i` at a time and folds row `i` into a register
+//! tile of successor columns. A state's running max is one lane of the
+//! tile, and the lanes never mix: state `j` still sees its candidates
+//! `δ_i · a[(i, j)]` in ascending `i` under the strict-`>` first-occurrence
+//! rule, exactly as a column-wise loop over `a[(i, j)]` would. Only the
+//! order *across* states changes, so every score and backpointer is
+//! bit-identical to the column-wise recursion, while every load of `A` is
+//! contiguous and the compare-select runs on whole vectors.
+//!
+//! Dense sum-product: the forward step walks row-major `A` into 16-state
+//! tiles of running sums (ascending predecessor `i`, zero predecessors
+//! skipped), and the backward step walks `Aᵀ` the same way, so each
+//! `β(t, i)` keeps its one accumulator over ascending `j` without a
+//! dependent dot-product chain per state. The ξ sums first store each
+//! step's weights `b(y_t) ∘ β(t) / total_t`, then accumulate every 4 × 8
+//! block of ξ in registers over all steps before storing it once. Every sum
+//! keeps the op order of the row-at-a-time loops these replace, and
+//! multiply and add stay separate roundings, so the results are the same
+//! bits.
+//!
+//! CSR steps: the forward step scatters the stored row of each live
+//! predecessor into the output row ([`CsrMatrix::axpy_row`]), the backward
+//! step takes each state's dot product over its stored successors
+//! ([`CsrMatrix::dot_row`]), the Viterbi step gathers each state's stored
+//! predecessors from `Ãᵀ` ([`CsrMatrix::argmax_product_row`]), and the ξ
+//! sums visit the stored entries with the same `(α · a) · w` products in
+//! ascending step order.
+//!
+//! The streaming filter, Viterbi step and smoother in `dhmm_stream` call the
+//! same operator one token at a time ([`Transitions::forward_step`],
+//! [`Transitions::viterbi_step`], [`Transitions::backward_step`]), which
+//! keeps a stream at `lag ≥ T` bit-identical to the offline recursions.
 
 use crate::emission::Emission;
 use crate::error::HmmError;
 use crate::forward_backward::SequenceStats;
 use crate::model::Hmm;
+use crate::sparse::CsrTransition;
 use crate::util::finite_shift;
 use crate::workspace::InferenceWorkspace;
-use dhmm_linalg::Matrix;
+use dhmm_linalg::{CsrMatrix, Matrix};
 
 /// Which inference engine to run.
 ///
@@ -70,15 +93,14 @@ use dhmm_linalg::Matrix;
 /// of these so the engine choice is explicit end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum InferenceBackend {
-    /// Linear-domain recursions with per-step scaling coefficients, writing
-    /// into a reusable workspace (fast path).
+    /// Linear-domain recursions with per-step scaling coefficients over the
+    /// model's dense transition matrix, writing into a reusable workspace.
     #[default]
     Scaled,
-    /// CSR-compiled pruned transitions under the same scaled recursions
-    /// (see [`crate::sparse`]): exact under the pruned, renormalized matrix
-    /// `Ã`, with how far `Ã` is from `A` in a queryable
-    /// [`crate::sparse::SparseReport`]. Bit-equal to `Scaled` under
-    /// [`crate::sparse::SparseParams::exact`].
+    /// The same recursions over a CSR-compiled pruned matrix `Ã` (see
+    /// [`crate::sparse`]): exact under `Ã`, with how far `Ã` is from `A` in
+    /// a queryable [`crate::sparse::SparseReport`]. Bit-equal to `Scaled`
+    /// under [`crate::sparse::SparseParams::exact`].
     Sparse(crate::sparse::SparseParams),
 }
 
@@ -90,28 +112,46 @@ impl InferenceBackend {
         observations: &[E::Obs],
         ws: &mut InferenceWorkspace,
     ) -> Result<SequenceStats, HmmError> {
-        match self {
-            Self::Scaled => forward_backward_scaled(model, observations, ws),
-            Self::Sparse(params) => {
-                crate::sparse::forward_backward_sparse(model, observations, ws, params)
+        let k = model.num_states();
+        let t_len = prepare(model, observations, ws, "run forward-backward on")?;
+        let mut xi_sum = Matrix::zeros(k, k);
+        self.with_transitions(model, t_len, ws, |op, ws| {
+            op.passes(model.initial(), t_len, ws, Some(&mut xi_sum));
+        })?;
+
+        // Unary posteriors: gamma(t, i) ∝ alpha(t, i) * beta(t, i).
+        let mut gamma = Matrix::zeros(t_len, k);
+        for t in 0..t_len {
+            let row = gamma.row_mut(t);
+            let a_row = &ws.alpha[t * k..(t + 1) * k];
+            let b_row = &ws.beta[t * k..(t + 1) * k];
+            for ((g, &av), &bv) in row.iter_mut().zip(a_row).zip(b_row) {
+                *g = av * bv;
             }
+            dhmm_linalg::normalize_in_place(row);
         }
+
+        let log_likelihood = ws.log_scales[..t_len].iter().sum();
+        Ok(SequenceStats {
+            gamma,
+            xi_sum,
+            log_likelihood,
+        })
     }
 
-    /// Computes `log P(Y | λ)` with the selected engine (forward pass only
-    /// for the scaled engine).
+    /// Computes `log P(Y | λ)` with the selected engine: the forward pass
+    /// only, no backward pass and no posteriors.
     pub fn log_likelihood<E: Emission>(
         self,
         model: &Hmm<E>,
         observations: &[E::Obs],
         ws: &mut InferenceWorkspace,
     ) -> Result<f64, HmmError> {
-        match self {
-            Self::Scaled => log_likelihood_scaled(model, observations, ws),
-            Self::Sparse(params) => {
-                crate::sparse::log_likelihood_sparse(model, observations, ws, params)
-            }
-        }
+        let t_len = prepare(model, observations, ws, "run forward-backward on")?;
+        self.with_transitions(model, t_len, ws, |op, ws| {
+            op.passes(model.initial(), t_len, ws, None);
+        })?;
+        Ok(ws.log_scales[..t_len].iter().sum())
     }
 
     /// Decodes the most likely state sequence with the selected engine.
@@ -126,19 +166,90 @@ impl InferenceBackend {
 
     /// Decodes with the selected engine, returning the path and its joint
     /// log-probability.
+    ///
+    /// The score recursion runs on linear-domain probabilities with
+    /// per-step max-normalization by [`viterbi_scale_row`] (which preserves
+    /// the argmax and keeps every value in `[0, 1]`); the joint
+    /// log-probability is recovered from the accumulated log-normalizers. If
+    /// every candidate path hits probability exactly zero at some step, that
+    /// row is floored to uniform and the decode goes on, so the score stays
+    /// finite.
     pub fn viterbi_with_score<E: Emission>(
         self,
         model: &Hmm<E>,
         observations: &[E::Obs],
         ws: &mut InferenceWorkspace,
     ) -> Result<(Vec<usize>, f64), HmmError> {
+        let k = model.num_states();
+        let t_len = prepare(model, observations, ws, "decode")?;
+        let log_score = self.with_transitions(model, t_len, ws, |op, ws| {
+            op.viterbi_passes(model.initial(), t_len, ws)
+        })?;
+
+        // Backtrack from the best final state (first occurrence on ties, like
+        // the reference).
+        let last = if (t_len - 1) % 2 == 0 {
+            &ws.delta[..k]
+        } else {
+            &ws.delta[k..2 * k]
+        };
+        let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
+        for (j, &v) in last.iter().enumerate() {
+            if v > best_val {
+                best_val = v;
+                best_state = j;
+            }
+        }
+        let mut path = vec![0usize; t_len];
+        path[t_len - 1] = best_state;
+        for t in (0..t_len - 1).rev() {
+            path[t] = ws.psi[(t + 1) * k + path[t + 1]];
+        }
+        // After normalization the winning entry is exactly 1, but keep the exact
+        // identity `score = Σ log m_t + log δ_final(best)` for robustness.
+        Ok((path, log_score + best_val.ln()))
+    }
+
+    /// Runs `f` on this engine's transition operator for `model`: the dense
+    /// `A` under `Scaled`; under `Sparse`, the workspace's cached compile of
+    /// `Ã`, recompiled when `A` or the parameters changed, after which the
+    /// run's [`crate::sparse::SparseReport`] is left on the workspace.
+    fn with_transitions<E: Emission, R>(
+        self,
+        model: &Hmm<E>,
+        t_len: usize,
+        ws: &mut InferenceWorkspace,
+        f: impl FnOnce(Transitions<'_>, &mut InferenceWorkspace) -> R,
+    ) -> Result<R, HmmError> {
         match self {
-            Self::Scaled => viterbi_scaled_with_score(model, observations, ws),
+            Self::Scaled => Ok(f(Transitions::dense(model), ws)),
             Self::Sparse(params) => {
-                crate::sparse::viterbi_sparse_with_score(model, observations, ws, params)
+                crate::sparse::with_compiled(ws, model.transition(), params, t_len, |csr, ws| {
+                    f(Transitions::Csr(csr), ws)
+                })
             }
         }
     }
+}
+
+/// Checks that the sequence is not empty, sizes the workspace and fills its
+/// emission rows; returns the sequence length. `what` completes the error
+/// message "cannot … an empty sequence".
+fn prepare<E: Emission>(
+    model: &Hmm<E>,
+    observations: &[E::Obs],
+    ws: &mut InferenceWorkspace,
+    what: &str,
+) -> Result<usize, HmmError> {
+    let t_len = observations.len();
+    if t_len == 0 {
+        return Err(HmmError::InvalidData {
+            reason: format!("cannot {what} an empty sequence"),
+        });
+    }
+    ws.ensure(model.num_states(), t_len);
+    fill_emissions(model, observations, ws);
+    Ok(t_len)
 }
 
 /// Fills `row` with the linear-domain emission likelihoods `b_i(y_t)` of one
@@ -171,8 +282,8 @@ pub fn emission_likelihood_row<E: Emission>(emission: &E, obs: &E::Obs, row: &mu
 
 /// Fills the workspace emission buffer with linear-domain likelihoods and
 /// records per-step shifts for the rows that had to be rescued through
-/// shifted log-space. Shared with the sparse engine in [`crate::sparse`].
-pub(crate) fn fill_emissions<E: Emission>(
+/// shifted log-space.
+fn fill_emissions<E: Emission>(
     model: &Hmm<E>,
     observations: &[E::Obs],
     ws: &mut InferenceWorkspace,
@@ -209,8 +320,8 @@ pub fn scale_row(row: &mut [f64], shift: f64) -> (f64, f64) {
 
 /// Max-normalizes one Viterbi score row in place and returns the step's log
 /// scaling term: the one zero-probability rule of every Viterbi recursion.
-/// The offline dense and sparse engines and the streaming decoder's
-/// per-token step all call it.
+/// The offline recursion over either transition layout and the streaming
+/// decoder's per-token step all call it.
 ///
 /// * When the row's maximum `m` is positive and finite, the row is divided
 ///   by `m` and the term is `ln m + shift`.
@@ -230,6 +341,259 @@ pub fn viterbi_scale_row(row: &mut [f64], shift: f64) -> f64 {
     } else {
         row.fill(1.0 / row.len() as f64);
         f64::MIN_POSITIVE.ln() + shift
+    }
+}
+
+/// The transition operator the scaled recursions run on, in one of two
+/// layouts. Both supply the same four steps, each in its own kernel and op
+/// order (see the [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+pub enum Transitions<'a> {
+    /// The dense `k × k` matrix `A` and its transpose `Aᵀ`, as a model
+    /// keeps them ([`Transitions::dense`]).
+    Dense {
+        /// `A`, row-major: row `i` holds the successors of state `i`.
+        a: &'a Matrix,
+        /// `Aᵀ`: row `j` holds the predecessors of state `j`.
+        at: &'a Matrix,
+    },
+    /// The pruned, renormalized `Ã` of a compiled [`CsrTransition`], stored
+    /// row-major and transposed.
+    Csr(&'a CsrTransition),
+}
+
+impl<'a> Transitions<'a> {
+    /// The dense operator of `model`: its `A` and cached `Aᵀ`.
+    pub fn dense<E: Emission>(model: &'a Hmm<E>) -> Self {
+        Self::Dense {
+            a: model.transition(),
+            at: model.transition_t(),
+        }
+    }
+
+    /// One forward step: for every state `j`,
+    /// `out[j] = (Σ_i prev[i] · a[(i, j)]) · e_row[j]`, skipping the
+    /// predecessors with `prev[i] == 0`. The caller rescales the row
+    /// ([`scale_row`]). This is the offline forward pass's step, so a
+    /// stream's filtered rows equal the offline ones bit for bit. It
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If the operator is not `k × k` for `k = prev.len()`, or `e_row` or
+    /// `out` is not `k` long.
+    pub fn forward_step(self, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
+        let k = prev.len();
+        self.assert_states(k);
+        assert!(
+            e_row.len() == k && out.len() == k,
+            "forward_step rows must all have k entries"
+        );
+        match self {
+            Self::Dense { a, .. } => forward_step_impl(a, prev, e_row, out),
+            Self::Csr(csr) => csr.forward_step(prev, e_row, out),
+        }
+    }
+
+    /// One backward step: for every state `i`, `out[i] = Σ_j a[(i, j)] ·
+    /// w[j]` in ascending `j`, where `w[j]` is the caller's
+    /// `b_j(y_{t+1}) · β(t+1, j)`. The caller rescales the row. It
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If the operator is not `k × k` for `k = w.len()`, or `out` is not
+    /// `k` long.
+    pub fn backward_step(self, w: &[f64], out: &mut [f64]) {
+        self.assert_states(w.len());
+        assert_eq!(
+            out.len(),
+            w.len(),
+            "backward_step rows must all have k entries"
+        );
+        match self {
+            Self::Dense { at, .. } => backward_step_impl(at, w, out),
+            Self::Csr(csr) => csr.backward_step(w, out),
+        }
+    }
+
+    /// One max-product step: for every state `j`,
+    /// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, with the
+    /// maximizing predecessor in `psi[j]` (the first one on ties). The
+    /// caller rescales the row ([`viterbi_scale_row`]). This is the offline
+    /// Viterbi recursion's step, which keeps a stream at `lag ≥ T`
+    /// bit-identical to the offline decode. It allocates nothing; the dense
+    /// layout runs its AVX2 instantiation where the CPU has AVX2.
+    ///
+    /// # Panics
+    ///
+    /// If the operator is not `k × k` for `k = prev.len()`, or `e_row`,
+    /// `cur` or `psi` is not `k` long.
+    pub fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
+        let k = prev.len();
+        self.assert_states(k);
+        assert!(
+            e_row.len() == k && cur.len() == k && psi.len() == k,
+            "viterbi_step rows must all have k entries"
+        );
+        match self {
+            Self::Dense { a, .. } => {
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: guarded by runtime detection; the function
+                    // only requires the AVX2 feature it declares.
+                    return unsafe { viterbi_step_avx2(a, prev, e_row, cur, psi) };
+                }
+                viterbi_step_impl(a, prev, e_row, cur, psi);
+            }
+            Self::Csr(csr) => csr.viterbi_step(prev, e_row, cur, psi),
+        }
+    }
+
+    /// Panics unless the operator is `k × k`.
+    fn assert_states(self, k: usize) {
+        let square = match self {
+            Self::Dense { a, at } => a.shape() == (k, k) && at.shape() == (k, k),
+            Self::Csr(csr) => csr.num_states() == k,
+        };
+        assert!(square, "transition must be k x k");
+    }
+
+    /// Runs the forward pass of one sequence into `ws` and, when `xi` is
+    /// given, the backward pass and the pairwise-posterior sums into `xi`
+    /// (`k × k`, zero on entry). Assumes `ws` is sized and its emission rows
+    /// filled. The layout's instantiation of the one body is chosen here.
+    fn passes(
+        self,
+        initial: &[f64],
+        t_len: usize,
+        ws: &mut InferenceWorkspace,
+        xi: Option<&mut Matrix>,
+    ) {
+        match self {
+            Self::Dense { a, at } => passes(DenseSteps { a, at }, initial, t_len, ws, xi),
+            Self::Csr(csr) => passes(csr, initial, t_len, ws, xi),
+        }
+    }
+
+    /// Runs the Viterbi score recursion of one sequence into `ws.delta` and
+    /// `ws.psi` and returns its accumulated log-normalizers. Assumes `ws` is
+    /// sized and its emission rows filled.
+    fn viterbi_passes(self, initial: &[f64], t_len: usize, ws: &mut InferenceWorkspace) -> f64 {
+        match self {
+            Self::Dense { a, at } => viterbi_passes(DenseSteps { a, at }, initial, t_len, ws),
+            Self::Csr(csr) => viterbi_passes(csr, initial, t_len, ws),
+        }
+    }
+}
+
+/// The four steps of the scaled recursions, one implementation per layout
+/// of [`Transitions`]. Every method is `#[inline(always)]`, so each runs
+/// inside whichever instantiation of the recursion bodies calls it.
+trait Steps: Copy {
+    /// `out[j] = (Σ_i prev[i] · a[(i, j)]) · e_row[j]`, ascending `i`, zero
+    /// predecessors skipped.
+    fn forward_step(self, prev: &[f64], e_row: &[f64], out: &mut [f64]);
+    /// `out[i] = Σ_j a[(i, j)] · w[j]`, ascending `j`.
+    fn backward_step(self, w: &[f64], out: &mut [f64]);
+    /// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, first maximizer
+    /// in `psi[j]`.
+    fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]);
+    /// Sets `out[(i, j)] = Σ_n (α_{t_n − 1, i} · a[(i, j)]) · w[n][j]` over
+    /// the steps `t_n = steps[n]` in ascending order, skipping the terms
+    /// whose `α_{t_n − 1, i}` is zero. `out` is zero on entry; `w` holds
+    /// one weight row per step, each `k.next_multiple_of(XI_COLS)` long.
+    fn xi_sums(self, alpha: &[f64], w: &[f64], steps: &[usize], out: &mut [f64]);
+}
+
+/// The dense layout's steps: the register-tiled kernels below.
+#[derive(Clone, Copy)]
+struct DenseSteps<'a> {
+    a: &'a Matrix,
+    at: &'a Matrix,
+}
+
+impl Steps for DenseSteps<'_> {
+    #[inline(always)]
+    fn forward_step(self, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
+        forward_step_impl(self.a, prev, e_row, out);
+    }
+
+    #[inline(always)]
+    fn backward_step(self, w: &[f64], out: &mut [f64]) {
+        backward_step_impl(self.at, w, out);
+    }
+
+    #[inline(always)]
+    fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
+        viterbi_step_impl(self.a, prev, e_row, cur, psi);
+    }
+
+    #[inline(always)]
+    fn xi_sums(self, alpha: &[f64], w: &[f64], steps: &[usize], out: &mut [f64]) {
+        xi_tiles_impl(self.a, alpha, w, steps, out);
+    }
+}
+
+/// The CSR layout's steps, over the stored entries only. Column indices
+/// ascend within each stored row, so every sum keeps the dense layout's op
+/// order over the entries it visits.
+impl Steps for &CsrTransition {
+    #[inline(always)]
+    fn forward_step(self, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
+        // Scatter one source row per live predecessor: zero predecessors
+        // skip their whole row, and ascending `i` keeps each column's
+        // accumulation order.
+        out.fill(0.0);
+        let fwd: &CsrMatrix = self.forward();
+        for (i, &p) in prev.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            fwd.axpy_row(i, p, out);
+        }
+        for (r, &e) in out.iter_mut().zip(e_row) {
+            *r *= e;
+        }
+    }
+
+    #[inline(always)]
+    fn backward_step(self, w: &[f64], out: &mut [f64]) {
+        let fwd: &CsrMatrix = self.forward();
+        for (i, r) in out.iter_mut().enumerate() {
+            *r = fwd.dot_row(i, w);
+        }
+    }
+
+    #[inline(always)]
+    fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
+        // Gather over each state's stored predecessors (its row of `Ãᵀ`).
+        let tr = self.transposed();
+        for (j, (c, s)) in cur.iter_mut().zip(psi.iter_mut()).enumerate() {
+            let (best, best_i) = tr.argmax_product_row(j, prev);
+            *c = best * e_row[j];
+            *s = best_i;
+        }
+    }
+
+    #[inline(always)]
+    fn xi_sums(self, alpha: &[f64], w: &[f64], steps: &[usize], out: &mut [f64]) {
+        let k = self.num_states();
+        let stride = k.next_multiple_of(XI_COLS);
+        let fwd: &CsrMatrix = self.forward();
+        for (n, &t) in steps.iter().enumerate() {
+            let wt = &w[n * stride..n * stride + k];
+            for (i, &ap) in alpha[(t - 1) * k..t * k].iter().enumerate() {
+                if ap == 0.0 {
+                    continue;
+                }
+                let (cols, vals) = fwd.row(i);
+                let xi_row = &mut out[i * k..(i + 1) * k];
+                for (&j, &aij) in cols.iter().zip(vals) {
+                    xi_row[j as usize] += ap * aij * wt[j as usize];
+                }
+            }
+        }
     }
 }
 
@@ -286,49 +650,10 @@ fn cover_states<const W: usize, B: StateTile>(k: usize, body: &mut B) {
     }
 }
 
-/// One step of the dense max-product recursion: for every state `j`,
-/// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, with the maximizing
-/// predecessor in `psi[j]` (the first one on ties).
-///
-/// The recursion is computed row-major. The columns are cut into tiles of
-/// 8 states; for each tile the step walks `A` one predecessor `i` at a
-/// time and folds the tile's slice of row `i` into fixed-size max and
-/// argmax accumulators that the compiler keeps in vector registers. Each
-/// accumulator lane belongs to one state, so state `j` sees its candidates
-/// in ascending `i` and a candidate replaces the running max only when
-/// strictly greater: the column-wise loop's op order, bit for bit. The
-/// argmax is carried as an `f64` lane (every index below 2⁵³ is exact), so
-/// the compare-select stays in one vector domain.
-///
-/// The offline dense engine ([`viterbi_scaled_with_score`]) and the
-/// streaming decoder's per-token step both call this function, which is
-/// what keeps a stream at `lag ≥ T` bit-identical to the offline decode.
-/// It allocates nothing.
-///
-/// # Panics
-///
-/// If `a` is not `k × k` for `k = prev.len()`, or `e_row`, `cur` or `psi`
-/// is not `k` long.
-pub fn viterbi_step(a: &Matrix, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
-    let k = prev.len();
-    assert_eq!(a.shape(), (k, k), "transition must be k x k");
-    assert!(
-        e_row.len() == k && cur.len() == k && psi.len() == k,
-        "viterbi_step rows must all have k entries"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime detection; the function only requires
-        // the AVX2 feature it declares.
-        return unsafe { viterbi_step_avx2(a, prev, e_row, cur, psi) };
-    }
-    viterbi_step_impl(a, prev, e_row, cur, psi);
-}
-
-/// Columns per register tile of [`viterbi_step`]: two 256-bit vectors each
-/// of running max and argmax. On a 2-vCPU AVX2 Xeon an 8-wide tile ran the
-/// k = 64 step about 4x faster than the column-wise loop; a 16-wide tile
-/// was slower than 8, because the compiler no longer kept its argmax
+/// Columns per register tile of the dense Viterbi step: two 256-bit vectors
+/// each of running max and argmax. On a 2-vCPU AVX2 Xeon an 8-wide tile ran
+/// the k = 64 step about 4x faster than the column-wise loop; a 16-wide
+/// tile was slower than 8, because the compiler no longer kept its argmax
 /// select in vectors.
 const VITERBI_TILE: usize = 8;
 
@@ -351,6 +676,17 @@ unsafe fn viterbi_step_avx2(
     viterbi_step_impl(a, prev, e_row, cur, psi);
 }
 
+/// The dense layout's max-product step.
+///
+/// The recursion is computed row-major. The columns are cut into tiles of
+/// 8 states; for each tile the step walks `A` one predecessor `i` at a
+/// time and folds the tile's slice of row `i` into fixed-size max and
+/// argmax accumulators that the compiler keeps in vector registers. Each
+/// accumulator lane belongs to one state, so state `j` sees its candidates
+/// in ascending `i` and a candidate replaces the running max only when
+/// strictly greater: the column-wise loop's op order, bit for bit. The
+/// argmax is carried as an `f64` lane (every index below 2⁵³ is exact), so
+/// the compare-select stays in one vector domain.
 #[inline(always)]
 fn viterbi_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
     let mut body = ViterbiTile {
@@ -363,7 +699,7 @@ fn viterbi_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], cur: &mut [f64], p
     cover_states::<VITERBI_TILE, _>(prev.len(), &mut body);
 }
 
-/// The tile body of [`viterbi_step`].
+/// The tile body of the dense Viterbi step.
 struct ViterbiTile<'a> {
     a: &'a [f64],
     prev: &'a [f64],
@@ -410,40 +746,19 @@ impl StateTile for ViterbiTile<'_> {
     }
 }
 
-/// One step of the dense forward (sum-product) recursion: for every state
-/// `j`, `out[j] = (Σ_i prev[i] · a[(i, j)]) · e_row[j]`. The caller
-/// rescales the row ([`scale_row`]).
+/// Output states per register tile of the dense forward and backward
+/// steps: four 256-bit accumulators, enough independent add chains to cover
+/// the add latency.
+const SUM_TILE: usize = 16;
+
+/// The dense layout's forward step.
 ///
-/// Like [`viterbi_step`], it walks row-major `A` one predecessor `i` at a
+/// Like the Viterbi step, it walks row-major `A` one predecessor `i` at a
 /// time into register tiles of output states. Each lane sums
 /// `prev[i] · a[(i, j)]` from `+0.0` in ascending `i` and skips a
 /// predecessor with `prev[i] == 0`, then multiplies by `e_row[j]`: the op
 /// order of a row-at-a-time accumulation into `out`, so the result is the
 /// same bits.
-///
-/// The offline forward pass and the streaming filter's per-token step both
-/// run this step, which keeps a stream at `lag ≥ T` bit-identical to the
-/// offline forward–backward. It allocates nothing.
-///
-/// # Panics
-///
-/// If `a` is not `k × k` for `k = prev.len()`, or `e_row` or `out` is not
-/// `k` long.
-pub fn forward_step(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
-    let k = prev.len();
-    assert_eq!(a.shape(), (k, k), "transition must be k x k");
-    assert!(
-        e_row.len() == k && out.len() == k,
-        "forward_step rows must all have k entries"
-    );
-    forward_step_impl(a, prev, e_row, out);
-}
-
-/// Output states per register tile of [`forward_step`] and
-/// [`backward_step`]: four 256-bit accumulators, enough independent add
-/// chains to cover the add latency.
-const SUM_TILE: usize = 16;
-
 #[inline(always)]
 fn forward_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
     let mut body = ForwardTile {
@@ -455,7 +770,7 @@ fn forward_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
     cover_states::<SUM_TILE, _>(prev.len(), &mut body);
 }
 
-/// The tile body of [`forward_step`].
+/// The tile body of the dense forward step.
 struct ForwardTile<'a> {
     a: &'a [f64],
     prev: &'a [f64],
@@ -488,30 +803,13 @@ impl StateTile for ForwardTile<'_> {
     }
 }
 
-/// One step of the dense backward recursion: for every state `i`,
-/// `out[i] = Σ_j a[(i, j)] · w[j]`, where `at` is `Aᵀ`
-/// ([`Hmm::transition_t`]) and `w[j]` the caller's `b_j(y_{t+1}) · β(t+1, j)`.
-/// The caller rescales the row.
+/// The dense layout's backward step, over `at = Aᵀ`.
 ///
 /// It walks row-major `Aᵀ` one successor `j` at a time into register tiles
 /// of output states, so each `β[i]` keeps its single accumulator over
 /// ascending `j` — the op order of a dot product of row `i` of `A` with
 /// `w` — while every load is contiguous and the tile's independent lanes
 /// hide the add latency that a lone dot-product chain pays.
-///
-/// The offline backward pass and the streaming smoother's scalar β step
-/// both run this step. It allocates nothing.
-///
-/// # Panics
-///
-/// If `at` is not `k × k` for `k = w.len()`, or `out` is not `k` long.
-pub fn backward_step(at: &Matrix, w: &[f64], out: &mut [f64]) {
-    let k = w.len();
-    assert_eq!(at.shape(), (k, k), "transition must be k x k");
-    assert_eq!(out.len(), k, "backward_step rows must all have k entries");
-    backward_step_impl(at, w, out);
-}
-
 #[inline(always)]
 fn backward_step_impl(at: &Matrix, w: &[f64], out: &mut [f64]) {
     let mut body = BackwardTile {
@@ -522,7 +820,7 @@ fn backward_step_impl(at: &Matrix, w: &[f64], out: &mut [f64]) {
     cover_states::<SUM_TILE, _>(w.len(), &mut body);
 }
 
-/// The tile body of [`backward_step`].
+/// The tile body of the dense backward step.
 struct BackwardTile<'a> {
     at: &'a [f64],
     w: &'a [f64],
@@ -549,12 +847,7 @@ impl StateTile for BackwardTile<'_> {
 const XI_ROWS: usize = 4;
 const XI_COLS: usize = 8;
 
-/// Sums the pairwise posteriors of one sequence into `out` (`k × k`,
-/// row-major): `out[(i, j)] = Σ_n (α_{t_n − 1, i} · a[(i, j)]) · w[n][j]`
-/// over the valid steps `t_n = steps[n]` in ascending order, skipping the
-/// terms whose `α_{t_n − 1, i}` is zero. `alpha` holds the `T × k` forward
-/// rows; `w` holds one weight row per step, each
-/// `k.next_multiple_of(XI_COLS)` long.
+/// The dense layout's ξ sums (see [`Steps::xi_sums`]).
 ///
 /// Each `XI_ROWS × XI_COLS` block of `out` accumulates in registers over
 /// every step before it is stored once, where a row-at-a-time pass would
@@ -599,53 +892,48 @@ fn xi_tiles_impl(a: &Matrix, alpha: &[f64], w: &[f64], steps: &[usize], out: &mu
     }
 }
 
-/// Runs the dense recursions of one sequence into the workspace: the
-/// scaled forward pass (alpha rows, raw and log scaling constants) and,
-/// when `xi` is given, the backward pass and the pairwise-posterior sums
-/// into `xi` (`k × k`, zero on entry). Assumes `ws.ensure` and
-/// `fill_emissions` have already run.
-///
-/// The AVX2 instantiation of the step kernels is chosen here, once per
-/// sequence.
-fn dense_passes<E: Emission>(
-    model: &Hmm<E>,
+/// Runs [`passes_impl`] in its AVX2 instantiation for the layout `S` when
+/// the CPU has AVX2, else on the baseline target: chosen once per sequence.
+fn passes<S: Steps>(
+    op: S,
+    initial: &[f64],
     t_len: usize,
     ws: &mut InferenceWorkspace,
     xi: Option<&mut Matrix>,
 ) {
-    let (a, at, initial) = (model.transition(), model.transition_t(), model.initial());
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by runtime detection; the function only requires
         // the AVX2 feature it declares.
-        return unsafe { dense_passes_avx2(a, at, initial, t_len, ws, xi) };
+        return unsafe { passes_avx2(op, initial, t_len, ws, xi) };
     }
-    dense_passes_impl(a, at, initial, t_len, ws, xi);
+    passes_impl(op, initial, t_len, ws, xi);
 }
 
-/// AVX2 instantiation of [`dense_passes_impl`] — identical body,
-/// bit-identical results.
+/// AVX2 instantiation of [`passes_impl`] — identical body, bit-identical
+/// results.
 ///
 /// # Safety
 ///
 /// The CPU running it must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dense_passes_avx2(
-    a: &Matrix,
-    at: &Matrix,
+unsafe fn passes_avx2<S: Steps>(
+    op: S,
     initial: &[f64],
     t_len: usize,
     ws: &mut InferenceWorkspace,
     xi: Option<&mut Matrix>,
 ) {
-    dense_passes_impl(a, at, initial, t_len, ws, xi);
+    passes_impl(op, initial, t_len, ws, xi);
 }
 
+/// The one forward–backward body: the scaled forward pass (alpha rows, raw
+/// and log scaling constants) and, when `xi` is given, the backward pass and
+/// the pairwise-posterior sums into `xi` (`k × k`, zero on entry).
 #[inline(always)]
-fn dense_passes_impl(
-    a: &Matrix,
-    at: &Matrix,
+fn passes_impl<S: Steps>(
+    op: S,
     initial: &[f64],
     t_len: usize,
     ws: &mut InferenceWorkspace,
@@ -666,7 +954,7 @@ fn dense_passes_impl(
     for t in 1..t_len {
         let (prev, rest) = ws.alpha.split_at_mut(t * k);
         let row = &mut rest[..k];
-        forward_step_impl(a, &prev[(t - 1) * k..], &ws.emis[t * k..(t + 1) * k], row);
+        op.forward_step(&prev[(t - 1) * k..], &ws.emis[t * k..(t + 1) * k], row);
         let (c, log_c) = scale_row(row, ws.shifts[t]);
         ws.scales[t] = c;
         ws.log_scales[t] = log_c;
@@ -690,7 +978,7 @@ fn dense_passes_impl(
             *wv = e * b;
         }
         let row = &mut cur_beta[t * k..];
-        backward_step_impl(at, w, row);
+        op.backward_step(w, row);
         let norm: f64 = row.iter().sum();
         if norm > 0.0 {
             for v in row.iter_mut() {
@@ -731,120 +1019,61 @@ fn dense_passes_impl(
         pad.fill(0.0);
         ws.xi_steps.push(t);
     }
-    xi_tiles_impl(
-        a,
-        &ws.alpha,
-        &ws.xi_weights,
-        &ws.xi_steps,
-        xi.as_mut_slice(),
-    );
+    op.xi_sums(&ws.alpha, &ws.xi_weights, &ws.xi_steps, xi.as_mut_slice());
 }
 
-/// Runs the scaled forward–backward algorithm for one sequence, writing all
-/// intermediates into `ws`, and returns the EM sufficient statistics.
+/// Runs [`viterbi_passes_impl`] in its AVX2 instantiation for the layout
+/// `S` when the CPU has AVX2, else on the baseline target: chosen once per
+/// sequence.
+fn viterbi_passes<S: Steps>(
+    op: S,
+    initial: &[f64],
+    t_len: usize,
+    ws: &mut InferenceWorkspace,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by runtime detection; the function only requires
+        // the AVX2 feature it declares.
+        return unsafe { viterbi_passes_avx2(op, initial, t_len, ws) };
+    }
+    viterbi_passes_impl(op, initial, t_len, ws)
+}
+
+/// AVX2 instantiation of [`viterbi_passes_impl`] — identical body,
+/// bit-identical results.
 ///
-/// Equivalent to [`crate::reference::forward_backward`] to within 1e-9 (see
-/// the property suite in `tests/properties.rs`), but allocation-free apart
-/// from the returned `gamma`/`xi_sum` matrices.
-pub fn forward_backward_scaled<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-) -> Result<SequenceStats, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    let mut xi_sum = Matrix::zeros(k, k);
-    dense_passes(model, t_len, ws, Some(&mut xi_sum));
-
-    // Unary posteriors: gamma(t, i) ∝ alpha(t, i) * beta(t, i).
-    let mut gamma = Matrix::zeros(t_len, k);
-    for t in 0..t_len {
-        let row = gamma.row_mut(t);
-        let a_row = &ws.alpha[t * k..(t + 1) * k];
-        let b_row = &ws.beta[t * k..(t + 1) * k];
-        for ((g, &av), &bv) in row.iter_mut().zip(a_row).zip(b_row) {
-            *g = av * bv;
-        }
-        dhmm_linalg::normalize_in_place(row);
-    }
-
-    let log_likelihood = ws.log_scales[..t_len].iter().sum();
-    Ok(SequenceStats {
-        gamma,
-        xi_sum,
-        log_likelihood,
-    })
-}
-
-/// Computes `log P(Y | λ)` with the scaled forward pass only — no backward
-/// pass, no posteriors — which is the cheapest exact likelihood available.
-pub fn log_likelihood_scaled<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-) -> Result<f64, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    dense_passes(model, t_len, ws, None);
-    Ok(ws.log_scales[..t_len].iter().sum())
-}
-
-/// Scaled-space Viterbi decoding: the score recursion runs on linear-domain
-/// probabilities with per-step max-normalization (which preserves the argmax
-/// and keeps every value in `[0, 1]`); the joint log-probability is recovered
-/// from the accumulated log-normalizers.
-pub fn viterbi_scaled<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-) -> Result<Vec<usize>, HmmError> {
-    Ok(viterbi_scaled_with_score(model, observations, ws)?.0)
-}
-
-/// Scaled-space Viterbi returning the path and `max_X log P(X, Y | λ)`.
+/// # Safety
 ///
-/// Each step runs [`viterbi_step`], the max-product step the streaming
-/// decoder also calls, and is normalized by [`viterbi_scale_row`]: if every
-/// candidate path hits probability exactly zero at some step, that row is
-/// floored to uniform and the decode goes on, so the score stays finite.
-/// The path and score equal the streaming decoder's at `lag ≥ T` bit for
-/// bit. The log-domain oracle agrees whenever the model's optimum has
-/// positive probability, which the equivalence suite pins on random models.
-pub fn viterbi_scaled_with_score<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn viterbi_passes_avx2<S: Steps>(
+    op: S,
+    initial: &[f64],
+    t_len: usize,
     ws: &mut InferenceWorkspace,
-) -> Result<(Vec<usize>, f64), HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot decode an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    let a = model.transition();
+) -> f64 {
+    viterbi_passes_impl(op, initial, t_len, ws)
+}
 
+/// The one Viterbi body: the max-product score recursion, each row
+/// normalized by [`viterbi_scale_row`], with the rolling score rows in
+/// `ws.delta` (time `t`'s row at `delta[(t % 2) * k ..]`) and the
+/// backpointers in `ws.psi`. Returns the summed log-normalizers.
+#[inline(always)]
+fn viterbi_passes_impl<S: Steps>(
+    op: S,
+    initial: &[f64],
+    t_len: usize,
+    ws: &mut InferenceWorkspace,
+) -> f64 {
+    let k = initial.len();
     let mut log_score = 0.0;
     {
         let (prev, _) = ws.delta.split_at_mut(k);
         for (j, p) in prev.iter_mut().enumerate() {
-            *p = model.initial()[j] * ws.emis[j];
+            *p = initial[j] * ws.emis[j];
         }
         log_score += viterbi_scale_row(prev, ws.shifts[0]);
     }
@@ -859,32 +1088,60 @@ pub fn viterbi_scaled_with_score<E: Emission>(
         };
         let e_row = &ws.emis[t * k..(t + 1) * k];
         let psi_row = &mut ws.psi[t * k..(t + 1) * k];
-        viterbi_step(a, prev, e_row, cur, psi_row);
+        op.viterbi_step(prev, e_row, cur, psi_row);
         log_score += viterbi_scale_row(cur, ws.shifts[t]);
     }
+    log_score
+}
 
-    // Backtrack from the best final state (first occurrence on ties, like
-    // the reference).
-    let last = if (t_len - 1) % 2 == 0 {
-        &ws.delta[..k]
-    } else {
-        &ws.delta[k..2 * k]
-    };
-    let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
-    for (j, &v) in last.iter().enumerate() {
-        if v > best_val {
-            best_val = v;
-            best_state = j;
-        }
-    }
-    let mut path = vec![0usize; t_len];
-    path[t_len - 1] = best_state;
-    for t in (0..t_len - 1).rev() {
-        path[t] = ws.psi[(t + 1) * k + path[t + 1]];
-    }
-    // After normalization the winning entry is exactly 1, but keep the exact
-    // identity `score = Σ log m_t + log δ_final(best)` for robustness.
-    Ok((path, log_score + best_val.ln()))
+/// Runs the scaled forward–backward algorithm for one sequence over the
+/// model's dense transitions ([`InferenceBackend::Scaled`]), writing all
+/// intermediates into `ws`, and returns the EM sufficient statistics.
+///
+/// Equivalent to [`crate::reference::forward_backward`] to within 1e-9 (see
+/// the property suite in `tests/properties.rs`), but allocation-free apart
+/// from the returned `gamma`/`xi_sum` matrices.
+pub fn forward_backward_scaled<E: Emission>(
+    model: &Hmm<E>,
+    observations: &[E::Obs],
+    ws: &mut InferenceWorkspace,
+) -> Result<SequenceStats, HmmError> {
+    InferenceBackend::Scaled.forward_backward(model, observations, ws)
+}
+
+/// Computes `log P(Y | λ)` with the scaled forward pass only — no backward
+/// pass, no posteriors — which is the cheapest exact likelihood available.
+pub fn log_likelihood_scaled<E: Emission>(
+    model: &Hmm<E>,
+    observations: &[E::Obs],
+    ws: &mut InferenceWorkspace,
+) -> Result<f64, HmmError> {
+    InferenceBackend::Scaled.log_likelihood(model, observations, ws)
+}
+
+/// Scaled-space Viterbi decoding over the model's dense transitions (see
+/// [`InferenceBackend::viterbi_with_score`]).
+pub fn viterbi_scaled<E: Emission>(
+    model: &Hmm<E>,
+    observations: &[E::Obs],
+    ws: &mut InferenceWorkspace,
+) -> Result<Vec<usize>, HmmError> {
+    Ok(viterbi_scaled_with_score(model, observations, ws)?.0)
+}
+
+/// Scaled-space Viterbi returning the path and `max_X log P(X, Y | λ)`
+/// ([`InferenceBackend::viterbi_with_score`] over the model's dense
+/// transitions).
+///
+/// The path and score equal the streaming decoder's at `lag ≥ T` bit for
+/// bit. The log-domain oracle agrees whenever the model's optimum has
+/// positive probability, which the equivalence suite pins on random models.
+pub fn viterbi_scaled_with_score<E: Emission>(
+    model: &Hmm<E>,
+    observations: &[E::Obs],
+    ws: &mut InferenceWorkspace,
+) -> Result<(Vec<usize>, f64), HmmError> {
+    InferenceBackend::Scaled.viterbi_with_score(model, observations, ws)
 }
 
 #[cfg(test)]
@@ -966,8 +1223,9 @@ mod tests {
         (a, prev, e_row)
     }
 
-    /// `viterbi_step` and its generic body (which AVX2 hosts never reach
-    /// through the dispatch) both reproduce the column-wise loop's score
+    /// The dense layout's `Transitions::viterbi_step` and its generic body
+    /// (which AVX2 hosts never reach through the dispatch) both reproduce
+    /// the column-wise loop's score
     /// bits and backpointers, on every tile/remainder split up to k = 70
     /// and at k = 128.
     #[test]
@@ -976,12 +1234,14 @@ mod tests {
         for k in (1..=70).chain([128]) {
             for case in 0..5 {
                 let (a, prev, e_row) = step_input(k, case, &mut rng);
+                let at = a.transpose();
+                let dense = Transitions::Dense { a: &a, at: &at };
                 let (mut want, mut want_psi) = (vec![0.0; k], vec![0; k]);
                 columnwise_step(&a, &prev, &e_row, &mut want, &mut want_psi);
                 let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
 
                 let (mut got, mut got_psi) = (vec![f64::NAN; k], vec![usize::MAX; k]);
-                viterbi_step(&a, &prev, &e_row, &mut got, &mut got_psi);
+                dense.viterbi_step(&prev, &e_row, &mut got, &mut got_psi);
                 let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got_bits, want_bits, "dispatched cur, k={k} case={case}");
                 assert_eq!(got_psi, want_psi, "dispatched psi, k={k} case={case}");
@@ -995,7 +1255,7 @@ mod tests {
         }
     }
 
-    /// The row-at-a-time forward loop `forward_step` replaces: each live
+    /// The row-at-a-time forward loop the dense forward step replaces: each live
     /// predecessor's row of `A` is added into the whole output row.
     fn rowwise_forward(a: &Matrix, prev: &[f64], e_row: &[f64], out: &mut [f64]) {
         out.fill(0.0);
@@ -1012,7 +1272,7 @@ mod tests {
         }
     }
 
-    /// The dot-product loop `backward_step` replaces: one dependent chain
+    /// The dot-product loop the dense backward step replaces: one dependent chain
     /// per state over row `i` of `A`.
     fn dot_backward(a: &Matrix, w: &[f64], out: &mut [f64]) {
         for (i, r) in out.iter_mut().enumerate() {
@@ -1046,8 +1306,8 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `forward_step` and `backward_step` (the generic bodies; the offline
-    /// passes' AVX2 instantiation is pinned by
+    /// The dense layout's `Transitions::forward_step` and `backward_step`
+    /// (the generic bodies; the offline passes' AVX2 instantiation is pinned by
     /// `forward_backward_matches_the_rowwise_passes_bit_for_bit`) reproduce
     /// the loops they replace bit for bit, on every tile/remainder split up
     /// to k = 70 and at k = 128. The inputs carry exact zeros in `prev` (all
@@ -1059,17 +1319,18 @@ mod tests {
             for case in 0..5 {
                 let (a, prev, e_row) = step_input(k, case, &mut rng);
                 let at = a.transpose();
+                let dense = Transitions::Dense { a: &a, at: &at };
                 let mut want = vec![0.0; k];
                 rowwise_forward(&a, &prev, &e_row, &mut want);
                 let mut got = vec![f64::NAN; k];
-                forward_step(&a, &prev, &e_row, &mut got);
+                dense.forward_step(&prev, &e_row, &mut got);
                 assert_eq!(bits(&got), bits(&want), "forward, k={k} case={case}");
 
                 // The weights: `prev` with the emission row's zeros folded in.
                 let w: Vec<f64> = prev.iter().zip(&e_row).map(|(p, e)| p * e).collect();
                 dot_backward(&a, &w, &mut want);
                 got.fill(f64::NAN);
-                backward_step(&at, &w, &mut got);
+                dense.backward_step(&w, &mut got);
                 assert_eq!(bits(&got), bits(&want), "backward, k={k} case={case}");
             }
         }
@@ -1176,14 +1437,43 @@ mod tests {
         (ws.log_scales[..t_len].iter().sum(), xi)
     }
 
+    /// Runs the generic forward–backward body (which AVX2 hosts never reach
+    /// through the dispatch) on the layout `op` in a fresh workspace, and
+    /// returns its α and β bits, ξ and log-likelihood.
+    fn generic_passes<S: Steps>(
+        op: S,
+        model: &Hmm<crate::emission::DiscreteEmission>,
+        obs: &[usize],
+    ) -> (Vec<u64>, Vec<u64>, Matrix, f64) {
+        let (k, t_len) = (model.num_states(), obs.len());
+        let mut ws = InferenceWorkspace::new();
+        ws.ensure(k, t_len);
+        fill_emissions(model, obs, &mut ws);
+        let mut xi = Matrix::zeros(k, k);
+        passes_impl(op, model.initial(), t_len, &mut ws, Some(&mut xi));
+        let ll = ws.log_scales[..t_len].iter().sum();
+        (
+            bits(&ws.alpha[..t_len * k]),
+            bits(&ws.beta[..t_len * k]),
+            xi,
+            ll,
+        )
+    }
+
     /// A whole forward–backward run, through the per-sequence AVX2 dispatch
     /// and through the generic body, gives the log-likelihood, γ and ξ of
     /// the row-at-a-time passes bit for bit. The models have exact zeros in
     /// `A` and in `B` (so whole α rows and weight entries vanish, and
     /// impossible observations floor whole steps).
+    ///
+    /// The CSR layout runs the same body: under `SparseParams::exact()` and
+    /// under a pruning threshold, the generic body called directly equals
+    /// the dispatched `InferenceBackend::Sparse` run bit for bit, and under
+    /// `exact()` both equal the row-at-a-time passes.
     #[test]
     fn forward_backward_matches_the_rowwise_passes_bit_for_bit() {
         use crate::emission::DiscreteEmission;
+        use crate::sparse::SparseParams;
         let mut rng = StdRng::seed_from_u64(0xfb);
         let vocab = 6;
         for k in [1usize, 2, 3, 5, 8, 9, 15, 16, 17, 31, 37, 64, 70] {
@@ -1227,34 +1517,54 @@ mod tests {
                 "xi, k={k}"
             );
 
-            let mut gen_ws = InferenceWorkspace::new();
-            gen_ws.ensure(k, obs.len());
-            fill_emissions(&model, &obs, &mut gen_ws);
-            let mut gen_xi = Matrix::zeros(k, k);
             let (a, at) = (model.transition(), model.transition_t());
-            dense_passes_impl(
-                a,
-                at,
-                model.initial(),
-                obs.len(),
-                &mut gen_ws,
-                Some(&mut gen_xi),
-            );
-            assert_eq!(
-                bits(&gen_ws.alpha[..obs.len() * k]),
-                want_alpha,
-                "alpha, k={k}"
-            );
-            assert_eq!(
-                bits(&gen_ws.beta[..obs.len() * k]),
-                want_beta,
-                "beta, k={k}"
-            );
+            let (gen_alpha, gen_beta, gen_xi, _) =
+                generic_passes(DenseSteps { a, at }, &model, &obs);
+            assert_eq!(gen_alpha, want_alpha, "alpha, k={k}");
+            assert_eq!(gen_beta, want_beta, "beta, k={k}");
             assert_eq!(
                 bits(gen_xi.as_slice()),
                 bits(want_xi.as_slice()),
                 "generic xi, k={k}"
             );
+
+            for params in [SparseParams::exact(), SparseParams::threshold(0.05)] {
+                let mut csr_ws = InferenceWorkspace::new();
+                let csr_stats = InferenceBackend::Sparse(params)
+                    .forward_backward(&model, &obs, &mut csr_ws)
+                    .unwrap();
+                let csr_alpha = bits(&csr_ws.alpha[..obs.len() * k]);
+                let csr_beta = bits(&csr_ws.beta[..obs.len() * k]);
+                let csr = CsrTransition::compile(a, params).unwrap();
+                let (gen_alpha, gen_beta, gen_xi, gen_ll) = generic_passes(&csr, &model, &obs);
+                let what = format!("k={k} {params:?}");
+                assert_eq!(gen_alpha, csr_alpha, "CSR alpha, {what}");
+                assert_eq!(gen_beta, csr_beta, "CSR beta, {what}");
+                assert_eq!(
+                    bits(gen_xi.as_slice()),
+                    bits(csr_stats.xi_sum.as_slice()),
+                    "CSR xi, {what}"
+                );
+                assert_eq!(
+                    gen_ll.to_bits(),
+                    csr_stats.log_likelihood.to_bits(),
+                    "CSR ll, {what}"
+                );
+                if params == SparseParams::exact() {
+                    assert_eq!(csr_alpha, want_alpha, "CSR alpha, {what}");
+                    assert_eq!(csr_beta, want_beta, "CSR beta, {what}");
+                    assert_eq!(
+                        bits(csr_stats.xi_sum.as_slice()),
+                        bits(want_xi.as_slice()),
+                        "CSR xi, {what}"
+                    );
+                    assert_eq!(
+                        csr_stats.log_likelihood.to_bits(),
+                        want_ll.to_bits(),
+                        "CSR ll, {what}"
+                    );
+                }
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Sparse-transition inference engine: CSR-compiled pruned transitions,
-//! exact under the pruned matrix, with a per-run pruning report.
+//! Sparse transitions: the dense transition matrix compiled to CSR after
+//! pruning, exact under the pruned matrix, with a per-run pruning report.
 //!
 //! Dense inference pays O(k²) per time step regardless of how concentrated
 //! the transition rows are — and the diversified M-step produces exactly the
@@ -7,8 +7,13 @@
 //! is wasted work. This module compiles the dense transition matrix into a
 //! [`CsrTransition`] — the matrix after [`PruneRule`] pruning and row
 //! renormalization, stored in both orientations (row-major for the forward
-//! and backward passes, transposed for Viterbi) — and runs the same scaled
-//! recursions as [`crate::scaled`] over the stored entries only.
+//! and backward steps and the ξ sums, transposed for Viterbi). The scaled
+//! recursions of [`crate::scaled`] then run over it as they run over the
+//! dense matrix: [`crate::InferenceBackend::Sparse`] hands the one
+//! forward–backward body and the one Viterbi body the CSR layout of
+//! [`crate::scaled::Transitions`], whose steps visit the stored entries
+//! only. What this module alone knows is the pruning: the rules, the
+//! compilation, and the workspace's compile cache and report.
 //!
 //! # Contract: exact under `Ã`
 //!
@@ -25,14 +30,11 @@
 //!
 //! With `threshold 0` nothing is pruned, no row is renormalized, and every
 //! recursion visits the same values in the same floating-point order as the
-//! dense engine — the results are **bit-equal** to [`crate::scaled`], which
-//! is how the backend is oracle-pinned.
+//! dense layout — the results are **bit-equal** to
+//! [`crate::InferenceBackend::Scaled`], which is how the backend is
+//! oracle-pinned.
 
-use crate::emission::Emission;
 use crate::error::HmmError;
-use crate::forward_backward::SequenceStats;
-use crate::model::Hmm;
-use crate::scaled::{fill_emissions, scale_row, viterbi_scale_row};
 use crate::workspace::InferenceWorkspace;
 use dhmm_linalg::{CsrMatrix, Matrix};
 
@@ -348,53 +350,19 @@ fn take_cache(
     }
 }
 
-/// Runs the scaled forward pass over the compiled transitions. Mirrors the
-/// dense forward pass ([`crate::scaled::forward_step`]) exactly apart from
-/// the CSR scatter, and is bit-equal to it under [`SparseParams::exact`].
-fn forward_pass_sparse<E: Emission>(
-    model: &Hmm<E>,
-    t_len: usize,
+/// Runs `f` on the workspace's compile of `a` under `params` (recompiled
+/// when `a` or `params` changed since the last sparse call), then leaves the
+/// report of the `steps`-step run on the workspace.
+pub(crate) fn with_compiled<R>(
     ws: &mut InferenceWorkspace,
-    csr: &CsrTransition,
-) {
-    let k = model.num_states();
-    {
-        let row = &mut ws.alpha[..k];
-        let e_row = &ws.emis[..k];
-        for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
-            *r = model.initial()[j] * e;
-        }
-        let (c, log_c) = scale_row(row, ws.shifts[0]);
-        ws.scales[0] = c;
-        ws.log_scales[0] = log_c;
-    }
-    let fwd = csr.forward();
-    for t in 1..t_len {
-        let (prev, rest) = ws.alpha.split_at_mut(t * k);
-        let prev_row = &prev[(t - 1) * k..];
-        let row = &mut rest[..k];
-        row.fill(0.0);
-        // Scatter one source row per live predecessor: zero predecessors
-        // skip their whole row. Ascending `i` keeps the per-column
-        // accumulation order identical to the dense engine.
-        for (i, &ap) in prev_row.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            fwd.axpy_row(i, ap, row);
-        }
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        for (r, &e) in row.iter_mut().zip(e_row) {
-            *r *= e;
-        }
-        let (c, log_c) = scale_row(row, ws.shifts[t]);
-        ws.scales[t] = c;
-        ws.log_scales[t] = log_c;
-    }
-}
-
-/// Assembles and stores the run report on the workspace.
-fn store_report(ws: &mut InferenceWorkspace, csr: &CsrTransition, steps: usize) {
+    a: &Matrix,
+    params: SparseParams,
+    steps: usize,
+    f: impl FnOnce(&CsrTransition, &mut InferenceWorkspace) -> R,
+) -> Result<R, HmmError> {
+    let cache = take_cache(ws, a, params)?;
+    let out = f(&cache.csr, ws);
+    let csr = &cache.csr;
     ws.sparse_report = Some(SparseReport {
         steps,
         nnz: csr.nnz(),
@@ -402,216 +370,6 @@ fn store_report(ws: &mut InferenceWorkspace, csr: &CsrTransition, steps: usize) 
         fallback_rows: csr.fallback_rows(),
         static_pruned_max: csr.static_pruned_max(),
     });
-}
-
-/// Sparse-transition scaled forward–backward: the sparse counterpart of
-/// [`crate::scaled::forward_backward_scaled`]. The returned statistics are
-/// exact under the pruned matrix `Ã`; the [`SparseReport`] of the run is
-/// left on the workspace.
-pub fn forward_backward_sparse<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-    params: SparseParams,
-) -> Result<SequenceStats, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    let cache = take_cache(ws, model.transition(), params)?;
-    let csr = &cache.csr;
-    forward_pass_sparse(model, t_len, ws, csr);
-
-    // Backward pass: identical to the dense engine with the per-row dot
-    // taken over the stored entries (ascending column order, same bits).
-    let fwd = csr.forward();
-    for v in ws.beta[(t_len - 1) * k..t_len * k].iter_mut() {
-        *v = 1.0;
-    }
-    for t in (0..t_len - 1).rev() {
-        let next_e = &ws.emis[(t + 1) * k..(t + 2) * k];
-        let (cur_beta, next_beta) = ws.beta.split_at_mut((t + 1) * k);
-        let next_row = &next_beta[..k];
-        let w = &mut ws.row[..k];
-        for ((wv, &e), &b) in w.iter_mut().zip(next_e).zip(next_row) {
-            *wv = e * b;
-        }
-        let row = &mut cur_beta[t * k..];
-        for (i, r) in row.iter_mut().enumerate() {
-            *r = fwd.dot_row(i, w);
-        }
-        let norm: f64 = row.iter().sum();
-        if norm > 0.0 {
-            for v in row.iter_mut() {
-                *v /= norm;
-            }
-        }
-    }
-
-    // Posteriors: same shape as the dense engine, with the ξ accumulation
-    // visiting stored entries only.
-    let mut gamma = Matrix::zeros(t_len, k);
-    for t in 0..t_len {
-        let row = gamma.row_mut(t);
-        let a_row = &ws.alpha[t * k..(t + 1) * k];
-        let b_row = &ws.beta[t * k..(t + 1) * k];
-        for ((g, &av), &bv) in row.iter_mut().zip(a_row).zip(b_row) {
-            *g = av * bv;
-        }
-        dhmm_linalg::normalize_in_place(row);
-    }
-    let mut xi_sum = Matrix::zeros(k, k);
-    for t in 1..t_len {
-        if ws.scales[t] == 0.0 {
-            continue;
-        }
-        let alpha_t = &ws.alpha[t * k..(t + 1) * k];
-        let beta_t = &ws.beta[t * k..(t + 1) * k];
-        let mut ab = 0.0;
-        for (&av, &bv) in alpha_t.iter().zip(beta_t) {
-            ab += av * bv;
-        }
-        let total = ws.scales[t] * ab;
-        if !total.is_finite() || total <= 0.0 {
-            continue;
-        }
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let w = &mut ws.row[..k];
-        for ((wv, &e), &b) in w.iter_mut().zip(e_row).zip(beta_t) {
-            *wv = e * b / total;
-        }
-        let alpha_prev = &ws.alpha[(t - 1) * k..t * k];
-        for (i, &ap) in alpha_prev.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            let (cols, vals) = fwd.row(i);
-            let xi_row = xi_sum.row_mut(i);
-            for (&j, &aij) in cols.iter().zip(vals) {
-                xi_row[j as usize] += ap * aij * w[j as usize];
-            }
-        }
-    }
-
-    let log_likelihood = ws.log_scales[..t_len].iter().sum();
-    store_report(ws, csr, t_len);
     ws.sparse = Some(cache);
-    Ok(SequenceStats {
-        gamma,
-        xi_sum,
-        log_likelihood,
-    })
-}
-
-/// Sparse-transition log-likelihood (forward pass only), exact under `Ã`.
-pub fn log_likelihood_sparse<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-    params: SparseParams,
-) -> Result<f64, HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot run forward-backward on an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    let cache = take_cache(ws, model.transition(), params)?;
-    forward_pass_sparse(model, t_len, ws, &cache.csr);
-    store_report(ws, &cache.csr, t_len);
-    ws.sparse = Some(cache);
-    Ok(ws.log_scales[..t_len].iter().sum())
-}
-
-/// Sparse-transition Viterbi decoding (path only).
-pub fn viterbi_sparse<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-    params: SparseParams,
-) -> Result<Vec<usize>, HmmError> {
-    Ok(viterbi_sparse_with_score(model, observations, ws, params)?.0)
-}
-
-/// Viterbi over the transposed CSR layout, returning a most likely path
-/// under `Ã` and its joint log-probability.
-///
-/// The score recursion gathers over each state's stored *predecessors*
-/// (`Ãᵀ` row) — contiguous in the transposed layout. A step at which every
-/// candidate path hits probability zero is floored to uniform by
-/// [`viterbi_scale_row`], the rule the dense engine and the streaming
-/// decoder share.
-pub fn viterbi_sparse_with_score<E: Emission>(
-    model: &Hmm<E>,
-    observations: &[E::Obs],
-    ws: &mut InferenceWorkspace,
-    params: SparseParams,
-) -> Result<(Vec<usize>, f64), HmmError> {
-    let k = model.num_states();
-    let t_len = observations.len();
-    if t_len == 0 {
-        return Err(HmmError::InvalidData {
-            reason: "cannot decode an empty sequence".into(),
-        });
-    }
-    ws.ensure(k, t_len);
-    fill_emissions(model, observations, ws);
-    let cache = take_cache(ws, model.transition(), params)?;
-    let csr = &cache.csr;
-    let tr = csr.transposed();
-
-    let mut log_score = 0.0;
-    {
-        let (prev, _) = ws.delta.split_at_mut(k);
-        for (j, p) in prev.iter_mut().enumerate() {
-            *p = model.initial()[j] * ws.emis[j];
-        }
-        log_score += viterbi_scale_row(prev, ws.shifts[0]);
-    }
-    for t in 1..t_len {
-        let (first, rest) = ws.delta.split_at_mut(k);
-        let second = &mut rest[..k];
-        let (prev, cur): (&[f64], &mut [f64]) = if t % 2 == 1 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let psi_row = &mut ws.psi[t * k..(t + 1) * k];
-        for j in 0..k {
-            let (best, best_i) = tr.argmax_product_row(j, prev);
-            cur[j] = best * e_row[j];
-            psi_row[j] = best_i;
-        }
-        log_score += viterbi_scale_row(cur, ws.shifts[t]);
-    }
-
-    let last = if (t_len - 1) % 2 == 0 {
-        &ws.delta[..k]
-    } else {
-        &ws.delta[k..2 * k]
-    };
-    let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
-    for (j, &v) in last.iter().enumerate() {
-        if v > best_val {
-            best_val = v;
-            best_state = j;
-        }
-    }
-    let mut path = vec![0usize; t_len];
-    path[t_len - 1] = best_state;
-    for t in (0..t_len - 1).rev() {
-        path[t] = ws.psi[(t + 1) * k + path[t + 1]];
-    }
-    store_report(ws, csr, t_len);
-    ws.sparse = Some(cache);
-    Ok((path, log_score + best_val.ln()))
+    Ok(out)
 }

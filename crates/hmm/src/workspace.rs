@@ -118,11 +118,9 @@ impl InferenceWorkspace {
 /// A pool of per-worker inference workspaces, reused across EM iterations.
 ///
 /// An instance of the runtime's generic [`dhmm_runtime::LeasePool`]:
-/// [`crate::baum_welch::e_step_pooled`] leases one workspace per executor
+/// [`crate::baum_welch::e_step_on`] leases one workspace per executor
 /// range, and keeping the pool alive across iterations means the whole EM
-/// run performs its inference allocations exactly once. One-shot callers
-/// without a pool of their own go through the runtime's thread-local lease
-/// instead (see [`crate::baum_welch::e_step_with`]).
+/// run performs its inference allocations exactly once.
 pub type WorkspacePool = dhmm_runtime::LeasePool<InferenceWorkspace>;
 
 #[cfg(test)]

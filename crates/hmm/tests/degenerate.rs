@@ -12,7 +12,7 @@
 use dhmm_hmm::emission::{DiscreteEmission, GaussianEmission};
 use dhmm_hmm::{
     forward_backward_scaled, log_likelihood_scaled, reference, viterbi_scaled_with_score,
-    viterbi_sparse_with_score, BaumWelch, BaumWelchConfig, Hmm, InferenceWorkspace, SparseParams,
+    BaumWelch, BaumWelchConfig, Hmm, InferenceBackend, InferenceWorkspace, SparseParams,
 };
 use dhmm_linalg::Matrix;
 
@@ -144,8 +144,9 @@ fn out_of_vocabulary_symbol_does_not_panic() {
     let expected = 0.45_f64.ln() + f64::MIN_POSITIVE.ln() + 0.28_f64.ln();
     assert!((score - expected).abs() < 1e-9, "{score} vs {expected}");
     // The sparse engine applies the same rule bit for bit.
-    let (sparse_path, sparse_score) =
-        viterbi_sparse_with_score(&m, &seq, &mut ws, SparseParams::exact()).unwrap();
+    let (sparse_path, sparse_score) = InferenceBackend::Sparse(SparseParams::exact())
+        .viterbi_with_score(&m, &seq, &mut ws)
+        .unwrap();
     assert_eq!(sparse_path, path);
     assert_eq!(sparse_score.to_bits(), score.to_bits());
 }

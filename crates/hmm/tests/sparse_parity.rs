@@ -1,4 +1,5 @@
-//! Oracle-pin tests for the sparse inference engine (`dhmm_hmm::sparse`).
+//! Oracle-pin tests for the sparse backend (`InferenceBackend::Sparse`, the
+//! scaled recursions over `dhmm_hmm::sparse`'s compiled transitions).
 //!
 //! The contract under test, in increasing strength:
 //!
@@ -19,9 +20,8 @@
 
 use dhmm_hmm::emission::DiscreteEmission;
 use dhmm_hmm::{
-    forward_backward_scaled, forward_backward_sparse, log_likelihood_scaled, log_likelihood_sparse,
-    viterbi_scaled_with_score, viterbi_sparse_with_score, CsrTransition, Hmm, InferenceWorkspace,
-    SparseParams,
+    forward_backward_scaled, log_likelihood_scaled, viterbi_scaled_with_score, CsrTransition, Hmm,
+    InferenceBackend, InferenceWorkspace, SparseParams,
 };
 use dhmm_linalg::Matrix;
 use proptest::prelude::*;
@@ -69,8 +69,9 @@ fn assert_viterbi_optimal_on_tilde(
     seq: &[usize],
     params: SparseParams,
 ) -> Result<(), TestCaseError> {
-    let (path_s, score_s) =
-        viterbi_sparse_with_score(model, seq, &mut InferenceWorkspace::new(), params).unwrap();
+    let (path_s, score_s) = InferenceBackend::Sparse(params)
+        .viterbi_with_score(model, seq, &mut InferenceWorkspace::new())
+        .unwrap();
     let (path_d, score_d) =
         viterbi_scaled_with_score(tilde, seq, &mut InferenceWorkspace::new()).unwrap();
     prop_assert_eq!(
@@ -114,19 +115,19 @@ proptest! {
         let mut ws_s = InferenceWorkspace::new();
         let mut ws_d = InferenceWorkspace::new();
 
-        let sparse = forward_backward_sparse(&model, &seq, &mut ws_s, SparseParams::exact()).unwrap();
+        let sparse = InferenceBackend::Sparse(SparseParams::exact()).forward_backward(&model, &seq, &mut ws_s).unwrap();
         let dense = forward_backward_scaled(&model, &seq, &mut ws_d).unwrap();
         prop_assert_eq!(sparse.log_likelihood.to_bits(), dense.log_likelihood.to_bits(),
             "ll {} vs {}", sparse.log_likelihood, dense.log_likelihood);
         assert_bits_eq(&sparse.gamma, &dense.gamma, "gamma");
         assert_bits_eq(&sparse.xi_sum, &dense.xi_sum, "xi_sum");
 
-        let ll_s = log_likelihood_sparse(&model, &seq, &mut ws_s, SparseParams::exact()).unwrap();
+        let ll_s = InferenceBackend::Sparse(SparseParams::exact()).log_likelihood(&model, &seq, &mut ws_s).unwrap();
         let ll_d = log_likelihood_scaled(&model, &seq, &mut ws_d).unwrap();
         prop_assert_eq!(ll_s.to_bits(), ll_d.to_bits());
 
         let (path_s, score_s) =
-            viterbi_sparse_with_score(&model, &seq, &mut ws_s, SparseParams::exact()).unwrap();
+            InferenceBackend::Sparse(SparseParams::exact()).viterbi_with_score(&model, &seq, &mut ws_s).unwrap();
         let (path_d, score_d) = viterbi_scaled_with_score(&model, &seq, &mut ws_d).unwrap();
         prop_assert_eq!(&path_s, &path_d);
         prop_assert_eq!(score_s.to_bits(), score_d.to_bits());
@@ -151,7 +152,7 @@ proptest! {
         let mut ws_s = InferenceWorkspace::new();
         let mut ws_d = InferenceWorkspace::new();
 
-        let sparse = forward_backward_sparse(&model, &seq, &mut ws_s, params).unwrap();
+        let sparse = InferenceBackend::Sparse(params).forward_backward(&model, &seq, &mut ws_s).unwrap();
         let dense = forward_backward_scaled(&tilde, &seq, &mut ws_d).unwrap();
         prop_assert!((sparse.log_likelihood - dense.log_likelihood).abs() < 1e-12,
             "ll {} vs {} on Ã", sparse.log_likelihood, dense.log_likelihood);
@@ -172,7 +173,7 @@ proptest! {
         let mut ws_s = InferenceWorkspace::new();
         let mut ws_d = InferenceWorkspace::new();
 
-        let ll_s = log_likelihood_sparse(&model, &seq, &mut ws_s, params).unwrap();
+        let ll_s = InferenceBackend::Sparse(params).log_likelihood(&model, &seq, &mut ws_s).unwrap();
         let ll_d = log_likelihood_scaled(&tilde, &seq, &mut ws_d).unwrap();
         prop_assert!((ll_s - ll_d).abs() < 1e-12, "{ll_s} vs {ll_d}");
         assert_viterbi_optimal_on_tilde(&model, &tilde, &seq, params)?;
@@ -191,7 +192,7 @@ proptest! {
         let tilde = pruned_model(&model, params);
         let mut ws = InferenceWorkspace::new();
 
-        let (path, score) = viterbi_sparse_with_score(&model, &seq, &mut ws, params).unwrap();
+        let (path, score) = InferenceBackend::Sparse(params).viterbi_with_score(&model, &seq, &mut ws).unwrap();
         prop_assert_eq!(path.len(), seq.len());
         // The score the engine reports is the true joint likelihood of the
         // path it returns, under Ã.
@@ -228,7 +229,9 @@ fn fully_pruned_rows_fall_back_to_dense_verbatim() {
     let seq = random_seq(6, 25, 17);
     let mut ws_s = InferenceWorkspace::new();
     let mut ws_d = InferenceWorkspace::new();
-    let sparse = forward_backward_sparse(&model, &seq, &mut ws_s, params).unwrap();
+    let sparse = InferenceBackend::Sparse(params)
+        .forward_backward(&model, &seq, &mut ws_s)
+        .unwrap();
     let dense = forward_backward_scaled(&model, &seq, &mut ws_d).unwrap();
     assert_eq!(
         sparse.log_likelihood.to_bits(),
@@ -265,7 +268,9 @@ fn partially_pruned_matrix_keeps_only_emptied_rows_dense() {
     let seq = vec![0usize, 1, 2, 2, 0, 1, 0];
     let mut ws_s = InferenceWorkspace::new();
     let mut ws_d = InferenceWorkspace::new();
-    let sparse = forward_backward_sparse(&model, &seq, &mut ws_s, params).unwrap();
+    let sparse = InferenceBackend::Sparse(params)
+        .forward_backward(&model, &seq, &mut ws_s)
+        .unwrap();
     let dense = forward_backward_scaled(&tilde, &seq, &mut ws_d).unwrap();
     assert!((sparse.log_likelihood - dense.log_likelihood).abs() < 1e-12);
     assert!(sparse.gamma.approx_eq(&dense.gamma, 1e-12));
@@ -288,7 +293,9 @@ fn zero_probability_and_oov_symbols_survive_pruning() {
     let mut ws = InferenceWorkspace::new();
 
     let zero_sym = vec![0usize, 2, 1, 2, 2, 0];
-    let stats = forward_backward_sparse(&model, &zero_sym, &mut ws, params).unwrap();
+    let stats = InferenceBackend::Sparse(params)
+        .forward_backward(&model, &zero_sym, &mut ws)
+        .unwrap();
     assert!(stats.log_likelihood.is_finite());
     assert!(stats.gamma.is_finite());
     let mut ws_d = InferenceWorkspace::new();
@@ -301,10 +308,14 @@ fn zero_probability_and_oov_symbols_survive_pruning() {
     );
 
     let oov = vec![0usize, 7, 1];
-    let ll = log_likelihood_sparse(&model, &oov, &mut ws, params).unwrap();
+    let ll = InferenceBackend::Sparse(params)
+        .log_likelihood(&model, &oov, &mut ws)
+        .unwrap();
     assert!(ll.is_finite());
     assert!(ll < -500.0, "floored OOV step should be heavily penalized");
-    let (path, score) = viterbi_sparse_with_score(&model, &oov, &mut ws, params).unwrap();
+    let (path, score) = InferenceBackend::Sparse(params)
+        .viterbi_with_score(&model, &oov, &mut ws)
+        .unwrap();
     assert_eq!(path.len(), 3);
     assert!(!score.is_nan());
 }
@@ -325,9 +336,13 @@ fn workspace_reuse_across_shapes_and_params_is_safe() {
     for (i, &(k, v, len, params)) in plans.iter().enumerate() {
         let model = random_hmm(k, v, 90 + i as u64);
         let seq = random_seq(v, len, 190 + i as u64);
-        let reused = forward_backward_sparse(&model, &seq, &mut ws, params).unwrap();
+        let reused = InferenceBackend::Sparse(params)
+            .forward_backward(&model, &seq, &mut ws)
+            .unwrap();
         let mut fresh_ws = InferenceWorkspace::new();
-        let fresh = forward_backward_sparse(&model, &seq, &mut fresh_ws, params).unwrap();
+        let fresh = InferenceBackend::Sparse(params)
+            .forward_backward(&model, &seq, &mut fresh_ws)
+            .unwrap();
         assert_eq!(
             reused.log_likelihood.to_bits(),
             fresh.log_likelihood.to_bits(),
@@ -342,7 +357,7 @@ fn workspace_reuse_across_shapes_and_params_is_safe() {
 fn em_training_runs_under_the_sparse_backend() {
     // The backend threads through BaumWelchConfig: with exact params the
     // whole EM trace matches the scaled engine's bit-for-bit.
-    use dhmm_hmm::{BaumWelch, BaumWelchConfig, InferenceBackend};
+    use dhmm_hmm::{BaumWelch, BaumWelchConfig};
     let truth = random_hmm(3, 4, 7);
     let mut rng = StdRng::seed_from_u64(8);
     let data: Vec<Vec<usize>> = dhmm_hmm::generate::generate_sequences(&truth, 12, 10, &mut rng)

@@ -76,50 +76,16 @@ impl Executor {
         self.workers <= 1
     }
 
-    /// Number of ranges [`Self::map_ranges`] will produce for `n` rows: the
-    /// same count the [`crate::split_rows`] partition is built from.
+    /// Number of ranges [`Self::map_ranges_with`] will produce for `n` rows:
+    /// the same count the [`crate::split_rows`] partition is built from.
     pub fn num_ranges(&self, n: usize) -> usize {
         split_count(n, self.workers)
     }
 
-    /// This executor, demoted to serial when the problem is too small for
-    /// dispatch overhead to pay for itself. `work` is any monotone size
-    /// proxy (elements, flops); callers pick the threshold.
-    pub fn unless_smaller_than(self, work: usize, min_work: usize) -> Self {
-        if work < min_work {
-            Self::serial()
-        } else {
-            self
-        }
-    }
-
-    /// Runs `f(range_index, range)` over the [`crate::split_rows`] partition
-    /// of `0..n` and returns the outputs in range order.
-    pub fn map_ranges<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> T + Sync,
-    {
-        let count = self.num_ranges(n);
-        if count <= 1 {
-            return (0..count).map(|t| f(t, 0..n)).collect();
-        }
-        let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        pool::run_tasks(count, self.workers, &|t| {
-            let value = f(t, split_range(n, self.workers, t));
-            // SAFETY: slot `t` is written exactly once (tasks are unique)
-            // and slots are disjoint; overwriting the prefilled `None` via
-            // `write` drops nothing.
-            unsafe { std::ptr::write(out_ptr.get().add(t), Some(value)) };
-        });
-        out.into_iter()
-            .map(|v| v.expect("runtime executor: range produced no value"))
-            .collect()
-    }
-
-    /// Like [`Self::map_ranges`], but hands range `t` exclusive access to
-    /// `states[t]` — the per-worker lease pattern of the pooled E-step.
+    /// Runs `f(range_index, range, &mut states[range_index])` over the
+    /// [`crate::split_rows`] partition of `0..n` and returns the outputs in
+    /// range order: range `t` has exclusive access to `states[t]`, the
+    /// per-worker lease pattern of the pooled E-step.
     ///
     /// # Panics
     /// Panics if `states` has fewer entries than the partition has ranges
@@ -147,7 +113,9 @@ impl Executor {
             // runs exactly once; distinct tasks touch distinct slots.
             let state = unsafe { &mut *state_ptr.get().add(t) };
             let value = f(t, split_range(n, self.workers, t), state);
-            // SAFETY: as in `map_ranges`.
+            // SAFETY: slot `t` is written exactly once (tasks are unique)
+            // and slots are disjoint; overwriting the prefilled `None` via
+            // `write` drops nothing.
             unsafe { std::ptr::write(out_ptr.get().add(t), Some(value)) };
         });
         out.into_iter()
@@ -202,52 +170,12 @@ impl Executor {
 
     /// Splits `data` — a row-major buffer of `data.len() / stride` rows —
     /// into contiguous row bands along the [`crate::split_rows`] partition
-    /// and runs `f(rows, band)` on each, in parallel.
-    /// Allocation-free: each band's range is computed by [`split_range`].
-    ///
-    /// # Panics
-    /// Panics if `data.len()` is not a multiple of `stride` (`stride == 0`
-    /// is allowed only with empty `data`).
-    pub fn for_each_band<T, F>(&self, data: &mut [T], stride: usize, f: F)
-    where
-        T: Send,
-        F: Fn(Range<usize>, &mut [T]) + Sync,
-    {
-        if data.is_empty() {
-            return;
-        }
-        assert!(
-            stride > 0 && data.len().is_multiple_of(stride),
-            "runtime executor: buffer of {} is not a whole number of rows of {stride}",
-            data.len()
-        );
-        let rows = data.len() / stride;
-        let count = self.num_ranges(rows);
-        if count == 1 {
-            f(0..rows, data);
-            return;
-        }
-        let base = SendPtr(data.as_mut_ptr());
-        pool::run_tasks(count, self.workers, &|t| {
-            let range = split_range(rows, self.workers, t);
-            // SAFETY: ranges partition the rows, so the bands
-            // `[start*stride, end*stride)` are pairwise disjoint; each task
-            // runs exactly once, giving each band a unique `&mut`.
-            let band = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.get().add(range.start * stride),
-                    range.len() * stride,
-                )
-            };
-            f(range, band);
-        });
-    }
-
-    /// Like [`Self::for_each_band`], but additionally hands band `t`
-    /// exclusive access to `states[t]` — the banded sibling of
-    /// [`Self::map_ranges_with`]. Used where each worker needs a leased
-    /// scratch value while mutating a disjoint row band (e.g. a streaming
-    /// session pool advancing per-session decoders with per-worker scratch).
+    /// and runs `f(rows, band, &mut states[t])` on band `t`, in parallel:
+    /// the banded sibling of [`Self::map_ranges_with`]. Used where each
+    /// worker needs a leased scratch value while mutating a disjoint row
+    /// band (e.g. a streaming session pool advancing per-session decoders
+    /// with per-worker scratch). Allocation-free: each band's range is
+    /// computed by [`split_range`].
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of `stride`, or if `states`
@@ -282,8 +210,10 @@ impl Executor {
         let state_ptr = SendPtr(states.as_mut_ptr());
         pool::run_tasks(count, self.workers, &|t| {
             let range = split_range(rows, self.workers, t);
-            // SAFETY: bands are disjoint as in `for_each_band`, and state
-            // slot `t` is touched only by task `t`, which runs exactly once.
+            // SAFETY: ranges partition the rows, so the bands
+            // `[start*stride, end*stride)` are pairwise disjoint; each task
+            // runs exactly once, giving each band a unique `&mut`. State
+            // slot `t` is touched only by task `t`.
             let band = unsafe {
                 std::slice::from_raw_parts_mut(
                     base.get().add(range.start * stride),
@@ -304,14 +234,18 @@ mod tests {
     fn map_ranges_collects_in_range_order() {
         for workers in [1usize, 2, 4, 9] {
             let exec = Executor::from_workers(workers);
-            let sums = exec.map_ranges(100, |_, r| r.clone().map(|i| i as u64).sum::<u64>());
-            assert_eq!(sums.len(), exec.num_ranges(100));
-            assert_eq!(sums.iter().sum::<u64>(), 4950, "workers={workers}");
-            // Fixed-order reduction: concatenating range outputs in order
-            // reconstructs the serial result exactly.
-            let serial =
-                Executor::serial().map_ranges(100, |_, r| r.clone().map(|i| i as u64).sum::<u64>());
-            assert_eq!(serial.iter().sum::<u64>(), sums.iter().sum::<u64>());
+            let mut states = vec![(); exec.num_ranges(100)];
+            let ranges = exec.map_ranges_with(100, &mut states, |t, r, _| (t, r));
+            assert_eq!(ranges.len(), exec.num_ranges(100));
+            // Range `t` comes back in slot `t`, and the ranges tile 0..100
+            // in ascending order.
+            let mut next = 0;
+            for (slot, (t, r)) in ranges.iter().enumerate() {
+                assert_eq!(*t, slot, "workers={workers}");
+                assert_eq!(r.start, next, "workers={workers}");
+                next = r.end;
+            }
+            assert_eq!(next, 100, "workers={workers}");
         }
     }
 
@@ -340,7 +274,8 @@ mod tests {
         for workers in [1usize, 3, 8] {
             let exec = Executor::from_workers(workers);
             let mut data = vec![0u32; 7 * 5];
-            exec.for_each_band(&mut data, 5, |rows, band| {
+            let mut states = vec![(); exec.num_ranges(7)];
+            exec.for_each_band_with(&mut data, 5, &mut states, |rows, band, _| {
                 assert_eq!(band.len(), rows.len() * 5);
                 for v in band.iter_mut() {
                     *v += 1;
@@ -354,7 +289,10 @@ mod tests {
     fn for_each_band_handles_empty_buffers() {
         let exec = Executor::from_workers(4);
         let mut empty: Vec<f64> = Vec::new();
-        exec.for_each_band(&mut empty, 0, |_, _| panic!("no bands expected"));
+        let mut states: Vec<()> = Vec::new();
+        exec.for_each_band_with(&mut empty, 0, &mut states, |_, _, _| {
+            panic!("no bands expected")
+        });
     }
 
     #[test]
@@ -398,7 +336,8 @@ mod tests {
         // A join issued from inside a pool job must not deadlock: the pool's
         // re-entrant dispatch runs it inline.
         let exec = Executor::from_workers(4);
-        let sums = exec.map_ranges(4, |_, r| {
+        let mut states = vec![(); exec.num_ranges(4)];
+        let sums = exec.map_ranges_with(4, &mut states, |_, r, _| {
             let (a, b) = exec.join(|| r.start + 1, || r.end + 1);
             a + b
         });
@@ -408,19 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn size_gate_demotes_small_problems_to_serial() {
-        let exec = Executor::from_workers(8);
-        assert!(exec.unless_smaller_than(100, 1000).is_serial());
-        assert_eq!(exec.unless_smaller_than(1000, 1000).workers(), 8);
-    }
-
-    #[test]
     fn parallel_and_serial_band_writes_are_bit_identical() {
         // A float kernel whose per-row result depends only on the row: any
         // partition must reproduce the serial output bit for bit.
         let rows = 33;
         let stride = 17;
-        let kernel = |rows: Range<usize>, band: &mut [f64]| {
+        let kernel = |rows: Range<usize>, band: &mut [f64], _: &mut ()| {
             for (local, row) in rows.enumerate() {
                 for j in 0..stride {
                     band[local * stride + j] =
@@ -429,10 +361,12 @@ mod tests {
             }
         };
         let mut serial = vec![0.0; rows * stride];
-        Executor::serial().for_each_band(&mut serial, stride, kernel);
+        Executor::serial().for_each_band_with(&mut serial, stride, &mut [()], kernel);
         for workers in [2usize, 5, 16] {
+            let exec = Executor::from_workers(workers);
+            let mut states = vec![(); exec.num_ranges(rows)];
             let mut par = vec![0.0; rows * stride];
-            Executor::from_workers(workers).for_each_band(&mut par, stride, kernel);
+            exec.for_each_band_with(&mut par, stride, &mut states, kernel);
             assert_eq!(serial, par, "workers={workers}");
         }
     }

@@ -3,14 +3,7 @@
 //! [`LeasePool`] is the generalization of the old `hmm::WorkspacePool`: a
 //! grow-only collection of default-constructed scratch values, one leased to
 //! each worker of a parallel section and kept warm across sections (an EM
-//! run performs its scratch allocations exactly once). For callers without a
-//! pool of their own — one-shot entry points like `hmm::e_step` —
-//! [`with_thread_scratch`] leases a thread-local instance instead, so even
-//! repeated one-shot calls stop churning the allocator.
-
-use std::any::{Any, TypeId};
-use std::cell::RefCell;
-use std::collections::HashMap;
+//! run performs its scratch allocations exactly once).
 
 /// A grow-only pool of reusable scratch values, leased one-per-worker.
 ///
@@ -48,36 +41,6 @@ impl<T: Default> LeasePool<T> {
     }
 }
 
-thread_local! {
-    /// One scratch value per type per thread, shared by every
-    /// [`with_thread_scratch`] caller on that thread.
-    static THREAD_SCRATCH: RefCell<HashMap<TypeId, Box<dyn Any>>> =
-        RefCell::new(HashMap::new());
-}
-
-/// Runs `f` with this thread's scratch value of type `T`, creating it with
-/// `T::default()` on first use and keeping it warm for the next call.
-///
-/// The value is checked out for the duration of `f`: a re-entrant call for
-/// the same `T` inside `f` observes a fresh default value (whose warm state
-/// is discarded when the outer lease is returned), and a panic inside `f`
-/// drops the value instead of returning a half-updated lease to the slot.
-pub fn with_thread_scratch<T, R>(f: impl FnOnce(&mut T) -> R) -> R
-where
-    T: Any + Default,
-{
-    let checked_out = THREAD_SCRATCH.with(|s| s.borrow_mut().remove(&TypeId::of::<T>()));
-    let mut value: Box<T> = match checked_out {
-        Some(boxed) => boxed
-            .downcast()
-            .expect("thread scratch slot holds a value of its key's type"),
-        None => Box::default(),
-    };
-    let result = f(&mut value);
-    THREAD_SCRATCH.with(|s| s.borrow_mut().insert(TypeId::of::<T>(), value));
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,33 +56,5 @@ mod tests {
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].len(), 16);
         assert_eq!(pool.len(), 3);
-    }
-
-    #[test]
-    fn thread_scratch_is_warm_across_calls() {
-        let first_len = with_thread_scratch::<Vec<u32>, _>(|v| {
-            v.push(7);
-            v.len()
-        });
-        let second_len = with_thread_scratch::<Vec<u32>, _>(|v| v.len());
-        assert_eq!(second_len, first_len);
-    }
-
-    #[test]
-    fn thread_scratch_types_do_not_collide() {
-        with_thread_scratch::<Vec<u64>, _>(|v| v.push(1));
-        with_thread_scratch::<Vec<i64>, _>(|v| assert!(v.is_empty()));
-    }
-
-    #[test]
-    fn reentrant_scratch_lease_sees_a_fresh_value() {
-        with_thread_scratch::<String, _>(|outer| {
-            outer.push('a');
-            with_thread_scratch::<String, _>(|inner| {
-                assert!(inner.is_empty());
-                inner.push('b');
-            });
-            assert_eq!(outer, "a");
-        });
     }
 }

@@ -15,9 +15,8 @@
 //! * [`Executor`] — a scoped dispatcher over a lazily-grown pool of parked
 //!   worker threads (the private `pool` module); jobs are row-range
 //!   closures, results are collected in fixed range order,
-//! * [`LeasePool`] / [`with_thread_scratch`] — generic per-worker scratch
-//!   leases (the generalization of the old `hmm::WorkspacePool`), plus a
-//!   thread-local lease so one-shot callers reuse warm buffers across calls.
+//! * [`LeasePool`] — generic per-worker scratch leases (the generalization
+//!   of the old `hmm::WorkspacePool`).
 //!
 //! # Determinism
 //!
@@ -41,6 +40,6 @@ pub mod split;
 pub mod telemetry;
 
 pub use executor::Executor;
-pub use lease::{with_thread_scratch, LeasePool};
+pub use lease::LeasePool;
 pub use parallelism::{Parallelism, THREADS_ENV};
 pub use split::{split_range, split_rows};

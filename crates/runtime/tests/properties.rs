@@ -61,7 +61,8 @@ proptest! {
         // tree is a function of the partition alone, so any worker count
         // reproduces the serial result bit for bit.
         let reduce = |exec: Executor| -> f64 {
-            exec.map_ranges(values.len(), |_, r| values[r].iter().sum::<f64>())
+            let mut states = vec![(); exec.num_ranges(values.len())];
+            exec.map_ranges_with(values.len(), &mut states, |_, r, _| values[r].iter().sum::<f64>())
                 .into_iter()
                 .sum()
         };
@@ -69,19 +70,13 @@ proptest! {
         // Same partition, dispatched through the pool.
         let one_range_per_row = reduce(Executor::from_workers(values.len().max(2)));
         let banded = Executor::from_workers(workers);
-        let banded_sum: f64 = banded
-            .map_ranges(values.len(), |_, r| values[r].iter().sum::<f64>())
-            .into_iter()
-            .sum();
+        let banded_sum = reduce(banded);
         // The per-row partition sums rows individually; summing them in
         // fixed order equals the serial left-to-right sum exactly.
         prop_assert_eq!(serial.to_bits(), one_range_per_row.to_bits());
         // A coarser partition changes the reduction tree (allowed); it must
         // still agree with itself across repeated dispatches bit for bit.
-        let banded_again: f64 = banded
-            .map_ranges(values.len(), |_, r| values[r].iter().sum::<f64>())
-            .into_iter()
-            .sum();
+        let banded_again = reduce(banded);
         prop_assert_eq!(banded_sum.to_bits(), banded_again.to_bits());
     }
 }

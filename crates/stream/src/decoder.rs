@@ -4,11 +4,14 @@
 //! # Algorithms
 //!
 //! **Filtering.** The scaled forward recursion of the offline engine
-//! ([`dhmm_hmm::scaled`]), one row per pushed token: the dense filter calls
-//! the offline engine's own [`dhmm_hmm::forward_step`] and
-//! [`dhmm_hmm::scale_row`], so the streaming filtered rows and the running
-//! `log P(y_0..t) = Σ log c_t` are **bit-identical** to an offline forward
-//! pass over the same prefix.
+//! ([`dhmm_hmm::scaled`]), one row per pushed token. Every recursion step
+//! here — filter, Viterbi and smoother — is the offline recursions' own,
+//! taken by the same [`dhmm_hmm::Transitions`] operator over the dense `A`
+//! or the CSR-compiled pruned `Ã` the backend selects, so neither backend
+//! has a step of its own in this crate. The filter calls
+//! [`dhmm_hmm::Transitions::forward_step`] and [`dhmm_hmm::scale_row`], so
+//! the streaming filtered rows and the running `log P(y_0..t) = Σ log c_t`
+//! are **bit-identical** to an offline forward pass over the same prefix.
 //!
 //! **Fixed-lag smoothing.** Rather than paying an O(L·k²) backward pass per
 //! token, smoothing runs in amortized-O(k²) blocks: once `2L` un-smoothed
@@ -50,18 +53,15 @@
 //! observation impossible under every reachable state), the Viterbi row is
 //! floored to uniform by [`dhmm_hmm::viterbi_scale_row`] and the step adds
 //! `ln(f64::MIN_POSITIVE)` to the score, as [`dhmm_hmm::scale_row`] does for
-//! the filter. The offline dense and sparse engines apply the same function,
-//! so a stream at `lag ≥ T` decodes such a sequence to the offline path with
-//! the offline score, bit for bit.
+//! the filter. The offline Viterbi recursion applies the same function, so a
+//! stream at `lag ≥ T` decodes such a sequence to the offline path with the
+//! offline score, bit for bit.
 
 use crate::error::StreamError;
 use crate::workspace::{StreamScratch, StreamWorkspace};
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
-use dhmm_hmm::scaled::{
-    backward_step, emission_likelihood_row, forward_step, scale_row, viterbi_scale_row,
-    viterbi_step,
-};
+use dhmm_hmm::scaled::{emission_likelihood_row, scale_row, viterbi_scale_row};
 use dhmm_hmm::InferenceBackend;
 use dhmm_runtime::Parallelism;
 use dhmm_telemetry::{Counter, Histogram, TelemetrySink};
@@ -169,7 +169,7 @@ pub struct StreamConfig {
     /// [`InferenceBackend::Sparse`], whose parameters are validated at
     /// construction. Under the sparse backend the labels, log-likelihood
     /// and posteriors are exact under the pruned, renormalized matrix `Ã`,
-    /// as the offline sparse engine's are.
+    /// as the offline sparse backend's are.
     pub backend: InferenceBackend,
     /// Worker policy for [`crate::SessionPool`] batch ticks (ignored by a
     /// standalone decoder, which is single-session and inherently serial).
@@ -319,11 +319,11 @@ pub struct FlushOutput<'a> {
 ///
 /// `epoch` keys the scratch's CSR transition cache (see
 /// [`crate::workspace::StreamScratch`]): the pool passes its publish epoch,
-/// a standalone decoder always passes 0. Under
-/// [`InferenceBackend::Sparse`] the filter and Viterbi recursions run over
-/// the CSR-compiled pruned matrix in the offline sparse engine's op order;
-/// under [`InferenceBackend::Scaled`] the dense recursions are the offline
-/// engine's, and the Viterbi step is [`viterbi_step`] itself.
+/// a standalone decoder always passes 0. The filter and Viterbi steps are
+/// the offline recursions' own, taken by the backend's
+/// [`dhmm_hmm::Transitions`] operator: the model's dense `A` under
+/// [`InferenceBackend::Scaled`], the CSR-compiled pruned `Ã` under
+/// [`InferenceBackend::Sparse`].
 ///
 /// Decides whether this token closes a fixed-lag smoothing window and
 /// advances the workspace past it, but computes no posterior: it returns
@@ -354,16 +354,9 @@ pub(crate) fn push_token<E: Emission>(
 
     let t = ws.t;
     let slot = ws.slot(t);
-    let a = model.transition();
-
-    // --- CSR transition layout (epoch-keyed; a no-op once warm).
-    let sparse = match backend {
-        InferenceBackend::Sparse(params) => {
-            scratch.trans.prepare_sparse(a, epoch, params);
-            true
-        }
-        InferenceBackend::Scaled => false,
-    };
+    // The backend's transition operator (the CSR compile is epoch-keyed, a
+    // no-op once warm).
+    let trans = scratch.trans.transitions(model, backend, epoch);
 
     // --- Emission row (shared per-step numerics with the offline engine).
     let shift = {
@@ -371,36 +364,16 @@ pub(crate) fn push_token<E: Emission>(
         emission_likelihood_row(model.emission(), obs, e_row)
     };
 
-    // --- Scaled forward (filter) step, in the offline op order.
+    // --- Scaled forward (filter) step, the offline pass's own.
     {
-        let trans = &scratch.trans;
         let row = &mut scratch.row[..k];
+        let e_row = &ws.emis[slot * k..(slot + 1) * k];
         if t == 0 {
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
             for (j, (r, &e)) in row.iter_mut().zip(e_row).enumerate() {
                 *r = model.initial()[j] * e;
             }
         } else {
-            let prev = ws.alpha_row(t - 1);
-            let e_row = &ws.emis[slot * k..(slot + 1) * k];
-            if sparse {
-                // CSR scatter per live predecessor: zero predecessors skip
-                // their whole row, in the offline sparse engine's op order.
-                row.fill(0.0);
-                let fwd = trans.csr.forward();
-                for (i, &ap) in prev.iter().enumerate() {
-                    if ap == 0.0 {
-                        continue;
-                    }
-                    fwd.axpy_row(i, ap, row);
-                }
-                for (r, &e) in row.iter_mut().zip(e_row) {
-                    *r *= e;
-                }
-            } else {
-                // The offline engine's dense sum-product step.
-                forward_step(a, prev, e_row, row);
-            }
+            trans.forward_step(ws.alpha_row(t - 1), e_row, row);
         }
         let (_c, log_c) = scale_row(row, shift);
         ws.log_likelihood += log_c;
@@ -410,7 +383,6 @@ pub(crate) fn push_token<E: Emission>(
     // --- Online Viterbi step (offline parity scheme: time t's row is
     // delta[(t % 2) * k ..]).
     {
-        let trans = &scratch.trans;
         let (first, rest) = ws.delta.split_at_mut(k);
         let second = &mut rest[..k];
         let e_row = &ws.emis[slot * k..(slot + 1) * k];
@@ -426,18 +398,7 @@ pub(crate) fn push_token<E: Emission>(
                 (second, first)
             };
             let psi_row = &mut ws.psi[slot * k..(slot + 1) * k];
-            if sparse {
-                // Gather over each state's stored predecessors (`Ãᵀ` row).
-                let tr = trans.csr.transposed();
-                for j in 0..k {
-                    let (best, best_i) = tr.argmax_product_row(j, prev);
-                    cur[j] = best * e_row[j];
-                    psi_row[j] = best_i;
-                }
-            } else {
-                // The offline engine's dense max-product step.
-                viterbi_step(a, prev, e_row, cur, psi_row);
-            }
+            trans.viterbi_step(prev, e_row, cur, psi_row);
             cur
         };
         ws.viterbi_log += viterbi_scale_row(cur, shift);
@@ -642,11 +603,11 @@ fn commit_chain(ws: &StreamWorkspace, scratch: &mut StreamScratch, m: usize, x: 
 /// Runs the backward smoothing pass from `from` (β = 1) down to `downto`,
 /// emitting normalized `γ` rows for times `downto ..= emit_upto` into
 /// `scratch.smoothed` (ascending). Exactly the offline backward recursion,
-/// restricted to the ring window. Under the sparse backend the per-row dot
-/// runs over the CSR-stored entries of `Ã`, keeping the smoothed posteriors
-/// consistent with the pruned filter. The scratch's CSR cache already holds
-/// them: the only caller is a [`StreamingDecoder`], whose own pushes
-/// compiled its one borrowed model into its own scratch.
+/// restricted to the ring window, with the backend's transition operator,
+/// so the smoothed posteriors match the filter's layout. Under the sparse
+/// backend the scratch's epoch-0 compile is already warm: the only caller
+/// is a [`StreamingDecoder`], whose own pushes compiled its one borrowed
+/// model into its own scratch.
 fn backward_smooth<E: Emission>(
     model: &Hmm<E>,
     backend: InferenceBackend,
@@ -659,6 +620,7 @@ fn backward_smooth<E: Emission>(
     let k = ws.num_states;
     scratch.smoothed_start = downto;
     scratch.smoothed_len = emit_upto - downto + 1;
+    let trans = scratch.trans.transitions(model, backend, 0);
 
     // β at `from` is all ones.
     {
@@ -691,18 +653,9 @@ fn backward_smooth<E: Emission>(
             }
         }
         {
-            let trans = &scratch.trans;
-            let (w, beta_all) = (&scratch.row[..k], &mut scratch.beta);
-            let beta_cur = &mut beta_all[parity * k..parity * k + k];
-            if matches!(backend, InferenceBackend::Sparse(_)) {
-                let fwd = trans.csr.forward();
-                for (i, r) in beta_cur.iter_mut().enumerate() {
-                    *r = fwd.dot_row(i, w);
-                }
-            } else {
-                // The offline engine's dense β step.
-                backward_step(model.transition_t(), w, beta_cur);
-            }
+            let w = &scratch.row[..k];
+            let beta_cur = &mut scratch.beta[parity * k..parity * k + k];
+            trans.backward_step(w, beta_cur);
             let norm: f64 = beta_cur.iter().sum();
             if norm > 0.0 {
                 for v in beta_cur.iter_mut() {

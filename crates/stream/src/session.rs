@@ -490,46 +490,18 @@ impl<E: Emission> SessionPool<E> {
     }
 
     /// Enqueues one observation on a session; it is processed by the next
-    /// [`SessionPool::tick`] (or [`SessionPool::flush`]). Fails with the
-    /// typed backpressure errors when a configured queue cap is hit.
+    /// [`SessionPool::tick`] (or [`SessionPool::flush`]). This is
+    /// [`SessionPool::push_many`] of one observation, so it fails with the
+    /// same typed backpressure errors when a configured queue cap is hit.
     ///
     /// The [`StreamError::Lagging`] check is a *high-water mark*, not a
     /// strict bound: the push is accepted whenever the committed-label
-    /// out-queue currently holds fewer than `committed_cap` labels
-    /// (identical rule in [`SessionPool::push_many`], regardless of batch
-    /// size). How many labels a token will commit is unknowable before the
+    /// out-queue currently holds fewer than `committed_cap` labels. How many labels a token will commit is unknowable before the
     /// tick runs — a forced commit can emit one, a convergence commit a
     /// whole window — so the queue may legitimately overshoot the cap by
     /// one tick's commits before further pushes are refused.
     pub fn push(&mut self, id: SessionId, obs: E::Obs) -> Result<(), StreamError> {
-        let slot = self.resolve(id)?;
-        let clock = self.clock;
-        let (pending_cap, committed_cap) = (self.pending_cap, self.committed_cap);
-        let s = &mut self.slots[slot];
-        if s.flushed {
-            return Err(StreamError::SessionFinished { slot });
-        }
-        if let Some(cap) = pending_cap {
-            if s.pending.len() >= cap {
-                return Err(StreamError::QueueFull {
-                    slot,
-                    pending: s.pending.len(),
-                    cap,
-                });
-            }
-        }
-        if let Some(cap) = committed_cap {
-            if s.out.len() >= cap {
-                return Err(StreamError::Lagging {
-                    slot,
-                    queued: s.out.len(),
-                    cap,
-                });
-            }
-        }
-        s.pending.push(obs);
-        s.last_active = clock;
-        Ok(())
+        self.push_many(id, std::iter::once(obs))
     }
 
     /// Enqueues a batch of observations atomically: either every

@@ -22,8 +22,7 @@
 //! this crate allocates — pinned by the counting-allocator test in
 //! `tests/zero_alloc.rs`.
 
-use dhmm_hmm::{CsrTransition, SparseParams};
-use dhmm_linalg::Matrix;
+use dhmm_hmm::{CsrTransition, Emission, Hmm, InferenceBackend, SparseParams, Transitions};
 
 /// Persistent per-session streaming state (rings + running scalars).
 ///
@@ -157,23 +156,35 @@ impl StreamWorkspace {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TransCache {
     /// CSR-compiled pruned transitions; valid while `csr_key` matches.
-    pub(crate) csr: CsrTransition,
+    csr: CsrTransition,
     /// `(epoch, k, params)` the CSR form was compiled for.
     csr_key: Option<(u64, usize, SparseParams)>,
 }
 
 impl TransCache {
-    /// Ensures `csr` holds `a` compiled under `params` for this epoch.
-    /// Parameters were validated at stream construction, and the model's
-    /// transition matrix is square by construction, so compilation cannot
-    /// fail here.
-    pub(crate) fn prepare_sparse(&mut self, a: &Matrix, epoch: u64, params: SparseParams) {
-        let key = Some((epoch, a.rows(), params));
-        if self.csr_key != key {
-            self.csr
-                .compile_into(a, params)
-                .expect("sparse params validated at stream construction");
-            self.csr_key = key;
+    /// The transition operator the stream's steps run on under `backend`:
+    /// the model's dense `A` and `Aᵀ`, or `Ã` compiled from `model` for this
+    /// epoch (a no-op once warm). Parameters were validated at stream
+    /// construction, and the model's transition matrix is square by
+    /// construction, so compilation cannot fail here.
+    pub(crate) fn transitions<'a, E: Emission>(
+        &'a mut self,
+        model: &'a Hmm<E>,
+        backend: InferenceBackend,
+        epoch: u64,
+    ) -> Transitions<'a> {
+        match backend {
+            InferenceBackend::Scaled => Transitions::dense(model),
+            InferenceBackend::Sparse(params) => {
+                let key = Some((epoch, model.num_states(), params));
+                if self.csr_key != key {
+                    self.csr
+                        .compile_into(model.transition(), params)
+                        .expect("sparse params validated at stream construction");
+                    self.csr_key = key;
+                }
+                Transitions::Csr(&self.csr)
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use dhmm_hmm::emission::{DiscreteEmission, GaussianEmission};
 use dhmm_hmm::{
-    viterbi_scaled_with_score, viterbi_sparse_with_score, Hmm, InferenceWorkspace, SparseParams,
+    viterbi_scaled_with_score, Hmm, InferenceBackend, InferenceWorkspace, SparseParams,
 };
 use dhmm_linalg::Matrix;
 use dhmm_stream::{Parallelism, SessionPool, StreamError, StreamingDecoder};
@@ -125,8 +125,9 @@ fn out_of_vocabulary_steps_decode_alike_offline_and_streaming() {
         (vec![0, 1, 7, 0, 1, 1], vec![0, 1, 0, 0, 1, 1]),
     ] {
         let (dense, dense_score) = viterbi_scaled_with_score(&m, &seq, &mut ws).unwrap();
-        let (sparse, sparse_score) =
-            viterbi_sparse_with_score(&m, &seq, &mut ws, SparseParams::exact()).unwrap();
+        let (sparse, sparse_score) = InferenceBackend::Sparse(SparseParams::exact())
+            .viterbi_with_score(&m, &seq, &mut ws)
+            .unwrap();
         let mut dec = StreamingDecoder::new(&m, seq.len());
         let mut streamed = Vec::new();
         for obs in &seq {

@@ -2,11 +2,11 @@
 //!
 //! Mirrors `tests/parity.rs` with `InferenceBackend::Sparse`: exact params
 //! must be bit-identical to the scaled streaming path, pruned params must
-//! match the *offline sparse engine* (the oracle for Ã), and the pool must
-//! match the scalar decoder.
+//! match the *offline sparse engine* (the oracle for Ã) bit for bit, and the
+//! pool must match the scalar decoder.
 
 use dhmm_hmm::emission::DiscreteEmission;
-use dhmm_hmm::{forward_backward_sparse, viterbi_sparse_with_score, Hmm, InferenceWorkspace};
+use dhmm_hmm::{Hmm, InferenceWorkspace};
 use dhmm_stream::{
     InferenceBackend, Parallelism, SessionPool, SparseParams, StreamConfig, StreamError,
     StreamingDecoder,
@@ -32,13 +32,6 @@ fn random_hmm(k: usize, v: usize, seed: u64) -> Hmm<DiscreteEmission> {
 fn random_seq(v: usize, len: usize, seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len).map(|_| rng.gen_range(0..v)).collect()
-}
-
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 /// Runs one decoder to completion, returning (labels, final ll).
@@ -96,8 +89,8 @@ proptest! {
         }
     }
 
-    /// With lag ≥ T, pruned sparse streaming is the offline sparse engine:
-    /// same path up to co-optimal ties under Ã, same score and smoothing.
+    /// With lag ≥ T, pruned sparse streaming is the offline sparse engine
+    /// bit for bit: the same path, score, log-likelihood and smoothed rows.
     #[test]
     fn full_lag_pruned_stream_equals_offline_sparse(
         k in 2usize..5, v in 2usize..6, seed in 0u64..300, len in 1usize..30,
@@ -105,13 +98,12 @@ proptest! {
     ) {
         let model = random_hmm(k, v, seed);
         let seq = random_seq(v, len, seed.wrapping_add(2));
-        let params = SparseParams::threshold(tau);
-        let backend = InferenceBackend::Sparse(params);
+        let backend = InferenceBackend::Sparse(SparseParams::threshold(tau));
 
         let mut ws = InferenceWorkspace::new();
         let (offline_path, offline_score) =
-            viterbi_sparse_with_score(&model, &seq, &mut ws, params).unwrap();
-        let offline_stats = forward_backward_sparse(&model, &seq, &mut ws, params).unwrap();
+            backend.viterbi_with_score(&model, &seq, &mut ws).unwrap();
+        let offline_stats = backend.forward_backward(&model, &seq, &mut ws).unwrap();
 
         let mut dec = StreamingDecoder::with_config(
             &model,
@@ -124,31 +116,19 @@ proptest! {
         }
         let flush = dec.flush();
         streamed.extend_from_slice(flush.committed);
-        prop_assert_eq!(streamed.len(), len);
 
-        // Same path, or a co-optimal one under the pruned matrix Ã.
-        if streamed != offline_path {
-            let tilde = Hmm::new(
-                model.initial().to_vec(),
-                dhmm_hmm::CsrTransition::compile(model.transition(), params)
-                    .unwrap()
-                    .to_dense(),
-                model.emission().clone(),
-            )
-            .unwrap();
-            let js = tilde.joint_log_likelihood(&streamed, &seq).unwrap();
-            let jo = tilde.joint_log_likelihood(&offline_path, &seq).unwrap();
-            prop_assert!((js - jo).abs() < 1e-7,
-                "paths differ and are not co-optimal under Ã: {js} vs {jo}");
-        }
-        prop_assert!((flush.viterbi_log_score - offline_score).abs() < 1e-9);
-        prop_assert!((flush.log_likelihood - offline_stats.log_likelihood).abs() < 1e-9);
+        prop_assert_eq!(&streamed, &offline_path);
+        prop_assert_eq!(flush.viterbi_log_score.to_bits(), offline_score.to_bits());
+        prop_assert_eq!(
+            flush.log_likelihood.to_bits(),
+            offline_stats.log_likelihood.to_bits()
+        );
+        prop_assert_eq!(flush.smoothed.len(), len * k);
         for t in 0..len {
             let row = &flush.smoothed[t * k..(t + 1) * k];
-            prop_assert!(
-                max_abs_diff(row, offline_stats.gamma.row(t)) < 1e-9,
-                "smoothed row {} diverged", t
-            );
+            for (x, y) in row.iter().zip(offline_stats.gamma.row(t)) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "smoothed row {}", t);
+            }
         }
     }
 
