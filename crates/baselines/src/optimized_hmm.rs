@@ -169,11 +169,7 @@ impl OptimizedHmm {
 
     /// Decodes every sequence in a set, sharing one workspace.
     pub fn decode_all(&self, sequences: &[Vec<Vec<bool>>]) -> Result<Vec<Vec<usize>>, HmmError> {
-        let mut ws = InferenceWorkspace::new();
-        sequences
-            .iter()
-            .map(|s| self.decode_with(s, &mut ws))
-            .collect()
+        self.config.backend.decode_all(&self.decoder, sequences)
     }
 }
 

@@ -9,7 +9,10 @@
 //! * **forward** — `log_likelihood` (the scaled forward filter) per
 //!   sequence, dense vs sparse, with the speedup;
 //! * **viterbi** — full decode per sequence, dense vs sparse, with the
-//!   speedup and a cross-check that the sparse path is achievable: its
+//!   speedup, the dense decode's cost in dense forward passes of the same
+//!   row (`dense_viterbi_over_forward`, a ratio of two timings from one run,
+//!   steadier than either timing on a host that changes speed), and a
+//!   cross-check that the sparse path is achievable: its
 //!   joint log-likelihood under the *unpruned* model must be finite and no
 //!   better than the dense Viterbi score (+1e-9). A row that fails the
 //!   check makes the binary exit non-zero after writing the artifact;
@@ -211,6 +214,11 @@ fn bench_cell(k: usize, density_pct: usize, args: &Args) -> (Json, Option<String
         .timing("viterbi_dense_", "us", vit_dense, 1)
         .timing("viterbi_sparse_", "us", vit_sparse, 1)
         .fixed("viterbi_speedup", vit_dense.median / vit_sparse.median, 2)
+        .fixed(
+            "dense_viterbi_over_forward",
+            vit_dense.median / fwd_dense.median,
+            2,
+        )
         .field("viterbi_sparse_path_gap", format_args!("{vit_path_gap:.3e}"))
         .field("viterbi_sparse_path_ok", vit_path_ok)
         // Gap vs *dense on the original A*: the static pruning's error, the

@@ -22,7 +22,6 @@ use dhmm_dpp::{DppObjective, MStepWorkspace};
 use dhmm_hmm::emission::Emission;
 use dhmm_hmm::model::Hmm;
 use dhmm_hmm::supervised::supervised_estimate;
-use dhmm_hmm::InferenceWorkspace;
 use dhmm_linalg::Matrix;
 use dhmm_prob::mean_pairwise_bhattacharyya;
 use dhmm_stream::{SessionPool, StreamConfig, StreamingDecoder};
@@ -154,16 +153,7 @@ impl SupervisedDiversifiedHmm {
         model: &Hmm<E>,
         sequences: &[Vec<E::Obs>],
     ) -> Result<Vec<Vec<usize>>, DhmmError> {
-        let mut ws = InferenceWorkspace::new();
-        sequences
-            .iter()
-            .map(|s| {
-                self.config
-                    .backend
-                    .viterbi(model, s, &mut ws)
-                    .map_err(DhmmError::from)
-            })
-            .collect()
+        Ok(self.config.backend.decode_all(model, sequences)?)
     }
 
     /// The streaming config implied by this trainer's knobs and a lag.

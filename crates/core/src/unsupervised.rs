@@ -13,7 +13,6 @@ use dhmm_hmm::baum_welch::{BaumWelch, BaumWelchConfig, FitResult, TransitionUpda
 use dhmm_hmm::emission::{DiscreteEmission, Emission, GaussianEmission};
 use dhmm_hmm::init::{random_parameters, random_stochastic_matrix, InitStrategy};
 use dhmm_hmm::model::Hmm;
-use dhmm_hmm::InferenceWorkspace;
 use dhmm_prob::mean_pairwise_bhattacharyya;
 use dhmm_stream::{SessionPool, StreamConfig, StreamingDecoder};
 use dhmm_telemetry::TelemetrySink;
@@ -170,16 +169,7 @@ impl DiversifiedHmm {
         model: &Hmm<E>,
         sequences: &[Vec<E::Obs>],
     ) -> Result<Vec<Vec<usize>>, DhmmError> {
-        let mut ws = InferenceWorkspace::new();
-        sequences
-            .iter()
-            .map(|s| {
-                self.config
-                    .backend
-                    .viterbi(model, s, &mut ws)
-                    .map_err(DhmmError::from)
-            })
-            .collect()
+        Ok(self.config.backend.decode_all(model, sequences)?)
     }
 
     /// The streaming config implied by this trainer's knobs and a lag.

@@ -216,11 +216,7 @@ impl<E: Emission> Hmm<E> {
 
     /// Decodes every sequence in a set, sharing one workspace across calls.
     pub fn decode_all(&self, sequences: &[Vec<E::Obs>]) -> Result<Vec<Vec<usize>>, HmmError> {
-        let mut ws = crate::workspace::InferenceWorkspace::new();
-        sequences
-            .iter()
-            .map(|s| self.decode_with(s, &mut ws))
-            .collect()
+        crate::scaled::InferenceBackend::Scaled.decode_all(self, sequences)
     }
 }
 

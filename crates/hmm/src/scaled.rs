@@ -30,8 +30,9 @@
 //!
 //! # One set of recursions, two transition layouts
 //!
-//! The recursions run on a [`Transitions`] operator, which supplies the four
-//! steps they take: forward, backward, Viterbi and the ξ sums. Its dense
+//! The recursions run on a [`Transitions`] operator, which supplies the
+//! steps they take: forward, backward, max-product with the backpointer
+//! recovery of the Viterbi backtrack, and the ξ sums. Its dense
 //! layout is the model's `A` with its cached `Aᵀ` ([`Hmm::transition_t`]);
 //! its CSR layout is the pruned, renormalized `Ã` of a [`CsrTransition`]
 //! (see [`crate::sparse`]), which stores only the kept entries. One
@@ -44,14 +45,25 @@
 //! of `A` in ascending order and its results are the dense layout's bits.
 //!
 //! Dense max-product: the Viterbi step walks the row-major transition
-//! matrix one predecessor `i` at a time and folds row `i` into a register
-//! tile of successor columns. A state's running max is one lane of the
-//! tile, and the lanes never mix: state `j` still sees its candidates
-//! `δ_i · a[(i, j)]` in ascending `i` under the strict-`>` first-occurrence
-//! rule, exactly as a column-wise loop over `a[(i, j)]` would. Only the
-//! order *across* states changes, so every score and backpointer is
-//! bit-identical to the column-wise recursion, while every load of `A` is
-//! contiguous and the compare-select runs on whole vectors.
+//! matrix one predecessor `i` at a time and folds row `i` into 16-state
+//! register tiles of running maxima. A state's running max is one lane of
+//! the tile, and the lanes never mix: state `j` still sees its candidates
+//! `δ_i · a[(i, j)]` in ascending `i` and takes one only when it is strictly
+//! greater, exactly as a column-wise loop over `a[(i, j)]` would. Only the
+//! order *across* states changes, so every score is bit-identical to the
+//! column-wise recursion, while every load of `A` is contiguous and the max
+//! runs on whole vectors.
+//!
+//! Backpointers on the decoded path only: the offline recursion keeps every
+//! scaled score row `δ̂_t` (`T × k` values) and stores no argmax. The
+//! backtrack recomputes the one backpointer it follows per step: `x_{t−1}`
+//! is the first `i` with the strictly greatest `δ̂_{t−1}(i) · a(i, x_t)`,
+//! read from row `x_t` of `Aᵀ`. Those are the products the step compared,
+//! in the same order under the same rule, and a max never rounds, so the
+//! path is the one an eager argmax stores. The streaming decoder's step
+//! ([`Transitions::viterbi_step`]) still carries the argmax, in 8-wide
+//! tiles, because its convergence walk and forced commits read the
+//! backpointers of every state.
 //!
 //! Dense sum-product: the forward step walks row-major `A` into 16-state
 //! tiles of running sums (ascending predecessor `i`, zero predecessors
@@ -68,9 +80,10 @@
 //! predecessor into the output row ([`CsrMatrix::axpy_row`]), the backward
 //! step takes each state's dot product over its stored successors
 //! ([`CsrMatrix::dot_row`]), the Viterbi step gathers each state's stored
-//! predecessors from `Ãᵀ` ([`CsrMatrix::argmax_product_row`]), and the ξ
-//! sums visit the stored entries with the same `(α · a) · w` products in
-//! ascending step order.
+//! predecessors from `Ãᵀ` ([`CsrMatrix::argmax_product_row`]) and keeps the
+//! maximum, the backtrack runs the same gather for the decoded state to
+//! recover its predecessor, and the ξ sums visit the stored entries with the
+//! same `(α · a) · w` products in ascending step order.
 //!
 //! The streaming filter, Viterbi step and smoother in `dhmm_stream` call the
 //! same operator one token at a time ([`Transitions::forward_step`],
@@ -180,34 +193,26 @@ impl InferenceBackend {
         observations: &[E::Obs],
         ws: &mut InferenceWorkspace,
     ) -> Result<(Vec<usize>, f64), HmmError> {
-        let k = model.num_states();
         let t_len = prepare(model, observations, ws, "decode")?;
-        let log_score = self.with_transitions(model, t_len, ws, |op, ws| {
-            op.viterbi_passes(model.initial(), t_len, ws)
-        })?;
-
-        // Backtrack from the best final state (first occurrence on ties, like
-        // the reference).
-        let last = if (t_len - 1) % 2 == 0 {
-            &ws.delta[..k]
-        } else {
-            &ws.delta[k..2 * k]
-        };
-        let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
-        for (j, &v) in last.iter().enumerate() {
-            if v > best_val {
-                best_val = v;
-                best_state = j;
-            }
-        }
         let mut path = vec![0usize; t_len];
-        path[t_len - 1] = best_state;
-        for t in (0..t_len - 1).rev() {
-            path[t] = ws.psi[(t + 1) * k + path[t + 1]];
-        }
-        // After normalization the winning entry is exactly 1, but keep the exact
-        // identity `score = Σ log m_t + log δ_final(best)` for robustness.
-        Ok((path, log_score + best_val.ln()))
+        let score = self.with_transitions(model, t_len, ws, |op, ws| {
+            op.viterbi_passes(model.initial(), t_len, ws, &mut path)
+        })?;
+        Ok((path, score))
+    }
+
+    /// Decodes every sequence of a set with the selected engine, sharing one
+    /// workspace across the set.
+    pub fn decode_all<E: Emission>(
+        self,
+        model: &Hmm<E>,
+        sequences: &[Vec<E::Obs>],
+    ) -> Result<Vec<Vec<usize>>, HmmError> {
+        let mut ws = InferenceWorkspace::new();
+        sequences
+            .iter()
+            .map(|s| self.viterbi(model, s, &mut ws))
+            .collect()
     }
 
     /// Runs `f` on this engine's transition operator for `model`: the dense
@@ -420,10 +425,11 @@ impl<'a> Transitions<'a> {
     /// One max-product step: for every state `j`,
     /// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, with the
     /// maximizing predecessor in `psi[j]` (the first one on ties). The
-    /// caller rescales the row ([`viterbi_scale_row`]). This is the offline
-    /// Viterbi recursion's step, which keeps a stream at `lag ≥ T`
-    /// bit-identical to the offline decode. It allocates nothing; the dense
-    /// layout runs its AVX2 instantiation where the CPU has AVX2.
+    /// caller rescales the row ([`viterbi_scale_row`]). Its scores are the
+    /// offline recursion's bits and its backpointers the ones the offline
+    /// backtrack recomputes, which keeps a stream at `lag ≥ T` bit-identical
+    /// to the offline decode. It allocates nothing; the dense layout runs
+    /// its AVX2 instantiation where the CPU has AVX2.
     ///
     /// # Panics
     ///
@@ -446,7 +452,16 @@ impl<'a> Transitions<'a> {
                 }
                 viterbi_step_impl(a, prev, e_row, cur, psi);
             }
-            Self::Csr(csr) => csr.viterbi_step(prev, e_row, cur, psi),
+            Self::Csr(csr) => {
+                // Gather over each state's stored predecessors (its row of
+                // `Ãᵀ`).
+                let tr = csr.transposed();
+                for (j, (c, s)) in cur.iter_mut().zip(psi.iter_mut()).enumerate() {
+                    let (best, best_i) = tr.argmax_product_row(j, prev);
+                    *c = best * e_row[j];
+                    *s = best_i;
+                }
+            }
         }
     }
 
@@ -476,29 +491,40 @@ impl<'a> Transitions<'a> {
         }
     }
 
-    /// Runs the Viterbi score recursion of one sequence into `ws.delta` and
-    /// `ws.psi` and returns its accumulated log-normalizers. Assumes `ws` is
-    /// sized and its emission rows filled.
-    fn viterbi_passes(self, initial: &[f64], t_len: usize, ws: &mut InferenceWorkspace) -> f64 {
+    /// Decodes one sequence into `path` (`t_len` long) and returns its
+    /// joint log-probability, keeping the score rows in `ws.delta`. Assumes
+    /// `ws` is sized and its emission rows filled.
+    fn viterbi_passes(
+        self,
+        initial: &[f64],
+        t_len: usize,
+        ws: &mut InferenceWorkspace,
+        path: &mut [usize],
+    ) -> f64 {
         match self {
-            Self::Dense { a, at } => viterbi_passes(DenseSteps { a, at }, initial, t_len, ws),
-            Self::Csr(csr) => viterbi_passes(csr, initial, t_len, ws),
+            Self::Dense { a, at } => viterbi_passes(DenseSteps { a, at }, initial, t_len, ws, path),
+            Self::Csr(csr) => viterbi_passes(csr, initial, t_len, ws, path),
         }
     }
 }
 
-/// The four steps of the scaled recursions, one implementation per layout
-/// of [`Transitions`]. Every method is `#[inline(always)]`, so each runs
-/// inside whichever instantiation of the recursion bodies calls it.
+/// The steps of the scaled recursions, one implementation per layout of
+/// [`Transitions`]. Every method is `#[inline(always)]`, so each runs inside
+/// whichever instantiation of the recursion bodies calls it.
 trait Steps: Copy {
     /// `out[j] = (Σ_i prev[i] · a[(i, j)]) · e_row[j]`, ascending `i`, zero
     /// predecessors skipped.
     fn forward_step(self, prev: &[f64], e_row: &[f64], out: &mut [f64]);
     /// `out[i] = Σ_j a[(i, j)] · w[j]`, ascending `j`.
     fn backward_step(self, w: &[f64], out: &mut [f64]);
-    /// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, first maximizer
-    /// in `psi[j]`.
-    fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]);
+    /// `cur[j] = (max_i prev[i] · a[(i, j)]) · e_row[j]`, ascending `i`,
+    /// strict `>`.
+    fn max_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64]);
+    /// The first `i` with the strictly greatest `prev[i] · a[(i, j)]`, 0
+    /// when no candidate beats the start of the scan: the backpointer of
+    /// state `j` that [`Transitions::viterbi_step`] writes for the same
+    /// `prev`.
+    fn backpointer(self, prev: &[f64], j: usize) -> usize;
     /// Sets `out[(i, j)] = Σ_n (α_{t_n − 1, i} · a[(i, j)]) · w[n][j]` over
     /// the steps `t_n = steps[n]` in ascending order, skipping the terms
     /// whose `α_{t_n − 1, i}` is zero. `out` is zero on entry; `w` holds
@@ -525,8 +551,15 @@ impl Steps for DenseSteps<'_> {
     }
 
     #[inline(always)]
-    fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
-        viterbi_step_impl(self.a, prev, e_row, cur, psi);
+    fn max_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64]) {
+        max_step_impl(self.a, prev, e_row, cur);
+    }
+
+    #[inline(always)]
+    fn backpointer(self, prev: &[f64], j: usize) -> usize {
+        // Row `j` of `Aᵀ` is column `j` of `A`: the step's lane `j`.
+        let col = self.at.row(j);
+        first_max(prev.iter().zip(col).map(|(&p, &aij)| p * aij)).0
     }
 
     #[inline(always)]
@@ -566,14 +599,17 @@ impl Steps for &CsrTransition {
     }
 
     #[inline(always)]
-    fn viterbi_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64], psi: &mut [usize]) {
+    fn max_step(self, prev: &[f64], e_row: &[f64], cur: &mut [f64]) {
         // Gather over each state's stored predecessors (its row of `Ãᵀ`).
         let tr = self.transposed();
-        for (j, (c, s)) in cur.iter_mut().zip(psi.iter_mut()).enumerate() {
-            let (best, best_i) = tr.argmax_product_row(j, prev);
-            *c = best * e_row[j];
-            *s = best_i;
+        for (j, (c, &e)) in cur.iter_mut().zip(e_row).enumerate() {
+            *c = tr.argmax_product_row(j, prev).0 * e;
         }
+    }
+
+    #[inline(always)]
+    fn backpointer(self, prev: &[f64], j: usize) -> usize {
+        self.transposed().argmax_product_row(j, prev).1
     }
 
     #[inline(always)]
@@ -650,11 +686,12 @@ fn cover_states<const W: usize, B: StateTile>(k: usize, body: &mut B) {
     }
 }
 
-/// Columns per register tile of the dense Viterbi step: two 256-bit vectors
-/// each of running max and argmax. On a 2-vCPU AVX2 Xeon an 8-wide tile ran
-/// the k = 64 step about 4x faster than the column-wise loop; a 16-wide
-/// tile was slower than 8, because the compiler no longer kept its argmax
-/// select in vectors.
+/// Columns per register tile of the streaming decoder's dense Viterbi step
+/// ([`Transitions::viterbi_step`]): two 256-bit vectors each of running max
+/// and argmax. On a 2-vCPU AVX2 Xeon an 8-wide tile ran the k = 64 step
+/// about 4x faster than the column-wise loop; a 16-wide tile was slower than
+/// 8, because the compiler no longer kept its argmax select in vectors. The
+/// offline recursion's max-only step carries no argmax and runs 16 wide.
 const VITERBI_TILE: usize = 8;
 
 /// AVX2 instantiation of [`viterbi_step_impl`] — identical body, wider
@@ -676,7 +713,8 @@ unsafe fn viterbi_step_avx2(
     viterbi_step_impl(a, prev, e_row, cur, psi);
 }
 
-/// The dense layout's max-product step.
+/// The dense layout's max-product step with backpointers, the streaming
+/// decoder's ([`Transitions::viterbi_step`]).
 ///
 /// The recursion is computed row-major. The columns are cut into tiles of
 /// 8 states; for each tile the step walks `A` one predecessor `i` at a
@@ -746,10 +784,61 @@ impl StateTile for ViterbiTile<'_> {
     }
 }
 
-/// Output states per register tile of the dense forward and backward
-/// steps: four 256-bit accumulators, enough independent add chains to cover
-/// the add latency.
+/// Output states per register tile of the dense forward, backward and
+/// max-only steps: four 256-bit accumulators, enough independent add chains
+/// to cover the add latency.
 const SUM_TILE: usize = 16;
+
+/// The dense layout's max-only step, the offline Viterbi recursion's.
+///
+/// Like [`viterbi_step_impl`] it walks row-major `A` one predecessor `i` at a
+/// time into register tiles of output states, each lane taking a candidate
+/// `prev[i] · a[(i, j)]` only when it is strictly greater than its running
+/// max from `−∞`: the same products in the same order under the same rule,
+/// so the same score bits. With no argmax to carry, the tile is 16 wide.
+#[inline(always)]
+fn max_step_impl(a: &Matrix, prev: &[f64], e_row: &[f64], cur: &mut [f64]) {
+    let mut body = MaxTile {
+        a: a.as_slice(),
+        prev,
+        e_row,
+        cur,
+    };
+    cover_states::<SUM_TILE, _>(prev.len(), &mut body);
+}
+
+/// The tile body of the dense max-only step.
+struct MaxTile<'a> {
+    a: &'a [f64],
+    prev: &'a [f64],
+    e_row: &'a [f64],
+    cur: &'a mut [f64],
+}
+
+impl StateTile for MaxTile<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, j0: usize) {
+        let k = self.prev.len();
+        let mut best = [f64::NEG_INFINITY; W];
+        for (i, &p) in self.prev.iter().enumerate() {
+            let o = i * k + j0;
+            let r: &[f64; W] = self.a[o..o + W].try_into().expect("W-long slice");
+            for l in 0..W {
+                let cand = p * r[l];
+                // Keeps the old value on ties and on a NaN candidate; lowers
+                // to a vector max.
+                best[l] = if cand > best[l] { cand } else { best[l] };
+            }
+        }
+        let e: &[f64; W] = self.e_row[j0..j0 + W].try_into().expect("W-long slice");
+        let c: &mut [f64; W] = (&mut self.cur[j0..j0 + W])
+            .try_into()
+            .expect("W-long slice");
+        for l in 0..W {
+            c[l] = best[l] * e[l];
+        }
+    }
+}
 
 /// The dense layout's forward step.
 ///
@@ -1030,14 +1119,15 @@ fn viterbi_passes<S: Steps>(
     initial: &[f64],
     t_len: usize,
     ws: &mut InferenceWorkspace,
+    path: &mut [usize],
 ) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by runtime detection; the function only requires
         // the AVX2 feature it declares.
-        return unsafe { viterbi_passes_avx2(op, initial, t_len, ws) };
+        return unsafe { viterbi_passes_avx2(op, initial, t_len, ws, path) };
     }
-    viterbi_passes_impl(op, initial, t_len, ws)
+    viterbi_passes_impl(op, initial, t_len, ws, path)
 }
 
 /// AVX2 instantiation of [`viterbi_passes_impl`] — identical body,
@@ -1053,45 +1143,65 @@ unsafe fn viterbi_passes_avx2<S: Steps>(
     initial: &[f64],
     t_len: usize,
     ws: &mut InferenceWorkspace,
+    path: &mut [usize],
 ) -> f64 {
-    viterbi_passes_impl(op, initial, t_len, ws)
+    viterbi_passes_impl(op, initial, t_len, ws, path)
 }
 
 /// The one Viterbi body: the max-product score recursion, each row
-/// normalized by [`viterbi_scale_row`], with the rolling score rows in
-/// `ws.delta` (time `t`'s row at `delta[(t % 2) * k ..]`) and the
-/// backpointers in `ws.psi`. Returns the summed log-normalizers.
+/// normalized by [`viterbi_scale_row`] and kept in `ws.delta` (time `t`'s
+/// row at `delta[t * k..]`), then the backtrack into `path`, which
+/// recomputes the backpointer of each decoded state from the row before it
+/// ([`Steps::backpointer`]). Returns the path's joint log-probability.
 #[inline(always)]
 fn viterbi_passes_impl<S: Steps>(
     op: S,
     initial: &[f64],
     t_len: usize,
     ws: &mut InferenceWorkspace,
+    path: &mut [usize],
 ) -> f64 {
     let k = initial.len();
     let mut log_score = 0.0;
     {
-        let (prev, _) = ws.delta.split_at_mut(k);
-        for (j, p) in prev.iter_mut().enumerate() {
-            *p = initial[j] * ws.emis[j];
+        let row = &mut ws.delta[..k];
+        for ((d, &p), &e) in row.iter_mut().zip(initial).zip(&ws.emis[..k]) {
+            *d = p * e;
         }
-        log_score += viterbi_scale_row(prev, ws.shifts[0]);
+        log_score += viterbi_scale_row(row, ws.shifts[0]);
     }
     for t in 1..t_len {
-        let (first, rest) = ws.delta.split_at_mut(k);
-        let second = &mut rest[..k];
-        // Alternate the two rolling rows each step.
-        let (prev, cur): (&[f64], &mut [f64]) = if t % 2 == 1 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let e_row = &ws.emis[t * k..(t + 1) * k];
-        let psi_row = &mut ws.psi[t * k..(t + 1) * k];
-        op.viterbi_step(prev, e_row, cur, psi_row);
+        let (prev, rest) = ws.delta.split_at_mut(t * k);
+        let cur = &mut rest[..k];
+        op.max_step(&prev[(t - 1) * k..], &ws.emis[t * k..(t + 1) * k], cur);
         log_score += viterbi_scale_row(cur, ws.shifts[t]);
     }
-    log_score
+
+    // Backtrack from the best final state (first occurrence on ties, like
+    // the reference).
+    let (best_state, best_val) = first_max(ws.delta[(t_len - 1) * k..t_len * k].iter().copied());
+    path[t_len - 1] = best_state;
+    for t in (1..t_len).rev() {
+        path[t - 1] = op.backpointer(&ws.delta[(t - 1) * k..t * k], path[t]);
+    }
+    // After normalization the winning entry is exactly 1, but keep the exact
+    // identity `score = Σ log m_t + log δ_final(best)` for robustness.
+    log_score + best_val.ln()
+}
+
+/// The index and value of the first strictly greatest of `values`, scanning
+/// from index 0 and `−∞`: the first-occurrence rule of the offline backtrack,
+/// which NaN values never win.
+#[inline(always)]
+fn first_max(values: impl Iterator<Item = f64>) -> (usize, f64) {
+    let (mut best_i, mut best) = (0, f64::NEG_INFINITY);
+    for (i, v) in values.enumerate() {
+        if v > best {
+            best_i = i;
+            best = v;
+        }
+    }
+    (best_i, best)
 }
 
 /// Runs the scaled forward–backward algorithm for one sequence over the
@@ -1177,7 +1287,9 @@ mod tests {
     /// One step input of size `k`, shaped by `case` to force ties: 0 is
     /// generic, 1 quantizes every value to a handful of levels (ties
     /// everywhere, exact zeros), 2 duplicates rows and columns of `A` and
-    /// repeats `prev` values, 3 zeroes a third of `A`, 4 zeroes `prev`.
+    /// repeats `prev` values, 3 zeroes a third of `A`, 4 zeroes `prev`, 5
+    /// zeroes whole rows and whole columns of `A`, 6 puts NaN in `prev` (its
+    /// first entry among them) and in `A`.
     fn step_input(k: usize, case: usize, rng: &mut StdRng) -> (Matrix, Vec<f64>, Vec<f64>) {
         let level = |rng: &mut StdRng| f64::from(rng.gen_range(0..4u8)) * 0.25;
         let mut a = Matrix::from_fn(k, k, |_, _| rng.gen_range(0.0..1.0));
@@ -1218,9 +1330,195 @@ mod tests {
                 }
             }
             4 => prev.fill(0.0),
+            5 => {
+                for i in 0..k {
+                    for j in 0..k {
+                        if i % 5 == 1 || j % 4 == 2 {
+                            a[(i, j)] = 0.0;
+                        }
+                    }
+                }
+            }
+            6 => {
+                for i in 0..k {
+                    if i % 6 == 0 {
+                        prev[i] = f64::NAN;
+                    }
+                    for j in 0..k {
+                        if (i + j) % 7 == 0 {
+                            a[(i, j)] = f64::NAN;
+                        }
+                    }
+                }
+            }
             _ => {}
         }
         (a, prev, e_row)
+    }
+
+    /// The offline recursion's step over the layout `op`: the max-only
+    /// score bits and every state's recomputed backpointer.
+    fn max_step_and_backpointers<S: Steps>(
+        op: S,
+        prev: &[f64],
+        e_row: &[f64],
+    ) -> (Vec<u64>, Vec<usize>) {
+        let mut cur = vec![f64::NAN; prev.len()];
+        op.max_step(prev, e_row, &mut cur);
+        let psi = (0..prev.len()).map(|j| op.backpointer(prev, j)).collect();
+        (bits(&cur), psi)
+    }
+
+    /// The eager step's score bits and `ψ` row.
+    fn eager_step(op: Transitions<'_>, prev: &[f64], e_row: &[f64]) -> (Vec<u64>, Vec<usize>) {
+        let k = prev.len();
+        let (mut cur, mut psi) = (vec![f64::NAN; k], vec![usize::MAX; k]);
+        op.viterbi_step(prev, e_row, &mut cur, &mut psi);
+        (bits(&cur), psi)
+    }
+
+    /// For both layouts, the offline recursion's max-only step gives the
+    /// score bits of the eager step `Transitions::viterbi_step` (the
+    /// streaming decoder's), and the backpointer the backtrack recomputes
+    /// for every state equals the `ψ` entry the eager step writes: every k
+    /// up to 70, with ties, all-zero rows and columns, and NaN entries. The
+    /// CSR layout runs exact and pruned compiles.
+    #[test]
+    fn max_step_and_backpointers_match_the_eager_step() {
+        use crate::sparse::SparseParams;
+        let mut rng = StdRng::seed_from_u64(0xbac4);
+        for k in 1..=70 {
+            for case in 0..7 {
+                let (a, prev, e_row) = step_input(k, case, &mut rng);
+                let at = a.transpose();
+                assert_eq!(
+                    max_step_and_backpointers(DenseSteps { a: &a, at: &at }, &prev, &e_row),
+                    eager_step(Transitions::Dense { a: &a, at: &at }, &prev, &e_row),
+                    "dense, k={k} case={case}"
+                );
+                for params in [SparseParams::exact(), SparseParams::threshold(0.3)] {
+                    let csr = CsrTransition::compile(&a, params).unwrap();
+                    assert_eq!(
+                        max_step_and_backpointers(&csr, &prev, &e_row),
+                        eager_step(Transitions::Csr(&csr), &prev, &e_row),
+                        "CSR {params:?}, k={k} case={case}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The eager decode, as the streaming decoder runs it at full lag: a `ψ`
+    /// table filled by `Transitions::viterbi_step`, then the table's
+    /// backtrack.
+    fn eager_decode(
+        op: Transitions<'_>,
+        initial: &[f64],
+        emis: &[f64],
+        shifts: &[f64],
+    ) -> (Vec<usize>, f64) {
+        let (k, t_len) = (initial.len(), shifts.len());
+        let mut delta: Vec<f64> = initial.iter().zip(emis).map(|(p, e)| p * e).collect();
+        let mut log_score = viterbi_scale_row(&mut delta, shifts[0]);
+        let mut psi = vec![0usize; t_len * k];
+        let mut cur = vec![0.0; k];
+        for t in 1..t_len {
+            let psi_row = &mut psi[t * k..(t + 1) * k];
+            op.viterbi_step(&delta, &emis[t * k..(t + 1) * k], &mut cur, psi_row);
+            log_score += viterbi_scale_row(&mut cur, shifts[t]);
+            std::mem::swap(&mut delta, &mut cur);
+        }
+        let (mut best_state, mut best_val) = (0usize, f64::NEG_INFINITY);
+        for (j, &v) in delta.iter().enumerate() {
+            if v > best_val {
+                best_val = v;
+                best_state = j;
+            }
+        }
+        let mut path = vec![best_state; t_len];
+        for t in (0..t_len - 1).rev() {
+            path[t] = psi[(t + 1) * k + path[t + 1]];
+        }
+        (path, log_score + best_val.ln())
+    }
+
+    /// A whole decode, through the per-sequence AVX2 dispatch and through
+    /// the generic body, gives the eager decode's path and score bits for
+    /// both layouts. The models' states come in exact clones (duplicated
+    /// rows and columns of `A`, duplicated rows of `B`), so candidates tie
+    /// across whole columns; `A` and `B` carry exact zeros, and one symbol
+    /// is impossible in every state, so some steps are floored.
+    #[test]
+    fn viterbi_matches_the_eager_decode_bit_for_bit() {
+        use crate::emission::DiscreteEmission;
+        use crate::sparse::SparseParams;
+        let mut rng = StdRng::seed_from_u64(0xde0d);
+        let vocab = 5;
+        let level = |rng: &mut StdRng| f64::from(rng.gen_range(0..4u8)) * 0.25;
+        for k in 1..=70usize {
+            let mut a = Matrix::from_fn(k, k, |_, _| level(&mut rng));
+            let mut b = Matrix::from_fn(k, vocab, |_, _| level(&mut rng));
+            for i in 0..k {
+                a[(i, 0)] += 0.25;
+                b[(i, 0)] += 0.25;
+                b[(i, vocab - 1)] = 0.0;
+            }
+            for j in (1..k).filter(|j| j % 3 == 2) {
+                for i in 0..k {
+                    a[(i, j)] = a[(i, j - 1)];
+                }
+                for c in 0..k {
+                    a[(j, c)] = a[(j - 1, c)];
+                }
+                for v in 0..vocab {
+                    b[(j, v)] = b[(j - 1, v)];
+                }
+            }
+            a.normalize_rows();
+            b.normalize_rows();
+            let pi = vec![1.0 / k as f64; k];
+            let model = Hmm::new(pi, a, DiscreteEmission::new(b).unwrap()).unwrap();
+            let obs: Vec<usize> = (0..30).map(|_| rng.gen_range(0..vocab)).collect();
+            let t_len = obs.len();
+            let mut ws = InferenceWorkspace::new();
+            ws.ensure(k, t_len);
+            fill_emissions(&model, &obs, &mut ws);
+            let (emis, shifts) = (ws.emis[..t_len * k].to_vec(), ws.shifts[..t_len].to_vec());
+
+            let (a, at) = (model.transition(), model.transition_t());
+            let (want_path, want) =
+                eager_decode(Transitions::dense(&model), model.initial(), &emis, &shifts);
+            let (path, score) = InferenceBackend::Scaled
+                .viterbi_with_score(&model, &obs, &mut ws)
+                .unwrap();
+            assert_eq!(path, want_path, "dense path, k={k}");
+            assert_eq!(score.to_bits(), want.to_bits(), "dense score, k={k}");
+            let mut gen_path = vec![usize::MAX; t_len];
+            let gen = viterbi_passes_impl(
+                DenseSteps { a, at },
+                model.initial(),
+                t_len,
+                &mut ws,
+                &mut gen_path,
+            );
+            assert_eq!(gen_path, want_path, "generic dense path, k={k}");
+            assert_eq!(gen.to_bits(), want.to_bits(), "generic dense score, k={k}");
+
+            for params in [SparseParams::exact(), SparseParams::threshold(0.1)] {
+                let csr = CsrTransition::compile(a, params).unwrap();
+                let what = format!("k={k} {params:?}");
+                let (want_path, want) =
+                    eager_decode(Transitions::Csr(&csr), model.initial(), &emis, &shifts);
+                let (path, score) = InferenceBackend::Sparse(params)
+                    .viterbi_with_score(&model, &obs, &mut ws)
+                    .unwrap();
+                assert_eq!(path, want_path, "CSR path, {what}");
+                assert_eq!(score.to_bits(), want.to_bits(), "CSR score, {what}");
+                let gen = viterbi_passes_impl(&csr, model.initial(), t_len, &mut ws, &mut gen_path);
+                assert_eq!(gen_path, want_path, "generic CSR path, {what}");
+                assert_eq!(gen.to_bits(), want.to_bits(), "generic CSR score, {what}");
+            }
+        }
     }
 
     /// The dense layout's `Transitions::viterbi_step` and its generic body

@@ -126,7 +126,8 @@ pub struct SparseReport {
 ///
 /// All buffers are reused across [`CsrTransition::compile_into`] calls, so
 /// recompiling after a model update (or for a smaller model) performs no
-/// allocator traffic once the buffers have grown to their high-water mark.
+/// allocator traffic once the buffers have grown to their high-water mark
+/// (pinned by `crates/hmm/tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct CsrTransition {
     k: usize,
@@ -338,7 +339,10 @@ fn take_cache(
             if cache.params != params || cache.dense != *a {
                 cache.csr.compile_into(a, params)?;
                 cache.params = params;
-                cache.dense = a.clone();
+                if cache.dense.copy_from(a).is_err() {
+                    // A model of another size: a fresh key.
+                    cache.dense = a.clone();
+                }
             }
             Ok(cache)
         }

@@ -44,10 +44,10 @@ pub struct InferenceWorkspace {
     /// The time step `t` of each row of `xi_weights`: the steps that
     /// contribute to the ξ sums, ascending.
     pub(crate) xi_steps: Vec<usize>,
-    /// `2 × k` rolling Viterbi score rows.
+    /// `T × k` max-normalized Viterbi score rows `δ̂(t, ·)`, row-major. The
+    /// recursion stores no backpointers: the backtrack recomputes the one it
+    /// follows at each step from the row before it.
     pub(crate) delta: Vec<f64>,
-    /// `T × k` Viterbi backpointers.
-    pub(crate) psi: Vec<usize>,
     /// Compiled-transition cache of the sparse engine (boxed: dense-engine
     /// users pay one pointer). Keyed by a bitwise copy of the dense matrix
     /// plus the compile parameters, so model updates invalidate it.
@@ -70,7 +70,7 @@ impl InferenceWorkspace {
             self.alpha.resize(tk, 0.0);
             self.beta.resize(tk, 0.0);
             self.emis.resize(tk, 0.0);
-            self.psi.resize(tk, 0);
+            self.delta.resize(tk, 0.0);
         }
         if self.shifts.len() < t_len {
             self.shifts.resize(t_len, 0.0);
@@ -79,7 +79,6 @@ impl InferenceWorkspace {
         }
         if self.row.len() < k {
             self.row.resize(k, 0.0);
-            self.delta.resize(2 * k, 0.0);
         }
         self.num_states = k;
         self.seq_len = t_len;
@@ -139,7 +138,7 @@ mod tests {
         assert_eq!(ws.alpha.len(), 40);
         ws.ensure(8, 20);
         assert_eq!(ws.alpha.len(), 160);
-        assert_eq!(ws.delta.len(), 16);
+        assert_eq!(ws.delta.len(), 160);
     }
 
     #[test]

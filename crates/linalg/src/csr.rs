@@ -157,9 +157,10 @@ impl CsrMatrix {
         (best, best_idx)
     }
 
-    /// Rebuilds `self` as the transpose of `src`, reusing buffers. Entries
-    /// within each output row come out in ascending column order because
-    /// `src` is scanned in row order.
+    /// Rebuilds `self` as the transpose of `src`, reusing buffers: once they
+    /// have grown to `src`'s size it allocates nothing. Entries within each
+    /// output row come out in ascending column order because `src` is
+    /// scanned in row order.
     pub fn transpose_from(&mut self, src: &CsrMatrix) {
         assert!(src.rows <= u32::MAX as usize, "CSR column index overflow");
         self.rows = src.cols;
@@ -178,17 +179,20 @@ impl CsrMatrix {
         self.col_idx.resize(nnz, 0);
         self.vals.clear();
         self.vals.resize(nnz, 0.0);
-        // Scatter pass; `cursor` tracks the next free slot per output row.
-        let mut cursor: Vec<usize> = self.row_ptr[..self.rows].to_vec();
+        // Scatter pass: `row_ptr[c]` serves as output row `c`'s next free
+        // slot, which leaves it at the start of row `c + 1`; shifting the
+        // offsets up by one row restores them.
         for r in 0..src.rows {
             let (cols, vals) = src.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
-                let slot = cursor[c as usize];
+                let slot = self.row_ptr[c as usize];
                 self.col_idx[slot] = r as u32;
                 self.vals[slot] = v;
-                cursor[c as usize] += 1;
+                self.row_ptr[c as usize] += 1;
             }
         }
+        self.row_ptr.copy_within(..self.rows, 1);
+        self.row_ptr[0] = 0;
     }
 
     /// Materializes the matrix densely (tests and oracles).

@@ -5,10 +5,14 @@
 //!
 //! **Filtering.** The scaled forward recursion of the offline engine
 //! ([`dhmm_hmm::scaled`]), one row per pushed token. Every recursion step
-//! here — filter, Viterbi and smoother — is the offline recursions' own,
-//! taken by the same [`dhmm_hmm::Transitions`] operator over the dense `A`
-//! or the CSR-compiled pruned `Ã` the backend selects, so neither backend
-//! has a step of its own in this crate. The filter calls
+//! here — filter, Viterbi and smoother — is taken by the offline recursions'
+//! [`dhmm_hmm::Transitions`] operator over the dense `A` or the
+//! CSR-compiled pruned `Ã` the backend selects, so neither backend has a
+//! step of its own in this crate. The filter and smoother steps are the
+//! offline passes' own; the Viterbi step
+//! ([`dhmm_hmm::Transitions::viterbi_step`]) computes the offline score rows
+//! and also stores every state's backpointer, which the offline decode
+//! recomputes along its path only. The filter calls
 //! [`dhmm_hmm::Transitions::forward_step`] and [`dhmm_hmm::scale_row`], so
 //! the streaming filtered rows and the running `log P(y_0..t) = Σ log c_t`
 //! are **bit-identical** to an offline forward pass over the same prefix.
@@ -380,7 +384,7 @@ pub(crate) fn push_token<E: Emission>(
         ws.alpha[slot * k..(slot + 1) * k].copy_from_slice(row);
     }
 
-    // --- Online Viterbi step (offline parity scheme: time t's row is
+    // --- Online Viterbi step (two rolling score rows: time t's row is
     // delta[(t % 2) * k ..]).
     {
         let (first, rest) = ws.delta.split_at_mut(k);

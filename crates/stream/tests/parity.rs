@@ -53,7 +53,12 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 /// (16, 17) and the `train-wide` benchmark model (64); the transitions are
 /// smooth Dirichlet(3) rows and sparse Dirichlet(0.05) rows, whose
 /// near-zeros and exact zeros exercise the first-occurrence tie rule and
-/// the forward step's zero-predecessor skip.
+/// the forward step's zero-predecessor skip. The stream stores every
+/// state's backpointer as it goes, while the offline decode recomputes them
+/// along its path only, so this also compares the two backtracks at these
+/// sizes; exact ties on a decoded path are rare here, and
+/// `crates/hmm/tests/viterbi_bits.rs` pins the offline tie rule on models
+/// built to tie.
 #[test]
 fn full_lag_stream_reproduces_offline_bits_at_real_sizes() {
     const VOCAB: usize = 24;
